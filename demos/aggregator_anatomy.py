@@ -18,7 +18,7 @@ from fedgame import (
     register_client,
     train_step,
 )
-from fedgame.aggregator import attention_row, encode, gate_weights, gate_logits
+from fedgame.aggregator import encode, expert_scores, gate_logits, gate_weights
 
 rng = np.random.default_rng(3)
 cfg = AggregatorConfig(embed_dim=6, num_experts=4, top_k=2, noise_enabled=False)
@@ -45,13 +45,19 @@ mix = gate_weights(logits, cfg.top_k)
 print(f"client a logits {np.round(logits, 3)} -> expert mix {np.round(mix, 3)}")
 print(f"nonzero experts: {np.count_nonzero(mix)} of {cfg.num_experts}")
 
-# Stage 3: mixed expert scores become attention over the other clients.
-row = attention_row(state, "a", embeddings, training=False)
+# Stage 3: every expert scores every neighbor's embedding (the bias-free
+# part; a shift shared by all neighbors cancels in the softmax), and the
+# mix turns the expert scores into one relevance logit per neighbor.
+scores = expert_scores(state, np.stack([embeddings[c] - state.encoder_b for c in "bc"]))
+print(f"expert scores of b and c:\n{np.round(scores, 3)}")
+print("client a's logits for b and c:", np.round(scores @ mix, 3))
+
+# Stage 4: a softmax over those logits is the attention, and the
+# personalized delta blends own and neighbor updates with it.
+pers, rows = aggregate_game(state, deltas)
+row = rows[0]
 print("client a attends to",
       {j: round(float(w), 3) for j, w in zip(row.neighbor_ids, row.weights)})
-
-# Stage 4: the personalized delta blends own and neighbor updates.
-pers, rows = aggregate_game(state, deltas)
 for cid in sorted(pers):
     align = float(np.dot(pers[cid], deltas[cid])
                   / (np.linalg.norm(pers[cid]) * np.linalg.norm(deltas[cid])))

@@ -43,7 +43,7 @@ print(f"\ntraining windows per client: {[len(d) for d in train.values()]}")
 state = init_round_state(cfg, list(train), MASTER_SEED)
 aggregator = init_aggregator(AggregatorConfig(embed_dim=8, num_experts=4, top_k=2),
                              head_length(state.global_params.spec),
-                             seed_stream(MASTER_SEED, "server"))
+                             seed_stream(MASTER_SEED, "aggregator"))
 for cid in sorted(train):
     register_client(aggregator, cid)
 

@@ -14,12 +14,10 @@ from .aggregator import (
     aggregate_game,
     aggregate_mean,
     aggregate_single_attention,
-    attention_row,
     init_aggregator,
     mean_meta_loss,
     meta_gradient,
     meta_loss,
-    personalized_delta,
     register_client,
     train_step,
 )

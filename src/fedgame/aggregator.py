@@ -2,21 +2,24 @@
 
 The server never sees raw data, only each client's output-head delta.
 A shared affine encoder embeds every delta; shared scoring experts rate
-each ordered (neighbor, self) pair; a per-client noisy top-k gate mixes
-the expert scores into one relevance logit per neighbor; a
+each neighbor's embedding; a per-client noisy top-k gate mixes the
+expert scores into one relevance logit per neighbor; a
 temperature-scaled softmax over neighbors turns logits into attention
 weights; and the personalized update blends the client's own delta with
 the attention-weighted neighbor deltas.
 
-Two parallel implementations of the same formulas live here on purpose:
+All clients go through one batched forward over the N x h matrix of
+head deltas, rows in sorted client order.  The meta-loss gradient is a
+hand-derived backward through the same arrays.
 
-* a plain numpy path (:func:`attention_row`, :func:`personalized_delta`)
-  used for the deltas actually shipped to clients.  It sums with
-  ``math.fsum`` so results are exactly invariant to client relabeling;
-* a differentiable path inside :func:`train_step` built on the autodiff
-  tape, used to descend the similarity meta-loss with Adam.
+Experts read only the neighbor's embedding, without the encoder bias.
+A term that depends on the scoring client alone is the same for every
+neighbor and cancels in the softmax over neighbors; the client's own
+embedding, an expert bias and the shared encoder bias are such terms.
 
-A consistency test pins the two paths to each other.
+Relabeling clients permutes every output bit for bit.  Contractions
+that mix rows are sums of elementwise products taken in index order
+(no BLAS), and sums over neighbors add their terms in sorted order.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, dot, stack_scalars
 from .errors import ConfigError, NumericError, StructuralError, UsageError
 from .params import NORM_TOLERANCE, cosine_similarity
 
@@ -92,14 +94,17 @@ class AttentionRow:
 
 @dataclass
 class AggregatorState:
-    """All learnable server parameters plus optimizer slots and RNG."""
+    """All learnable server parameters plus optimizer slots and RNG.
+
+    ``experts_w`` holds one row per expert; expert k scores a
+    neighbor embedding e_j as ``experts_w[k] . e_j``.
+    """
 
     config: AggregatorConfig
     head_dim: int
     encoder_w: np.ndarray
     encoder_b: np.ndarray
     experts_w: np.ndarray
-    experts_b: np.ndarray
     gates: dict[str, GatePair]
     rng: np.random.Generator
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -115,14 +120,13 @@ def init_aggregator(
         raise ConfigError("head_dim must be >= 1")
     d = cfg.embed_dim
     s_enc = 1.0 / math.sqrt(head_dim)
-    s_exp = 1.0 / math.sqrt(2 * d)
+    s_exp = 1.0 / math.sqrt(d)
     return AggregatorState(
         config=cfg,
         head_dim=head_dim,
         encoder_w=rng.uniform(-s_enc, s_enc, size=(head_dim, d)),
         encoder_b=rng.uniform(-s_enc, s_enc, size=d),
-        experts_w=rng.uniform(-s_exp, s_exp, size=(cfg.num_experts, 2 * d)),
-        experts_b=rng.uniform(-s_exp, s_exp, size=cfg.num_experts),
+        experts_w=rng.uniform(-s_exp, s_exp, size=(cfg.num_experts, d)),
         gates={},
         rng=rng,
     )
@@ -144,38 +148,68 @@ def register_client(state: AggregatorState, client_id: str) -> None:
     )
 
 
-def _check_head(state: AggregatorState, vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-    if vec.size != state.head_dim:
-        raise StructuralError(
-            f"head delta has length {vec.size}, aggregator expects {state.head_dim}"
-        )
-    return vec
+def _require_gate(state: AggregatorState, client_id: str) -> GatePair:
+    if client_id not in state.gates:
+        raise UsageError(f"client {client_id!r} has no registered gate")
+    return state.gates[client_id]
+
+
+def _stack_deltas(
+    head_deltas: dict[str, np.ndarray], head_dim: int | None = None
+) -> tuple[list[str], np.ndarray]:
+    """Sorted client ids and their head deltas as the rows of one matrix."""
+    ids = sorted(head_deltas)
+    rows = [np.asarray(head_deltas[i], dtype=np.float64).reshape(-1) for i in ids]
+    head_dim = head_dim or (rows[0].size if rows else 0)
+    for cid, row in zip(ids, rows):
+        if row.size != head_dim:
+            raise StructuralError(
+                f"head delta of client {cid!r} has length {row.size}, expected {head_dim}"
+            )
+    return ids, np.array(rows).reshape(len(ids), head_dim)
+
+
+def _contract(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise ``x @ w``; ``w`` is one matrix or one matrix per row.
+
+    Summed over the shared axis in index order, so each output row is
+    a function of its own input row alone, bit for bit.
+    """
+    return np.sum(x[:, :, np.newaxis] * w, axis=1)
+
+
+def _sorted_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 in ascending order, independent of row order."""
+    return np.sort(terms, axis=1).sum(axis=1)
+
+
+def _encode(state: AggregatorState, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bias-free and affine embeddings of stacked head deltas."""
+    linear = _contract(deltas, state.encoder_w)
+    return linear, linear + state.encoder_b
 
 
 def encode(state: AggregatorState, head_delta: np.ndarray) -> np.ndarray:
     """Affine embedding of one head delta."""
-    vec = _check_head(state, head_delta)
-    return vec @ state.encoder_w + state.encoder_b
+    return _encode(state, _stack_deltas({"": head_delta}, state.head_dim)[1])[1][0]
 
 
-def expert_scores(state: AggregatorState, e_i: np.ndarray, e_j: np.ndarray) -> np.ndarray:
-    """Score vector over experts for the pair (self e_i, neighbor e_j).
+def expert_scores(state: AggregatorState, embeddings: np.ndarray) -> np.ndarray:
+    """Every expert's score of every (bias-free) neighbor embedding, N x K."""
+    return _contract(np.atleast_2d(embeddings), state.experts_w.T)
 
-    Each expert is an affine map on the concatenation [e_j, e_i],
-    neighbor first.
+
+def _gate_logits(embeddings, gate_w, gate_noise, noise):
+    """Gate logits and the noise-scale pre-activation (None without noise).
+
+    With ``noise`` draws the clean logits get ``noise`` times softplus
+    of a learned projection of the embedding.
     """
-    d = state.config.embed_dim
-    e_i = np.asarray(e_i, dtype=np.float64).reshape(-1)
-    e_j = np.asarray(e_j, dtype=np.float64).reshape(-1)
-    if e_i.size != d or e_j.size != d:
-        raise StructuralError(f"embeddings must have length {d}")
-    cat = np.concatenate([e_j, e_i])
-    return state.experts_w @ cat + state.experts_b
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
+    clean = _contract(embeddings, gate_w)
+    if noise is None:
+        return clean, None
+    pre = _contract(embeddings, gate_noise)
+    return clean + noise * np.logaddexp(0.0, pre), pre
 
 
 def gate_logits(
@@ -189,120 +223,194 @@ def gate_logits(
     are the clean term only, so shipped aggregations are reproducible.
     """
     gate = _require_gate(state, client_id)
-    e_i = np.asarray(e_i, dtype=np.float64).reshape(-1)
-    clean = e_i @ gate.weight
+    e = np.asarray(e_i, dtype=np.float64).reshape(1, -1)
+    noise = None
     if training and state.config.noise_enabled:
-        scale = _softplus(e_i @ gate.noise)
-        clean = clean + state.rng.standard_normal(clean.size) * scale
-    return clean
+        noise = state.rng.standard_normal((1, state.config.num_experts))
+    return _gate_logits(e, gate.weight[np.newaxis], gate.noise[np.newaxis], noise)[0][0]
 
 
-def _require_gate(state: AggregatorState, client_id: str) -> GatePair:
-    if client_id not in state.gates:
-        raise UsageError(f"client {client_id!r} has no registered gate")
-    return state.gates[client_id]
-
-
-def top_k_indices(logits: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest logits, ties broken by lower index."""
+def top_k_mask(logits: np.ndarray, k: int) -> np.ndarray:
+    """True at the k largest logits of each row, ties to the lower index."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not 1 <= k <= logits.size:
-        raise ConfigError(f"k must satisfy 1 <= k <= {logits.size}, got {k}")
-    order = np.argsort(-logits, kind="stable")
-    return np.sort(order[:k])
+    if not 1 <= k <= logits.shape[-1]:
+        raise ConfigError(f"k must satisfy 1 <= k <= {logits.shape[-1]}, got {k}")
+    order = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
+    kept = np.zeros(logits.shape, dtype=bool)
+    np.put_along_axis(kept, order, True, axis=-1)
+    return kept
+
+
+def _masked_softmax(logits: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    z = np.where(kept, logits, -np.inf)
+    ez = np.exp(z - z.max(axis=-1, keepdims=True))
+    return ez / ez.sum(axis=-1, keepdims=True)
 
 
 def gate_weights(logits: np.ndarray, k: int) -> np.ndarray:
     """Sparse expert mix: softmax over the k largest logits, 0 elsewhere."""
-    logits = np.asarray(logits, dtype=np.float64)
-    kept = top_k_indices(logits, k)
-    z = logits[kept] - logits[kept].max()
-    ez = np.exp(z)
-    out = np.zeros_like(logits)
-    out[kept] = ez / math.fsum(ez)
-    return out
+    return _masked_softmax(np.asarray(logits, dtype=np.float64), top_k_mask(logits, k))
 
 
-def _neighbor_softmax(values: np.ndarray, temperature: float) -> np.ndarray:
-    z = (values - values.max()) / temperature
-    ez = np.exp(z)
-    return ez / math.fsum(ez)
+def _attention(scores: np.ndarray, temperature: float) -> np.ndarray:
+    """Softmax over j != i of scores[i, j] / T; a lone client gets no row."""
+    n = len(scores)
+    if n < 2:
+        return np.zeros((n, n))
+    z = np.where(np.eye(n, dtype=bool), -np.inf, scores)
+    ez = np.exp((z - z.max(axis=1, keepdims=True)) / temperature)
+    return ez / _sorted_sum(ez)[:, np.newaxis]
 
 
-def attention_row(
-    state: AggregatorState,
-    client_id: str,
-    embeddings: dict[str, np.ndarray],
-    training: bool = False,
-) -> AttentionRow:
-    """Attention of one client over all other embedded clients.
+def _blend(deltas: np.ndarray, attention: np.ndarray, w_self: float) -> np.ndarray:
+    """w_self * own + (1 - w_self) * attention-weighted neighbor deltas.
 
-    Neighbors are every key of ``embeddings`` except the client itself,
-    in sorted order.  A lone client gets an empty row; its personalized
-    update then falls back to its own delta.
+    A lone client keeps its own delta unscaled.
     """
-    if client_id not in embeddings:
-        raise UsageError(f"client {client_id!r} missing from embeddings")
-    e_i = embeddings[client_id]
-    logits = gate_logits(state, client_id, e_i, training)
-    mix = gate_weights(logits, state.config.top_k)
-    neighbors = tuple(sorted(j for j in embeddings if j != client_id))
-    if not neighbors:
-        return AttentionRow(client_id, (), np.zeros(0), mix, logits)
-    scores = np.array(
-        [float(mix @ expert_scores(state, e_i, embeddings[j])) for j in neighbors]
+    if len(deltas) < 2:
+        return deltas.copy()
+    mixed = _sorted_sum(attention[:, :, np.newaxis] * deltas[np.newaxis, :, :])
+    return w_self * deltas + (1.0 - w_self) * mixed
+
+
+@dataclass
+class _Forward:
+    """Every array of one batched pass; rows follow ``ids``."""
+
+    ids: list[str]
+    deltas: np.ndarray
+    linear: np.ndarray
+    embeddings: np.ndarray
+    noise: np.ndarray | None
+    noise_pre: np.ndarray | None
+    logits: np.ndarray
+    kept: np.ndarray
+    mix: np.ndarray
+    scores: np.ndarray
+    attention: np.ndarray
+    personalized: np.ndarray
+
+
+def _batch(
+    state: AggregatorState, head_deltas: dict[str, np.ndarray]
+) -> tuple[list[str], np.ndarray]:
+    """Sorted ids and stacked deltas of registered clients."""
+    for cid in head_deltas:
+        _require_gate(state, cid)
+    return _stack_deltas(head_deltas, state.head_dim)
+
+
+def _forward(
+    state: AggregatorState,
+    ids: list[str],
+    deltas: np.ndarray,
+    noise: np.ndarray | None = None,
+    kept: np.ndarray | None = None,
+) -> _Forward:
+    """Embeddings, gates, attention and personalized deltas of all clients.
+
+    ``noise`` (N x K draws) turns on the noisy gate; ``kept`` pins the
+    top-k selection instead of taking it from the logits.
+    """
+    cfg = state.config
+    shape = (len(ids), cfg.embed_dim, cfg.num_experts)
+    gate_w = np.array([state.gates[i].weight for i in ids]).reshape(shape)
+    gate_noise = np.array([state.gates[i].noise for i in ids]).reshape(shape)
+    linear, emb = _encode(state, deltas)
+    logits, noise_pre = _gate_logits(emb, gate_w, gate_noise, noise)
+    if kept is None:
+        kept = top_k_mask(logits, cfg.top_k)
+    mix = _masked_softmax(logits, kept)
+    scores = expert_scores(state, linear)
+    attention = _attention(_contract(mix, scores.T), cfg.temperature)
+    return _Forward(
+        ids, deltas, linear, emb, noise, noise_pre, logits, kept, mix, scores, attention,
+        _blend(deltas, attention, cfg.w_self),
     )
-    weights = _neighbor_softmax(scores, state.config.temperature)
-    return AttentionRow(client_id, neighbors, weights, mix, logits)
 
 
-def personalized_delta(
-    state: AggregatorState,
-    client_id: str,
-    head_deltas: dict[str, np.ndarray],
-    row: AttentionRow,
-) -> np.ndarray:
-    """Blend of own delta and attention-weighted neighbor deltas.
-
-    Computes w_self * own + (1 - w_self) * sum_j w_ij * delta_j, with
-    every coordinate of the neighbor sum reduced by ``math.fsum`` so
-    the result is independent of client labeling.  With no neighbors
-    the own delta is returned unscaled.
-    """
-    own = _check_head(state, head_deltas[client_id])
-    if not row.neighbor_ids:
-        return own.copy()
-    stacked = np.stack([_check_head(state, head_deltas[j]) for j in row.neighbor_ids])
-    terms = row.weights[:, np.newaxis] * stacked
-    mixed = np.array([math.fsum(terms[:, d]) for d in range(state.head_dim)])
-    w_self = state.config.w_self
-    return w_self * own + (1.0 - w_self) * mixed
+def _meta_losses(pers: np.ndarray, own: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Squared-distance plus cosine-dissimilarity alignment loss per row."""
+    cos = cosine_similarity(pers, own)
+    return alpha * np.sum((pers - own) ** 2, axis=1) + beta * (1.0 - cos)
 
 
 def meta_loss(delta_pers: np.ndarray, delta_u: np.ndarray, alpha: float, beta: float) -> float:
     """Squared-distance plus cosine-dissimilarity alignment loss."""
-    delta_pers = np.asarray(delta_pers, dtype=np.float64).reshape(-1)
-    delta_u = np.asarray(delta_u, dtype=np.float64).reshape(-1)
-    if delta_pers.shape != delta_u.shape:
-        raise StructuralError("personalized and raw deltas have different lengths")
-    sq = float(np.sum((delta_pers - delta_u) ** 2))
-    return alpha * sq + beta * (1.0 - cosine_similarity(delta_pers, delta_u))
+    rows = [np.asarray(d, dtype=np.float64).reshape(1, -1) for d in (delta_pers, delta_u)]
+    return float(_meta_losses(*rows, alpha, beta)[0])
 
 
-def _sorted_deltas(state: AggregatorState, head_deltas: dict[str, np.ndarray]):
-    ids = sorted(head_deltas)
-    return ids, {i: _check_head(state, head_deltas[i]) for i in ids}
+def _parameters(state: AggregatorState) -> dict[str, np.ndarray]:
+    """Every learnable array by name, in flattening order."""
+    params = {
+        "encoder.w": state.encoder_w,
+        "encoder.b": state.encoder_b,
+        "experts.w": state.experts_w,
+    }
+    for cid in sorted(state.gates):
+        params[f"gate:{cid}.w"] = state.gates[cid].weight
+        params[f"gate:{cid}.noise"] = state.gates[cid].noise
+    return params
+
+
+def _backward(state: AggregatorState, fw: _Forward) -> dict[str, np.ndarray]:
+    """Gradient of the mean meta-loss of ``fw`` for every parameter.
+
+    Top-k selection, noise draws and head deltas are constants.
+    """
+    cfg = state.config
+    own, pers = fw.deltas, fw.personalized
+    n = len(fw.ids)
+    # d cos / d pers = own / (|p| |u|) - cos * pers / |p|^2; 0 where cos is pinned
+    norm_p = np.sqrt(np.sum(pers * pers, axis=1, keepdims=True))
+    norm_u = np.sqrt(np.sum(own * own, axis=1, keepdims=True))
+    live = (norm_p >= NORM_TOLERANCE) & (norm_u >= NORM_TOLERANCE)
+    norm_p, norm_u = np.maximum(norm_p, NORM_TOLERANCE), np.maximum(norm_u, NORM_TOLERANCE)
+    cos = cosine_similarity(pers, own)[:, np.newaxis]
+    dcos = np.where(live, own / (norm_p * norm_u) - cos * pers / norm_p**2, 0.0)
+    d_pers = (2.0 * cfg.alpha * (pers - own) - cfg.beta * dcos) / n
+
+    # a lone client has an all-zero attention row, so nothing flows back
+    att = fw.attention
+    d_att = (1.0 - cfg.w_self) * (d_pers @ own.T)
+    d_s = att * (d_att - np.sum(att * d_att, axis=1, keepdims=True)) / cfg.temperature
+    d_mix = d_s @ fw.scores
+    d_scores = d_s.T @ fw.mix
+    d_logits = fw.mix * (d_mix - np.sum(fw.mix * d_mix, axis=1, keepdims=True))
+
+    grads = {name: np.zeros_like(arr) for name, arr in _parameters(state).items()}
+    grads["experts.w"] = d_scores.T @ fw.linear
+    d_emb = np.zeros_like(fw.embeddings)
+    d_pre = None
+    if fw.noise is not None:
+        # d softplus(x) / dx = sigmoid(x) = exp(x - softplus(x))
+        d_pre = d_logits * fw.noise * np.exp(fw.noise_pre - np.logaddexp(0.0, fw.noise_pre))
+    for r, cid in enumerate(fw.ids):
+        gate = state.gates[cid]
+        grads[f"gate:{cid}.w"] = np.outer(fw.embeddings[r], d_logits[r])
+        d_emb[r] += gate.weight @ d_logits[r]
+        if d_pre is not None:
+            grads[f"gate:{cid}.noise"] = np.outer(fw.embeddings[r], d_pre[r])
+            d_emb[r] += gate.noise @ d_pre[r]
+    grads["encoder.w"] = own.T @ (d_scores @ state.experts_w + d_emb)
+    grads["encoder.b"] = d_emb.sum(axis=0)
+    return grads
 
 
 def aggregate_game(
-    state: AggregatorState, head_deltas: dict[str, np.ndarray], training: bool = False
+    state: AggregatorState, head_deltas: dict[str, np.ndarray]
 ) -> tuple[dict[str, np.ndarray], list[AttentionRow]]:
-    """Personalized deltas plus attention rows for every client."""
-    ids, deltas = _sorted_deltas(state, head_deltas)
-    embeddings = {i: encode(state, deltas[i]) for i in ids}
-    rows = [attention_row(state, i, embeddings, training) for i in ids]
-    pers = {r.client_id: personalized_delta(state, r.client_id, deltas, r) for r in rows}
-    return pers, rows
+    """Noise-free personalized deltas plus attention rows for every client."""
+    fw = _forward(state, *_batch(state, head_deltas))
+    rows = []
+    for r, cid in enumerate(fw.ids):
+        others = [c for c in range(len(fw.ids)) if c != r]
+        rows.append(AttentionRow(
+            cid, tuple(fw.ids[c] for c in others), fw.attention[r, others],
+            fw.mix[r], fw.logits[r],
+        ))
+    return dict(zip(fw.ids, fw.personalized)), rows
 
 
 def aggregate_single_attention(
@@ -311,179 +419,68 @@ def aggregate_single_attention(
     """Single shared attention score per pair: one expert, trivial gate."""
     if state.config.num_experts != 1 or state.config.top_k != 1:
         raise ConfigError("single-attention baseline needs num_experts = 1 and top_k = 1")
-    return aggregate_game(state, head_deltas, training=False)
+    return aggregate_game(state, head_deltas)
+
+
+def uniform_attention(n: int) -> np.ndarray:
+    """Equal weight on every other client, as the ``mean`` baseline uses."""
+    return np.where(np.eye(n, dtype=bool), 0.0, 1.0 / max(n - 1, 1))
 
 
 def aggregate_mean(
     head_deltas: dict[str, np.ndarray], w_self: float
 ) -> dict[str, np.ndarray]:
     """Fixed uniform neighbor averaging with the same self blend."""
-    ids = sorted(head_deltas)
-    deltas = {i: np.asarray(head_deltas[i], dtype=np.float64).reshape(-1) for i in ids}
-    out = {}
-    for i in ids:
-        neighbors = [j for j in ids if j != i]
-        if not neighbors:
-            out[i] = deltas[i].copy()
-            continue
-        dim = deltas[i].size
-        share = 1.0 / len(neighbors)
-        terms = np.stack([share * deltas[j] for j in neighbors])
-        mixed = np.array([math.fsum(terms[:, d]) for d in range(dim)])
-        out[i] = w_self * deltas[i] + (1.0 - w_self) * mixed
-    return out
-
-
-# -- differentiable training path ----------------------------------------
-
-
-def _parameter_names(state: AggregatorState) -> list[str]:
-    names = ["encoder.w", "encoder.b", "experts.w", "experts.b"]
-    for cid in sorted(state.gates):
-        names.append(f"gate:{cid}.w")
-        names.append(f"gate:{cid}.noise")
-    return names
-
-
-def _parameter_array(state: AggregatorState, name: str) -> np.ndarray:
-    if name == "encoder.w":
-        return state.encoder_w
-    if name == "encoder.b":
-        return state.encoder_b
-    if name == "experts.w":
-        return state.experts_w
-    if name == "experts.b":
-        return state.experts_b
-    kind, _, rest = name.partition(":")
-    cid, _, part = rest.rpartition(".")
-    if kind == "gate" and cid in state.gates:
-        return state.gates[cid].weight if part == "w" else state.gates[cid].noise
-    raise ConfigError(f"unknown aggregator parameter {name!r}")
+    ids, deltas = _stack_deltas(head_deltas)
+    return dict(zip(ids, _blend(deltas, uniform_attention(len(ids)), w_self)))
 
 
 def flatten_parameters(state: AggregatorState) -> np.ndarray:
     """All learnable server parameters as one flat vector."""
-    return np.concatenate(
-        [_parameter_array(state, n).reshape(-1) for n in _parameter_names(state)]
-    )
+    return np.concatenate([arr.reshape(-1) for arr in _parameters(state).values()])
 
 
 def load_parameters(state: AggregatorState, values: np.ndarray) -> None:
     """Inverse of :func:`flatten_parameters`; writes arrays in place."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    offset = 0
-    for name in _parameter_names(state):
-        arr = _parameter_array(state, name)
-        chunk = values[offset : offset + arr.size]
-        if chunk.size != arr.size:
-            raise StructuralError("flat vector shorter than the parameter set")
-        arr[...] = chunk.reshape(arr.shape)
-        offset += arr.size
-    if offset != values.size:
+    arrays = list(_parameters(state).values())
+    sizes = [arr.size for arr in arrays]
+    if values.size != sum(sizes):
         raise StructuralError(
-            f"flat vector has {values.size} entries, parameters need {offset}"
+            f"flat vector has {values.size} entries, parameters need {sum(sizes)}"
         )
+    for arr, chunk in zip(arrays, np.split(values, np.cumsum(sizes)[:-1])):
+        arr[...] = chunk.reshape(arr.shape)
 
 
-def _graph_meta_loss(
-    state: AggregatorState,
-    deltas: dict[str, np.ndarray],
-    masks: dict[str, np.ndarray],
-    noise_draws: dict[str, np.ndarray] | None,
-) -> tuple[Tensor, dict[str, Tensor]]:
-    """Differentiable mean meta-loss with a frozen top-k mask per client.
-
-    Head deltas and noise draws enter as constants; gradients flow into
-    encoder, experts and gates only.
-    """
-    cfg = state.config
-    ids = sorted(deltas)
-    tensors = {name: Tensor(_parameter_array(state, name)) for name in _parameter_names(state)}
-    embeddings = {
-        i: Tensor(deltas[i]) @ tensors["encoder.w"] + tensors["encoder.b"] for i in ids
-    }
-    losses = []
-    for i in ids:
-        e_i = embeddings[i]
-        logits = e_i @ tensors[f"gate:{i}.w"]
-        if noise_draws is not None:
-            scale = (e_i @ tensors[f"gate:{i}.noise"]).softplus()
-            logits = logits + scale * noise_draws[i]
-        kept = masks[i]
-        z = logits[kept]
-        ez = (z - float(np.max(z.data))).exp()
-        mix = ez / ez.sum()
-        neighbors = [j for j in ids if j != i]
-        own = Tensor(deltas[i])
-        if neighbors:
-            scores = []
-            for j in neighbors:
-                cat = concat([embeddings[j], e_i])
-                s_ij = tensors["experts.w"] @ cat + tensors["experts.b"]
-                scores.append(dot(mix, s_ij[kept]))
-            vs = stack_scalars(scores)
-            zz = (vs - float(np.max(vs.data))) * (1.0 / cfg.temperature)
-            ew = zz.exp()
-            weights = ew / ew.sum()
-            neighbor_mat = np.stack([deltas[j] for j in neighbors])
-            pers = own * cfg.w_self + (weights @ neighbor_mat) * (1.0 - cfg.w_self)
-        else:
-            pers = own
-        diff = pers - own
-        sq = (diff * diff).sum()
-        norm_p = float(np.linalg.norm(pers.data))
-        norm_u = float(np.linalg.norm(deltas[i]))
-        if norm_p < NORM_TOLERANCE or norm_u < NORM_TOLERANCE:
-            cos = Tensor(0.0)
-        else:
-            cos = dot(pers, own) / ((dot(pers, pers).sqrt() * dot(own, own).sqrt()))
-        losses.append(sq * cfg.alpha + (1.0 - cos) * cfg.beta)
-    return stack_scalars(losses).mean(), tensors
-
-
-def clean_top_k_masks(
-    state: AggregatorState, head_deltas: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Noise-free top-k expert selection per client, as index arrays."""
-    masks = {}
-    for i in sorted(head_deltas):
-        e_i = encode(state, _check_head(state, head_deltas[i]))
-        masks[i] = top_k_indices(gate_logits(state, i, e_i, training=False), state.config.top_k)
-    return masks
+def clean_top_k_masks(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> np.ndarray:
+    """Noise-free top-k expert selection, one boolean row per sorted client."""
+    return _forward(state, *_batch(state, head_deltas)).kept
 
 
 def mean_meta_loss(
     state: AggregatorState,
     head_deltas: dict[str, np.ndarray],
-    masks: dict[str, np.ndarray] | None = None,
+    masks: np.ndarray | None = None,
+    noise: np.ndarray | None = None,
 ) -> float:
-    """Noise-free mean meta-loss; pass ``masks`` to pin top-k selection."""
-    ids, deltas = _sorted_deltas(state, head_deltas)
-    for i in ids:
-        _require_gate(state, i)
-    if masks is None:
-        masks = clean_top_k_masks(state, deltas)
-    loss, _ = _graph_meta_loss(state, deltas, masks, noise_draws=None)
-    return float(loss.data)
+    """Mean meta-loss; ``masks`` pins top-k selection, ``noise`` (N x K)
+    fixes the gate noise draws (none by default)."""
+    fw = _forward(state, *_batch(state, head_deltas), noise, masks)
+    return float(np.mean(_meta_losses(fw.personalized, fw.deltas, state.config.alpha,
+                                      state.config.beta)))
 
 
 def meta_gradient(
     state: AggregatorState,
     head_deltas: dict[str, np.ndarray],
-    masks: dict[str, np.ndarray] | None = None,
+    masks: np.ndarray | None = None,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Noise-free gradient of the mean meta-loss, flattened like
+    """Gradient of :func:`mean_meta_loss`, flattened like
     :func:`flatten_parameters`."""
-    ids, deltas = _sorted_deltas(state, head_deltas)
-    for i in ids:
-        _require_gate(state, i)
-    if masks is None:
-        masks = clean_top_k_masks(state, deltas)
-    loss, tensors = _graph_meta_loss(state, deltas, masks, noise_draws=None)
-    loss.backward()
-    return np.concatenate(
-        [tensors[n].grad.reshape(-1) for n in _parameter_names(state)]
-    )
+    grads = _backward(state, _forward(state, *_batch(state, head_deltas), noise, masks))
+    return np.concatenate([g.reshape(-1) for g in grads.values()])
 
 
 def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> float:
@@ -493,36 +490,25 @@ def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> fl
     expert selection and the surviving softmax; the noise draw and the
     selected top-k mask are constants within the step.
     """
-    ids, deltas = _sorted_deltas(state, head_deltas)
-    if len(ids) < 2:
+    if len(head_deltas) < 2:
         raise UsageError("train_step needs at least two clients")
-    for i in ids:
-        _require_gate(state, i)
-
     cfg = state.config
-    noise_draws = None
+    ids, deltas = _batch(state, head_deltas)
+    noise = None
     if cfg.noise_enabled:
-        noise_draws = {i: state.rng.standard_normal(cfg.num_experts) for i in ids}
-
-    masks = {}
-    step_logits = {}
-    for i in ids:
-        e_i = encode(state, deltas[i])
-        logits = e_i @ state.gates[i].weight
-        if noise_draws is not None:
-            logits = logits + noise_draws[i] * _softplus(e_i @ state.gates[i].noise)
-        masks[i] = top_k_indices(logits, cfg.top_k)
-        step_logits[i] = logits
-
-    loss, tensors = _graph_meta_loss(state, deltas, masks, noise_draws)
-    loss.backward()
+        noise = state.rng.standard_normal((len(ids), cfg.num_experts))
+    fw = _forward(state, ids, deltas, noise)
+    loss = float(np.mean(_meta_losses(fw.personalized, fw.deltas, cfg.alpha, cfg.beta)))
+    grads = _backward(state, fw)
 
     state.adam_t += 1
     t = state.adam_t
-    for name in _parameter_names(state):
-        grad = tensors[name].grad
+    for name, arr in _parameters(state).items():
+        grad = grads[name]
         if not np.all(np.isfinite(grad)):
-            dump = "; ".join(f"{i}: {np.array2string(step_logits[i])}" for i in ids)
+            dump = "; ".join(
+                f"{i}: {np.array2string(row)}" for i, row in zip(fw.ids, fw.logits)
+            )
             raise NumericError(
                 f"non-finite meta-loss gradient for {name!r}; gate logits {dump}"
             )
@@ -532,6 +518,5 @@ def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> fl
         v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad**2
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
-        arr = _parameter_array(state, name)
         arr -= cfg.server_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return float(loss.data)
+    return loss

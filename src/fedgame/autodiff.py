@@ -2,13 +2,11 @@
 
 A micrograd-style tape where each node holds an ndarray instead of a
 scalar, so small networks stay fast without an external ML framework.
-Only the primitives the forecaster and the server aggregator need are
-implemented.  All arrays are float64.
+Only the primitives the forecaster needs are implemented.  All arrays
+are float64.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -43,9 +41,6 @@ class Tensor:
         self._backward = None
         self._prev = _prev
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape})"
-
     # -- elementwise arithmetic (broadcasting) --------------------------
 
     def __add__(self, other) -> "Tensor":
@@ -70,41 +65,12 @@ class Tensor:
         out._backward = backward
         return out
 
-    def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data / other.data, (self, other))
-
-        def backward():
-            self.grad += _unbroadcast(out.grad / other.data, self.data.shape)
-            other.grad += _unbroadcast(-out.grad * self.data / other.data**2, other.data.shape)
-
-        out._backward = backward
-        return out
-
     def __neg__(self) -> "Tensor":
         return self * -1.0
 
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         return self + (-other)
-
-    def __radd__(self, other) -> "Tensor":
-        return self + other
-
-    def __rmul__(self, other) -> "Tensor":
-        return self * other
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        out = Tensor(self.data**exponent, (self,))
-
-        def backward():
-            self.grad += out.grad * exponent * self.data ** (exponent - 1)
-
-        out._backward = backward
-        return out
 
     # -- linear algebra --------------------------------------------------
 
@@ -173,33 +139,6 @@ class Tensor:
 
     # -- nonlinearities -----------------------------------------------------
 
-    def exp(self) -> "Tensor":
-        out = Tensor(np.exp(self.data), (self,))
-
-        def backward():
-            self.grad += out.grad * out.data
-
-        out._backward = backward
-        return out
-
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data), (self,))
-
-        def backward():
-            self.grad += out.grad / self.data
-
-        out._backward = backward
-        return out
-
-    def sqrt(self) -> "Tensor":
-        out = Tensor(np.sqrt(self.data), (self,))
-
-        def backward():
-            self.grad += out.grad * 0.5 / out.data
-
-        out._backward = backward
-        return out
-
     def tanh(self) -> "Tensor":
         out = Tensor(np.tanh(self.data), (self,))
 
@@ -214,17 +153,6 @@ class Tensor:
 
         def backward():
             self.grad += out.grad * out.data * (1.0 - out.data)
-
-        out._backward = backward
-        return out
-
-    def softplus(self) -> "Tensor":
-        # log(1 + e^x), computed stably; derivative is sigmoid(x)
-        out = Tensor(np.logaddexp(0.0, self.data), (self,))
-        sig = _sigmoid(self.data)
-
-        def backward():
-            self.grad += out.grad * sig
 
         out._backward = backward
         return out
@@ -252,36 +180,3 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis."""
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward():
-        for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * out.data.ndim
-            sl[axis] = slice(a, b)
-            t.grad += out.grad[tuple(sl)]
-
-    out._backward = backward
-    return out
-
-
-def stack_scalars(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 0-d tensors into a 1-d tensor."""
-    out = Tensor(np.array([float(t.data) for t in tensors]), tuple(tensors))
-
-    def backward():
-        for i, t in enumerate(tensors):
-            t.grad += out.grad[i]
-
-    out._backward = backward
-    return out
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two 1-d tensors (0-d result)."""
-    return (a * b).sum()

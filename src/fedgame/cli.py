@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .data import shards_to_csv, synth_generate
@@ -26,6 +26,7 @@ from .protocol import (
     PERSONALIZED_KINDS,
     ExperimentConfig,
     RunResult,
+    round_traffic,
     run_experiment,
     seed_stream,
 )
@@ -116,7 +117,7 @@ def _check_domains(cfg: dict, errors: list[str]) -> None:
                 "num_experts", "top_k", "rounds"):
         if key in cfg and cfg[key] < (0 if key == "rounds" else 1):
             errors.append(f"{key} must be positive, got {cfg[key]}")
-    for key in ("noise_sd", "prox_mu", "alpha", "beta", "eta", "gamma"):
+    for key in ("noise_sd", "prox_mu", "alpha", "beta", "eta", "gamma", "master_seed"):
         if key in cfg and cfg[key] < 0:
             errors.append(f"{key} must be >= 0, got {cfg[key]}")
     for key in ("local_lr", "server_lr", "temperature"):
@@ -171,7 +172,11 @@ def config_from_dict(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     return ExperimentConfig(**cfg), []
 
 
-def load_config(path: str) -> tuple[ExperimentConfig | None, list[str]]:
+def load_config(
+    path: str, overrides: dict | None = None
+) -> tuple[ExperimentConfig | None, list[str]]:
+    """Read and validate a config file; ``overrides`` replace file keys
+    before validation, so they are checked like file values."""
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -179,6 +184,8 @@ def load_config(path: str) -> tuple[ExperimentConfig | None, list[str]]:
         return None, [f"cannot read config file: {exc}"]
     except json.JSONDecodeError as exc:
         return None, [f"config is not valid JSON: {exc}"]
+    if isinstance(raw, dict) and overrides:
+        raw = {**raw, **overrides}
     return config_from_dict(raw)
 
 
@@ -265,29 +272,19 @@ def comm_summary(config: ExperimentConfig) -> dict:
     total = config.published_total_params or total_params(spec)
     head = config.published_head_params or head_length(spec)
     kind = config.aggregator_kind
-    n = config.n_clients
-    r = head / total
-    if kind == "local_only":
-        upstream = downstream = 0
-        ratio = 0.0
-        percent = 0.0
-    else:
-        upstream = n * total
-        downstream = n * total
-        ratio = 1.0
-        percent = 0.0
-        if kind in PERSONALIZED_KINDS:
-            downstream += n * head
-            ratio = 1.0 + r / 2.0
-            percent = round(round(r, 4) / 2.0 * 100.0, 6)
+    traffic = round_traffic(config.n_clients, total, head, kind)
+    percent = 0.0
+    if kind in PERSONALIZED_KINDS:
+        # the published overhead: head share rounded to 4 places, halved
+        percent = round(round(head / total, 4) / 2.0 * 100.0, 6)
     return {
         "aggregator_kind": kind,
-        "n_clients": n,
+        "n_clients": config.n_clients,
         "total_params": int(total),
         "head_params": int(head),
-        "upstream_params": int(upstream),
-        "downstream_params": int(downstream),
-        "ratio": ratio,
+        "upstream_params": int(traffic["upstream"]),
+        "downstream_params": int(traffic["downstream"]),
+        "ratio": traffic["ratio"],
         "overhead_percent": percent,
     }
 
@@ -333,21 +330,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config, errors = load_config(args.config)
+    overrides = {}
+    if args.seed is not None:
+        overrides["master_seed"] = args.seed
+    out_override = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
+    if out_override:
+        overrides["output_dir"] = out_override
+    config, errors = load_config(args.config, overrides)
     if errors:
         print(f"config has {len(errors)} error(s):", file=sys.stderr)
         for error in errors:
             print(f"  - {error}", file=sys.stderr)
         return 2
-
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    out_override = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
-    if out_override:
-        updates["output_dir"] = out_override
-    if updates:
-        config = replace(config, **updates)
     out_dir = Path(config.output_dir)
 
     try:

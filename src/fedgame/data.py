@@ -94,7 +94,7 @@ def load_csv(path) -> list[SeriesShard]:
 
     The sampling interval is inferred per station as the smallest
     positive timestamp difference; larger gaps must be whole multiples
-    of it.  Rows tied on timestamp keep their file order.
+    of it.  A station with two rows at one timestamp is rejected.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -120,6 +120,11 @@ def load_csv(path) -> list[SeriesShard]:
         for idx, (stamp, demand, line_no) in enumerate(entries):
             if idx > 0:
                 gap = stamp - stamps[idx - 1]
+                if not gap:
+                    raise FormatError(
+                        f"line {line_no}: repeats timestamp {stamp.isoformat()} "
+                        f"of line {entries[idx - 1][2]} for station {station!r}"
+                    )
                 steps = gap / interval
                 if abs(steps - round(steps)) > 1e-6:
                     raise FormatError(

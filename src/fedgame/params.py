@@ -9,7 +9,6 @@ plain vector operations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -218,19 +217,19 @@ def add_scaled(base: ParameterVector, delta: np.ndarray | ParameterVector, step:
     return ParameterVector(out, base.spec)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b / (|a||b|), defined as 0 when either norm is below tolerance.
+def cosine_similarity(a: np.ndarray, b: np.ndarray):
+    """a.b / (|a||b|) along the last axis, 0 where a norm is below tolerance.
 
     Returning 0 (maximum dissimilarity, 1 - cos = 1) instead of raising
     lets the server meta-loss penalize degenerate zero updates, which do
-    occur in round 0.
+    occur in round 0.  Vectors give a float, stacks of rows an array.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise StructuralError(f"vectors have different shapes {a.shape} and {b.shape}")
-    na = math.sqrt(float(a @ a))
-    nb = math.sqrt(float(b @ b))
-    if na < NORM_TOLERANCE or nb < NORM_TOLERANCE:
-        return 0.0
-    return float(a @ b) / (na * nb)
+    na = np.sqrt(np.sum(a * a, axis=-1))
+    nb = np.sqrt(np.sum(b * b, axis=-1))
+    live = (na >= NORM_TOLERANCE) & (nb >= NORM_TOLERANCE)
+    cos = np.where(live, np.sum(a * b, axis=-1) / np.where(live, na * nb, 1.0), 0.0)
+    return float(cos) if cos.ndim == 0 else cos

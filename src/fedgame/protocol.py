@@ -33,6 +33,7 @@ from .aggregator import (
     init_aggregator,
     register_client,
     train_step,
+    uniform_attention,
 )
 from .data import make_windows, load_csv, synth_generate
 from .errors import ConfigError, FedGameError, UsageError
@@ -152,31 +153,31 @@ def init_round_state(
     )
 
 
-def comm_cost(n_clients: int, spec, aggregator_kind: str) -> dict[str, float]:
+def round_traffic(n_clients: int, total: int, head: int, aggregator_kind: str) -> dict:
     """Per-round exchanged parameter counts and the cost ratio.
 
-    Upstream is always one full model per client; downstream adds the
-    personalized head on top of the consensus broadcast.  The ratio is
-    total traffic relative to the two full-model exchanges of plain
-    consensus training.
+    Upstream is one full model of ``total`` parameters per client;
+    downstream adds the personalized ``head`` on top of the consensus
+    broadcast.  The ratio is total traffic relative to the two
+    full-model exchanges of plain consensus training, 1 + head/total/2
+    for the personalized kinds.  ``local_only`` exchanges nothing.
     """
     if aggregator_kind not in AGGREGATOR_KINDS:
         raise ConfigError(f"unknown aggregator_kind {aggregator_kind!r}")
-    total = total_params(spec)
-    head = head_length(spec)
     if aggregator_kind == "local_only":
-        upstream = downstream = 0
-    else:
-        upstream = n_clients * total
-        downstream = n_clients * total
-        if aggregator_kind in PERSONALIZED_KINDS:
-            downstream += n_clients * head
-    baseline = 2 * n_clients * total
-    return {
-        "upstream": upstream,
-        "downstream": downstream,
-        "ratio": (upstream + downstream) / baseline if baseline else 0.0,
-    }
+        return {"upstream": 0, "downstream": 0, "ratio": 0.0}
+    if aggregator_kind in PERSONALIZED_KINDS:
+        return {
+            "upstream": n_clients * total,
+            "downstream": n_clients * (total + head),
+            "ratio": 1.0 + head / total / 2.0,
+        }
+    return {"upstream": n_clients * total, "downstream": n_clients * total, "ratio": 1.0}
+
+
+def comm_cost(n_clients: int, spec, aggregator_kind: str) -> dict:
+    """:func:`round_traffic` with the counts of a layer spec."""
+    return round_traffic(n_clients, total_params(spec), head_length(spec), aggregator_kind)
 
 
 def _select_participants(state: RoundState, hyper: HyperParams) -> list[str]:
@@ -186,25 +187,6 @@ def _select_participants(state: RoundState, hyper: HyperParams) -> list[str]:
     count = max(1, int(round(hyper.participation * len(ids))))
     chosen = state.server_rng.choice(len(ids), size=count, replace=False)
     return sorted(ids[i] for i in chosen)
-
-
-def _attention_matrix(ids: list[str], rows) -> np.ndarray:
-    index = {c: i for i, c in enumerate(ids)}
-    matrix = np.zeros((len(ids), len(ids)))
-    for row in rows:
-        i = index[row.client_id]
-        for j, weight in zip(row.neighbor_ids, row.weights):
-            matrix[i, index[j]] = weight
-    return matrix
-
-
-def _uniform_matrix(ids: list[str]) -> np.ndarray:
-    n = len(ids)
-    if n < 2:
-        return np.zeros((n, n))
-    matrix = np.full((n, n), 1.0 / (n - 1))
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
 
 
 def run_round(
@@ -262,11 +244,12 @@ def run_round(
             personalized, rows = aggregate_game(aggregator, head_deltas)
         else:
             personalized, rows = aggregate_single_attention(aggregator, head_deltas)
-        attention = _attention_matrix(participants, rows)
+        # rows and their neighbors follow the sorted participants
+        attention = np.array([np.insert(r.weights, i, 0.0) for i, r in enumerate(rows)])
         gate_mixes = {r.client_id: tuple(float(v) for v in r.expert_mix) for r in rows}
     elif kind == "mean":
         personalized = aggregate_mean(head_deltas, aggregator.config.w_self)
-        attention = _uniform_matrix(participants)
+        attention = uniform_attention(len(participants))
     else:
         attention = np.zeros((len(participants), len(participants)))
 
@@ -283,17 +266,7 @@ def run_round(
                 new_state.global_params.values.copy()
             )
 
-    n = len(participants)
-    total = total_params(spec)
-    head = head_length(spec)
-    if kind == "local_only":
-        upstream = downstream = 0
-    else:
-        upstream = n * total * BYTES_PER_PARAM
-        downstream = n * total * BYTES_PER_PARAM
-        if kind in PERSONALIZED_KINDS:
-            downstream += n * head * BYTES_PER_PARAM
-
+    traffic = comm_cost(len(participants), spec, kind)
     report = RoundReport(
         round_index=new_state.round_index,
         client_ids=tuple(participants),
@@ -301,8 +274,8 @@ def run_round(
         meta_loss=meta,
         attention=attention,
         gate_mixes=gate_mixes,
-        upstream_bytes=upstream,
-        downstream_bytes=downstream,
+        upstream_bytes=traffic["upstream"] * BYTES_PER_PARAM,
+        downstream_bytes=traffic["downstream"] * BYTES_PER_PARAM,
         wall_time=time.perf_counter() - started,
     )
     new_state.pending_deltas = deltas
@@ -451,7 +424,7 @@ def run_experiment(config: ExperimentConfig, aggregator_kind: str | None = None)
         aggregator = init_aggregator(
             config.aggregator_config(kind),
             head_length(state.global_params.spec),
-            seed_stream(config.master_seed, "server"),
+            seed_stream(config.master_seed, "aggregator"),
         )
         for cid in sorted(train_data):
             register_client(aggregator, cid)

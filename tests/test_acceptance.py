@@ -211,7 +211,6 @@ def relabeled_copy(state, mapping):
         encoder_w=state.encoder_w,
         encoder_b=state.encoder_b,
         experts_w=state.experts_w,
-        experts_b=state.experts_b,
         gates={mapping[c]: GatePair(weight=g.weight, noise=g.noise)
                for c, g in state.gates.items()},
         rng=np.random.default_rng(0),

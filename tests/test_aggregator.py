@@ -12,7 +12,6 @@ from fedgame.aggregator import (
     aggregate_game,
     aggregate_mean,
     aggregate_single_attention,
-    attention_row,
     clean_top_k_masks,
     encode,
     expert_scores,
@@ -24,9 +23,8 @@ from fedgame.aggregator import (
     mean_meta_loss,
     meta_gradient,
     meta_loss,
-    personalized_delta,
     register_client,
-    top_k_indices,
+    top_k_mask,
     train_step,
 )
 from fedgame.errors import ConfigError, StructuralError, UsageError
@@ -43,6 +41,11 @@ def make_state(head_dim=6, clients=("a", "b", "c"), seed=0, **cfg_kw):
 def random_deltas(state, clients, seed=1):
     rng = np.random.default_rng(seed)
     return {c: rng.normal(size=state.head_dim) for c in clients}
+
+
+def attention_rows(state, deltas):
+    """Attention rows of aggregate_game, keyed by client id."""
+    return {row.client_id: row for row in aggregate_game(state, deltas)[1]}
 
 
 def test_config_validation():
@@ -91,33 +94,22 @@ def test_encode_rejects_wrong_length():
 def test_expert_scores_zero_and_sum_expert():
     state = make_state()
     state.experts_w[...] = 0.0
-    state.experts_b[...] = 0.0
     np.testing.assert_array_equal(
-        expert_scores(state, np.ones(4), np.ones(4)), np.zeros(state.config.num_experts)
+        expert_scores(state, np.ones((2, 4))), np.zeros((2, state.config.num_experts))
     )
 
     single = make_state(num_experts=1, top_k=1)
     single.experts_w[...] = 1.0
-    single.experts_b[...] = 0.0
-    score = expert_scores(single, np.ones(4), np.ones(4))
-    assert score == pytest.approx(8.0, abs=1e-12)
-
-
-def test_expert_scores_concatenation_order_is_neighbor_first():
-    state = make_state(seed=5)
-    e_i = np.random.default_rng(6).normal(size=4)
-    e_j = np.random.default_rng(7).normal(size=4)
-    cat = np.concatenate([e_j, e_i])
-    expected = state.experts_w @ cat + state.experts_b
-    np.testing.assert_allclose(expert_scores(state, e_i, e_j), expected, atol=1e-12)
-    flipped = state.experts_w @ np.concatenate([e_i, e_j]) + state.experts_b
-    assert not np.allclose(expected, flipped)
+    score = expert_scores(single, np.ones(4))
+    assert score.shape == (1, 1)
+    assert score[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_gate_logits_clean_when_not_training():
     state = make_state(seed=8)
     e = np.random.default_rng(9).normal(size=4)
-    clean = e @ state.gates["a"].weight
+    # the product is summed in index order, which makes it exact
+    clean = sum(e[d] * state.gates["a"].weight[d] for d in range(4))
     np.testing.assert_array_equal(gate_logits(state, "a", e, training=False), clean)
 
 
@@ -170,7 +162,8 @@ def test_gate_weights_uniform_onehot_and_hand_softmax():
 
 
 def test_gate_weights_breaks_ties_by_lower_index():
-    np.testing.assert_array_equal(top_k_indices(np.array([1.0, 1.0, 1.0, 0.5]), 2), [0, 1])
+    kept = top_k_mask(np.array([1.0, 1.0, 1.0, 0.5]), 2)
+    np.testing.assert_array_equal(np.flatnonzero(kept), [0, 1])
     out = gate_weights(np.array([1.0, 1.0, 1.0, 0.5]), 2)
     np.testing.assert_allclose(out, np.array([0.5, 0.5, 0.0, 0.0]), atol=1e-12)
 
@@ -194,8 +187,7 @@ def hand_state():
     state = init_aggregator(cfg, 1, np.random.default_rng(0))
     state.encoder_w[...] = 1.0
     state.encoder_b[...] = 0.0
-    state.experts_w[...] = np.array([[1.0, 0.0]])
-    state.experts_b[...] = 0.0
+    state.experts_w[...] = np.array([[1.0]])
     for cid in ("a", "b", "c"):
         register_client(state, cid)
         state.gates[cid].weight[...] = 1.0
@@ -208,8 +200,7 @@ def test_attention_row_hand_case():
     # embedding, so v_aj = delta_j and the row is softmax(2, 3)
     state = hand_state()
     deltas = {"a": np.array([1.0]), "b": np.array([2.0]), "c": np.array([3.0])}
-    emb = {i: encode(state, d) for i, d in deltas.items()}
-    row = attention_row(state, "a", emb)
+    row = attention_rows(state, deltas)["a"]
     assert row.neighbor_ids == ("b", "c")
     expected = np.exp([2.0, 3.0] - np.array(3.0))
     expected = expected / expected.sum()
@@ -220,25 +211,21 @@ def test_attention_row_hand_case():
 def test_attention_row_single_neighbor_gets_weight_one():
     state = make_state(clients=("a", "b"), seed=15)
     deltas = random_deltas(state, ("a", "b"), seed=16)
-    emb = {i: encode(state, d) for i, d in deltas.items()}
-    row = attention_row(state, "a", emb)
+    row = attention_rows(state, deltas)["a"]
     np.testing.assert_array_equal(row.weights, np.array([1.0]))
 
 
 def test_attention_row_uniform_when_scores_equal():
     state = make_state(clients=("a", "b", "c", "d"), seed=17)
     state.experts_w[...] = 0.0
-    state.experts_b[...] = 0.0
     deltas = random_deltas(state, ("a", "b", "c", "d"), seed=18)
-    emb = {i: encode(state, d) for i, d in deltas.items()}
-    row = attention_row(state, "b", emb)
+    row = attention_rows(state, deltas)["b"]
     np.testing.assert_allclose(row.weights, np.full(3, 1.0 / 3.0), rtol=0, atol=1e-12)
 
 
 def test_attention_row_empty_for_lone_client():
     state = make_state(clients=("a",))
-    emb = {"a": encode(state, np.ones(6))}
-    row = attention_row(state, "a", emb)
+    row = attention_rows(state, {"a": np.ones(6)})["a"]
     assert row.neighbor_ids == ()
     assert row.weights.size == 0
 
@@ -261,7 +248,7 @@ def test_attention_rows_match_formula_transcription_oracle():
         vs = []
         for j in row.neighbor_ids:
             e_j = deltas[j] @ state.encoder_w + state.encoder_b
-            s = state.experts_w @ np.concatenate([e_j, e_i]) + state.experts_b
+            s = state.experts_w @ e_j
             vs.append(mix @ s)
         vs = np.array(vs)
         ref = np.exp((vs - vs.max()) / state.config.temperature)
@@ -291,14 +278,12 @@ def test_lower_temperature_sharpens_attention():
     for temp in (2.0, 1.0, 0.5):
         state = hand_state()
         state.config = replace(state.config, temperature=temp)
-        emb = {i: encode(state, d) for i, d in deltas.items()}
-        maxima.append(attention_row(state, "a", emb).weights.max())
+        maxima.append(attention_rows(state, deltas)["a"].weights.max())
     assert maxima[0] < maxima[1] < maxima[2]
 
     state = hand_state()
     state.config = replace(state.config, temperature=1e6)
-    emb = {i: encode(state, d) for i, d in deltas.items()}
-    row = attention_row(state, "a", emb)
+    row = attention_rows(state, deltas)["a"]
     np.testing.assert_allclose(row.weights, np.full(2, 0.5), rtol=0, atol=1e-6)
 
 
@@ -319,9 +304,8 @@ def test_personalized_delta_self_only_and_convexity():
 def test_personalized_delta_hand_weights():
     state = hand_state()
     deltas = {"a": np.array([1.0]), "b": np.array([2.0]), "c": np.array([3.0])}
-    emb = {i: encode(state, d) for i, d in deltas.items()}
-    row = attention_row(state, "a", emb)
-    out = personalized_delta(state, "a", deltas, row)
+    row = attention_rows(state, deltas)["a"]
+    out = aggregate_game(state, deltas)[0]["a"]
     expected = 0.6 * 1.0 + 0.4 * (row.weights[0] * 2.0 + row.weights[1] * 3.0)
     np.testing.assert_allclose(out, [expected], rtol=0, atol=1e-12)
 
@@ -370,24 +354,27 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
     )
     deltas = random_deltas(state, ("a", "b", "c"), seed=31)
     masks = clean_top_k_masks(state, deltas)
-    analytic = meta_gradient(state, deltas, masks)
+    # fixed gate noise draws exercise the softplus noise-scale term
+    draws = np.random.default_rng(32).standard_normal((3, num_experts))
+    for noise in (None, draws):
+        analytic = meta_gradient(state, deltas, masks, noise)
 
-    flat = flatten_parameters(state)
-    numeric = np.zeros_like(flat)
-    eps = 1e-6
-    for i in range(flat.size):
-        flat[i] += eps
-        load_parameters(state, flat)
-        hi = mean_meta_loss(state, deltas, masks)
-        flat[i] -= 2 * eps
-        load_parameters(state, flat)
-        lo = mean_meta_loss(state, deltas, masks)
-        flat[i] += eps
-        load_parameters(state, flat)
-        numeric[i] = (hi - lo) / (2 * eps)
+        flat = flatten_parameters(state)
+        numeric = np.zeros_like(flat)
+        eps = 1e-6
+        for i in range(flat.size):
+            flat[i] += eps
+            load_parameters(state, flat)
+            hi = mean_meta_loss(state, deltas, masks, noise)
+            flat[i] -= 2 * eps
+            load_parameters(state, flat)
+            lo = mean_meta_loss(state, deltas, masks, noise)
+            flat[i] += eps
+            load_parameters(state, flat)
+            numeric[i] = (hi - lo) / (2 * eps)
 
-    scale = np.maximum(np.abs(numeric), 1e-6)
-    assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
+        scale = np.maximum(np.abs(numeric), 1e-6)
+        assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
 
 
 def test_train_step_identical_deltas_is_stationary():
@@ -455,7 +442,6 @@ def test_zero_expert_single_attention_equals_mean():
         noise_enabled=False,
     )
     state.experts_w[...] = 0.0
-    state.experts_b[...] = 0.0
     deltas = random_deltas(state, ("a", "b", "c", "d"), seed=39)
     pers, _ = aggregate_single_attention(state, deltas)
     base = aggregate_mean(deltas, state.config.w_self)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fedgame.autodiff import Tensor, concat, dot, stack_scalars
+from fedgame.autodiff import Tensor
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -20,6 +20,10 @@ def numeric_grad(f, x, eps=1e-6):
         flat[i] = orig
         out[i] = (hi - lo) / (2 * eps)
     return grad
+
+
+def square(t):
+    return t * t
 
 
 def check_grad(build, x, rtol=1e-6, atol=1e-8):
@@ -55,16 +59,7 @@ def test_matmul_grads_all_arities():
     check_grad(lambda t: (Tensor(a) @ t).sum(), b)
     check_grad(lambda t: (Tensor(a) @ t).sum(), v.copy())
     check_grad(lambda t: (t @ Tensor(b)).sum(), v.copy())
-    check_grad(lambda t: dot(t, Tensor(v)), v.copy())
-
-
-def test_division_and_power_grads():
-    rng = np.random.default_rng(2)
-    x = rng.uniform(0.5, 2.0, size=(2, 3))
-    y = rng.uniform(0.5, 2.0, size=(2, 3))
-    check_grad(lambda t: (t / y).sum(), x)
-    check_grad(lambda t: (Tensor(x) / t).sum(), y)
-    check_grad(lambda t: (t**3.0).sum(), x)
+    check_grad(lambda t: t @ Tensor(v), v.copy())
 
 
 def test_nonlinearity_grads():
@@ -72,52 +67,26 @@ def test_nonlinearity_grads():
     x = rng.normal(size=(2, 5))
     check_grad(lambda t: t.tanh().sum(), x)
     check_grad(lambda t: t.sigmoid().sum(), x)
-    check_grad(lambda t: t.softplus().sum(), x)
-    check_grad(lambda t: t.exp().sum(), x)
-    check_grad(lambda t: (t**2.0 + 1.0).log().sum(), x)
-    check_grad(lambda t: (t**2.0 + 1.0).sqrt().sum(), x)
-
-
-def test_softplus_is_stable_for_large_inputs():
-    t = Tensor(np.array([800.0, -800.0]))
-    out = t.softplus()
-    assert np.isfinite(out.data).all()
-    assert out.data[0] == 800.0
-    assert out.data[1] == 0.0
 
 
 def test_reductions_and_reshape_grads():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 4))
     check_grad(lambda t: t.mean(), x)
-    check_grad(lambda t: (t.sum(axis=0) ** 2.0).sum(), x)
-    check_grad(lambda t: (t.mean(axis=1) ** 2.0).sum(), x)
-    check_grad(lambda t: (t.reshape(2, 6) ** 2.0).sum(), x)
+    check_grad(lambda t: square(t.sum(axis=0)).sum(), x)
+    check_grad(lambda t: square(t.mean(axis=1)).sum(), x)
+    check_grad(lambda t: square(t.reshape(2, 6)).sum(), x)
 
 
 def test_getitem_slice_and_duplicate_fancy_index():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 3))
-    check_grad(lambda t: (t[1:3, :] ** 2.0).sum(), x)
+    check_grad(lambda t: square(t[1:3, :]).sum(), x)
 
     t = Tensor(np.arange(4.0))
     picked = t[np.array([0, 0, 2])]
     picked.sum().backward()
     np.testing.assert_array_equal(t.grad, np.array([2.0, 0.0, 1.0, 0.0]))
-
-
-def test_concat_and_stack_scalars_route_grads():
-    a = Tensor(np.array([1.0, 2.0]))
-    b = Tensor(np.array([3.0]))
-    concat([a, b]).sum().backward()
-    np.testing.assert_array_equal(a.grad, np.ones(2))
-    np.testing.assert_array_equal(b.grad, np.ones(1))
-
-    s1 = Tensor(2.0)
-    s2 = Tensor(5.0)
-    (stack_scalars([s1, s2]) * np.array([3.0, 7.0])).sum().backward()
-    assert float(s1.grad) == 3.0
-    assert float(s2.grad) == 7.0
 
 
 def test_reused_node_accumulates_both_paths():
@@ -145,6 +114,6 @@ def test_composite_network_gradient():
 
     def loss(t):
         h = (Tensor(x) @ t).tanh()
-        return ((h @ w2).sigmoid() ** 2.0).mean()
+        return square((h @ w2).sigmoid()).mean()
 
     check_grad(loss, w1, rtol=1e-5)

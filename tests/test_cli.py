@@ -160,6 +160,18 @@ def test_seed_flag_overrides_config(tmp_path):
     assert json.loads((tmp_path / "b" / "config.json").read_text())["master_seed"] == 99
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, SMALL)
+    assert main(["run", path, "--seed", "-1", "--output-dir", out]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    bad = write_config(tmp_path, {**SMALL, "master_seed": -1}, name="bad.json")
+    assert main(["comm", bad]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    # the flag is applied before the check, so it can replace a bad value
+    assert main(["comm", bad, "--seed", "3"]) == 0
+
+
 def test_env_var_sets_output_dir_and_flag_wins(tmp_path, monkeypatch):
     path = write_config(tmp_path, SMALL)
     env_dir = tmp_path / "env_out"

@@ -45,6 +45,19 @@ def test_load_csv_sorts_out_of_order_rows(tmp_path):
     np.testing.assert_array_equal(shards[0].values, [1.0, 2.0, 3.0])
 
 
+def test_load_csv_rejects_duplicate_timestamp(tmp_path):
+    path = write(tmp_path / "dup.csv", (
+        "timestamp,station_id,demand_kwh\n"
+        "2024-01-01T00:00:00,a,1.0\n"
+        "2024-01-01T00:05:00,a,2.0\n"
+        "2024-01-01T00:05:00,b,7.0\n"
+        "2024-01-01T00:05:00,a,2.5\n"
+        "2024-01-01T00:10:00,a,3.0\n"
+    ))
+    with pytest.raises(FormatError, match=r"line 5: .*line 3 .*'a'"):
+        load_csv(path)
+
+
 def test_load_csv_fills_single_gap_with_zero(tmp_path):
     path = write(tmp_path / "gap.csv", (
         "timestamp,station_id,demand_kwh\n"

@@ -322,6 +322,18 @@ def test_run_experiment_zero_rounds_evaluates_initial_models():
     assert result.eval_report.macro_qs > 0
 
 
+def test_aggregator_has_its_own_random_stream():
+    config = ExperimentConfig(**{**SMALL, "rounds": 0})
+    result = run_experiment(config, "game")
+    head = head_length(result.state.global_params.spec)
+    for name in ("aggregator", "server"):
+        stream = seed_stream(config.master_seed, name)
+        fresh = init_aggregator(config.aggregator_config(), head, stream)
+        same = np.array_equal(result.aggregator.encoder_w, fresh.encoder_w)
+        # participation sampling reads "server"; sharing it would correlate the two
+        assert same == (name == "aggregator")
+
+
 def test_run_experiment_wraps_failures_with_round_context():
     config = ExperimentConfig(**{**SMALL, "series_length": 19, "history_len": 12})
     with pytest.raises(UsageError, match="round 0"), pytest.warns(UserWarning):
