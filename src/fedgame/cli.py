@@ -141,8 +141,16 @@ def _check_domains(cfg: dict, errors: list[str]) -> None:
             f"top_k must not exceed num_experts "
             f"(top_k={got('top_k')}, num_experts={got('num_experts')})"
         )
-    if any(not 0.0 < q < 1.0 for q in got("quantiles")):
-        errors.append(f"quantiles must lie strictly in (0, 1), got {list(got('quantiles'))}")
+    if got("n_clusters") > got("n_clients"):
+        errors.append(
+            f"n_clusters must not exceed n_clients "
+            f"(n_clusters={got('n_clusters')}, n_clients={got('n_clients')})"
+        )
+    quantiles = list(got("quantiles"))
+    if any(not 0.0 < q < 1.0 for q in quantiles):
+        errors.append(f"quantiles must lie strictly in (0, 1), got {quantiles}")
+    if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
+        errors.append(f"quantiles must be strictly increasing, got {quantiles}")
     if any(h < 1 for h in got("hidden_sizes")):
         errors.append(f"hidden_sizes must be positive, got {list(got('hidden_sizes'))}")
     if got("arch") not in ("mlp", "lstm"):

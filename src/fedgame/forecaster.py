@@ -7,8 +7,11 @@ stacked LSTM, both ending in a dense output layer of width
 ``output_head`` in the layer registry and is the only slice exchanged
 for personalized aggregation.
 
-Gradients come from the internal reverse-mode tape
-(:mod:`fedgame.autodiff`); no external ML framework is involved.
+Gradients are derived by hand.  One forward pass over the flat
+parameter vector caches its activations, and an explicit backward
+turns the pinball-loss slope into a flat gradient: dense/tanh backprop
+for the MLP, backprop through time over the stacked LSTM layers.  No
+autodiff tape and no external ML framework is involved.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ConfigError, NumericError, StructuralError, UsageError
 from .params import LayerSpec, ParameterVector
 
@@ -140,82 +142,151 @@ def init_forecaster(cfg: ForecasterConfig, rng: np.random.Generator) -> Forecast
     return ForecasterModel(ParameterVector(np.concatenate(chunks), build_spec(cfg)), cfg)
 
 
-def _param_tensors(model: ForecasterModel) -> dict[str, Tensor]:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1/(1+exp(-x)); the overflow branch saturates to the exact limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _blocks(cfg: ForecasterConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> shaped view of each parameter block of ``flat``."""
     out = {}
-    values = model.params.values
-    for (name, shape, _), spec in zip(layer_plan(model.config), model.params.spec):
-        out[name] = Tensor(values[spec.offset : spec.stop].reshape(shape))
+    offset = 0
+    for name, shape, _ in layer_plan(cfg):
+        length = int(np.prod(shape))
+        out[name] = flat[offset : offset + length].reshape(shape)
+        offset += length
     return out
 
 
-def _as_batch(windows: np.ndarray, cfg: ForecasterConfig) -> np.ndarray:
-    """Coerce windows to (batch, history_len, features)."""
+def _as_batch(cfg: ForecasterConfig, windows: np.ndarray) -> np.ndarray:
+    """Windows as (batch, history_len, features); 2-D input is a univariate batch."""
     w = np.asarray(windows, dtype=np.float64)
-    if w.ndim == 1:
-        w = w[np.newaxis, :, np.newaxis]
-    elif w.ndim == 2:
-        # either one (h, f) window or an (n, h) univariate batch
-        if w.shape == (cfg.history_len, cfg.features) and cfg.features > 1:
-            w = w[np.newaxis, :, :]
-        elif w.shape[1] == cfg.history_len and cfg.features == 1:
-            w = w[:, :, np.newaxis]
-        else:
-            w = w[np.newaxis, :, :]
-    if w.shape[1:] != (cfg.history_len, cfg.features):
+    if w.ndim == 2 and cfg.features == 1:
+        w = w[:, :, np.newaxis]
+    if w.ndim != 3 or w.shape[1:] != (cfg.history_len, cfg.features):
         raise StructuralError(
             f"window batch has shape {w.shape}, expected (*, {cfg.history_len}, {cfg.features})"
         )
     return w
 
 
-def _forward_graph(tensors: dict[str, Tensor], cfg: ForecasterConfig, batch: np.ndarray) -> Tensor:
-    """Batched forward pass; returns (batch, output_dim) predictions."""
+def _checked_batch(
+    cfg: ForecasterConfig, windows: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    batch = _as_batch(cfg, windows)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (batch.shape[0], cfg.horizon):
+        raise StructuralError(
+            f"targets have shape {targets.shape}, expected ({batch.shape[0]}, {cfg.horizon})"
+        )
+    return batch, targets
+
+
+def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray):
+    """Predictions (batch, output_dim), the output layer's input, and the
+    activations the backward pass reads.
+
+    MLP: the flattened input and every hidden activation.  LSTM: per
+    layer, per timestep, (x, h_prev, c_prev, i, f, g, o, tanh(c)).
+    """
     n = batch.shape[0]
     if cfg.arch == "mlp":
-        a = Tensor(batch.reshape(n, -1))
+        acts = [batch.reshape(n, -1)]
         for i in range(len(cfg.hidden_sizes)):
-            a = (a @ tensors[f"hidden{i}.w"] + tensors[f"hidden{i}.b"]).tanh()
-        return a @ tensors["out.w"] + tensors["out.b"]
+            acts.append(np.tanh(acts[-1] @ w[f"hidden{i}.w"] + w[f"hidden{i}.b"]))
+        return acts[-1] @ w["out.w"] + w["out.b"], acts[-1], acts
 
-    seq = [Tensor(batch[:, t, :]) for t in range(cfg.history_len)]
+    seq = [batch[:, t, :] for t in range(cfg.history_len)]
+    cache = []
     for i, width in enumerate(cfg.hidden_sizes):
-        wx, wh, b = tensors[f"lstm{i}.wx"], tensors[f"lstm{i}.wh"], tensors[f"lstm{i}.b"]
-        h = Tensor(np.zeros((n, width)))
-        c = Tensor(np.zeros((n, width)))
-        outputs = []
-        for x_t in seq:
-            pre = x_t @ wx + h @ wh + b
-            gi = pre[:, 0 * width : 1 * width].sigmoid()
-            gf = pre[:, 1 * width : 2 * width].sigmoid()
-            gg = pre[:, 2 * width : 3 * width].tanh()
-            go = pre[:, 3 * width : 4 * width].sigmoid()
+        wx, wh, b = w[f"lstm{i}.wx"], w[f"lstm{i}.wh"], w[f"lstm{i}.b"]
+        h = c = np.zeros((n, width))
+        steps, outputs = [], []
+        for x in seq:
+            pre = x @ wx + h @ wh + b
+            gi = _sigmoid(pre[:, 0 * width : 1 * width])
+            gf = _sigmoid(pre[:, 1 * width : 2 * width])
+            gg = np.tanh(pre[:, 2 * width : 3 * width])
+            go = _sigmoid(pre[:, 3 * width : 4 * width])
+            h_prev, c_prev = h, c
             c = gf * c + gi * gg
-            h = go * c.tanh()
+            tc = np.tanh(c)
+            h = go * tc
+            steps.append((x, h_prev, c_prev, gi, gf, gg, go, tc))
             outputs.append(h)
+        cache.append(steps)
         seq = outputs
-    return seq[-1] @ tensors["out.w"] + tensors["out.b"]
+    return seq[-1] @ w["out.w"] + w["out.b"], seq[-1], cache
 
 
-def forward(model: ForecasterModel, window: np.ndarray) -> np.ndarray:
-    """Quantile predictions for one window, shaped (horizon, n_quantiles).
+def _backward(
+    cfg: ForecasterConfig,
+    w: dict[str, np.ndarray],
+    g: dict[str, np.ndarray],
+    head_in: np.ndarray,
+    cache: list,
+    d_pred: np.ndarray,
+) -> None:
+    """Add the parameter gradients to the zeroed blocks ``g``, from
+    d loss / d predictions: backprop for the MLP, backprop through time
+    over the stacked layers for the LSTM.
 
-    Deterministic in (params, window); no state survives between calls.
+    The floating-point order is part of the contract: products run left
+    to right, every block accumulates into zeros, and the LSTM blocks
+    accumulate over timesteps from last to first.  Reordering moves the
+    gradients by rounding, and with them every byte of a run's reports.
     """
-    cfg = model.config
-    batch = _as_batch(window, cfg)
-    if batch.shape[0] != 1:
-        raise StructuralError("forward takes a single window; use forward_batch for batches")
-    pred = _forward_graph(_param_tensors(model), cfg, batch).data
-    if not np.all(np.isfinite(pred)):
-        raise NumericError("forward produced non-finite predictions")
-    return pred.reshape(cfg.horizon, len(cfg.quantiles))
+    g["out.w"] += head_in.T @ d_pred
+    g["out.b"] += d_pred.sum(axis=0)
+
+    if cfg.arch == "mlp":
+        d, w_above = d_pred, w["out.w"]
+        for i in reversed(range(len(cfg.hidden_sizes))):
+            d = (d @ w_above.T) * (1.0 - cache[i + 1] ** 2)
+            g[f"hidden{i}.w"] += cache[i].T @ d
+            g[f"hidden{i}.b"] += d.sum(axis=0)
+            w_above = w[f"hidden{i}.w"]
+        return
+
+    # gradient reaching each output of the layer from above
+    d_out = [0.0] * (cfg.history_len - 1) + [d_pred @ w["out.w"].T]
+    for i in reversed(range(len(cfg.hidden_sizes))):
+        wx, wh = w[f"lstm{i}.wx"], w[f"lstm{i}.wh"]
+        g_wx, g_wh, g_b = g[f"lstm{i}.wx"], g[f"lstm{i}.wh"], g[f"lstm{i}.b"]
+        width = wh.shape[0]
+        d_in = [None] * cfg.history_len
+        dh = dc = 0.0
+        for t in reversed(range(cfg.history_len)):
+            x, h_prev, c_prev, gi, gf, gg, go, tc = cache[i][t]
+            dh = d_out[t] + dh
+            dc = dh * go * (1.0 - tc**2) + dc
+            d_pre = np.empty((x.shape[0], 4 * width))
+            d_pre[:, 0 * width : 1 * width] = dc * gg * gi * (1.0 - gi)
+            d_pre[:, 1 * width : 2 * width] = dc * c_prev * gf * (1.0 - gf)
+            d_pre[:, 2 * width : 3 * width] = dc * gi * (1.0 - gg**2)
+            d_pre[:, 3 * width : 4 * width] = dh * tc * go * (1.0 - go)
+            g_wx += x.T @ d_pre
+            g_wh += h_prev.T @ d_pre
+            g_b += d_pre.sum(axis=0)
+            if i:
+                d_in[t] = d_pre @ wx.T
+            dh = d_pre @ wh.T
+            dc = dc * gf
+        d_out = d_in
 
 
 def forward_batch(model: ForecasterModel, windows: np.ndarray) -> np.ndarray:
-    """Predictions for many windows, shaped (n, horizon, n_quantiles)."""
+    """Predictions for a batch of windows, shaped (n, horizon, n_quantiles).
+
+    ``windows`` is (n, history_len, features), or (n, history_len) for a
+    univariate model.  Deterministic in (params, windows).
+    """
     cfg = model.config
-    batch = _as_batch(windows, cfg)
-    pred = _forward_graph(_param_tensors(model), cfg, batch).data
+    batch = _as_batch(cfg, windows)
+    pred, _, _ = _forward(cfg, _blocks(cfg, model.params.values), batch)
+    if not np.all(np.isfinite(pred)):
+        raise NumericError("forward produced non-finite predictions")
     return pred.reshape(batch.shape[0], cfg.horizon, len(cfg.quantiles))
 
 
@@ -242,54 +313,32 @@ def pinball_loss(pred: np.ndarray, target: np.ndarray, quantiles: Sequence[float
     return float(np.mean(_pinball_weights(diff, q[np.newaxis, :]) * diff))
 
 
-def _batch_loss_graph(
-    model: ForecasterModel, windows: np.ndarray, targets: np.ndarray
-) -> tuple[Tensor, dict[str, Tensor]]:
-    cfg = model.config
-    batch = _as_batch(windows, cfg)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[np.newaxis, :]
-    if targets.shape != (batch.shape[0], cfg.horizon):
-        raise StructuralError(
-            f"targets have shape {targets.shape}, expected ({batch.shape[0]}, {cfg.horizon})"
-        )
-    tensors = _param_tensors(model)
-    pred = _forward_graph(tensors, cfg, batch)
-    nq = len(cfg.quantiles)
-    target_flat = np.repeat(targets, nq, axis=1)
-    q_flat = np.tile(np.asarray(cfg.quantiles), cfg.horizon)
-    diff = pred - target_flat
-    weights = _pinball_weights(diff.data, q_flat[np.newaxis, :])
-    loss = (diff * weights).mean()
-    return loss, tensors
-
-
-def _flatten_grads(tensors: dict[str, Tensor], cfg: ForecasterConfig) -> np.ndarray:
-    return np.concatenate([tensors[name].grad.reshape(-1) for name, _, _ in layer_plan(cfg)])
+def task_loss_and_gradient(
+    cfg: ForecasterConfig, values: np.ndarray, batch: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean pinball loss of flat ``values`` on a checked batch, and its flat gradient."""
+    w = _blocks(cfg, values)
+    pred, head_in, cache = _forward(cfg, w, batch)
+    diff = pred - np.repeat(targets, len(cfg.quantiles), axis=1)
+    weights = _pinball_weights(diff, np.tile(cfg.quantiles, cfg.horizon))
+    scale = 1.0 / diff.size
+    grad = np.zeros_like(values)
+    _backward(cfg, w, _blocks(cfg, grad), head_in, cache, scale * weights)
+    return float((diff * weights).sum() * scale), grad
 
 
 def task_loss(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray) -> float:
     """Mean pinball loss of the model on a batch."""
-    loss, _ = _batch_loss_graph(model, windows, targets)
-    return float(loss.data)
+    batch, targets = _checked_batch(model.config, windows, targets)
+    return task_loss_and_gradient(model.config, model.params.values, batch, targets)[0]
 
 
 def task_gradient(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Gradient of the mean pinball loss w.r.t. all parameters, flat."""
     if np.asarray(windows).size == 0:
         raise UsageError("task_gradient needs a non-empty batch")
-    loss, tensors = _batch_loss_graph(model, windows, targets)
-    loss.backward()
-    return _flatten_grads(tensors, model.config)
-
-
-def task_loss_and_gradient(
-    model: ForecasterModel, windows: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    loss, tensors = _batch_loss_graph(model, windows, targets)
-    loss.backward()
-    return float(loss.data), _flatten_grads(tensors, model.config)
+    batch, targets = _checked_batch(model.config, windows, targets)
+    return task_loss_and_gradient(model.config, model.params.values, batch, targets)[1]
 
 
 def fedprox_gradient(
@@ -321,26 +370,26 @@ def local_train(
     mu * (w - w_global) is added to every mini-batch gradient exactly.
     Returns the trained model and the mean mini-batch task loss.
     """
-    inputs = np.asarray(data.inputs, dtype=np.float64)
-    targets = np.asarray(data.targets, dtype=np.float64)
-    n = inputs.shape[0]
+    model_cfg = model.config
+    batch, targets = _checked_batch(model_cfg, data.inputs, data.targets)
+    n = batch.shape[0]
     if n == 0:
         raise UsageError("local_train called with an empty dataset")
     if model.params.spec != global_params.spec:
         raise StructuralError("model and global parameters use different layer specs")
 
+    anchor = global_params.values
     values = model.params.values.copy()
     losses = []
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            current = model.with_params(values)
-            loss, grad = task_loss_and_gradient(current, inputs[idx], targets[idx])
+            loss, grad = task_loss_and_gradient(model_cfg, values, batch[idx], targets[idx])
             if not np.isfinite(loss):
                 raise NumericError("non-finite training loss")
-            losses.append(float(loss))
-            grad += cfg.prox_mu * (values - global_params.values)
+            losses.append(loss)
+            grad += cfg.prox_mu * (values - anchor)
             values = values - cfg.local_lr * grad
             if not np.all(np.isfinite(values)):
                 raise NumericError("non-finite parameters after gradient step")

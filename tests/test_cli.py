@@ -191,6 +191,26 @@ def test_invalid_config_exits_two_listing_everything(tmp_path, capsys):
     assert "rounds" in err and "arch" in err and "bogus" in err
 
 
+def test_descending_quantiles_are_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        **SMALL, "quantiles": [0.9, 0.5, 0.1], "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err and "strictly increasing" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_more_clusters_than_clients_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        **SMALL, "n_clusters": 4, "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err and "n_clusters" in err and "n_clients" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_runtime_failure_exits_one_with_round_context(tmp_path, capsys):
     path = write_config(tmp_path, {
         **SMALL, "series_length": 19, "history_len": 12,

@@ -9,7 +9,6 @@ from fedgame.forecaster import (
     ForecasterModel,
     build_spec,
     fedprox_gradient,
-    forward,
     forward_batch,
     init_forecaster,
     local_train,
@@ -125,7 +124,8 @@ def test_forward_matches_reference_mlp():
     for _ in range(5):
         window = rng.normal(size=cfg.history_len)
         np.testing.assert_allclose(
-            forward(model, window), ref_mlp_forward(model, window), rtol=0, atol=1e-10
+            forward_batch(model, window[np.newaxis])[0], ref_mlp_forward(model, window),
+            rtol=0, atol=1e-10,
         )
 
 
@@ -136,7 +136,8 @@ def test_forward_matches_reference_lstm():
     for _ in range(3):
         window = rng.normal(size=cfg.history_len)
         np.testing.assert_allclose(
-            forward(model, window), ref_lstm_forward(model, window), rtol=0, atol=1e-10
+            forward_batch(model, window[np.newaxis])[0], ref_lstm_forward(model, window),
+            rtol=0, atol=1e-10,
         )
 
 
@@ -146,7 +147,8 @@ def test_forward_batch_agrees_with_single_forward():
     windows = np.random.default_rng(5).normal(size=(4, cfg.history_len))
     batched = forward_batch(model, windows)
     for i in range(4):
-        np.testing.assert_allclose(batched[i], forward(model, windows[i]), atol=1e-12)
+        single = forward_batch(model, windows[i : i + 1])[0]
+        np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
 def test_zero_weights_mlp_outputs_bias():
@@ -156,7 +158,7 @@ def test_zero_weights_mlp_outputs_bias():
     values = model.params.values.copy()
     values[-cfg.output_dim :] = bias
     model = model.with_params(values)
-    pred = forward(model, np.random.default_rng(0).normal(size=cfg.history_len))
+    pred = forward_batch(model, np.random.default_rng(0).normal(size=(1, cfg.history_len)))[0]
     np.testing.assert_array_equal(pred.reshape(-1), bias)
 
 
@@ -165,8 +167,16 @@ def test_identity_linear_model_is_constant_on_constant_window():
     spec = build_spec(cfg)
     values = np.concatenate([np.eye(6).reshape(-1), np.zeros(6)])
     model = ForecasterModel(ParameterVector(values, spec), cfg)
-    pred = forward(model, np.full(6, 3.25))
+    pred = forward_batch(model, np.full((1, 6), 3.25))[0]
     np.testing.assert_array_equal(pred, np.full((2, 3), 3.25))
+
+
+def test_forward_batch_rejects_non_finite_predictions():
+    cfg = small_config(hidden_sizes=())
+    spec = build_spec(cfg)
+    model = ForecasterModel(ParameterVector(np.full(total_params(spec), 1e308), spec), cfg)
+    with pytest.raises(NumericError), np.errstate(over="ignore"):
+        forward_batch(model, np.ones((1, cfg.history_len)))
 
 
 def test_pinball_loss_hand_example():
@@ -219,28 +229,43 @@ def assert_grad_close(model, windows, targets, rtol=1e-4):
     assert np.max(np.abs(analytic - numeric) / scale) < rtol
 
 
-def test_task_gradient_matches_finite_differences_mlp():
-    cfg = small_config(hidden_sizes=(8,))
-    model = init_forecaster(cfg, np.random.default_rng(7))
-    rng = np.random.default_rng(8)
-    windows = rng.normal(size=(6, cfg.history_len))
-    targets = rng.normal(size=(6, cfg.horizon)) + 5.0
+# (config overrides, init seed, batch size); the data seed is init + 1.
+# Stacked layers, a linear model and features=2 reach the inter-layer
+# and input-feature paths of the backward.
+MLP_GRADIENT_CASES = [
+    (dict(hidden_sizes=(8,)), 7, 6),
+    (dict(hidden_sizes=(5, 4)), 26, 6),
+    (dict(hidden_sizes=()), 28, 6),
+    (dict(hidden_sizes=(8,), features=2), 30, 6),
+]
+LSTM_GRADIENT_CASES = [
+    (dict(arch="lstm", hidden_sizes=(6,)), 9, 4),
+    (dict(arch="lstm", hidden_sizes=(4, 3)), 32, 4),
+    (dict(arch="lstm", hidden_sizes=(6,), features=2), 34, 4),
+]
+
+
+def check_task_gradient(overrides, seed, n):
+    cfg = small_config(**overrides)
+    model = init_forecaster(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    windows = rng.normal(size=(n, cfg.history_len, cfg.features))
+    targets = rng.normal(size=(n, cfg.horizon)) + 5.0
     # keep every residual far from the pinball kink so the finite
     # difference never crosses it
     pred = forward_batch(model, windows)
-    assert np.min(np.abs(pred - targets[:, :, None])) > 1e-2
+    assert np.min(np.abs(pred - targets[:, :, None])) > 1e-2, overrides
     assert_grad_close(model, windows, targets)
+
+
+def test_task_gradient_matches_finite_differences_mlp():
+    for case in MLP_GRADIENT_CASES:
+        check_task_gradient(*case)
 
 
 def test_task_gradient_matches_finite_differences_lstm():
-    cfg = small_config(arch="lstm", hidden_sizes=(6,))
-    model = init_forecaster(cfg, np.random.default_rng(9))
-    rng = np.random.default_rng(10)
-    windows = rng.normal(size=(4, cfg.history_len))
-    targets = rng.normal(size=(4, cfg.horizon)) + 5.0
-    pred = forward_batch(model, windows)
-    assert np.min(np.abs(pred - targets[:, :, None])) > 1e-2
-    assert_grad_close(model, windows, targets)
+    for case in LSTM_GRADIENT_CASES:
+        check_task_gradient(*case)
 
 
 def test_fedprox_gradient_adds_exact_proximal_pull():
@@ -323,4 +348,4 @@ def test_forward_rejects_wrong_window_shape():
     cfg = small_config()
     model = init_forecaster(cfg, np.random.default_rng(25))
     with pytest.raises(StructuralError):
-        forward(model, np.zeros(cfg.history_len + 1))
+        forward_batch(model, np.zeros((1, cfg.history_len + 1)))
