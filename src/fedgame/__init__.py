@@ -59,7 +59,7 @@ from .params import (
     head_length,
     mean_deltas,
     scatter_head,
-    select_head,
+    select_head_values,
     total_params,
     validate_layout,
 )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, StructuralError, UsageError
+from .errors import ConfigError, NumericError, StructuralError, UsageError, too_small
 from .params import NORM_TOLERANCE, cosine_similarity
 
 ADAM_BETA1 = 0.9
@@ -52,20 +52,18 @@ class AggregatorConfig:
     noise_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.embed_dim < 1 or self.num_experts < 1:
-            raise ConfigError("embed_dim and num_experts must be >= 1")
+        problems = too_small(self, ("embed_dim", "num_experts"), 1)
+        problems += too_small(self, ("alpha", "beta"), 0)
+        problems += too_small(self, ("temperature", "server_lr"), 0, strict=True)
         if not 1 <= self.top_k <= self.num_experts:
-            raise ConfigError(
-                f"top_k must satisfy 1 <= k <= {self.num_experts}, got {self.top_k}"
+            problems.append(
+                f"top_k must satisfy 1 <= top_k <= num_experts "
+                f"(top_k={self.top_k}, num_experts={self.num_experts})"
             )
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be > 0")
         if not 0.0 <= self.w_self <= 1.0:
-            raise ConfigError("w_self must lie in [0, 1]")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be >= 0")
-        if self.server_lr <= 0:
-            raise ConfigError("server_lr must be > 0")
+            problems.append(f"w_self must lie in [0, 1], got {self.w_self}")
+        if problems:
+            raise ConfigError(*problems)
 
 
 @dataclass

@@ -14,15 +14,15 @@ import csv
 import json
 import os
 import sys
+import typing
 from dataclasses import fields
 from pathlib import Path
 
 from .data import shards_to_csv, synth_generate
-from .errors import FedGameError
+from .errors import ConfigError, FedGameError
 from .forecaster import build_spec
 from .params import head_length, total_params
 from .protocol import (
-    AGGREGATOR_KINDS,
     PERSONALIZED_KINDS,
     ExperimentConfig,
     RunResult,
@@ -33,151 +33,67 @@ from .protocol import (
 
 OUTPUT_DIR_ENV = "FEDGAME_OUTPUT_DIR"
 
-_INT_KEYS = {
-    "n_clients", "n_clusters", "series_length", "history_len", "horizon",
-    "local_epochs", "batch_size", "embed_dim", "num_experts", "top_k",
-    "rounds", "master_seed", "published_total_params", "published_head_params",
+_HINTS = typing.get_type_hints(ExperimentConfig)
+# JSON type each annotated Python type accepts: (singular, plural) names
+_TYPE_NAMES = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+    bool: ("true or false", None),
 }
-_FLOAT_KEYS = {
-    "noise_sd", "train_frac", "val_frac", "test_frac", "local_lr", "prox_mu",
-    "temperature", "w_self", "alpha", "beta", "server_lr", "eta", "gamma",
-    "participation",
-}
-_STR_KEYS = {"csv_path", "arch", "aggregator_kind", "output_dir"}
-_BOOL_KEYS = {"noise_enabled"}
-_FLOAT_LIST_KEYS = {"quantiles"}
-_INT_LIST_KEYS = {"hidden_sizes"}
-_STR_LIST_KEYS = {"baselines"}
-_OPTIONAL_KEYS = {"csv_path", "published_total_params", "published_head_params"}
-ALL_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
-    | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STR_LIST_KEYS
-)
+
+
+def _fits(kind: type, value) -> bool:
+    """JSON ``value`` can stand for ``kind``; an int is a number, a bool is not."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _typed(raw: dict, errors: list[str]) -> dict:
-    """Coerce values to their schema types, recording every mismatch."""
+    """Coerce values to the field types of ExperimentConfig, recording
+    every mismatch; values are left for the config itself to check."""
     out = {}
     for key, value in raw.items():
-        if key not in ALL_KEYS:
+        if key not in _HINTS:
             errors.append(f"unknown key {key!r}")
             continue
-        if value is None and key in _OPTIONAL_KEYS:
+        hint = _HINTS[key]
+        args = typing.get_args(hint)
+        if value is None and type(None) in args:
             out[key] = None
-            continue
-        if key in _INT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                errors.append(f"{key} must be an integer, got {value!r}")
+        elif typing.get_origin(hint) is tuple:
+            kind = args[0]
+            if isinstance(value, list) and all(_fits(kind, v) for v in value):
+                out[key] = tuple(kind(v) for v in value)
             else:
-                out[key] = value
-        elif key in _FLOAT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                errors.append(f"{key} must be a number, got {value!r}")
+                errors.append(f"{key} must be a list of {_TYPE_NAMES[kind][1]}, got {value!r}")
+        else:
+            kind = args[0] if args else hint
+            if _fits(kind, value):
+                out[key] = kind(value)
             else:
-                out[key] = float(value)
-        elif key in _BOOL_KEYS:
-            if not isinstance(value, bool):
-                errors.append(f"{key} must be true or false, got {value!r}")
-            else:
-                out[key] = value
-        elif key in _STR_KEYS:
-            if not isinstance(value, str):
-                errors.append(f"{key} must be a string, got {value!r}")
-            else:
-                out[key] = value
-        elif key in _FLOAT_LIST_KEYS:
-            if (not isinstance(value, list) or not value
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-                errors.append(f"{key} must be a non-empty list of numbers, got {value!r}")
-            else:
-                out[key] = tuple(float(v) for v in value)
-        elif key in _INT_LIST_KEYS:
-            if (not isinstance(value, list) or not value
-                    or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
-                errors.append(f"{key} must be a non-empty list of integers, got {value!r}")
-            else:
-                out[key] = tuple(value)
-        elif key in _STR_LIST_KEYS:
-            if (not isinstance(value, list) or not value
-                    or any(not isinstance(v, str) for v in value)):
-                errors.append(f"{key} must be a non-empty list of strings, got {value!r}")
-            else:
-                out[key] = tuple(value)
+                errors.append(f"{key} must be {_TYPE_NAMES[kind][0]}, got {value!r}")
     return out
 
 
-def _check_domains(cfg: dict, errors: list[str]) -> None:
-    """Domain checks on top of type checks; every violation recorded."""
-
-    def got(key):
-        return cfg.get(key, getattr(ExperimentConfig, key))
-
-    for key in ("n_clients", "n_clusters", "series_length", "history_len",
-                "horizon", "local_epochs", "batch_size", "embed_dim",
-                "num_experts", "top_k", "rounds"):
-        if key in cfg and cfg[key] < (0 if key == "rounds" else 1):
-            errors.append(f"{key} must be positive, got {cfg[key]}")
-    for key in ("noise_sd", "prox_mu", "alpha", "beta", "eta", "gamma", "master_seed"):
-        if key in cfg and cfg[key] < 0:
-            errors.append(f"{key} must be >= 0, got {cfg[key]}")
-    for key in ("local_lr", "server_lr", "temperature"):
-        if key in cfg and cfg[key] <= 0:
-            errors.append(f"{key} must be > 0, got {cfg[key]}")
-    if not 0.0 <= got("w_self") <= 1.0:
-        errors.append(f"w_self must lie in [0, 1], got {got('w_self')}")
-    if not 0.0 < got("participation") <= 1.0:
-        errors.append(f"participation must lie in (0, 1], got {got('participation')}")
-
-    fracs = [got(k) for k in ("train_frac", "val_frac", "test_frac")]
-    if any(f < 0 for f in fracs):
-        errors.append("train_frac, val_frac, test_frac must be >= 0")
-    elif abs(sum(fracs) - 1.0) > 1e-9:
-        errors.append(
-            f"train_frac, val_frac, test_frac must sum to 1, got {sum(fracs)}"
-        )
-
-    if got("top_k") > got("num_experts"):
-        errors.append(
-            f"top_k must not exceed num_experts "
-            f"(top_k={got('top_k')}, num_experts={got('num_experts')})"
-        )
-    if got("n_clusters") > got("n_clients"):
-        errors.append(
-            f"n_clusters must not exceed n_clients "
-            f"(n_clusters={got('n_clusters')}, n_clients={got('n_clients')})"
-        )
-    quantiles = list(got("quantiles"))
-    if any(not 0.0 < q < 1.0 for q in quantiles):
-        errors.append(f"quantiles must lie strictly in (0, 1), got {quantiles}")
-    if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
-        errors.append(f"quantiles must be strictly increasing, got {quantiles}")
-    if any(h < 1 for h in got("hidden_sizes")):
-        errors.append(f"hidden_sizes must be positive, got {list(got('hidden_sizes'))}")
-    if got("arch") not in ("mlp", "lstm"):
-        errors.append(f"arch must be 'mlp' or 'lstm', got {got('arch')!r}")
-    if got("aggregator_kind") not in AGGREGATOR_KINDS:
-        errors.append(
-            f"aggregator_kind must be one of {list(AGGREGATOR_KINDS)}, "
-            f"got {got('aggregator_kind')!r}"
-        )
-    bad = [b for b in got("baselines") if b not in AGGREGATOR_KINDS]
-    if bad:
-        errors.append(f"baselines contains unknown kinds {bad}")
-    for key in ("published_total_params", "published_head_params"):
-        if cfg.get(key) is not None and cfg[key] < 1:
-            errors.append(f"{key} must be positive, got {cfg[key]}")
-
-
 def config_from_dict(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
-    """Validate a parsed JSON object; returns (config, errors)."""
+    """Validate a parsed JSON object; returns (config, errors).
+
+    Type errors come first, then every problem the config reports for
+    the keys that did type-check.
+    """
     if not isinstance(raw, dict):
         return None, ["config must be a JSON object"]
     errors: list[str] = []
     cfg = _typed(raw, errors)
-    _check_domains(cfg, errors)
+    try:
+        config = ExperimentConfig(**cfg)
+    except ConfigError as exc:
+        errors.extend(exc.problems)
     if errors:
         return None, errors
-    return ExperimentConfig(**cfg), []
+    return config, []
 
 
 def load_config(
@@ -254,7 +170,6 @@ def cmd_run(config: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> int:
     """Same seeds per method; one comparison row per aggregator kind."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for kind in config.baselines:
         result = run_experiment(config, kind)
@@ -263,6 +178,7 @@ def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> int:
                      repr(report.macro_icp)])
         print(f"{kind:18s} qs={report.macro_qs:.6f} "
               f"mil={report.macro_mil:.6f} icp={report.macro_icp:.6f}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "ablation.csv", ["method", "qs", "mil", "icp"], rows)
     _json_dump(config_to_dict(config), out_dir / "config.json")
     print(f"wrote {out_dir / 'ablation.csv'}")
@@ -336,6 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_errors(errors: list[str]) -> int:
+    print(f"config has {len(errors)} error(s):", file=sys.stderr)
+    for error in errors:
+        print(f"  - {error}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {}
@@ -346,10 +269,7 @@ def main(argv=None) -> int:
         overrides["output_dir"] = out_override
     config, errors = load_config(args.config, overrides)
     if errors:
-        print(f"config has {len(errors)} error(s):", file=sys.stderr)
-        for error in errors:
-            print(f"  - {error}", file=sys.stderr)
-        return 2
+        return _config_errors(errors)
     out_dir = Path(config.output_dir)
 
     try:
@@ -360,6 +280,9 @@ def main(argv=None) -> int:
         if args.command == "comm":
             return cmd_comm(config)
         return cmd_synth(config, out_dir)
+    except ConfigError as exc:
+        # a fact known only from the data, such as a series too short to window
+        return _config_errors(exc.problems)
     except FedGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and the range check
+the config classes report their problems with."""
 
 
 class FedGameError(Exception):
@@ -10,7 +11,15 @@ class StructuralError(FedGameError):
 
 
 class ConfigError(FedGameError):
-    """Invalid or inconsistent configuration."""
+    """Invalid or inconsistent configuration.
+
+    ``problems`` lists every violation found, each naming its key; the
+    message joins them.
+    """
+
+    def __init__(self, *problems: str) -> None:
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
 
 
 class UsageError(FedGameError):
@@ -23,3 +32,14 @@ class FormatError(FedGameError):
 
 class NumericError(FedGameError):
     """A computation produced non-finite values."""
+
+
+def too_small(obj, keys: tuple[str, ...], floor: float, *, strict: bool = False) -> list[str]:
+    """One problem for each field of ``obj`` below ``floor`` (or at it, when
+    ``strict``); NaN is never large enough."""
+    problems = []
+    for key in keys:
+        value = getattr(obj, key)
+        if not (value > floor if strict else value >= floor):
+            problems.append(f"{key} must be {'>' if strict else '>='} {floor}, got {value}")
+    return problems

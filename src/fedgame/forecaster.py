@@ -16,12 +16,13 @@ autodiff tape and no external ML framework is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, StructuralError, UsageError
+from .errors import ConfigError, NumericError, StructuralError, UsageError, too_small
 from .params import LayerSpec, ParameterVector
 
 ARCHS = ("mlp", "lstm")
@@ -45,61 +46,76 @@ class ForecasterConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "quantiles", tuple(float(q) for q in self.quantiles))
         object.__setattr__(self, "hidden_sizes", tuple(int(w) for w in self.hidden_sizes))
-        if self.history_len < 1 or self.horizon < 1:
-            raise ConfigError("history_len and horizon must be >= 1")
-        if not self.quantiles or any(not 0.0 < q < 1.0 for q in self.quantiles):
-            raise ConfigError("quantiles must lie strictly inside (0, 1)")
-        if any(b >= a for a, b in zip(self.quantiles[1:], self.quantiles)):
-            raise ConfigError("quantiles must be strictly increasing")
+        problems = too_small(
+            self, ("history_len", "horizon", "local_epochs", "batch_size", "features"), 1
+        )
+        problems += too_small(self, ("prox_mu",), 0)
+        problems += too_small(self, ("local_lr",), 0, strict=True)
+        quantiles = list(self.quantiles)
+        if not quantiles:
+            problems.append("quantiles must not be empty")
+        if any(not 0.0 < q < 1.0 for q in quantiles):
+            problems.append(f"quantiles must lie strictly in (0, 1), got {quantiles}")
+        if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
+            problems.append(f"quantiles must be strictly increasing, got {quantiles}")
+        if any(w < 1 for w in self.hidden_sizes):
+            problems.append(f"hidden_sizes must be positive, got {list(self.hidden_sizes)}")
         if self.arch not in ARCHS:
-            raise ConfigError(f"arch must be one of {ARCHS}, got {self.arch!r}")
-        if self.arch == "lstm" and not self.hidden_sizes:
-            raise ConfigError("lstm arch needs at least one hidden size")
-        if self.prox_mu < 0:
-            raise ConfigError("prox_mu must be >= 0")
-        if self.local_lr <= 0 or self.local_epochs < 1 or self.batch_size < 1:
-            raise ConfigError("local_lr, local_epochs and batch_size must be positive")
-        if self.features < 1:
-            raise ConfigError("features must be >= 1")
+            problems.append(f"arch must be one of {list(ARCHS)}, got {self.arch!r}")
+        elif self.arch == "lstm" and not self.hidden_sizes:
+            problems.append("hidden_sizes must not be empty for arch 'lstm'")
+        if problems:
+            raise ConfigError(*problems)
 
     @property
     def output_dim(self) -> int:
         return self.horizon * len(self.quantiles)
 
 
-def layer_plan(cfg: ForecasterConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    """(name, shape, kind) for every parameter block, in storage order.
+class Block(NamedTuple):
+    """One parameter block of the flat vector."""
+
+    name: str
+    shape: tuple[int, ...]
+    kind: str
+    offset: int
+    length: int
+    fan_in: int
+
+
+def layer_plan(cfg: ForecasterConfig) -> list[Block]:
+    """Every parameter block, in storage order.
 
     LSTM gate pre-activations are packed as 4*H columns in i, f, g, o
-    order (input, forget, cell, output).
+    order (input, forget, cell, output).  ``fan_in`` is the input width
+    of the layer a block belongs to; all LSTM blocks use the hidden size.
     """
-    plan: list[tuple[str, tuple[int, ...], str]] = []
+    plan: list[Block] = []
+
+    def add(name: str, shape: tuple[int, ...], kind: str, fan_in: int) -> None:
+        offset = plan[-1].offset + plan[-1].length if plan else 0
+        plan.append(Block(name, shape, kind, offset, math.prod(shape), fan_in))
+
     if cfg.arch == "mlp":
         in_dim = cfg.history_len * cfg.features
         for i, width in enumerate(cfg.hidden_sizes):
-            plan.append((f"hidden{i}.w", (in_dim, width), "dense"))
-            plan.append((f"hidden{i}.b", (width,), "dense"))
+            add(f"hidden{i}.w", (in_dim, width), "dense", in_dim)
+            add(f"hidden{i}.b", (width,), "dense", in_dim)
             in_dim = width
     else:
         in_dim = cfg.features
         for i, width in enumerate(cfg.hidden_sizes):
-            plan.append((f"lstm{i}.wx", (in_dim, 4 * width), "recurrent"))
-            plan.append((f"lstm{i}.wh", (width, 4 * width), "recurrent"))
-            plan.append((f"lstm{i}.b", (4 * width,), "recurrent"))
+            add(f"lstm{i}.wx", (in_dim, 4 * width), "recurrent", width)
+            add(f"lstm{i}.wh", (width, 4 * width), "recurrent", width)
+            add(f"lstm{i}.b", (4 * width,), "recurrent", width)
             in_dim = width
-    plan.append(("out.w", (in_dim, cfg.output_dim), "output_head"))
-    plan.append(("out.b", (cfg.output_dim,), "output_head"))
+    add("out.w", (in_dim, cfg.output_dim), "output_head", in_dim)
+    add("out.b", (cfg.output_dim,), "output_head", in_dim)
     return plan
 
 
 def build_spec(cfg: ForecasterConfig) -> tuple[LayerSpec, ...]:
-    spec = []
-    offset = 0
-    for name, shape, kind in layer_plan(cfg):
-        length = int(np.prod(shape))
-        spec.append(LayerSpec(name=name, offset=offset, length=length, kind=kind))
-        offset += length
-    return tuple(spec)
+    return tuple(LayerSpec(b.name, b.offset, b.length, b.kind) for b in layer_plan(cfg))
 
 
 @dataclass
@@ -121,24 +137,12 @@ class ForecasterModel:
         return ForecasterModel(ParameterVector(values, self.params.spec), self.config)
 
 
-def _fan_in(cfg: ForecasterConfig, name: str, shape: tuple[int, ...]) -> int:
-    """Input width of a block; LSTM blocks all scale by their hidden size."""
-    if name.startswith("lstm"):
-        return shape[0] if name.endswith(".wh") else shape[-1] // 4
-    if name.endswith(".b"):
-        base = name[: -len(".b")]
-        for other, other_shape, _ in layer_plan(cfg):
-            if other == f"{base}.w":
-                return other_shape[0]
-    return shape[0]
-
-
 def init_forecaster(cfg: ForecasterConfig, rng: np.random.Generator) -> ForecasterModel:
     """Uniform(-s, s) init with s = 1/sqrt(fan_in) per block."""
     chunks = []
-    for name, shape, _ in layer_plan(cfg):
-        s = 1.0 / np.sqrt(_fan_in(cfg, name, shape))
-        chunks.append(rng.uniform(-s, s, size=int(np.prod(shape))))
+    for block in layer_plan(cfg):
+        s = 1.0 / np.sqrt(block.fan_in)
+        chunks.append(rng.uniform(-s, s, size=block.length))
     return ForecasterModel(ParameterVector(np.concatenate(chunks), build_spec(cfg)), cfg)
 
 
@@ -148,15 +152,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _blocks(cfg: ForecasterConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+def _blocks(plan: list[Block], flat: np.ndarray) -> dict[str, np.ndarray]:
     """Name -> shaped view of each parameter block of ``flat``."""
-    out = {}
-    offset = 0
-    for name, shape, _ in layer_plan(cfg):
-        length = int(np.prod(shape))
-        out[name] = flat[offset : offset + length].reshape(shape)
-        offset += length
-    return out
+    return {b.name: flat[b.offset : b.offset + b.length].reshape(b.shape) for b in plan}
 
 
 def _as_batch(cfg: ForecasterConfig, windows: np.ndarray) -> np.ndarray:
@@ -284,7 +282,7 @@ def forward_batch(model: ForecasterModel, windows: np.ndarray) -> np.ndarray:
     """
     cfg = model.config
     batch = _as_batch(cfg, windows)
-    pred, _, _ = _forward(cfg, _blocks(cfg, model.params.values), batch)
+    pred, _, _ = _forward(cfg, _blocks(layer_plan(cfg), model.params.values), batch)
     if not np.all(np.isfinite(pred)):
         raise NumericError("forward produced non-finite predictions")
     return pred.reshape(batch.shape[0], cfg.horizon, len(cfg.quantiles))
@@ -317,13 +315,14 @@ def task_loss_and_gradient(
     cfg: ForecasterConfig, values: np.ndarray, batch: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean pinball loss of flat ``values`` on a checked batch, and its flat gradient."""
-    w = _blocks(cfg, values)
+    plan = layer_plan(cfg)
+    w = _blocks(plan, values)
     pred, head_in, cache = _forward(cfg, w, batch)
     diff = pred - np.repeat(targets, len(cfg.quantiles), axis=1)
     weights = _pinball_weights(diff, np.tile(cfg.quantiles, cfg.horizon))
     scale = 1.0 / diff.size
     grad = np.zeros_like(values)
-    _backward(cfg, w, _blocks(cfg, grad), head_in, cache, scale * weights)
+    _backward(cfg, w, _blocks(plan, grad), head_in, cache, scale * weights)
     return float((diff * weights).sum() * scale), grad
 
 

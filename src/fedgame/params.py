@@ -125,32 +125,32 @@ class ParameterVector:
 
 @dataclass
 class DeltaUpdate:
-    """A client's parameter difference plus its output-head slice."""
+    """A client's parameter difference; ``head`` is its output-head slice."""
 
     full: ParameterVector
-    head: np.ndarray
     round_index: int = 0
     client_id: str = ""
 
     def __post_init__(self) -> None:
-        self.head = np.asarray(self.head, dtype=np.float64).reshape(-1)
-        expected = select_head_values(self.full.values, self.full.spec)
-        if self.head.size != expected.size or not np.array_equal(self.head, expected):
-            raise StructuralError("head slice does not match the output-head entries of full")
-        if not 0 < self.head.size < len(self.full):
+        head = head_length(self.full.spec)
+        if not 0 < head < len(self.full):
             raise StructuralError(
                 "head fraction must satisfy 0 < len(head)/len(full) < 1; "
-                f"got {self.head.size}/{len(self.full)}"
+                f"got {head}/{len(self.full)}"
             )
 
     @property
+    def head(self) -> np.ndarray:
+        return select_head_values(self.full.values, self.full.spec)
+
+    @property
     def head_fraction(self) -> float:
-        return self.head.size / len(self.full)
+        return head_length(self.full.spec) / len(self.full)
 
 
 def select_head_values(values: np.ndarray, spec: Sequence[LayerSpec]) -> np.ndarray:
-    """Concatenated output-head entries of ``values``, in spec order."""
-    return np.concatenate([values[s.offset : s.stop] for s in head_layers(spec)])
+    """Concatenated output-head entries of flat ``values``, in spec order."""
+    return np.asarray(values)[head_indices(spec)]
 
 
 def compute_delta(
@@ -160,24 +160,15 @@ def compute_delta(
     round_index: int = 0,
     client_id: str = "",
 ) -> DeltaUpdate:
-    """Parameter difference private - global, with its head slice."""
+    """Parameter difference private - global."""
     if private.spec != global_model.spec:
         raise StructuralError("private and global models use different layer specs")
     full = ParameterVector(private.values - global_model.values, private.spec)
-    head = select_head_values(full.values, full.spec)
-    return DeltaUpdate(full=full, head=head, round_index=round_index, client_id=client_id)
-
-
-def select_head(delta: DeltaUpdate | ParameterVector) -> np.ndarray:
-    """Output-head slice of a delta or parameter vector."""
-    vec = delta.full if isinstance(delta, DeltaUpdate) else delta
-    if not head_layers(vec.spec):
-        raise ConfigError("layer spec has no output_head layer")
-    return select_head_values(vec.values, vec.spec)
+    return DeltaUpdate(full=full, round_index=round_index, client_id=client_id)
 
 
 def scatter_head(template: ParameterVector, head: np.ndarray) -> ParameterVector:
-    """Inverse of :func:`select_head`: write ``head`` into the head slots of a copy
+    """Inverse of :func:`select_head_values`: write ``head`` into the head slots of a copy
     of ``template``, leaving everything else unchanged."""
     head = np.asarray(head, dtype=np.float64).reshape(-1)
     idx = head_indices(template.spec)

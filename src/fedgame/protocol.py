@@ -10,9 +10,9 @@ client adds its personalized head update; the fine-tune that completes
 the update happens at the start of the next round.
 
 Rounds are atomic: the caller's state is never mutated, and a round
-that raises leaves it untouched.  All randomness flows from one master
-seed through named streams, so client scheduling order cannot affect
-results.
+that raises leaves it and the caller's aggregator untouched.  All
+randomness flows from one master seed through named streams, so client
+scheduling order cannot affect results.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .aggregator import (
     uniform_attention,
 )
 from .data import make_windows, load_csv, synth_generate
-from .errors import ConfigError, FedGameError, UsageError
+from .errors import ConfigError, FedGameError, UsageError, too_small
 from .forecaster import ForecasterConfig, ForecasterModel, init_forecaster, local_train
 from .metrics import EvalReport, evaluate
 from .params import (
@@ -76,17 +76,16 @@ class HyperParams:
     participation: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
-        if self.eta < 0 or self.gamma < 0:
-            raise ConfigError("eta and gamma must be >= 0")
+        problems = too_small(self, ("rounds", "eta", "gamma"), 0)
         if self.aggregator_kind not in AGGREGATOR_KINDS:
-            raise ConfigError(
-                f"aggregator_kind must be one of {AGGREGATOR_KINDS}, "
+            problems.append(
+                f"aggregator_kind must be one of {list(AGGREGATOR_KINDS)}, "
                 f"got {self.aggregator_kind!r}"
             )
         if not 0.0 < self.participation <= 1.0:
-            raise ConfigError("participation must lie in (0, 1]")
+            problems.append(f"participation must lie in (0, 1], got {self.participation}")
+        if problems:
+            raise ConfigError(*problems)
 
 
 @dataclass
@@ -98,7 +97,6 @@ class RoundState:
     client_models: dict[str, ForecasterModel]
     client_rngs: dict[str, np.random.Generator]
     server_rng: np.random.Generator
-    pending_deltas: dict[str, DeltaUpdate] = field(default_factory=dict)
 
 
 @dataclass
@@ -199,7 +197,8 @@ def run_round(
 
     ``train_data`` maps client id to its training windows.  For the
     personalized kinds ``aggregator`` must be provided; its parameters
-    advance by one meta-loss step inside the round.
+    advance by one meta-loss step inside the round, and only when the
+    round succeeds.
     """
     started = time.perf_counter()
     kind = hyper.aggregator_kind
@@ -210,6 +209,8 @@ def run_round(
             raise UsageError(f"client {cid!r} has no training data")
 
     new_state = copy.deepcopy(state)
+    # the meta step runs on a copy until the round can no longer fail
+    server = copy.deepcopy(aggregator) if kind in ("game", "single_attention") else aggregator
     spec = new_state.global_params.spec
     participants = _select_participants(new_state, hyper)
 
@@ -239,11 +240,11 @@ def run_round(
     personalized: dict[str, np.ndarray] = {}
     if kind in ("game", "single_attention"):
         if len(participants) >= 2:
-            meta = train_step(aggregator, head_deltas)
+            meta = train_step(server, head_deltas)
         if kind == "game":
-            personalized, rows = aggregate_game(aggregator, head_deltas)
+            personalized, rows = aggregate_game(server, head_deltas)
         else:
-            personalized, rows = aggregate_single_attention(aggregator, head_deltas)
+            personalized, rows = aggregate_single_attention(server, head_deltas)
         # rows and their neighbors follow the sorted participants
         attention = np.array([np.insert(r.weights, i, 0.0) for i, r in enumerate(rows)])
         gate_mixes = {r.client_id: tuple(float(v) for v in r.expert_mix) for r in rows}
@@ -278,8 +279,10 @@ def run_round(
         downstream_bytes=traffic["downstream"] * BYTES_PER_PARAM,
         wall_time=time.perf_counter() - started,
     )
-    new_state.pending_deltas = deltas
     new_state.round_index += 1
+    if server is not aggregator:
+        # the round can no longer fail: commit the meta step to the caller's aggregator
+        vars(aggregator).update(vars(server))
     return new_state, report
 
 
@@ -289,6 +292,11 @@ class ExperimentConfig:
 
     ``csv_path = None`` selects the synthetic generator.  The split
     fractions apply per client series, chronologically.
+
+    Construction validates every field: this class checks its own and
+    cross-field rules and builds the forecaster, aggregator and protocol
+    configs, which check theirs, so one :class:`ConfigError` lists
+    every problem.
     """
 
     csv_path: str | None = None
@@ -328,11 +336,42 @@ class ExperimentConfig:
     published_total_params: int | None = None
     published_head_params: int | None = None
 
+    def __post_init__(self) -> None:
+        problems = too_small(self, ("n_clients", "n_clusters", "series_length"), 1)
+        problems += too_small(self, ("noise_sd", "master_seed"), 0)
+        fracs = self.splits()
+        if any(f < 0 for f in fracs):
+            problems.append("train_frac, val_frac, test_frac must be >= 0")
+        elif not abs(sum(fracs) - 1.0) <= 1e-9:
+            problems.append(f"train_frac, val_frac, test_frac must sum to 1, got {sum(fracs)}")
+        if self.n_clusters > self.n_clients:
+            problems.append(
+                f"n_clusters must not exceed n_clients "
+                f"(n_clusters={self.n_clusters}, n_clients={self.n_clients})"
+            )
+        if self.arch == "mlp" and not self.hidden_sizes:
+            # a layerless MLP is all output head and leaves no shared body;
+            # ForecasterConfig rejects a layerless LSTM itself
+            problems.append("hidden_sizes must not be empty")
+        if not self.baselines:
+            problems.append("baselines must not be empty")
+        unknown = [b for b in self.baselines if b not in AGGREGATOR_KINDS]
+        if unknown:
+            problems.append(f"baselines contains unknown kinds {unknown}")
+        for key in ("published_total_params", "published_head_params"):
+            if getattr(self, key) is not None:
+                problems += too_small(self, (key,), 1)
+        for build in (self.forecaster_config, self.aggregator_config, self.hyper_params):
+            try:
+                build()
+            except ConfigError as exc:
+                problems.extend(exc.problems)
+        if problems:
+            raise ConfigError(*problems)
+
     def forecaster_config(self, kind: str | None = None) -> ForecasterConfig:
         """Client settings; consensus-only kinds drop the proximal pull."""
-        kind = kind or self.aggregator_kind
-        mu = 0.0 if kind in ("fedavg", "local_only") else self.prox_mu
-        return ForecasterConfig(
+        cfg = ForecasterConfig(
             history_len=self.history_len,
             horizon=self.horizon,
             quantiles=tuple(self.quantiles),
@@ -340,9 +379,12 @@ class ExperimentConfig:
             arch=self.arch,
             local_lr=self.local_lr,
             local_epochs=self.local_epochs,
-            prox_mu=mu,
+            prox_mu=self.prox_mu,
             batch_size=self.batch_size,
         )
+        if (kind or self.aggregator_kind) in ("fedavg", "local_only"):
+            cfg = replace(cfg, prox_mu=0.0)
+        return cfg
 
     def aggregator_config(self, kind: str | None = None) -> AggregatorConfig:
         """Server settings; the single-attention baseline degenerates."""
@@ -415,6 +457,13 @@ def run_experiment(config: ExperimentConfig, aggregator_kind: str | None = None)
         labels = {s.client_id: int(s.cluster_label) for s in shards}
     windows = {s.client_id: make_windows(s, fcfg.history_len, fcfg.horizon, config.splits())
                for s in shards}
+    short = sorted(cid for cid, w in windows.items() if not (len(w["train"]) and len(w["test"])))
+    if short:
+        raise ConfigError(
+            f"series too short for history_len={fcfg.history_len} and "
+            f"horizon={fcfg.horizon}: clients {short} need at least one train "
+            f"and one test window"
+        )
     train_data = {cid: w["train"] for cid, w in windows.items()}
     test_data = {cid: w["test"] for cid, w in windows.items()}
 

@@ -2,11 +2,13 @@
 
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
-from fedgame.cli import comm_summary, config_from_dict, load_config, main
+from fedgame.cli import comm_summary, config_from_dict, config_to_dict, load_config, main
 from fedgame.data import load_csv
+from fedgame.errors import ConfigError, NumericError
 from fedgame.protocol import ExperimentConfig
 
 SMALL = {
@@ -65,6 +67,43 @@ def test_type_errors_name_the_key():
     assert len(errors) == 4
     for key in ("rounds", "local_lr", "hidden_sizes", "noise_enabled"):
         assert any(key in e for e in errors)
+
+
+def test_every_field_round_trips_through_json():
+    values = {
+        "csv_path": "data.csv", "n_clients": 5, "n_clusters": 3, "series_length": 300,
+        "noise_sd": 0.3, "train_frac": 0.6, "val_frac": 0.15, "test_frac": 0.25,
+        "history_len": 8, "horizon": 3, "quantiles": (0.05, 0.5, 0.95),
+        "hidden_sizes": (7, 5), "arch": "lstm", "local_lr": 0.01, "local_epochs": 2,
+        "prox_mu": 0.5, "batch_size": 16, "embed_dim": 8, "num_experts": 3, "top_k": 1,
+        "temperature": 0.5, "w_self": 0.25, "alpha": 1.5, "beta": 2.0, "server_lr": 0.01,
+        "noise_enabled": False, "rounds": 4, "eta": 0.5, "gamma": 0.75,
+        "aggregator_kind": "mean", "participation": 0.5, "master_seed": 11,
+        "output_dir": "elsewhere", "baselines": ("game", "fedavg"),
+        "published_total_params": 1000, "published_head_params": 10,
+    }
+    config = ExperimentConfig(**values)
+    for field in fields(ExperimentConfig):
+        assert getattr(config, field.name) != field.default, field.name
+    text = json.dumps(config_to_dict(config))
+    again, errors = config_from_dict(json.loads(text))
+    assert errors == []
+    assert again == config
+
+
+def test_library_config_reports_every_problem_at_construction():
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(rounds=-1, arch="gru", master_seed=-1)
+    problems = info.value.problems
+    assert len(problems) == 3
+    for key in ("rounds", "arch", "master_seed"):
+        assert sum(p.startswith(key) for p in problems) == 1, key
+
+
+def test_nan_values_are_config_errors():
+    _, errors = config_from_dict(json.loads('{"local_lr": NaN, "train_frac": NaN}'))
+    assert len(errors) == 2
+    assert any("local_lr" in e for e in errors) and any("sum to 1" in e for e in errors)
 
 
 def test_load_config_reports_unreadable_and_bad_json(tmp_path):
@@ -211,14 +250,27 @@ def test_more_clusters_than_clients_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_runtime_failure_exits_one_with_round_context(tmp_path, capsys):
+def test_runtime_failure_exits_one_with_round_context(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise NumericError("injected in local training")
+
+    monkeypatch.setattr("fedgame.protocol.local_train", fail)
+    path = write_config(tmp_path, {**SMALL, "output_dir": str(tmp_path / "out")})
+    assert main(["run", path]) == 1
+    assert "round 0" in capsys.readouterr().err
+
+
+def test_series_too_short_for_a_test_window_exits_two(tmp_path, capsys):
+    # 40 points at 0.7/0.1/0.2 leave 8 test points, fewer than 12 + 2
     path = write_config(tmp_path, {
-        **SMALL, "series_length": 19, "history_len": 12,
+        **SMALL, "series_length": 40, "history_len": 12,
         "output_dir": str(tmp_path / "out"),
     })
     with pytest.warns(UserWarning):
-        assert main(["run", path]) == 1
-    assert "round 0" in capsys.readouterr().err
+        assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err and "client00" in err and "test window" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ablate_writes_one_row_per_method(tmp_path):

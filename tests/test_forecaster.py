@@ -36,7 +36,7 @@ def layer_arrays(model):
     from fedgame.forecaster import layer_plan
 
     out = {}
-    for (name, shape, _), spec in zip(layer_plan(model.config), model.spec):
+    for (name, shape, *_), spec in zip(layer_plan(model.config), model.spec):
         out[name] = model.params.values[spec.offset : spec.stop].reshape(shape)
     return out
 

@@ -15,7 +15,7 @@ from fedgame.params import (
     head_length,
     mean_deltas,
     scatter_head,
-    select_head,
+    select_head_values,
     total_params,
     validate_layout,
 )
@@ -86,10 +86,10 @@ def test_head_length_and_indices():
 
 def test_select_scatter_roundtrip():
     vec = make_vector()
-    head = select_head(vec)
+    head = select_head_values(vec.values, vec.spec)
     assert head.shape == (8,)
     rebuilt = scatter_head(ParameterVector.zeros(SPEC), head)
-    np.testing.assert_array_equal(select_head(rebuilt), head)
+    np.testing.assert_array_equal(select_head_values(rebuilt.values, rebuilt.spec), head)
     np.testing.assert_array_equal(rebuilt.values[:9], np.zeros(9))
 
 
@@ -114,11 +114,10 @@ def test_compute_delta_identical_models_is_zero():
     assert np.all(delta.full.values == 0.0)
 
 
-def test_delta_update_rejects_inconsistent_head():
-    full = make_vector()
-    wrong = select_head(full) + 1.0
-    with pytest.raises(StructuralError):
-        DeltaUpdate(full=full, head=wrong)
+def test_delta_update_rejects_all_head_layout():
+    spec = (LayerSpec("out.w", 0, 4, "output_head"),)
+    with pytest.raises(StructuralError, match="head fraction"):
+        DeltaUpdate(full=ParameterVector(np.zeros(4), spec))
 
 
 def test_mean_deltas_is_order_independent():

@@ -7,11 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from fedgame.aggregator import AggregatorConfig, aggregate_mean, init_aggregator, register_client
+from fedgame.aggregator import (
+    AggregatorConfig, aggregate_mean, flatten_parameters, init_aggregator, register_client,
+)
 from fedgame.data import WindowedDataset
 from fedgame.errors import ConfigError, NumericError, UsageError
 from fedgame.forecaster import ForecasterConfig, build_spec
-from fedgame.params import head_length, scatter_head, total_params, ParameterVector
+from fedgame.params import (
+    ParameterVector, head_length, scatter_head, select_head_values, total_params,
+)
 from fedgame.protocol import (
     ExperimentConfig,
     HyperParams,
@@ -118,12 +122,16 @@ def test_mean_round_applies_hand_reconstructed_update():
     hyper = HyperParams(rounds=1, aggregator_kind="mean", gamma=gamma)
     before = state.global_params
     new_state, _ = run_round(state, hyper, agg, data)
-    deltas = new_state.pending_deltas
-    pers = aggregate_mean({c: d.head for c, d in deltas.items()}, agg.config.w_self)
+    # run_round never mutates its input, so a round without head updates
+    # on the same state trains the same local models
+    prox_state, _ = run_round(state, HyperParams(rounds=1, aggregator_kind="fedprox_only"),
+                              None, data)
+    trained = {c: m.params.values for c, m in prox_state.client_models.items()}
+    heads = {c: select_head_values(v - before.values, before.spec) for c, v in trained.items()}
+    pers = aggregate_mean(heads, agg.config.w_self)
     zero = ParameterVector.zeros(before.spec)
-    for cid, delta in deltas.items():
-        trained = before.values + delta.full.values
-        expected = trained + gamma * scatter_head(zero, pers[cid]).values
+    for cid in trained:
+        expected = trained[cid] + gamma * scatter_head(zero, pers[cid]).values
         np.testing.assert_allclose(
             new_state.client_models[cid].params.values, expected, rtol=0, atol=1e-12
         )
@@ -188,7 +196,18 @@ def test_report_bytes_match_closed_form():
         assert isinstance(report.downstream_bytes, int)
 
 
-def test_failed_round_leaves_state_untouched():
+def assert_same_round_state(state, snapshot):
+    assert state.round_index == snapshot.round_index
+    np.testing.assert_array_equal(state.global_params.values,
+                                  snapshot.global_params.values)
+    for cid in state.client_models:
+        np.testing.assert_array_equal(state.client_models[cid].params.values,
+                                      snapshot.client_models[cid].params.values)
+        assert (state.client_rngs[cid].bit_generator.state
+                == snapshot.client_rngs[cid].bit_generator.state)
+
+
+def test_failed_round_leaves_state_untouched(monkeypatch):
     state, data = build_setup(2)
     data["c1"] = WindowedDataset(
         inputs=data["c1"].inputs,
@@ -200,14 +219,30 @@ def test_failed_round_leaves_state_untouched():
     hyper = HyperParams(rounds=1, aggregator_kind="fedavg")
     with pytest.raises(NumericError):
         run_round(state, hyper, None, data)
-    assert state.round_index == snapshot.round_index
-    np.testing.assert_array_equal(state.global_params.values,
-                                  snapshot.global_params.values)
-    for cid in state.client_models:
-        np.testing.assert_array_equal(state.client_models[cid].params.values,
-                                      snapshot.client_models[cid].params.values)
-        assert (state.client_rngs[cid].bit_generator.state
-                == snapshot.client_rngs[cid].bit_generator.state)
+    assert_same_round_state(state, snapshot)
+
+    # a game round that fails after the meta step leaves the aggregator untouched too
+    state, data = build_setup(3)
+    agg = fresh_aggregator(state)
+    snapshot, agg_snapshot = copy.deepcopy(state), copy.deepcopy(agg)
+
+    def fail(*args):
+        raise NumericError("injected after the meta step")
+
+    monkeypatch.setattr("fedgame.protocol.scatter_head", fail)
+    with pytest.raises(NumericError, match="injected"):
+        run_round(state, HyperParams(rounds=1, aggregator_kind="game"), agg, data)
+    assert_same_round_state(state, snapshot)
+    assert agg.adam_t == agg_snapshot.adam_t == 0
+    assert agg.adam_m == {} and agg.adam_v == {}
+    np.testing.assert_array_equal(flatten_parameters(agg), flatten_parameters(agg_snapshot))
+    assert agg.rng.bit_generator.state == agg_snapshot.rng.bit_generator.state
+
+    # the same round without the failure commits the meta step
+    monkeypatch.undo()
+    run_round(state, HyperParams(rounds=1, aggregator_kind="game"), agg, data)
+    assert agg.adam_t == 1
+    assert not np.array_equal(flatten_parameters(agg), flatten_parameters(agg_snapshot))
 
 
 def test_round_is_independent_of_dict_insertion_order():
@@ -334,9 +369,13 @@ def test_aggregator_has_its_own_random_stream():
         assert same == (name == "aggregator")
 
 
-def test_run_experiment_wraps_failures_with_round_context():
-    config = ExperimentConfig(**{**SMALL, "series_length": 19, "history_len": 12})
-    with pytest.raises(UsageError, match="round 0"), pytest.warns(UserWarning):
+def test_run_experiment_wraps_failures_with_round_context(monkeypatch):
+    def fail(*args):
+        raise UsageError("injected in local training")
+
+    monkeypatch.setattr("fedgame.protocol.local_train", fail)
+    config = ExperimentConfig(**SMALL)
+    with pytest.raises(UsageError, match="round 0"):
         run_experiment(config, "fedavg")
 
 
