@@ -94,7 +94,10 @@ def load_csv(path) -> list[SeriesShard]:
 
     The sampling interval is inferred per station as the smallest
     positive timestamp difference; larger gaps must be whole multiples
-    of it.  A station with two rows at one timestamp is rejected.
+    of it, and no single gap may fill more zeros than the station has
+    rows (a mistyped year would otherwise expand into a series of
+    millions of zeros).  A station with two rows at one timestamp is
+    rejected.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -116,27 +119,34 @@ def load_csv(path) -> list[SeriesShard]:
         entries = sorted(rows[station], key=lambda item: item[0])
         stamps = [e[0] for e in entries]
         interval = _infer_interval(stamps)
-        values: list[float] = []
-        for idx, (stamp, demand, line_no) in enumerate(entries):
-            if idx > 0:
-                gap = stamp - stamps[idx - 1]
-                if not gap:
-                    raise FormatError(
-                        f"line {line_no}: repeats timestamp {stamp.isoformat()} "
-                        f"of line {entries[idx - 1][2]} for station {station!r}"
-                    )
-                steps = gap / interval
-                if abs(steps - round(steps)) > 1e-6:
-                    raise FormatError(
-                        f"line {line_no}: timestamp gap {gap} is not a multiple "
-                        f"of the {interval} interval for station {station!r}"
-                    )
-                values.extend(0.0 for _ in range(int(round(steps)) - 1))
-            values.append(demand)
+        positions = [0]
+        for idx in range(1, len(entries)):
+            stamp, _, line_no = entries[idx]
+            gap = stamp - stamps[idx - 1]
+            if not gap:
+                raise FormatError(
+                    f"line {line_no}: repeats timestamp {stamp.isoformat()} "
+                    f"of line {entries[idx - 1][2]} for station {station!r}"
+                )
+            steps = gap / interval
+            if abs(steps - round(steps)) > 1e-6:
+                raise FormatError(
+                    f"line {line_no}: timestamp gap {gap} is not a multiple "
+                    f"of the {interval} interval for station {station!r}"
+                )
+            steps = int(round(steps))
+            if steps - 1 > len(entries):
+                raise FormatError(
+                    f"line {line_no}: timestamp gap {gap} would fill {steps - 1} zeros, "
+                    f"more than the {len(entries)} rows of station {station!r}"
+                )
+            positions.append(positions[-1] + steps)
+        values = np.zeros(positions[-1] + 1)
+        values[positions] = [e[1] for e in entries]
         shards.append(
             SeriesShard(
                 client_id=station,
-                values=np.array(values),
+                values=values,
                 interval_minutes=interval.total_seconds() / 60.0,
             )
         )

@@ -12,13 +12,28 @@ parameter vector caches its activations, and an explicit backward
 turns the pinball-loss slope into a flat gradient: dense/tanh backprop
 for the MLP, backprop through time over the stacked LSTM layers.  No
 autodiff tape and no external ML framework is involved.
+
+Every client shares one architecture, so the forward and the backward
+carry a leading client axis: N flat parameter vectors (N, P) and their
+batches (N, B, history_len, features) give N losses and N gradients in
+one pass, with ``np.matmul`` over the stacked matrices.  No operation
+mixes two clients, and each client's slice sees the same operand
+shapes and strides as a stack of that client alone, so a client's
+bytes do not depend on who it is stacked with.  A single client is a
+stack of one; there is no separate per-client path.
+
+The LSTM backward needs every timestep's gates.  Caching them for N
+clients at once would hold seven (N, B, width) arrays per timestep, so
+the forward caches only the hidden and cell states and the backward
+recomputes each step's gates from them with the forward's own operands
+(bit-identical, at the cost of a second forward pass).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,12 +164,26 @@ def init_forecaster(cfg: ForecasterConfig, rng: np.random.Generator) -> Forecast
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+exp(-x)); the overflow branch saturates to the exact limit 0
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        out = np.exp(-x)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _blocks(plan: list[Block], flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Name -> shaped view of each parameter block of ``flat``."""
-    return {b.name: flat[b.offset : b.offset + b.length].reshape(b.shape) for b in plan}
+    """Name -> shaped view of each parameter block of the stacked ``flat``.
+
+    ``flat`` is (N, P), one client per row.  A matrix block is viewed as
+    (N, rows, cols) and a vector block as (N, 1, width), so that it
+    broadcasts over a (N, B, width) batch.  The views write through.
+    """
+    n = flat.shape[0]
+    return {b.name: flat[:, b.offset : b.offset + b.length].reshape(n, -1, b.shape[-1])
+            for b in plan}
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """Each client's matrix transposed: (N, r, c) -> (N, c, r), a view."""
+    return a.swapaxes(1, 2)
 
 
 def _as_batch(cfg: ForecasterConfig, windows: np.ndarray) -> np.ndarray:
@@ -181,40 +210,63 @@ def _checked_batch(
     return batch, targets
 
 
+def _lstm_cell(x, h, c, wx, wh, b, width: int):
+    """One LSTM step: gates i, f, g, o, the new cell state and its tanh."""
+    pre = x @ wx
+    pre += h @ wh
+    pre += b
+    gi = _sigmoid(pre[..., 0 * width : 1 * width])
+    gf = _sigmoid(pre[..., 1 * width : 2 * width])
+    gg = np.tanh(pre[..., 2 * width : 3 * width])
+    go = _sigmoid(pre[..., 3 * width : 4 * width])
+    c = gf * c + gi * gg
+    return gi, gf, gg, go, c, np.tanh(c)
+
+
+def _lstm_cell_backward(x, h_prev, c_prev, wx, wh, b, width: int, dh, dc):
+    """Gradients w.r.t. one step's pre-activations and its input cell
+    state, from those w.r.t. its outputs h and c.  The gates are
+    recomputed from the cached states with the forward's own operands,
+    so they are the forward's bytes."""
+    gi, gf, gg, go, _, tc = _lstm_cell(x, h_prev, c_prev, wx, wh, b, width)
+    dc = dh * go * (1.0 - tc**2) + dc
+    d_pre = np.empty(x.shape[:2] + (4 * width,))
+    d_pre[..., 0 * width : 1 * width] = dc * gg * gi * (1.0 - gi)
+    d_pre[..., 1 * width : 2 * width] = dc * c_prev * gf * (1.0 - gf)
+    d_pre[..., 2 * width : 3 * width] = dc * gi * (1.0 - gg**2)
+    d_pre[..., 3 * width : 4 * width] = dh * tc * go * (1.0 - go)
+    return d_pre, dc * gf
+
+
 def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray):
-    """Predictions (batch, output_dim), the output layer's input, and the
-    activations the backward pass reads.
+    """Predictions (N, B, output_dim) of a stack of N clients on their
+    (N, B, history_len, features) batches, the output layer's input, and
+    the activations the backward pass reads.
 
     MLP: the flattened input and every hidden activation.  LSTM: per
-    layer, per timestep, (x, h_prev, c_prev, i, f, g, o, tanh(c)).
+    layer, the input sequence and the hidden and cell states of every
+    timestep (index 0 holds the zero initial states).
     """
-    n = batch.shape[0]
+    n, size = batch.shape[:2]
     if cfg.arch == "mlp":
-        acts = [batch.reshape(n, -1)]
+        acts = [batch.reshape(n, size, cfg.history_len * cfg.features)]
         for i in range(len(cfg.hidden_sizes)):
             acts.append(np.tanh(acts[-1] @ w[f"hidden{i}.w"] + w[f"hidden{i}.b"]))
         return acts[-1] @ w["out.w"] + w["out.b"], acts[-1], acts
 
-    seq = [batch[:, t, :] for t in range(cfg.history_len)]
+    seq = [batch[:, :, t, :] for t in range(cfg.history_len)]
     cache = []
     for i, width in enumerate(cfg.hidden_sizes):
         wx, wh, b = w[f"lstm{i}.wx"], w[f"lstm{i}.wh"], w[f"lstm{i}.b"]
-        h = c = np.zeros((n, width))
-        steps, outputs = [], []
+        h = c = np.zeros((n, size, width))
+        hs, cs = [h], [c]
         for x in seq:
-            pre = x @ wx + h @ wh + b
-            gi = _sigmoid(pre[:, 0 * width : 1 * width])
-            gf = _sigmoid(pre[:, 1 * width : 2 * width])
-            gg = np.tanh(pre[:, 2 * width : 3 * width])
-            go = _sigmoid(pre[:, 3 * width : 4 * width])
-            h_prev, c_prev = h, c
-            c = gf * c + gi * gg
-            tc = np.tanh(c)
+            _, _, _, go, c, tc = _lstm_cell(x, h, c, wx, wh, b, width)
             h = go * tc
-            steps.append((x, h_prev, c_prev, gi, gf, gg, go, tc))
-            outputs.append(h)
-        cache.append(steps)
-        seq = outputs
+            hs.append(h)
+            cs.append(c)
+        cache.append((seq, hs, cs))
+        seq = hs[1:]
     return seq[-1] @ w["out.w"] + w["out.b"], seq[-1], cache
 
 
@@ -228,49 +280,46 @@ def _backward(
 ) -> None:
     """Add the parameter gradients to the zeroed blocks ``g``, from
     d loss / d predictions: backprop for the MLP, backprop through time
-    over the stacked layers for the LSTM.
+    over the stacked layers for the LSTM.  Every array carries the
+    client axis first, and no operation mixes two clients.
 
     The floating-point order is part of the contract: products run left
     to right, every block accumulates into zeros, and the LSTM blocks
     accumulate over timesteps from last to first.  Reordering moves the
     gradients by rounding, and with them every byte of a run's reports.
     """
-    g["out.w"] += head_in.T @ d_pred
-    g["out.b"] += d_pred.sum(axis=0)
+    g["out.w"] += _mT(head_in) @ d_pred
+    g["out.b"] += d_pred.sum(axis=1, keepdims=True)
 
     if cfg.arch == "mlp":
         d, w_above = d_pred, w["out.w"]
         for i in reversed(range(len(cfg.hidden_sizes))):
-            d = (d @ w_above.T) * (1.0 - cache[i + 1] ** 2)
-            g[f"hidden{i}.w"] += cache[i].T @ d
-            g[f"hidden{i}.b"] += d.sum(axis=0)
+            d = (d @ _mT(w_above)) * (1.0 - cache[i + 1] ** 2)
+            g[f"hidden{i}.w"] += _mT(cache[i]) @ d
+            g[f"hidden{i}.b"] += d.sum(axis=1, keepdims=True)
             w_above = w[f"hidden{i}.w"]
         return
 
     # gradient reaching each output of the layer from above
-    d_out = [0.0] * (cfg.history_len - 1) + [d_pred @ w["out.w"].T]
+    d_out = [0.0] * (cfg.history_len - 1) + [d_pred @ _mT(w["out.w"])]
     for i in reversed(range(len(cfg.hidden_sizes))):
-        wx, wh = w[f"lstm{i}.wx"], w[f"lstm{i}.wh"]
+        wx, wh, b = w[f"lstm{i}.wx"], w[f"lstm{i}.wh"], w[f"lstm{i}.b"]
         g_wx, g_wh, g_b = g[f"lstm{i}.wx"], g[f"lstm{i}.wh"], g[f"lstm{i}.b"]
-        width = wh.shape[0]
+        width = wh.shape[1]
+        seq, hs, cs = cache[i]
         d_in = [None] * cfg.history_len
         dh = dc = 0.0
         for t in reversed(range(cfg.history_len)):
-            x, h_prev, c_prev, gi, gf, gg, go, tc = cache[i][t]
             dh = d_out[t] + dh
-            dc = dh * go * (1.0 - tc**2) + dc
-            d_pre = np.empty((x.shape[0], 4 * width))
-            d_pre[:, 0 * width : 1 * width] = dc * gg * gi * (1.0 - gi)
-            d_pre[:, 1 * width : 2 * width] = dc * c_prev * gf * (1.0 - gf)
-            d_pre[:, 2 * width : 3 * width] = dc * gi * (1.0 - gg**2)
-            d_pre[:, 3 * width : 4 * width] = dh * tc * go * (1.0 - go)
-            g_wx += x.T @ d_pre
-            g_wh += h_prev.T @ d_pre
-            g_b += d_pre.sum(axis=0)
+            d_pre, dc = _lstm_cell_backward(seq[t], hs[t], cs[t], wx, wh, b, width, dh, dc)
+            g_wx += _mT(seq[t]) @ d_pre
+            g_wh += _mT(hs[t]) @ d_pre
+            g_b += d_pre.sum(axis=1, keepdims=True)
             if i:
-                d_in[t] = d_pre @ wx.T
-            dh = d_pre @ wh.T
-            dc = dc * gf
+                d_in[t] = d_pre @ _mT(wx)
+            dh = d_pre @ _mT(wh)
+            # freed before the next step's recompute, which lowers the peak
+            del d_pre
         d_out = d_in
 
 
@@ -282,7 +331,8 @@ def forward_batch(model: ForecasterModel, windows: np.ndarray) -> np.ndarray:
     """
     cfg = model.config
     batch = _as_batch(cfg, windows)
-    pred, _, _ = _forward(cfg, _blocks(layer_plan(cfg), model.params.values), batch)
+    w = _blocks(layer_plan(cfg), model.params.values[np.newaxis])
+    pred = _forward(cfg, w, batch[np.newaxis])[0][0]
     if not np.all(np.isfinite(pred)):
         raise NumericError("forward produced non-finite predictions")
     return pred.reshape(batch.shape[0], cfg.horizon, len(cfg.quantiles))
@@ -313,31 +363,44 @@ def pinball_loss(pred: np.ndarray, target: np.ndarray, quantiles: Sequence[float
 
 def task_loss_and_gradient(
     cfg: ForecasterConfig, values: np.ndarray, batch: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean pinball loss of flat ``values`` on a checked batch, and its flat gradient."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean pinball losses (N,) and flat gradients (N, P) of a stack of N clients.
+
+    Row k of ``values`` (N, P) is client k's flat parameters, scored on
+    its own checked batch: row k of ``batch`` (N, B, history_len,
+    features) and ``targets`` (N, B, horizon).  No operation mixes two
+    rows, so each row is bit-identical to a stack of that client alone.
+    """
     plan = layer_plan(cfg)
     w = _blocks(plan, values)
     pred, head_in, cache = _forward(cfg, w, batch)
-    diff = pred - np.repeat(targets, len(cfg.quantiles), axis=1)
+    diff = pred - np.repeat(targets, len(cfg.quantiles), axis=2)
     weights = _pinball_weights(diff, np.tile(cfg.quantiles, cfg.horizon))
-    scale = 1.0 / diff.size
+    scale = 1.0 / diff[0].size
     grad = np.zeros_like(values)
     _backward(cfg, w, _blocks(plan, grad), head_in, cache, scale * weights)
-    return float((diff * weights).sum() * scale), grad
+    return (diff * weights).reshape(len(values), -1).sum(axis=1) * scale, grad
+
+
+def _one_client(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray):
+    """Loss and gradient of one model on one batch, as a stack of one."""
+    batch, targets = _checked_batch(model.config, windows, targets)
+    losses, grads = task_loss_and_gradient(
+        model.config, model.params.values[np.newaxis], batch[np.newaxis], targets[np.newaxis]
+    )
+    return float(losses[0]), grads[0]
 
 
 def task_loss(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray) -> float:
     """Mean pinball loss of the model on a batch."""
-    batch, targets = _checked_batch(model.config, windows, targets)
-    return task_loss_and_gradient(model.config, model.params.values, batch, targets)[0]
+    return _one_client(model, windows, targets)[0]
 
 
 def task_gradient(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Gradient of the mean pinball loss w.r.t. all parameters, flat."""
     if np.asarray(windows).size == 0:
         raise UsageError("task_gradient needs a non-empty batch")
-    batch, targets = _checked_batch(model.config, windows, targets)
-    return task_loss_and_gradient(model.config, model.params.values, batch, targets)[1]
+    return _one_client(model, windows, targets)[1]
 
 
 def fedprox_gradient(
@@ -354,42 +417,85 @@ def fedprox_gradient(
     return grad + mu * (model.params.values - global_params.values)
 
 
-def local_train(
-    model: ForecasterModel,
-    data,
-    global_params: ParameterVector,
+def _require_finite(ids: list[str], ok: np.ndarray, what: str) -> None:
+    if not ok.all():
+        raise NumericError(f"{what} for clients {[c for c, fine in zip(ids, ok) if not fine]}")
+
+
+def _train_stack(
     cfg: ForecasterConfig,
-    rng: np.random.Generator,
-) -> tuple[ForecasterModel, float]:
-    """Mini-batch SGD on the proximally regularized objective.
-
-    ``data`` must expose ``inputs`` (n, history_len[, features]) and
-    ``targets`` (n, horizon).  Runs ``cfg.local_epochs`` passes; batch
-    order is drawn from the client's own rng stream.  The proximal pull
-    mu * (w - w_global) is added to every mini-batch gradient exactly.
-    Returns the trained model and the mean mini-batch task loss.
-    """
-    model_cfg = model.config
-    batch, targets = _checked_batch(model_cfg, data.inputs, data.targets)
-    n = batch.shape[0]
-    if n == 0:
-        raise UsageError("local_train called with an empty dataset")
-    if model.params.spec != global_params.spec:
-        raise StructuralError("model and global parameters use different layer specs")
-
-    anchor = global_params.values
-    values = model.params.values.copy()
+    ids: list[str],
+    batch: np.ndarray,
+    targets: np.ndarray,
+    values: np.ndarray,
+    anchor: np.ndarray,
+    rngs: list[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """SGD for clients with equally many windows; trained (N, P) values
+    and the (N, steps) mini-batch losses."""
+    n = batch.shape[1]
+    rows = np.arange(len(ids))[:, np.newaxis]
     losses = []
     for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grad = task_loss_and_gradient(model_cfg, values, batch[idx], targets[idx])
-            if not np.isfinite(loss):
-                raise NumericError("non-finite training loss")
+            idx = order[:, start : start + cfg.batch_size]
+            loss, grad = task_loss_and_gradient(cfg, values, batch[rows, idx], targets[rows, idx])
+            _require_finite(ids, np.isfinite(loss), "non-finite training loss")
             losses.append(loss)
             grad += cfg.prox_mu * (values - anchor)
             values = values - cfg.local_lr * grad
-            if not np.all(np.isfinite(values)):
-                raise NumericError("non-finite parameters after gradient step")
-    return model.with_params(values), float(np.mean(losses))
+            _require_finite(
+                ids, np.isfinite(values).all(axis=1), "non-finite parameters after gradient step"
+            )
+    return values, np.stack(losses, axis=1)
+
+
+def local_train(
+    models: Mapping[str, ForecasterModel],
+    data: Mapping[str, object],
+    global_params: ParameterVector,
+    cfg: ForecasterConfig,
+    rngs: Mapping[str, np.random.Generator],
+) -> dict[str, tuple[ForecasterModel, float]]:
+    """Mini-batch SGD on the proximally regularized objective, for every
+    client at once.
+
+    ``models``, ``data`` and ``rngs`` are keyed by client id, and every
+    model must use ``cfg``.  Each ``data[cid]`` exposes ``inputs``
+    (n, history_len[, features]) and ``targets`` (n, horizon).  Each
+    client runs ``cfg.local_epochs`` passes whose batch order is drawn
+    from its own rng stream, and the proximal pull mu * (w - w_global)
+    is added to every mini-batch gradient exactly.  Clients with equally
+    many windows train as one stacked pass; every client's result is
+    bit-identical to training it alone.  Returns client id -> (trained
+    model, mean mini-batch task loss).
+    """
+    if global_params.spec != build_spec(cfg):
+        raise StructuralError("global parameters do not match the configured architecture")
+    sets: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for cid in sorted(models):
+        # a model's spec matches its config, so this also checks the spec
+        if models[cid].config != cfg:
+            raise StructuralError(f"client {cid!r}: model config differs from the training config")
+        sets[cid] = _checked_batch(cfg, data[cid].inputs, data[cid].targets)
+        if not len(sets[cid][0]):
+            raise UsageError(f"client {cid!r}: local_train called with an empty dataset")
+
+    stacks: dict[int, list[str]] = {}
+    for cid, (batch, _) in sets.items():
+        stacks.setdefault(len(batch), []).append(cid)
+    out = {}
+    for ids in stacks.values():
+        values, losses = _train_stack(
+            cfg,
+            ids,
+            np.stack([sets[c][0] for c in ids]),
+            np.stack([sets[c][1] for c in ids]),
+            np.stack([models[c].params.values for c in ids]),
+            global_params.values,
+            [rngs[c] for c in ids],
+        )
+        for k, cid in enumerate(ids):
+            out[cid] = models[cid].with_params(values[k]), float(np.mean(losses[k]))
+    return out

@@ -178,6 +178,14 @@ def comm_cost(n_clients: int, spec, aggregator_kind: str) -> dict:
     return round_traffic(n_clients, total_params(spec), head_length(spec), aggregator_kind)
 
 
+def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
+    """An independent generator in the same state."""
+    # seeded only to skip drawing OS entropy; the state is overwritten
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
+
+
 def _select_participants(state: RoundState, hyper: HyperParams) -> list[str]:
     ids = sorted(state.client_models)
     if hyper.participation >= 1.0 or len(ids) == 1:
@@ -208,26 +216,38 @@ def run_round(
         if cid not in train_data or len(train_data[cid]) == 0:
             raise UsageError(f"client {cid!r} has no training data")
 
-    new_state = copy.deepcopy(state)
+    # the new state is built from the parts a round changes, so the
+    # caller's state is never written: models and parameter vectors are
+    # never written in place and are shared, while the rngs advance in
+    # place and are copied
+    new_state = RoundState(
+        round_index=state.round_index,
+        global_params=state.global_params,
+        client_models=dict(state.client_models),
+        client_rngs={cid: _copy_rng(rng) for cid, rng in state.client_rngs.items()},
+        server_rng=_copy_rng(state.server_rng),
+    )
     # the meta step runs on a copy until the round can no longer fail
     server = copy.deepcopy(aggregator) if kind in ("game", "single_attention") else aggregator
     spec = new_state.global_params.spec
     participants = _select_participants(new_state, hyper)
 
+    trained = local_train(
+        {cid: new_state.client_models[cid] for cid in participants},
+        train_data,
+        new_state.global_params,
+        new_state.client_models[participants[0]].config,
+        new_state.client_rngs,
+    )
     deltas: dict[str, DeltaUpdate] = {}
     train_losses: dict[str, float] = {}
     for cid in participants:
-        model = new_state.client_models[cid]
-        trained, loss = local_train(
-            model, train_data[cid], new_state.global_params, model.config,
-            new_state.client_rngs[cid],
-        )
+        model, train_losses[cid] = trained[cid]
         deltas[cid] = compute_delta(
-            trained.params, new_state.global_params,
+            model.params, new_state.global_params,
             round_index=new_state.round_index, client_id=cid,
         )
-        train_losses[cid] = loss
-        new_state.client_models[cid] = trained
+        new_state.client_models[cid] = model
 
     if kind != "local_only":
         new_state.global_params = add_scaled(

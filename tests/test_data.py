@@ -69,6 +69,30 @@ def test_load_csv_fills_single_gap_with_zero(tmp_path):
     np.testing.assert_array_equal(shards[0].values, [1.0, 2.0, 0.0, 4.0])
 
 
+def test_load_csv_fills_gap_as_long_as_the_station(tmp_path):
+    path = write(tmp_path / "gap3.csv", (
+        "timestamp,station_id,demand_kwh\n"
+        "2024-01-01T00:00:00,a,1.0\n"
+        "2024-01-01T00:05:00,a,2.0\n"
+        "2024-01-01T00:25:00,a,3.0\n"
+    ))
+    shards = load_csv(path)
+    np.testing.assert_array_equal(shards[0].values, [1.0, 2.0, 0.0, 0.0, 0.0, 3.0])
+
+
+def test_load_csv_rejects_mistyped_year_gap_with_line_number(tmp_path):
+    path = write(tmp_path / "year.csv", (
+        "timestamp,station_id,demand_kwh\n"
+        "2024-01-01T00:00:00,a,1.0\n"
+        "2024-01-01T00:05:00,a,2.0\n"
+        "2025-01-01T00:10:00,a,3.0\n"
+        "2024-01-01T00:15:00,a,4.0\n"
+    ))
+    # 00:15 to 00:10 a (leap) year later is 105407 steps of 5 minutes
+    with pytest.raises(FormatError, match=r"line 4: .* 105406 zeros, more than the 4 rows"):
+        load_csv(path)
+
+
 def test_load_csv_missing_column_names_it(tmp_path):
     path = write(tmp_path / "m.csv", "timestamp,station_id\n2024-01-01T00:00:00,a\n")
     with pytest.raises(FormatError, match="demand_kwh"):

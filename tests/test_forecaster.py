@@ -1,8 +1,11 @@
 """Tests for the quantile forecasters and local training."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import fedgame.forecaster
 from fedgame.errors import ConfigError, NumericError, StructuralError, UsageError
 from fedgame.forecaster import (
     ForecasterConfig,
@@ -15,6 +18,7 @@ from fedgame.forecaster import (
     pinball_loss,
     task_gradient,
     task_loss,
+    task_loss_and_gradient,
 )
 from fedgame.params import ParameterVector, head_length, total_params
 
@@ -293,8 +297,8 @@ def test_local_train_single_step_matches_hand_computation():
     expected = model.params.values - cfg.local_lr * grad
 
     trained, loss = local_train(
-        model, Batch(windows, targets), anchor, cfg, np.random.default_rng(0)
-    )
+        {"c": model}, {"c": Batch(windows, targets)}, anchor, cfg, {"c": np.random.default_rng(0)}
+    )["c"]
     np.testing.assert_allclose(trained.params.values, expected, rtol=0, atol=1e-12)
     assert loss == pytest.approx(task_loss(model, windows, targets), abs=1e-12)
 
@@ -307,8 +311,10 @@ def test_local_train_is_deterministic_in_the_rng():
     windows = rng.normal(size=(7, cfg.history_len))
     targets = rng.normal(size=(7, cfg.horizon))
     data = Batch(windows, targets)
-    a, loss_a = local_train(model, data, anchor, cfg, np.random.default_rng(42))
-    b, loss_b = local_train(model, data, anchor, cfg, np.random.default_rng(42))
+    a, loss_a = local_train({"c": model}, {"c": data}, anchor, cfg,
+                            {"c": np.random.default_rng(42)})["c"]
+    b, loss_b = local_train({"c": model}, {"c": data}, anchor, cfg,
+                            {"c": np.random.default_rng(42)})["c"]
     np.testing.assert_array_equal(a.params.values, b.params.values)
     assert loss_a == loss_b
 
@@ -320,7 +326,8 @@ def test_large_mu_contracts_toward_anchor():
     rng = np.random.default_rng(21)
     data = Batch(rng.normal(size=(4, cfg.history_len)), rng.normal(size=(4, cfg.horizon)))
     start = np.linalg.norm(model.params.values - anchor.values)
-    trained, _ = local_train(model, data, anchor, cfg, np.random.default_rng(1))
+    trained, _ = local_train({"c": model}, {"c": data}, anchor, cfg,
+                             {"c": np.random.default_rng(1)})["c"]
     end = np.linalg.norm(trained.params.values - anchor.values)
     assert end < start
 
@@ -330,7 +337,102 @@ def test_local_train_rejects_empty_dataset():
     model = init_forecaster(cfg, np.random.default_rng(22))
     empty = Batch(np.zeros((0, cfg.history_len)), np.zeros((0, cfg.horizon)))
     with pytest.raises(UsageError):
-        local_train(model, empty, model.params, cfg, np.random.default_rng(0))
+        local_train({"c": model}, {"c": empty}, model.params, cfg,
+                    {"c": np.random.default_rng(0)})
+
+
+# Architectures for the stacked pass; each runs every stack size with
+# every batch size below, and features=2 reaches the input-feature path.
+STACK_CASES = [
+    dict(hidden_sizes=(32,)),
+    dict(hidden_sizes=(8, 5), features=2),
+    dict(hidden_sizes=(3,)),
+    dict(arch="lstm", hidden_sizes=(16,)),
+    dict(arch="lstm", hidden_sizes=(6, 4), features=2),
+    dict(arch="lstm", hidden_sizes=(2,)),
+]
+
+
+def test_stacked_loss_and_gradient_equal_each_client_alone():
+    rng = np.random.default_rng(40)
+    for overrides in STACK_CASES:
+        cfg = small_config(**overrides)
+        spec = build_spec(cfg)
+        for n, size in itertools.product((1, 3, 8, 32), (1, 7, 32)):
+            values = rng.uniform(-0.5, 0.5, size=(n, total_params(spec)))
+            batch = rng.normal(size=(n, size, cfg.history_len, cfg.features))
+            targets = rng.normal(size=(n, size, cfg.horizon))
+            losses, grads = task_loss_and_gradient(cfg, values, batch, targets)
+            assert losses.shape == (n,) and grads.shape == values.shape
+            for k in range(n):
+                model = ForecasterModel(ParameterVector(values[k], spec), cfg)
+                case = (overrides, n, size, k)
+                assert task_loss(model, batch[k], targets[k]) == losses[k], case
+                grad = task_gradient(model, batch[k], targets[k])
+                assert grad.tobytes() == grads[k].tobytes(), case
+
+
+def test_local_train_stacks_are_bit_identical_to_one_client_at_a_time(monkeypatch):
+    sizes = {"a": 11, "b": 6, "c": 11, "d": 11, "e": 6}
+    for overrides in (dict(hidden_sizes=(5,)), dict(arch="lstm", hidden_sizes=(4, 3))):
+        cfg = small_config(local_epochs=2, batch_size=4, local_lr=0.05, **overrides)
+        anchor = init_forecaster(cfg, np.random.default_rng(50)).params
+        models = {c: init_forecaster(cfg, np.random.default_rng(51 + i))
+                  for i, c in enumerate(sizes)}
+        rng = np.random.default_rng(60)
+        data = {c: Batch(rng.normal(size=(n, cfg.history_len)), rng.normal(size=(n, cfg.horizon)))
+                for c, n in sizes.items()}
+
+        def streams():
+            return {c: np.random.default_rng(70 + i) for i, c in enumerate(sizes)}
+
+        stack_sizes = []
+        stacked = fedgame.forecaster.task_loss_and_gradient
+
+        def spy(cfg, values, batch, targets):
+            stack_sizes.append(len(values))
+            return stacked(cfg, values, batch, targets)
+
+        monkeypatch.setattr(fedgame.forecaster, "task_loss_and_gradient", spy)
+        together_rngs = streams()
+        together = local_train(models, data, anchor, cfg, together_rngs)
+        monkeypatch.undo()
+        # 11 windows in batches of 4 is 3 steps an epoch, 6 windows 2 steps
+        assert sorted(stack_sizes) == [2] * 4 + [3] * 6
+        assert sorted(together) == sorted(sizes)
+        alone_rngs = streams()
+        for cid in sizes:
+            model, loss = local_train({cid: models[cid]}, {cid: data[cid]}, anchor, cfg,
+                                      {cid: alone_rngs[cid]})[cid]
+            assert together[cid][0].params.values.tobytes() == model.params.values.tobytes()
+            assert together[cid][1] == loss
+            assert (together_rngs[cid].bit_generator.state
+                    == alone_rngs[cid].bit_generator.state)
+
+
+def test_non_finite_loss_names_the_client():
+    cfg = small_config()
+    anchor = init_forecaster(cfg, np.random.default_rng(80)).params
+    rng = np.random.default_rng(81)
+    data = {c: Batch(rng.normal(size=(5, cfg.history_len)), rng.normal(size=(5, cfg.horizon)))
+            for c in ("a", "b", "c")}
+    data["b"].targets[2, 0] = np.inf
+    models = {c: init_forecaster(cfg, np.random.default_rng(82)) for c in data}
+    with pytest.raises(NumericError, match=r"non-finite training loss for clients \['b'\]$"):
+        local_train(models, data, anchor, cfg, {c: np.random.default_rng(83) for c in data})
+
+
+def test_local_train_rejects_mismatched_configs():
+    cfg = small_config()
+    model = init_forecaster(cfg, np.random.default_rng(85))
+    other = init_forecaster(small_config(local_lr=0.1), np.random.default_rng(84))
+    wider = init_forecaster(small_config(hidden_sizes=(7,)), np.random.default_rng(87))
+    data = Batch(np.zeros((2, cfg.history_len)), np.zeros((2, cfg.horizon)))
+    rngs = {c: np.random.default_rng(86) for c in "ab"}
+    with pytest.raises(StructuralError, match="'b'"):
+        local_train({"a": model, "b": other}, {"a": data, "b": data}, model.params, cfg, rngs)
+    with pytest.raises(StructuralError, match="global parameters"):
+        local_train({"a": model}, {"a": data}, wider.params, cfg, rngs)
 
 
 def test_mismatched_specs_are_rejected():
