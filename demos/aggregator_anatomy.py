@@ -18,7 +18,7 @@ from fedgame import (
     register_client,
     train_step,
 )
-from fedgame.aggregator import encode, expert_scores, gate_logits, gate_weights
+from fedgame.aggregator import encode, expert_scores
 
 rng = np.random.default_rng(3)
 cfg = AggregatorConfig(embed_dim=6, num_experts=4, top_k=2, noise_enabled=False)
@@ -40,9 +40,12 @@ print("embedding norms:", {c: round(float(np.linalg.norm(e)), 3)
                            for c, e in embeddings.items()})
 
 # Stage 2: per-client gates pick top-k experts and softmax their logits.
-logits = gate_logits(state, "a", embeddings["a"], training=False)
-mix = gate_weights(logits, cfg.top_k)
-print(f"client a logits {np.round(logits, 3)} -> expert mix {np.round(mix, 3)}")
+# One batched pass runs every stage for all clients; its attention rows
+# report each client's gate logits and the expert mix they selected.
+pers, rows = aggregate_game(state, deltas)
+row = rows[0]
+logits, mix = row.logits, row.expert_mix
+print(f"client {row.client_id} logits {np.round(logits, 3)} -> expert mix {np.round(mix, 3)}")
 print(f"nonzero experts: {np.count_nonzero(mix)} of {cfg.num_experts}")
 
 # Stage 3: every expert scores every neighbor's embedding (the bias-free
@@ -54,8 +57,6 @@ print("client a's logits for b and c:", np.round(scores @ mix, 3))
 
 # Stage 4: a softmax over those logits is the attention, and the
 # personalized delta blends own and neighbor updates with it.
-pers, rows = aggregate_game(state, deltas)
-row = rows[0]
 print("client a attends to",
       {j: round(float(w), 3) for j, w in zip(row.neighbor_ids, row.weights)})
 for cid in sorted(pers):

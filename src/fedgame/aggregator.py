@@ -9,17 +9,21 @@ weights; and the personalized update blends the client's own delta with
 the attention-weighted neighbor deltas.
 
 All clients go through one batched forward over the N x h matrix of
-head deltas, rows in sorted client order.  The meta-loss gradient is a
-hand-derived backward through the same arrays.
+head deltas.  The meta-loss gradient is a hand-derived backward through
+the same arrays.
 
 Experts read only the neighbor's embedding, without the encoder bias.
 A term that depends on the scoring client alone is the same for every
 neighbor and cancels in the softmax over neighbors; the client's own
 embedding, an expert bias and the shared encoder bias are such terms.
 
-Relabeling clients permutes every output bit for bit.  Contractions
-that mix rows are sums of elementwise products taken in index order
-(no BLAS), and sums over neighbors add their terms in sorted order.
+Relabeling clients permutes every output bit for bit.  Each batch runs
+in a canonical order set by content: clients sorted by the raw bytes of
+their head delta and gate weights.  The forward, the backward and the
+noise draws follow it, so a relabeling changes no input of any numeric
+operation and plain ``@`` and sums, BLAS included, give the same bits.
+Clients whose keys tie have identical inputs.  Outputs are returned in
+sorted-id order.
 """
 
 from __future__ import annotations
@@ -153,9 +157,13 @@ def _require_gate(state: AggregatorState, client_id: str) -> GatePair:
 
 
 def _stack_deltas(
-    head_deltas: dict[str, np.ndarray], head_dim: int | None = None
+    head_deltas: dict[str, np.ndarray],
+    head_dim: int | None = None,
+    gates: dict[str, GatePair] | None = None,
 ) -> tuple[list[str], np.ndarray]:
-    """Sorted client ids and their head deltas as the rows of one matrix."""
+    """Client ids and their head deltas as the rows of one matrix, in
+    canonical order: by the bytes of each delta, then of the client's
+    gate weights if given (bytes tell 0.0 from -0.0); ties by id."""
     ids = sorted(head_deltas)
     rows = [np.asarray(head_deltas[i], dtype=np.float64).reshape(-1) for i in ids]
     head_dim = head_dim or (rows[0].size if rows else 0)
@@ -164,26 +172,22 @@ def _stack_deltas(
             raise StructuralError(
                 f"head delta of client {cid!r} has length {row.size}, expected {head_dim}"
             )
-    return ids, np.array(rows).reshape(len(ids), head_dim)
+    keys = [row.tobytes() for row in rows]
+    if gates is not None:
+        keys = [k + gates[c].weight.tobytes() + gates[c].noise.tobytes()
+                for k, c in zip(keys, ids)]
+    order = sorted(range(len(ids)), key=keys.__getitem__)
+    return [ids[r] for r in order], np.array([rows[r] for r in order]).reshape(len(ids), head_dim)
 
 
-def _contract(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise ``x @ w``; ``w`` is one matrix or one matrix per row.
-
-    Summed over the shared axis in index order, so each output row is
-    a function of its own input row alone, bit for bit.
-    """
-    return np.sum(x[:, :, np.newaxis] * w, axis=1)
-
-
-def _sorted_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 1 in ascending order, independent of row order."""
-    return np.sort(terms, axis=1).sum(axis=1)
+def _sorted_rows(ids: list[str]) -> list[int]:
+    """Row of each client of canonical ``ids``, listed in sorted-id order."""
+    return sorted(range(len(ids)), key=ids.__getitem__)
 
 
 def _encode(state: AggregatorState, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bias-free and affine embeddings of stacked head deltas."""
-    linear = _contract(deltas, state.encoder_w)
+    linear = deltas @ state.encoder_w
     return linear, linear + state.encoder_b
 
 
@@ -194,38 +198,21 @@ def encode(state: AggregatorState, head_delta: np.ndarray) -> np.ndarray:
 
 def expert_scores(state: AggregatorState, embeddings: np.ndarray) -> np.ndarray:
     """Every expert's score of every (bias-free) neighbor embedding, N x K."""
-    return _contract(np.atleast_2d(embeddings), state.experts_w.T)
+    return np.atleast_2d(embeddings) @ state.experts_w.T
 
 
 def _gate_logits(embeddings, gate_w, gate_noise, noise):
     """Gate logits and the noise-scale pre-activation (None without noise).
 
-    With ``noise`` draws the clean logits get ``noise`` times softplus
-    of a learned projection of the embedding.
+    Row r reads its own gate; ``noise`` draws add ``noise`` times
+    softplus of a learned projection of the embedding.
     """
-    clean = _contract(embeddings, gate_w)
+    rows = embeddings[:, np.newaxis, :]
+    clean = (rows @ gate_w)[:, 0]
     if noise is None:
         return clean, None
-    pre = _contract(embeddings, gate_noise)
+    pre = (rows @ gate_noise)[:, 0]
     return clean + noise * np.logaddexp(0.0, pre), pre
-
-
-def gate_logits(
-    state: AggregatorState, client_id: str, e_i: np.ndarray, training: bool = False
-) -> np.ndarray:
-    """Per-expert gate logits for one client.
-
-    During training the clean logits get additive Gaussian exploration
-    noise scaled elementwise by softplus of a learned projection; the
-    draw comes from the aggregator RNG.  Outside training the logits
-    are the clean term only, so shipped aggregations are reproducible.
-    """
-    gate = _require_gate(state, client_id)
-    e = np.asarray(e_i, dtype=np.float64).reshape(1, -1)
-    noise = None
-    if training and state.config.noise_enabled:
-        noise = state.rng.standard_normal((1, state.config.num_experts))
-    return _gate_logits(e, gate.weight[np.newaxis], gate.noise[np.newaxis], noise)[0][0]
 
 
 def top_k_mask(logits: np.ndarray, k: int) -> np.ndarray:
@@ -257,7 +244,7 @@ def _attention(scores: np.ndarray, temperature: float) -> np.ndarray:
         return np.zeros((n, n))
     z = np.where(np.eye(n, dtype=bool), -np.inf, scores)
     ez = np.exp((z - z.max(axis=1, keepdims=True)) / temperature)
-    return ez / _sorted_sum(ez)[:, np.newaxis]
+    return ez / ez.sum(axis=1, keepdims=True)
 
 
 def _blend(deltas: np.ndarray, attention: np.ndarray, w_self: float) -> np.ndarray:
@@ -267,16 +254,17 @@ def _blend(deltas: np.ndarray, attention: np.ndarray, w_self: float) -> np.ndarr
     """
     if len(deltas) < 2:
         return deltas.copy()
-    mixed = _sorted_sum(attention[:, :, np.newaxis] * deltas[np.newaxis, :, :])
-    return w_self * deltas + (1.0 - w_self) * mixed
+    return w_self * deltas + (1.0 - w_self) * (attention @ deltas)
 
 
 @dataclass
 class _Forward:
-    """Every array of one batched pass; rows follow ``ids``."""
+    """Every array of one batched pass; rows follow canonical ``ids``."""
 
     ids: list[str]
     deltas: np.ndarray
+    gate_w: np.ndarray
+    gate_noise: np.ndarray
     linear: np.ndarray
     embeddings: np.ndarray
     noise: np.ndarray | None
@@ -292,10 +280,9 @@ class _Forward:
 def _batch(
     state: AggregatorState, head_deltas: dict[str, np.ndarray]
 ) -> tuple[list[str], np.ndarray]:
-    """Sorted ids and stacked deltas of registered clients."""
-    for cid in head_deltas:
-        _require_gate(state, cid)
-    return _stack_deltas(head_deltas, state.head_dim)
+    """Canonical ids and stacked deltas of registered clients."""
+    gates = {cid: _require_gate(state, cid) for cid in head_deltas}
+    return _stack_deltas(head_deltas, state.head_dim, gates)
 
 
 def _forward(
@@ -320,10 +307,10 @@ def _forward(
         kept = top_k_mask(logits, cfg.top_k)
     mix = _masked_softmax(logits, kept)
     scores = expert_scores(state, linear)
-    attention = _attention(_contract(mix, scores.T), cfg.temperature)
+    attention = _attention(mix @ scores.T, cfg.temperature)
     return _Forward(
-        ids, deltas, linear, emb, noise, noise_pre, logits, kept, mix, scores, attention,
-        _blend(deltas, attention, cfg.w_self),
+        ids, deltas, gate_w, gate_noise, linear, emb, noise, noise_pre, logits, kept, mix,
+        scores, attention, _blend(deltas, attention, cfg.w_self),
     )
 
 
@@ -379,18 +366,17 @@ def _backward(state: AggregatorState, fw: _Forward) -> dict[str, np.ndarray]:
 
     grads = {name: np.zeros_like(arr) for name, arr in _parameters(state).items()}
     grads["experts.w"] = d_scores.T @ fw.linear
-    d_emb = np.zeros_like(fw.embeddings)
-    d_pre = None
+    emb = fw.embeddings[:, :, np.newaxis]
+    d_emb = (fw.gate_w @ d_logits[:, :, np.newaxis])[:, :, 0]
+    gate_grads = {"w": emb * d_logits[:, np.newaxis]}
     if fw.noise is not None:
         # d softplus(x) / dx = sigmoid(x) = exp(x - softplus(x))
         d_pre = d_logits * fw.noise * np.exp(fw.noise_pre - np.logaddexp(0.0, fw.noise_pre))
+        d_emb += (fw.gate_noise @ d_pre[:, :, np.newaxis])[:, :, 0]
+        gate_grads["noise"] = emb * d_pre[:, np.newaxis]
     for r, cid in enumerate(fw.ids):
-        gate = state.gates[cid]
-        grads[f"gate:{cid}.w"] = np.outer(fw.embeddings[r], d_logits[r])
-        d_emb[r] += gate.weight @ d_logits[r]
-        if d_pre is not None:
-            grads[f"gate:{cid}.noise"] = np.outer(fw.embeddings[r], d_pre[r])
-            d_emb[r] += gate.noise @ d_pre[r]
+        for part, grad in gate_grads.items():
+            grads[f"gate:{cid}.{part}"] = grad[r]
     grads["encoder.w"] = own.T @ (d_scores @ state.experts_w + d_emb)
     grads["encoder.b"] = d_emb.sum(axis=0)
     return grads
@@ -399,16 +385,17 @@ def _backward(state: AggregatorState, fw: _Forward) -> dict[str, np.ndarray]:
 def aggregate_game(
     state: AggregatorState, head_deltas: dict[str, np.ndarray]
 ) -> tuple[dict[str, np.ndarray], list[AttentionRow]]:
-    """Noise-free personalized deltas plus attention rows for every client."""
+    """Noise-free personalized deltas and attention rows, in sorted-id order."""
     fw = _forward(state, *_batch(state, head_deltas))
-    rows = []
-    for r, cid in enumerate(fw.ids):
-        others = [c for c in range(len(fw.ids)) if c != r]
-        rows.append(AttentionRow(
-            cid, tuple(fw.ids[c] for c in others), fw.attention[r, others],
-            fw.mix[r], fw.logits[r],
-        ))
-    return dict(zip(fw.ids, fw.personalized)), rows
+    n, back = len(fw.ids), _sorted_rows(fw.ids)
+    ids = [fw.ids[r] for r in back]
+    attention = fw.attention[np.ix_(back, back)][~np.eye(n, dtype=bool)]
+    weights = attention.reshape(n, max(n - 1, 0))
+    rows = [
+        AttentionRow(cid, tuple(ids[:s] + ids[s + 1:]), weights[s], fw.mix[r], fw.logits[r])
+        for s, (cid, r) in enumerate(zip(ids, back))
+    ]
+    return dict(zip(ids, fw.personalized[back])), rows
 
 
 def aggregate_single_attention(
@@ -430,7 +417,8 @@ def aggregate_mean(
 ) -> dict[str, np.ndarray]:
     """Fixed uniform neighbor averaging with the same self blend."""
     ids, deltas = _stack_deltas(head_deltas)
-    return dict(zip(ids, _blend(deltas, uniform_attention(len(ids)), w_self)))
+    personalized = _blend(deltas, uniform_attention(len(ids)), w_self)
+    return {ids[r]: personalized[r] for r in _sorted_rows(ids)}
 
 
 def flatten_parameters(state: AggregatorState) -> np.ndarray:
@@ -453,7 +441,16 @@ def load_parameters(state: AggregatorState, values: np.ndarray) -> None:
 
 def clean_top_k_masks(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> np.ndarray:
     """Noise-free top-k expert selection, one boolean row per sorted client."""
-    return _forward(state, *_batch(state, head_deltas)).kept
+    fw = _forward(state, *_batch(state, head_deltas))
+    return fw.kept[_sorted_rows(fw.ids)]
+
+
+def _pinned_forward(state, head_deltas, masks, noise) -> _Forward:
+    """Forward pass with ``masks`` and ``noise`` rows in sorted-id order."""
+    ids, deltas = _batch(state, head_deltas)
+    canonical = np.argsort(_sorted_rows(ids))
+    noise, masks = (None if a is None else np.asarray(a)[canonical] for a in (noise, masks))
+    return _forward(state, ids, deltas, noise, masks)
 
 
 def mean_meta_loss(
@@ -464,7 +461,7 @@ def mean_meta_loss(
 ) -> float:
     """Mean meta-loss; ``masks`` pins top-k selection, ``noise`` (N x K)
     fixes the gate noise draws (none by default)."""
-    fw = _forward(state, *_batch(state, head_deltas), noise, masks)
+    fw = _pinned_forward(state, head_deltas, masks, noise)
     return float(np.mean(_meta_losses(fw.personalized, fw.deltas, state.config.alpha,
                                       state.config.beta)))
 
@@ -477,7 +474,7 @@ def meta_gradient(
 ) -> np.ndarray:
     """Gradient of :func:`mean_meta_loss`, flattened like
     :func:`flatten_parameters`."""
-    grads = _backward(state, _forward(state, *_batch(state, head_deltas), noise, masks))
+    grads = _backward(state, _pinned_forward(state, head_deltas, masks, noise))
     return np.concatenate([g.reshape(-1) for g in grads.values()])
 
 
@@ -494,6 +491,7 @@ def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> fl
     ids, deltas = _batch(state, head_deltas)
     noise = None
     if cfg.noise_enabled:
+        # the one draw of gate noise: row r goes to canonical client r
         noise = state.rng.standard_normal((len(ids), cfg.num_experts))
     fw = _forward(state, ids, deltas, noise)
     loss = float(np.mean(_meta_losses(fw.personalized, fw.deltas, cfg.alpha, cfg.beta)))

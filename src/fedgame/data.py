@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -174,7 +173,9 @@ def make_windows(
     Splits cut the series by index, windows never straddle a boundary,
     and the z-score stats come from the train segment alone (std floored
     at 1e-8 so constant series normalize to zeros).  A segment too short
-    for a single window yields an empty dataset and a warning.
+    for a single window yields an empty dataset, without a warning:
+    ``run_experiment`` reads only ``train`` and ``test`` and rejects an
+    empty one with a ``ConfigError`` that names the clients.
     """
     if history_len < 1 or horizon < 1:
         raise ConfigError("history_len and horizon must be >= 1")
@@ -198,12 +199,6 @@ def make_windows(
     out = {}
     for name in SPLIT_NAMES:
         inputs, targets = _window_segment(segments[name], history_len, horizon, mean, std)
-        if inputs.shape[0] == 0 and splits[SPLIT_NAMES.index(name)] > 0:
-            warnings.warn(
-                f"shard {shard.client_id!r}: {name} segment of length "
-                f"{segments[name].size} is too short for any window",
-                stacklevel=2,
-            )
         out[name] = WindowedDataset(inputs=inputs, targets=targets, mean=mean, std=std)
     return out
 

@@ -1,5 +1,6 @@
 """Tests for the attention mixture-of-experts server aggregator."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from fedgame.aggregator import (
     encode,
     expert_scores,
     flatten_parameters,
-    gate_logits,
     gate_weights,
     init_aggregator,
     load_parameters,
@@ -26,6 +26,8 @@ from fedgame.aggregator import (
     register_client,
     top_k_mask,
     train_step,
+    _batch,
+    _forward,
 )
 from fedgame.errors import ConfigError, StructuralError, UsageError
 
@@ -105,46 +107,84 @@ def test_expert_scores_zero_and_sum_expert():
     assert score[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
+def noisy_logits(state, deltas, draws):
+    """Gate logits of the batched forward under fixed noise draws.
+
+    ``draws`` maps each client to its row of N(0, 1) draws, so the
+    result does not depend on the order the batch runs in.
+    """
+    ids, stacked = _batch(state, deltas)
+    fw = _forward(state, ids, stacked, np.array([draws[c] for c in ids]))
+    return dict(zip(fw.ids, fw.logits))
+
+
+def fixed_draws(state, clients, seed):
+    rng = np.random.default_rng(seed)
+    return {c: rng.standard_normal(state.config.num_experts) for c in clients}
+
+
 def test_gate_logits_clean_when_not_training():
-    state = make_state(seed=8)
-    e = np.random.default_rng(9).normal(size=4)
-    # the product is summed in index order, which makes it exact
-    clean = sum(e[d] * state.gates["a"].weight[d] for d in range(4))
-    np.testing.assert_array_equal(gate_logits(state, "a", e, training=False), clean)
+    state = make_state(seed=8, noise_enabled=True)
+    deltas = random_deltas(state, ("a", "b", "c"), seed=9)
+    rng_before = state.rng.bit_generator.state
+    rows = attention_rows(state, deltas)
+    # aggregation draws no noise, even with noise enabled
+    assert state.rng.bit_generator.state == rng_before
+    for cid, delta in deltas.items():
+        # re-derived entry by entry with exactly rounded sums
+        e = [
+            math.fsum(delta[i] * state.encoder_w[i, j] for i in range(6)) + state.encoder_b[j]
+            for j in range(4)
+        ]
+        gate = state.gates[cid].weight
+        clean = [math.fsum(e[d] * gate[d, k] for d in range(4)) for k in range(4)]
+        np.testing.assert_allclose(rows[cid].logits, clean, rtol=0, atol=1e-12)
 
 
 def test_gate_logits_noise_vanishes_with_negative_noise_projection():
     state = make_state(seed=10)
+    state.encoder_w[...] = 0.0
+    state.encoder_b[...] = 1.0
     state.gates["a"].noise[...] = -50.0
-    e = np.ones(4)
-    clean = e @ state.gates["a"].weight
-    noisy = gate_logits(state, "a", e, training=True)
-    np.testing.assert_allclose(noisy, clean, rtol=0, atol=1e-12)
+    deltas = random_deltas(state, ("a", "b", "c"), seed=11)
+    noisy = noisy_logits(state, deltas, fixed_draws(state, deltas, seed=12))
+    # every embedding is all ones, so the clean logits are the gate's column sums
+    clean = state.gates["a"].weight.sum(axis=0)
+    np.testing.assert_allclose(noisy["a"], clean, rtol=0, atol=1e-12)
+    assert np.max(np.abs(noisy["b"] - state.gates["b"].weight.sum(axis=0))) > 1e-3
 
 
 def test_gate_logits_zero_embedding_noise_scale_is_log2():
     state = make_state(seed=11)
-    draw_rng = np.random.default_rng(99)
-    state.rng = np.random.default_rng(99)
-    e = np.zeros(4)
-    noisy = gate_logits(state, "a", e, training=True)
-    eps = draw_rng.standard_normal(state.config.num_experts)
-    np.testing.assert_allclose(noisy, eps * math.log(2.0), rtol=0, atol=1e-12)
+    state.encoder_w[...] = 0.0
+    state.encoder_b[...] = 0.0
+    deltas = random_deltas(state, ("a", "b", "c"), seed=12)
+    draws = fixed_draws(state, deltas, seed=99)
+    noisy = noisy_logits(state, deltas, draws)
+    for cid in deltas:
+        np.testing.assert_allclose(noisy[cid], draws[cid] * math.log(2.0), rtol=0, atol=1e-12)
 
 
 def test_gate_logits_reproducible_for_fixed_seed():
     a = make_state(seed=12)
     b = make_state(seed=12)
-    e = np.random.default_rng(13).normal(size=4)
-    np.testing.assert_array_equal(
-        gate_logits(a, "b", e, training=True), gate_logits(b, "b", e, training=True)
-    )
+    deltas = random_deltas(a, ("a", "b", "c"), seed=13)
+    draws = fixed_draws(a, deltas, seed=14)
+    logits_a, logits_b = noisy_logits(a, deltas, draws), noisy_logits(b, deltas, draws)
+    for cid in deltas:
+        np.testing.assert_array_equal(logits_a[cid], logits_b[cid])
+
+    # train_step is the one place noise is drawn: one N x K block from the state's RNG
+    expected = copy.deepcopy(a.rng)
+    expected.standard_normal((3, a.config.num_experts))
+    train_step(a, deltas)
+    assert a.rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_gate_logits_requires_registration():
     state = make_state()
     with pytest.raises(UsageError):
-        gate_logits(state, "ghost", np.zeros(4))
+        aggregate_game(state, {"a": np.zeros(6), "ghost": np.zeros(6)})
 
 
 def test_gate_weights_uniform_onehot_and_hand_softmax():
@@ -354,6 +394,10 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
     )
     deltas = random_deltas(state, ("a", "b", "c"), seed=31)
     masks = clean_top_k_masks(state, deltas)
+    marker = copy.deepcopy(state)
+    for gate in marker.gates.values():
+        gate.noise[...] = np.nan
+    noise_entries = np.isnan(flatten_parameters(marker))
     # fixed gate noise draws exercise the softplus noise-scale term
     draws = np.random.default_rng(32).standard_normal((3, num_experts))
     for noise in (None, draws):
@@ -373,8 +417,15 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
             load_parameters(state, flat)
             numeric[i] = (hi - lo) / (2 * eps)
 
-        scale = np.maximum(np.abs(numeric), 1e-6)
-        assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
+        # an entry the loss does not read leaves it bit-identical: both
+        # sides must be exactly 0 there, and only there
+        zero = numeric == 0.0
+        np.testing.assert_array_equal(analytic == 0.0, zero)
+        if noise is None:
+            assert zero[noise_entries].all()
+        live = ~zero
+        scale = np.maximum(np.abs(numeric[live]), 1e-6)
+        assert np.max(np.abs(analytic[live] - numeric[live]) / scale) < 1e-4
 
 
 def test_train_step_identical_deltas_is_stationary():
@@ -510,3 +561,81 @@ def test_register_client_is_idempotent():
     before = state.gates["a"].weight.copy()
     register_client(state, "a")
     np.testing.assert_array_equal(state.gates["a"].weight, before)
+
+
+def renamed_state(state, mapping):
+    """A deep copy of ``state`` with every client-keyed entry renamed."""
+    renamed = copy.deepcopy(state)
+    renamed.gates = {mapping[c]: gate for c, gate in renamed.gates.items()}
+    for slots in (renamed.adam_m, renamed.adam_v):
+        for c in mapping:
+            for part in ("w", "noise"):
+                if f"gate:{c}.{part}" in slots:
+                    slots[f"gate:{mapping[c]}.{part}"] = slots.pop(f"gate:{c}.{part}")
+    return renamed
+
+
+def assert_renamed_exactly(state, renamed, deltas, mapping):
+    """Parameters, Adam slots and the next aggregations agree bit for bit."""
+    for name in ("encoder_w", "encoder_b", "experts_w"):
+        np.testing.assert_array_equal(getattr(state, name), getattr(renamed, name))
+    for c, new in mapping.items():
+        np.testing.assert_array_equal(state.gates[c].weight, renamed.gates[new].weight)
+        np.testing.assert_array_equal(state.gates[c].noise, renamed.gates[new].noise)
+    as_renamed = renamed_state(state, mapping)
+    for slots, renamed_slots in ((as_renamed.adam_m, renamed.adam_m),
+                                 (as_renamed.adam_v, renamed.adam_v)):
+        assert slots.keys() == renamed_slots.keys()
+        for name in slots:
+            np.testing.assert_array_equal(slots[name], renamed_slots[name])
+
+    renamed_deltas = {mapping[c]: d for c, d in deltas.items()}
+    mean = aggregate_mean(deltas, state.config.w_self)
+    mean2 = aggregate_mean(renamed_deltas, state.config.w_self)
+    pers, rows = aggregate_game(state, deltas)
+    pers2, rows2 = aggregate_game(renamed, renamed_deltas)
+    rows2 = {r.client_id: r for r in rows2}
+    for row in rows:
+        new = rows2[mapping[row.client_id]]
+        np.testing.assert_array_equal(pers[row.client_id], pers2[new.client_id])
+        np.testing.assert_array_equal(mean[row.client_id], mean2[new.client_id])
+        np.testing.assert_array_equal(row.logits, new.logits)
+        np.testing.assert_array_equal(row.expert_mix, new.expert_mix)
+        weights = dict(zip(new.neighbor_ids, new.weights))
+        np.testing.assert_array_equal(row.weights, [weights[mapping[j]] for j in row.neighbor_ids])
+
+
+@pytest.mark.parametrize("noise_enabled", [True, False])
+def test_trained_aggregator_is_exactly_relabeling_equivariant(noise_enabled):
+    clients = [f"c{i:03d}" for i in range(120)]
+    rng = np.random.default_rng(60)
+    mapping = dict(zip(clients, (f"r{i:03d}" for i in rng.permutation(120))))
+    state = make_state(head_dim=8, clients=clients, seed=61, noise_enabled=noise_enabled)
+    renamed = renamed_state(state, mapping)
+    for step in range(3):
+        deltas = random_deltas(state, clients, seed=62 + step)
+        loss = train_step(state, deltas)
+        assert train_step(renamed, {mapping[c]: d for c, d in deltas.items()}) == loss
+    assert_renamed_exactly(state, renamed, deltas, mapping)
+
+
+@pytest.mark.parametrize("noise_enabled", [True, False])
+def test_relabeling_with_tied_clients(noise_enabled):
+    """Two clients with the same delta and gates have identical inputs;
+    their ids only decide which of the two tied rows each one takes."""
+    clients = ("a", "b", "c", "d", "e")
+    state = make_state(clients=clients, seed=63, noise_enabled=noise_enabled)
+    state.gates["d"] = copy.deepcopy(state.gates["b"])
+    deltas = random_deltas(state, clients, seed=64)
+    deltas["d"] = deltas["b"].copy()
+    pers, _ = aggregate_game(state, deltas)
+    np.testing.assert_allclose(pers["b"], pers["d"], rtol=1e-14, atol=0)
+
+    # the rename puts d's new id before b's, so the two trade rows
+    mapping = {"a": "v", "b": "z", "c": "x", "d": "y", "e": "w"}
+    renamed = renamed_state(state, mapping)
+    for step in range(3):
+        step_deltas = {c: d + 0.1 * step for c, d in deltas.items()}
+        train_step(state, step_deltas)
+        train_step(renamed, {mapping[c]: d for c, d in step_deltas.items()})
+    assert_renamed_exactly(state, renamed, deltas, {**mapping, "b": "y", "d": "z"})

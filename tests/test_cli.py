@@ -266,8 +266,7 @@ def test_series_too_short_for_a_test_window_exits_two(tmp_path, capsys):
         **SMALL, "series_length": 40, "history_len": 12,
         "output_dir": str(tmp_path / "out"),
     })
-    with pytest.warns(UserWarning):
-        assert main(["run", path]) == 2
+    assert main(["run", path]) == 2
     err = capsys.readouterr().err
     assert "1 error(s)" in err and "client00" in err and "test window" in err
     assert not (tmp_path / "out").exists()

@@ -169,7 +169,6 @@ def test_windows_never_leak_future_values():
             assert window.max() < target.min()
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_split_sizes_are_chronological_floors():
     shard = SeriesShard("a", np.arange(20.0))
     splits = make_windows(shard, 3, 2, (0.7, 0.1, 0.2))
@@ -178,10 +177,11 @@ def test_split_sizes_are_chronological_floors():
     assert len(splits["test"]) == 0
 
 
-def test_short_split_warns_and_returns_empty():
+def test_short_split_returns_empty_without_warning():
     shard = SeriesShard("a", np.arange(20.0))
-    with pytest.warns(UserWarning):
-        make_windows(shard, 3, 2, (0.7, 0.1, 0.2))
+    splits = make_windows(shard, 3, 2, (0.7, 0.1, 0.2))
+    assert [len(splits[name]) for name in ("train", "val", "test")] == [10, 0, 0]
+    assert splits["test"].inputs.shape == (0, 3) and splits["test"].targets.shape == (0, 2)
 
 
 def test_constant_series_normalizes_to_zero():
