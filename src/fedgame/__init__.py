@@ -49,7 +49,6 @@ from .forecaster import (
 )
 from .metrics import ClientScore, EvalReport, evaluate, icp, mil, quantile_score
 from .params import (
-    DeltaUpdate,
     LayerSpec,
     ParameterVector,
     add_scaled,

@@ -10,7 +10,11 @@ the attention-weighted neighbor deltas.
 
 All clients go through one batched forward over the N x h matrix of
 head deltas.  The meta-loss gradient is a hand-derived backward through
-the same arrays.
+the same arrays, and the meta step is one lazy Adam update over the
+flat concatenation of the stepped arrays: only the shared arrays and
+the batch's gates move, and the step rebinds new arrays instead of
+writing the old ones, which is what lets a round discard a failed step
+by dropping a shallow copy.
 
 Experts read only the neighbor's embedding, without the encoder bias.
 A term that depends on the scoring client alone is the same for every
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -326,21 +331,46 @@ def meta_loss(delta_pers: np.ndarray, delta_u: np.ndarray, alpha: float, beta: f
     return float(_meta_losses(*rows, alpha, beta)[0])
 
 
-def _parameters(state: AggregatorState) -> dict[str, np.ndarray]:
-    """Every learnable array by name, in flattening order."""
+def _parameters(state: AggregatorState, ids: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+    """Learnable arrays by name, in flattening order: the shared arrays,
+    then the gates of ``ids`` (every registered client by default) by id."""
     params = {
         "encoder.w": state.encoder_w,
         "encoder.b": state.encoder_b,
         "experts.w": state.experts_w,
     }
-    for cid in sorted(state.gates):
+    for cid in sorted(state.gates if ids is None else ids):
         params[f"gate:{cid}.w"] = state.gates[cid].weight
         params[f"gate:{cid}.noise"] = state.gates[cid].noise
     return params
 
 
+def _flat(arrays) -> np.ndarray:
+    return np.concatenate([arr.reshape(-1) for arr in arrays])
+
+
+def _split(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of ``flat`` shaped like the arrays of ``like``, in its order."""
+    out, start = {}, 0
+    for name, arr in like.items():
+        out[name] = flat[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return out
+
+
+def _rebind(state: AggregatorState, ids: Iterable[str], arrays: dict[str, np.ndarray]) -> None:
+    """Bind ``arrays``, named as in :func:`_parameters`, to the shared
+    slots and to new gate pairs of ``ids``; no array is written."""
+    state.encoder_w = arrays["encoder.w"]
+    state.encoder_b = arrays["encoder.b"]
+    state.experts_w = arrays["experts.w"]
+    for cid in ids:
+        state.gates[cid] = GatePair(arrays[f"gate:{cid}.w"], arrays[f"gate:{cid}.noise"])
+
+
 def _backward(state: AggregatorState, fw: _Forward) -> dict[str, np.ndarray]:
-    """Gradient of the mean meta-loss of ``fw`` for every parameter.
+    """Gradient of the mean meta-loss of ``fw`` for the shared arrays and
+    the gates of its clients, named as in :func:`_parameters`.
 
     Top-k selection, noise draws and head deltas are constants.
     """
@@ -364,11 +394,10 @@ def _backward(state: AggregatorState, fw: _Forward) -> dict[str, np.ndarray]:
     d_scores = d_s.T @ fw.mix
     d_logits = fw.mix * (d_mix - np.sum(fw.mix * d_mix, axis=1, keepdims=True))
 
-    grads = {name: np.zeros_like(arr) for name, arr in _parameters(state).items()}
-    grads["experts.w"] = d_scores.T @ fw.linear
+    grads = {"experts.w": d_scores.T @ fw.linear}
     emb = fw.embeddings[:, :, np.newaxis]
     d_emb = (fw.gate_w @ d_logits[:, :, np.newaxis])[:, :, 0]
-    gate_grads = {"w": emb * d_logits[:, np.newaxis]}
+    gate_grads = {"w": emb * d_logits[:, np.newaxis], "noise": np.zeros_like(fw.gate_noise)}
     if fw.noise is not None:
         # d softplus(x) / dx = sigmoid(x) = exp(x - softplus(x))
         d_pre = d_logits * fw.noise * np.exp(fw.noise_pre - np.logaddexp(0.0, fw.noise_pre))
@@ -423,20 +452,17 @@ def aggregate_mean(
 
 def flatten_parameters(state: AggregatorState) -> np.ndarray:
     """All learnable server parameters as one flat vector."""
-    return np.concatenate([arr.reshape(-1) for arr in _parameters(state).values()])
+    return _flat(_parameters(state).values())
 
 
 def load_parameters(state: AggregatorState, values: np.ndarray) -> None:
-    """Inverse of :func:`flatten_parameters`; writes arrays in place."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    arrays = list(_parameters(state).values())
-    sizes = [arr.size for arr in arrays]
-    if values.size != sum(sizes):
-        raise StructuralError(
-            f"flat vector has {values.size} entries, parameters need {sum(sizes)}"
-        )
-    for arr, chunk in zip(arrays, np.split(values, np.cumsum(sizes)[:-1])):
-        arr[...] = chunk.reshape(arr.shape)
+    """Inverse of :func:`flatten_parameters`; binds new arrays to ``state``."""
+    values = np.array(values, dtype=np.float64).reshape(-1)
+    params = _parameters(state)
+    total = sum(arr.size for arr in params.values())
+    if values.size != total:
+        raise StructuralError(f"flat vector has {values.size} entries, parameters need {total}")
+    _rebind(state, state.gates, _split(values, params))
 
 
 def clean_top_k_masks(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> np.ndarray:
@@ -475,15 +501,22 @@ def meta_gradient(
     """Gradient of :func:`mean_meta_loss`, flattened like
     :func:`flatten_parameters`."""
     grads = _backward(state, _pinned_forward(state, head_deltas, masks, noise))
-    return np.concatenate([g.reshape(-1) for g in grads.values()])
+    return _flat(grads.get(name, np.zeros_like(arr)) for name, arr in _parameters(state).items())
 
 
 def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> float:
-    """One Adam step on the mean meta-loss; returns the pre-step loss.
+    """One lazy Adam step on the mean meta-loss; returns the pre-step loss.
 
     Exploration noise (when enabled) perturbs the gate logits for both
     expert selection and the surviving softmax; the noise draw and the
     selected top-k mask are constants within the step.
+
+    The shared arrays and the gates of the batch's clients step, with
+    the bias correction of the global step count; the gates and Adam
+    slots of registered clients outside the batch keep their bytes.
+    The step binds new arrays to ``state`` and writes none in place, so
+    arrays held from before the step, or by a shallow copy of ``state``
+    with its own dicts, keep the pre-step values.
     """
     if len(head_deltas) < 2:
         raise UsageError("train_step needs at least two clients")
@@ -497,22 +530,26 @@ def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> fl
     loss = float(np.mean(_meta_losses(fw.personalized, fw.deltas, cfg.alpha, cfg.beta)))
     grads = _backward(state, fw)
 
+    params = _parameters(state, ids)
+    grad = _flat(grads[name] for name in params)
+    if not np.all(np.isfinite(grad)):
+        name = next(n for n in params if not np.all(np.isfinite(grads[n])))
+        dump = "; ".join(f"{i}: {np.array2string(row)}" for i, row in zip(fw.ids, fw.logits))
+        raise NumericError(f"non-finite meta-loss gradient for {name!r}; gate logits {dump}")
+
+    def slots(store: dict[str, np.ndarray]) -> np.ndarray:
+        return _flat(store[n] if n in store else np.zeros(a.size) for n, a in params.items())
+
+    # every operation is elementwise, so one flat update gives each
+    # array the bits of an update of its own
     state.adam_t += 1
     t = state.adam_t
-    for name, arr in _parameters(state).items():
-        grad = grads[name]
-        if not np.all(np.isfinite(grad)):
-            dump = "; ".join(
-                f"{i}: {np.array2string(row)}" for i, row in zip(fw.ids, fw.logits)
-            )
-            raise NumericError(
-                f"non-finite meta-loss gradient for {name!r}; gate logits {dump}"
-            )
-        m = state.adam_m.setdefault(name, np.zeros_like(grad))
-        v = state.adam_v.setdefault(name, np.zeros_like(grad))
-        m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-        v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad**2
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        arr -= cfg.server_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m = ADAM_BETA1 * slots(state.adam_m) + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * slots(state.adam_v) + (1 - ADAM_BETA2) * grad**2
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    new = _flat(params.values()) - cfg.server_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.adam_m.update(_split(m, params))
+    state.adam_v.update(_split(v, params))
+    _rebind(state, ids, _split(new, params))
     return loss

@@ -153,12 +153,15 @@ def load_csv(path) -> list[SeriesShard]:
 
 
 def _window_segment(segment: np.ndarray, h: int, p: int, mean: float, std: float):
-    n = segment.size - h - p + 1
-    if n <= 0:
-        return np.zeros((0, h)), np.zeros((0, p))
+    n = max(segment.size - h - p + 1, 0)
     normalized = (segment - mean) / std
-    inputs = np.stack([normalized[i : i + h] for i in range(n)])
-    targets = np.stack([normalized[i + h : i + h + p] for i in range(n)])
+    # window i is normalized[i : i + h + p]; filling one column (offset)
+    # at a time takes h + p vectorized copies instead of one per window
+    inputs, targets = np.empty((n, h)), np.empty((n, p))
+    for k in range(h):
+        inputs[:, k] = normalized[k : k + n]
+    for k in range(p):
+        targets[:, k] = normalized[h + k : h + k + n]
     return inputs, targets
 
 

@@ -31,6 +31,7 @@ recomputes each step's gates from them with the forward's own operands
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -98,8 +99,9 @@ class Block(NamedTuple):
     fan_in: int
 
 
-def layer_plan(cfg: ForecasterConfig) -> list[Block]:
-    """Every parameter block, in storage order.
+@functools.cache
+def layer_plan(cfg: ForecasterConfig) -> tuple[Block, ...]:
+    """Every parameter block, in storage order, built once per config.
 
     LSTM gate pre-activations are packed as 4*H columns in i, f, g, o
     order (input, forget, cell, output).  ``fan_in`` is the input width
@@ -126,9 +128,10 @@ def layer_plan(cfg: ForecasterConfig) -> list[Block]:
             in_dim = width
     add("out.w", (in_dim, cfg.output_dim), "output_head", in_dim)
     add("out.b", (cfg.output_dim,), "output_head", in_dim)
-    return plan
+    return tuple(plan)
 
 
+@functools.cache
 def build_spec(cfg: ForecasterConfig) -> tuple[LayerSpec, ...]:
     return tuple(LayerSpec(b.name, b.offset, b.length, b.kind) for b in layer_plan(cfg))
 
@@ -169,7 +172,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def _blocks(plan: list[Block], flat: np.ndarray) -> dict[str, np.ndarray]:
+def _blocks(plan: tuple[Block, ...], flat: np.ndarray) -> dict[str, np.ndarray]:
     """Name -> shaped view of each parameter block of the stacked ``flat``.
 
     ``flat`` is (N, P), one client per row.  A matrix block is viewed as

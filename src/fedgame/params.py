@@ -2,13 +2,15 @@
 
 Every model in the simulator stores its parameters as one contiguous
 float64 vector described by a list of :class:`LayerSpec` blocks.  Keeping
-the storage flat makes the exchange protocol trivial: parameter
-differences, consensus averaging, norms and output-head slicing are all
-plain vector operations.
+the storage flat makes the exchange protocol trivial: a round's clients
+form one matrix, a row per client, and parameter differences, consensus
+averaging, norms and output-head slicing are plain row and column
+operations on it.  Layout checks run once per distinct spec.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,7 +53,16 @@ class LayerSpec:
 
 
 def validate_layout(spec: Sequence[LayerSpec], *, require_head: bool = True) -> int:
-    """Check that layers tile [0, total) contiguously; return the total length."""
+    """Check that layers tile [0, total) contiguously; return the total length.
+
+    The check runs once per distinct spec tuple; an invalid spec raises
+    on every call.
+    """
+    return _checked_total(tuple(spec), require_head)
+
+
+@functools.cache
+def _checked_total(spec: tuple[LayerSpec, ...], require_head: bool) -> int:
     if not spec:
         raise ConfigError("layer spec is empty")
     ordered = sorted(spec, key=lambda s: s.offset)
@@ -81,11 +92,19 @@ def head_length(spec: Sequence[LayerSpec]) -> int:
 
 
 def head_indices(spec: Sequence[LayerSpec]) -> np.ndarray:
-    """Flat positions of all output-head entries, in spec order."""
+    """Flat positions of all output-head entries, in spec order; read-only
+    and built once per distinct spec tuple."""
+    return _head_indices(tuple(spec))
+
+
+@functools.cache
+def _head_indices(spec: tuple[LayerSpec, ...]) -> np.ndarray:
     heads = head_layers(spec)
     if not heads:
         raise ConfigError("layer spec has no output_head layer")
-    return np.concatenate([np.arange(s.offset, s.stop) for s in heads])
+    idx = np.concatenate([np.arange(s.offset, s.stop) for s in heads])
+    idx.flags.writeable = False
+    return idx
 
 
 @dataclass
@@ -103,7 +122,7 @@ class ParameterVector:
             raise StructuralError(
                 f"parameter vector has {self.values.size} entries, spec requires {total}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise NumericError("parameter vector contains non-finite entries")
 
     @classmethod
@@ -123,89 +142,77 @@ class ParameterVector:
         return self.values.size
 
 
-@dataclass
-class DeltaUpdate:
-    """A client's parameter difference; ``head`` is its output-head slice."""
-
-    full: ParameterVector
-    round_index: int = 0
-    client_id: str = ""
-
-    def __post_init__(self) -> None:
-        head = head_length(self.full.spec)
-        if not 0 < head < len(self.full):
-            raise StructuralError(
-                "head fraction must satisfy 0 < len(head)/len(full) < 1; "
-                f"got {head}/{len(self.full)}"
-            )
-
-    @property
-    def head(self) -> np.ndarray:
-        return select_head_values(self.full.values, self.full.spec)
-
-    @property
-    def head_fraction(self) -> float:
-        return head_length(self.full.spec) / len(self.full)
+# The delta algebra works on client matrices: one row per client, in the
+# sorted-id order of the round's participants, one column per parameter.
 
 
 def select_head_values(values: np.ndarray, spec: Sequence[LayerSpec]) -> np.ndarray:
-    """Concatenated output-head entries of flat ``values``, in spec order."""
-    return np.asarray(values)[head_indices(spec)]
+    """Output-head columns of flat ``values`` (P,) or a client matrix (N, P),
+    in spec order."""
+    return np.asarray(values)[..., head_indices(spec)]
 
 
-def compute_delta(
-    private: ParameterVector,
-    global_model: ParameterVector,
-    *,
-    round_index: int = 0,
-    client_id: str = "",
-) -> DeltaUpdate:
-    """Parameter difference private - global."""
-    if private.spec != global_model.spec:
-        raise StructuralError("private and global models use different layer specs")
-    full = ParameterVector(private.values - global_model.values, private.spec)
-    return DeltaUpdate(full=full, round_index=round_index, client_id=client_id)
+def compute_delta(private: np.ndarray, global_model: ParameterVector) -> np.ndarray:
+    """Parameter differences private - global, one row per client.
 
-
-def scatter_head(template: ParameterVector, head: np.ndarray) -> ParameterVector:
-    """Inverse of :func:`select_head_values`: write ``head`` into the head slots of a copy
-    of ``template``, leaving everything else unchanged."""
-    head = np.asarray(head, dtype=np.float64).reshape(-1)
-    idx = head_indices(template.spec)
-    if head.size != idx.size:
-        raise StructuralError(f"head has {head.size} entries, spec requires {idx.size}")
-    values = template.values.copy()
-    values[idx] = head
-    return ParameterVector(values, template.spec)
-
-
-def mean_deltas(deltas: Sequence[DeltaUpdate]) -> ParameterVector:
-    """Elementwise mean of the full deltas.
-
-    Deltas are stacked in sorted client-id order before reduction so the
-    result does not depend on the caller's scheduling order.
+    ``private`` is the (N, P) matrix of the clients' parameters.  The
+    layout must split into a shared body and an output head, the slice
+    the personalized stream exchanges.
     """
-    if not deltas:
-        raise UsageError("mean_deltas needs at least one delta")
-    spec = deltas[0].full.spec
-    for d in deltas[1:]:
-        if d.full.spec != spec:
-            raise StructuralError("deltas use different layer specs")
-    ordered = sorted(deltas, key=lambda d: d.client_id)
-    stacked = np.stack([d.full.values for d in ordered])
-    return ParameterVector(stacked.mean(axis=0), spec)
-
-
-def add_scaled(base: ParameterVector, delta: np.ndarray | ParameterVector, step: float) -> ParameterVector:
-    """base + step * delta."""
-    vec = delta.values if isinstance(delta, ParameterVector) else np.asarray(delta, dtype=np.float64)
-    if vec.shape != base.values.shape:
-        raise StructuralError(f"delta has shape {vec.shape}, base has {base.values.shape}")
+    spec = global_model.spec
+    head = head_length(spec)
+    if not 0 < head < len(global_model):
+        raise StructuralError(
+            "head fraction must satisfy 0 < len(head)/len(full) < 1; "
+            f"got {head}/{len(global_model)}"
+        )
+    private = np.asarray(private, dtype=np.float64)
+    if private.ndim != 2 or private.shape[1] != len(global_model):
+        raise StructuralError(
+            f"client matrix has shape {private.shape}, spec requires (*, {len(global_model)})"
+        )
     with np.errstate(over="ignore"):
-        out = base.values + step * vec
+        delta = private - global_model.values
+    if not np.all(np.isfinite(delta)):
+        raise NumericError("compute_delta produced non-finite entries")
+    return delta
+
+
+def scatter_head(spec: Sequence[LayerSpec], heads: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`select_head_values`: ``heads`` (h,) or (N, h)
+    written into the head columns of zeros shaped (P,) or (N, P)."""
+    heads = np.asarray(heads, dtype=np.float64)
+    idx = head_indices(spec)
+    if heads.ndim not in (1, 2) or heads.shape[-1] != idx.size:
+        raise StructuralError(f"heads have shape {heads.shape}, spec requires (*, {idx.size})")
+    out = np.zeros(heads.shape[:-1] + (total_params(spec),))
+    out[..., idx] = heads
+    return out
+
+
+def mean_deltas(deltas: np.ndarray) -> np.ndarray:
+    """Column means of the (N, P) delta matrix.
+
+    Rows are reduced in the order given, which the protocol fixes to
+    sorted client ids, so the result does not depend on scheduling.
+    """
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if deltas.ndim != 2 or not len(deltas):
+        raise UsageError(f"mean_deltas needs an (N, P) matrix with N >= 1, got {deltas.shape}")
+    return deltas.mean(axis=0)
+
+
+def add_scaled(base: np.ndarray, delta: np.ndarray, step: float) -> np.ndarray:
+    """base + step * delta, for flat vectors or client matrices alike."""
+    base = np.asarray(base, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.shape != base.shape:
+        raise StructuralError(f"delta has shape {delta.shape}, base has {base.shape}")
+    with np.errstate(over="ignore"):
+        out = base + step * delta
     if not np.all(np.isfinite(out)):
         raise NumericError("add_scaled produced non-finite entries")
-    return ParameterVector(out, base.spec)
+    return out
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray):

@@ -9,15 +9,22 @@ client's personalized head update from noise-free attention.  (c) Each
 client adds its personalized head update; the fine-tune that completes
 the update happens at the start of the next round.
 
+The server side of a round works on one matrix with a row per
+participant, in sorted-id order: the differences, their mean, the head
+columns sent to the aggregator and the personalized updates are each
+one call on it.
+
 Rounds are atomic: the caller's state is never mutated, and a round
-that raises leaves it and the caller's aggregator untouched.  All
-randomness flows from one master seed through named streams, so client
-scheduling order cannot affect results.
+that raises leaves it and the caller's aggregator untouched.  The meta
+step runs on a shallow copy of the aggregator (its own dicts and rng)
+and rebinds arrays instead of writing them; a round that succeeds
+commits it by rebinding the caller's aggregator to the copy's arrays.
+All randomness flows from one master seed through named streams, so
+client scheduling order cannot affect results.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, replace
@@ -40,14 +47,13 @@ from .errors import ConfigError, FedGameError, UsageError, too_small
 from .forecaster import ForecasterConfig, ForecasterModel, init_forecaster, local_train
 from .metrics import EvalReport, evaluate
 from .params import (
-    LayerSpec,
     ParameterVector,
     add_scaled,
     compute_delta,
-    DeltaUpdate,
     head_length,
     mean_deltas,
     scatter_head,
+    select_head_values,
     total_params,
 )
 
@@ -227,8 +233,18 @@ def run_round(
         client_rngs={cid: _copy_rng(rng) for cid, rng in state.client_rngs.items()},
         server_rng=_copy_rng(state.server_rng),
     )
-    # the meta step runs on a copy until the round can no longer fail
-    server = copy.deepcopy(aggregator) if kind in ("game", "single_attention") else aggregator
+    server = aggregator
+    if kind in ("game", "single_attention"):
+        # the meta step rebinds arrays and never writes them, so it runs
+        # on a shallow copy with its own dicts and rng until the round
+        # can no longer fail
+        server = replace(
+            aggregator,
+            gates=dict(aggregator.gates),
+            adam_m=dict(aggregator.adam_m),
+            adam_v=dict(aggregator.adam_v),
+            rng=_copy_rng(aggregator.rng),
+        )
     spec = new_state.global_params.spec
     participants = _select_participants(new_state, hyper)
 
@@ -239,25 +255,21 @@ def run_round(
         new_state.client_models[participants[0]].config,
         new_state.client_rngs,
     )
-    deltas: dict[str, DeltaUpdate] = {}
-    train_losses: dict[str, float] = {}
-    for cid in participants:
-        model, train_losses[cid] = trained[cid]
-        deltas[cid] = compute_delta(
-            model.params, new_state.global_params,
-            round_index=new_state.round_index, client_id=cid,
-        )
-        new_state.client_models[cid] = model
+    train_losses = {cid: trained[cid][1] for cid in participants}
+    # one row per participant, in sorted-id order
+    private = np.stack([trained[cid][0].params.values for cid in participants])
+    deltas = compute_delta(private, new_state.global_params)
 
     if kind != "local_only":
-        new_state.global_params = add_scaled(
-            new_state.global_params, mean_deltas(list(deltas.values())), hyper.eta
+        new_state.global_params = ParameterVector(
+            add_scaled(new_state.global_params.values, mean_deltas(deltas), hyper.eta), spec
         )
 
-    head_deltas = {cid: deltas[cid].head for cid in participants}
+    head_deltas = dict(zip(participants, select_head_values(deltas, spec)))
     meta = 0.0
     gate_mixes: dict[str, tuple[float, ...]] = {}
     personalized: dict[str, np.ndarray] = {}
+    attention = np.zeros((len(participants), len(participants)))
     if kind in ("game", "single_attention"):
         if len(participants) >= 2:
             meta = train_step(server, head_deltas)
@@ -266,26 +278,22 @@ def run_round(
         else:
             personalized, rows = aggregate_single_attention(server, head_deltas)
         # rows and their neighbors follow the sorted participants
-        attention = np.array([np.insert(r.weights, i, 0.0) for i, r in enumerate(rows)])
-        gate_mixes = {r.client_id: tuple(float(v) for v in r.expert_mix) for r in rows}
+        attention[~np.eye(len(rows), dtype=bool)] = np.concatenate([r.weights for r in rows])
+        gate_mixes = {r.client_id: tuple(r.expert_mix.tolist()) for r in rows}
     elif kind == "mean":
         personalized = aggregate_mean(head_deltas, aggregator.config.w_self)
         attention = uniform_attention(len(participants))
-    else:
-        attention = np.zeros((len(participants), len(participants)))
 
-    zero_template = ParameterVector.zeros(spec)
-    for cid in participants:
+    if kind in PERSONALIZED_KINDS:
+        update = scatter_head(spec, np.stack([personalized[cid] for cid in participants]))
+        private = add_scaled(private, update, hyper.gamma)
+    for k, cid in enumerate(participants):
+        model = trained[cid][0]
         if kind in PERSONALIZED_KINDS:
-            update = scatter_head(zero_template, personalized[cid])
-            model = new_state.client_models[cid]
-            new_params = add_scaled(model.params, update, hyper.gamma)
-            new_state.client_models[cid] = model.with_params(new_params.values)
+            model = model.with_params(private[k])
         elif kind == "fedavg":
-            model = new_state.client_models[cid]
-            new_state.client_models[cid] = model.with_params(
-                new_state.global_params.values.copy()
-            )
+            model = model.with_params(new_state.global_params.values)
+        new_state.client_models[cid] = model
 
     traffic = comm_cost(len(participants), spec, kind)
     report = RoundReport(
@@ -301,7 +309,8 @@ def run_round(
     )
     new_state.round_index += 1
     if server is not aggregator:
-        # the round can no longer fail: commit the meta step to the caller's aggregator
+        # the round can no longer fail: commit the meta step by rebinding
+        # the caller's aggregator to the copy's arrays
         vars(aggregator).update(vars(server))
     return new_state, report
 

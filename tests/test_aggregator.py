@@ -28,6 +28,8 @@ from fedgame.aggregator import (
     train_step,
     _batch,
     _forward,
+    _parameters,
+    _sorted_rows,
 )
 from fedgame.errors import ConfigError, StructuralError, UsageError
 
@@ -462,6 +464,62 @@ def test_train_step_deterministic_with_noise():
         return flatten_parameters(state)
 
     np.testing.assert_array_equal(run(7), run(7))
+
+
+def test_flat_adam_matches_a_per_array_update_bit_for_bit():
+    clients = tuple("abcd")
+    state = make_state(head_dim=7, clients=clients, seed=70, noise_enabled=True)
+    oracle = copy.deepcopy(state)
+    m, v = {}, {}
+    for step in range(1, 4):
+        deltas = random_deltas(state, clients, seed=70 + step)
+        # the step's one noise draw, in canonical rows, handed over in sorted-id rows
+        ids, _ = _batch(oracle, deltas)
+        draws = oracle.rng.standard_normal((len(ids), state.config.num_experts))
+        noise = draws[_sorted_rows(ids)]
+        loss = mean_meta_loss(oracle, deltas, None, noise)
+        grad = meta_gradient(oracle, deltas, None, noise)
+        assert train_step(state, deltas) == loss
+        start = 0
+        for name, arr in _parameters(oracle).items():
+            g = grad[start : start + arr.size].reshape(arr.shape)
+            start += arr.size
+            m[name] = 0.9 * m.get(name, np.zeros_like(g)) + (1 - 0.9) * g
+            v[name] = 0.999 * v.get(name, np.zeros_like(g)) + (1 - 0.999) * g**2
+            m_hat = m[name] / (1 - 0.9**step)
+            v_hat = v[name] / (1 - 0.999**step)
+            arr -= state.config.server_lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert flatten_parameters(state).tobytes() == flatten_parameters(oracle).tobytes()
+        for name in m:
+            assert state.adam_m[name].tobytes() == m[name].tobytes(), name
+            assert state.adam_v[name].tobytes() == v[name].tobytes(), name
+    assert state.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+def gate_and_slots(state, cid):
+    return {
+        "weight": state.gates[cid].weight, "noise": state.gates[cid].noise,
+        **{f"adam_{slot}:{part}": store[f"gate:{cid}.{part}"]
+           for slot, store in (("m", state.adam_m), ("v", state.adam_v))
+           for part in ("w", "noise")},
+    }
+
+
+def test_absent_clients_keep_their_gates_and_adam_slots():
+    """Lazy Adam: a client outside the batch keeps every byte of its
+    gate pair and its Adam slots, even with momentum left over."""
+    state = make_state(head_dim=6, clients=tuple("abcd"), seed=72, noise_enabled=True)
+    train_step(state, random_deltas(state, tuple("abcd"), seed=73))
+    before = {name: arr.tobytes() for name, arr in gate_and_slots(state, "d").items()}
+    assert np.any(state.adam_m["gate:d.w"] != 0.0)
+    moved = state.gates["a"].weight.copy(), state.encoder_w.copy()
+
+    train_step(state, random_deltas(state, tuple("abc"), seed=74))
+    for name, arr in gate_and_slots(state, "d").items():
+        assert arr.tobytes() == before[name], name
+    assert state.adam_t == 2
+    assert not np.array_equal(state.gates["a"].weight, moved[0])
+    assert not np.array_equal(state.encoder_w, moved[1])
 
 
 def test_train_step_requires_two_clients():

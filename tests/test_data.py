@@ -153,6 +153,47 @@ def test_make_windows_hand_enumeration():
     assert len(splits["val"]) == 0 and len(splits["test"]) == 0
 
 
+def brute_force_windows(segment, h, p, mean, std):
+    """Every stride-1 window, one element at a time."""
+    n = max(segment.size - h - p + 1, 0)
+    inputs = np.zeros((n, h))
+    targets = np.zeros((n, p))
+    for i in range(n):
+        for k in range(h):
+            inputs[i, k] = (segment[i + k] - mean) / std
+        for k in range(p):
+            targets[i, k] = (segment[i + h + k] - mean) / std
+    return inputs, targets
+
+
+@pytest.mark.parametrize("length", [8, 31, 50, 480])
+def test_make_windows_matches_brute_force_oracle(length):
+    # with h + p = 5: 8 points give the 5-point train split exactly one
+    # window and leave val and test empty, 31 points leave the 3-point
+    # val split empty, and 50 points give the 5-point val split one window
+    values = np.random.default_rng(length).normal(size=length) * 3.0 + 1.0
+    h, p = 3, 2
+    splits = make_windows(SeriesShard("a", values), h, p, (0.7, 0.1, 0.2))
+    n_train, n_val = int(np.floor(0.7 * length)), int(np.floor(0.1 * length))
+    segments = {"train": values[:n_train], "val": values[n_train:n_train + n_val],
+                "test": values[n_train + n_val:]}
+    sizes = {}
+    for name, segment in segments.items():
+        data = splits[name]
+        inputs, targets = brute_force_windows(segment, h, p, data.mean, data.std)
+        assert data.inputs.shape == inputs.shape and data.targets.shape == targets.shape
+        np.testing.assert_array_equal(data.inputs, inputs)
+        np.testing.assert_array_equal(data.targets, targets)
+        assert data.inputs.flags.c_contiguous and data.inputs.flags.owndata
+        assert data.targets.flags.c_contiguous and data.targets.flags.owndata
+        sizes[name] = len(data)
+    expected = {8: {"train": 1, "val": 0, "test": 0}, 31: {"train": 17, "val": 0, "test": 3},
+                50: {"train": 31, "val": 1, "test": 6}, 480: {"train": 332, "val": 44, "test": 92}}
+    assert sizes == expected[length]
+    if length == 8:
+        assert splits["val"].inputs.shape == (0, h) and splits["val"].targets.shape == (0, p)
+
+
 def test_windows_never_leak_future_values():
     shard = SeriesShard("a", np.arange(40.0))
     splits = make_windows(shard, 3, 1, (0.7, 0.1, 0.2))

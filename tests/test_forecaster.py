@@ -108,6 +108,40 @@ def test_spec_shapes_mlp():
     assert head_length(spec) == 5 * 6 + 6
 
 
+def test_layout_is_built_once_per_config_and_read_only():
+    from fedgame.forecaster import layer_plan
+
+    cfg = small_config(arch="lstm", hidden_sizes=(4, 3))
+    plan = layer_plan(cfg)
+    assert isinstance(plan, tuple)
+    # equal configs share one plan and one spec
+    assert layer_plan(small_config(arch="lstm", hidden_sizes=(4, 3))) is plan
+    assert build_spec(small_config(arch="lstm", hidden_sizes=(4, 3))) is build_spec(cfg)
+    with pytest.raises(TypeError):
+        plan[0] = plan[1]
+    with pytest.raises(AttributeError):
+        plan[0].offset = 1
+    assert [b.name for b in layer_plan(cfg)][-2:] == ["out.w", "out.b"]
+
+
+def test_with_params_checks_length_and_finiteness_on_every_call():
+    cfg = small_config()
+    model = init_forecaster(cfg, np.random.default_rng(3))
+    values = model.params.values
+    for _ in range(2):
+        bad = values.copy()
+        bad[4] = np.inf
+        with pytest.raises(NumericError):
+            model.with_params(bad)
+        with pytest.raises(StructuralError):
+            model.with_params(values[:-1])
+    # the new model owns a copy of the values
+    fresh = model.with_params(values)
+    original = values[0]
+    values[0] += 1.0
+    assert fresh.params.values[0] == original
+
+
 def test_lstm_head_sizes_for_reference_architecture():
     cfg = ForecasterConfig(
         history_len=24, horizon=6, quantiles=(0.1, 0.5, 0.9),

@@ -5,7 +5,6 @@ import pytest
 
 from fedgame.errors import ConfigError, NumericError, StructuralError, UsageError
 from fedgame.params import (
-    DeltaUpdate,
     LayerSpec,
     ParameterVector,
     add_scaled,
@@ -84,66 +83,103 @@ def test_head_length_and_indices():
     np.testing.assert_array_equal(head_indices(SPEC), np.arange(9, 17))
 
 
+def make_matrix(seeds):
+    return np.stack([make_vector(seed).values for seed in seeds])
+
+
 def test_select_scatter_roundtrip():
-    vec = make_vector()
-    head = select_head_values(vec.values, vec.spec)
-    assert head.shape == (8,)
-    rebuilt = scatter_head(ParameterVector.zeros(SPEC), head)
-    np.testing.assert_array_equal(select_head_values(rebuilt.values, rebuilt.spec), head)
-    np.testing.assert_array_equal(rebuilt.values[:9], np.zeros(9))
+    private = make_matrix((1, 2, 3))
+    heads = select_head_values(private, SPEC)
+    assert heads.shape == (3, 8)
+    rebuilt = scatter_head(SPEC, heads)
+    assert rebuilt.shape == (3, 17)
+    np.testing.assert_array_equal(select_head_values(rebuilt, SPEC), heads)
+    np.testing.assert_array_equal(rebuilt[:, :9], np.zeros((3, 9)))
+    # a flat vector is a row of its own
+    np.testing.assert_array_equal(scatter_head(SPEC, heads[1]), rebuilt[1])
+    np.testing.assert_array_equal(select_head_values(private[1], SPEC), heads[1])
 
 
 def test_scatter_rejects_wrong_head_size():
     with pytest.raises(StructuralError):
-        scatter_head(make_vector(), np.zeros(5))
+        scatter_head(SPEC, np.zeros((2, 5)))
+    with pytest.raises(StructuralError):
+        scatter_head(SPEC, np.zeros((2, 2, 8)))
 
 
 def test_compute_delta_matches_subtraction_and_head():
-    private = make_vector(1)
+    private = make_matrix((1, 3, 4))
     global_model = make_vector(2)
-    delta = compute_delta(private, global_model, round_index=3, client_id="c7")
-    np.testing.assert_array_equal(delta.full.values, private.values - global_model.values)
-    np.testing.assert_array_equal(delta.head, delta.full.values[9:17])
-    assert delta.round_index == 3 and delta.client_id == "c7"
-    assert 0.0 < delta.head_fraction < 1.0
+    delta = compute_delta(private, global_model)
+    for row, seed in zip(delta, (1, 3, 4)):
+        np.testing.assert_array_equal(row, make_vector(seed).values - global_model.values)
+    np.testing.assert_array_equal(select_head_values(delta, SPEC), delta[:, 9:17])
+    with pytest.raises(StructuralError):
+        compute_delta(private[:, :-1], global_model)
+    with pytest.raises(StructuralError):
+        compute_delta(private[0], global_model)
 
 
 def test_compute_delta_identical_models_is_zero():
     vec = make_vector()
-    delta = compute_delta(vec, vec.copy())
-    assert np.all(delta.full.values == 0.0)
+    delta = compute_delta(np.stack([vec.values, vec.values]), vec.copy())
+    assert np.all(delta == 0.0)
 
 
-def test_delta_update_rejects_all_head_layout():
+def test_compute_delta_rejects_all_head_layout():
     spec = (LayerSpec("out.w", 0, 4, "output_head"),)
     with pytest.raises(StructuralError, match="head fraction"):
-        DeltaUpdate(full=ParameterVector(np.zeros(4), spec))
+        compute_delta(np.zeros((2, 4)), ParameterVector(np.zeros(4), spec))
 
 
-def test_mean_deltas_is_order_independent():
-    base = make_vector(0)
-    deltas = [
-        compute_delta(make_vector(seed), base, client_id=f"c{seed}") for seed in (1, 2, 3, 4)
-    ]
-    forward = mean_deltas(deltas)
-    backward = mean_deltas(list(reversed(deltas)))
-    np.testing.assert_array_equal(forward.values, backward.values)
-    expected = np.mean([d.full.values for d in deltas], axis=0)
-    np.testing.assert_allclose(forward.values, expected, rtol=0, atol=1e-15)
+def test_mean_deltas_is_the_row_mean_in_row_order():
+    deltas = compute_delta(make_matrix((1, 2, 3, 4)), make_vector(0))
+    mean = mean_deltas(deltas)
+    np.testing.assert_array_equal(mean, np.stack(list(deltas)).mean(axis=0))
+    np.testing.assert_allclose(mean, sum(deltas) / 4, rtol=0, atol=1e-15)
 
 
 def test_mean_deltas_rejects_empty():
     with pytest.raises(UsageError):
-        mean_deltas([])
+        mean_deltas(np.zeros((0, 17)))
 
 
 def test_add_scaled_exact_and_finite():
     base = make_vector(1)
-    delta = compute_delta(make_vector(2), base)
-    out = add_scaled(base, delta.full, 0.5)
-    np.testing.assert_array_equal(out.values, base.values + 0.5 * delta.full.values)
+    delta = compute_delta(make_matrix((2,)), base)[0]
+    out = add_scaled(base.values, delta, 0.5)
+    np.testing.assert_array_equal(out, base.values + 0.5 * delta)
+    rows = make_matrix((3, 4))
+    np.testing.assert_array_equal(add_scaled(rows, rows, 0.25), rows + 0.25 * rows)
+    with pytest.raises(StructuralError):
+        add_scaled(rows, rows[0], 0.5)
     with pytest.raises(NumericError):
-        add_scaled(base, ParameterVector(np.full(17, 1e308), SPEC), 1e308)
+        add_scaled(base.values, np.full(17, 1e308), 1e308)
+
+
+def test_invalid_layout_raises_on_every_call():
+    gap = (LayerSpec("a", 0, 4, "dense"), LayerSpec("b", 5, 4, "output_head"))
+    headless = (LayerSpec("a", 0, 4, "dense"),)
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="not contiguous"):
+            validate_layout(gap)
+        with pytest.raises(ConfigError, match="not contiguous"):
+            ParameterVector(np.zeros(9), gap)
+        with pytest.raises(ConfigError, match="no output_head"):
+            head_indices(headless)
+    # the same spec as a list is the same layout
+    assert validate_layout(list(SPEC)) == validate_layout(SPEC) == 17
+
+
+def test_head_indices_are_read_only_and_shared():
+    idx = head_indices(SPEC)
+    assert head_indices(list(SPEC)) is idx
+    with pytest.raises(ValueError):
+        idx[0] = 0
+    # selecting copies, so the result is the caller's to write
+    heads = select_head_values(make_vector().values, SPEC)
+    heads[0] = 1.0
+    np.testing.assert_array_equal(head_indices(SPEC), np.arange(9, 17))
 
 
 def test_cosine_similarity_reference_values():

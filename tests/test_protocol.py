@@ -14,7 +14,7 @@ from fedgame.data import WindowedDataset
 from fedgame.errors import ConfigError, NumericError, UsageError
 from fedgame.forecaster import ForecasterConfig, build_spec
 from fedgame.params import (
-    ParameterVector, head_length, scatter_head, select_head_values, total_params,
+    head_length, scatter_head, select_head_values, total_params,
 )
 from fedgame.protocol import (
     ExperimentConfig,
@@ -129,9 +129,8 @@ def test_mean_round_applies_hand_reconstructed_update():
     trained = {c: m.params.values for c, m in prox_state.client_models.items()}
     heads = {c: select_head_values(v - before.values, before.spec) for c, v in trained.items()}
     pers = aggregate_mean(heads, agg.config.w_self)
-    zero = ParameterVector.zeros(before.spec)
     for cid in trained:
-        expected = trained[cid] + gamma * scatter_head(zero, pers[cid]).values
+        expected = trained[cid] + gamma * scatter_head(before.spec, pers[cid])
         np.testing.assert_allclose(
             new_state.client_models[cid].params.values, expected, rtol=0, atol=1e-12
         )
@@ -243,6 +242,39 @@ def test_failed_round_leaves_state_untouched(monkeypatch):
     run_round(state, HyperParams(rounds=1, aggregator_kind="game"), agg, data)
     assert agg.adam_t == 1
     assert not np.array_equal(flatten_parameters(agg), flatten_parameters(agg_snapshot))
+
+
+def aggregator_arrays(agg):
+    """Every array the aggregator holds: parameters, gates and Adam slots."""
+    arrays = {"encoder_w": agg.encoder_w, "encoder_b": agg.encoder_b,
+              "experts_w": agg.experts_w}
+    for cid, gate in agg.gates.items():
+        arrays[f"{cid}.weight"], arrays[f"{cid}.noise"] = gate.weight, gate.noise
+    for slot, store in (("m", agg.adam_m), ("v", agg.adam_v)):
+        arrays.update({f"adam_{slot}:{name}": arr for name, arr in store.items()})
+    return arrays
+
+
+def test_successful_game_round_rebinds_the_aggregator_without_writing_it():
+    state, data = build_setup(4)
+    agg = fresh_aggregator(state, noise_enabled=True)
+    hyper = HyperParams(rounds=1, aggregator_kind="game")
+    state, _ = run_round(state, hyper, agg, data)  # creates the Adam slots
+    held = aggregator_arrays(agg)
+    held_bytes = {name: arr.tobytes() for name, arr in held.items()}
+    held_rng = agg.rng
+    rng_state = agg.rng.bit_generator.state
+
+    run_round(state, hyper, agg, data)
+    assert agg.adam_t == 2
+    now = aggregator_arrays(agg)
+    assert now.keys() == held.keys()
+    for name, arr in held.items():
+        assert arr.tobytes() == held_bytes[name], name
+        assert now[name] is not arr, name
+    assert not np.array_equal(now["encoder_w"], held["encoder_w"])
+    assert held_rng.bit_generator.state == rng_state
+    assert agg.rng.bit_generator.state != rng_state
 
 
 def test_round_is_independent_of_dict_insertion_order():
