@@ -18,7 +18,7 @@ from fedgame import (
     register_client,
     train_step,
 )
-from fedgame.aggregator import encode, expert_scores
+from fedgame.aggregator import expert_scores
 
 rng = np.random.default_rng(3)
 cfg = AggregatorConfig(embed_dim=6, num_experts=4, top_k=2, noise_enabled=False)
@@ -35,7 +35,7 @@ for cid in sorted(deltas):
     register_client(state, cid)
 
 # Stage 1: a shared affine encoder maps each head delta to an embedding.
-embeddings = {cid: encode(state, delta) for cid, delta in deltas.items()}
+embeddings = {cid: delta @ state.encoder_w + state.encoder_b for cid, delta in deltas.items()}
 print("embedding norms:", {c: round(float(np.linalg.norm(e)), 3)
                            for c, e in embeddings.items()})
 

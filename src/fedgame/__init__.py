@@ -70,8 +70,8 @@ from .protocol import (
     RoundState,
     RunResult,
     attention_diagnostics,
-    comm_cost,
     init_round_state,
+    round_traffic,
     run_experiment,
     run_round,
     seed_stream,

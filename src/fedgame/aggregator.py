@@ -196,11 +196,6 @@ def _encode(state: AggregatorState, deltas: np.ndarray) -> tuple[np.ndarray, np.
     return linear, linear + state.encoder_b
 
 
-def encode(state: AggregatorState, head_delta: np.ndarray) -> np.ndarray:
-    """Affine embedding of one head delta."""
-    return _encode(state, _stack_deltas({"": head_delta}, state.head_dim)[1])[1][0]
-
-
 def expert_scores(state: AggregatorState, embeddings: np.ndarray) -> np.ndarray:
     """Every expert's score of every (bias-free) neighbor embedding, N x K."""
     return np.atleast_2d(embeddings) @ state.experts_w.T
@@ -235,11 +230,6 @@ def _masked_softmax(logits: np.ndarray, kept: np.ndarray) -> np.ndarray:
     z = np.where(kept, logits, -np.inf)
     ez = np.exp(z - z.max(axis=-1, keepdims=True))
     return ez / ez.sum(axis=-1, keepdims=True)
-
-
-def gate_weights(logits: np.ndarray, k: int) -> np.ndarray:
-    """Sparse expert mix: softmax over the k largest logits, 0 elsewhere."""
-    return _masked_softmax(np.asarray(logits, dtype=np.float64), top_k_mask(logits, k))
 
 
 def _attention(scores: np.ndarray, temperature: float) -> np.ndarray:
@@ -323,6 +313,12 @@ def _meta_losses(pers: np.ndarray, own: np.ndarray, alpha: float, beta: float) -
     """Squared-distance plus cosine-dissimilarity alignment loss per row."""
     cos = cosine_similarity(pers, own)
     return alpha * np.sum((pers - own) ** 2, axis=1) + beta * (1.0 - cos)
+
+
+def _mean_loss(state: AggregatorState, fw: _Forward) -> float:
+    """Mean meta-loss of a forward pass over its clients."""
+    cfg = state.config
+    return float(np.mean(_meta_losses(fw.personalized, fw.deltas, cfg.alpha, cfg.beta)))
 
 
 def meta_loss(delta_pers: np.ndarray, delta_u: np.ndarray, alpha: float, beta: float) -> float:
@@ -465,12 +461,6 @@ def load_parameters(state: AggregatorState, values: np.ndarray) -> None:
     _rebind(state, state.gates, _split(values, params))
 
 
-def clean_top_k_masks(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> np.ndarray:
-    """Noise-free top-k expert selection, one boolean row per sorted client."""
-    fw = _forward(state, *_batch(state, head_deltas))
-    return fw.kept[_sorted_rows(fw.ids)]
-
-
 def _pinned_forward(state, head_deltas, masks, noise) -> _Forward:
     """Forward pass with ``masks`` and ``noise`` rows in sorted-id order."""
     ids, deltas = _batch(state, head_deltas)
@@ -487,9 +477,7 @@ def mean_meta_loss(
 ) -> float:
     """Mean meta-loss; ``masks`` pins top-k selection, ``noise`` (N x K)
     fixes the gate noise draws (none by default)."""
-    fw = _pinned_forward(state, head_deltas, masks, noise)
-    return float(np.mean(_meta_losses(fw.personalized, fw.deltas, state.config.alpha,
-                                      state.config.beta)))
+    return _mean_loss(state, _pinned_forward(state, head_deltas, masks, noise))
 
 
 def meta_gradient(
@@ -527,7 +515,7 @@ def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> fl
         # the one draw of gate noise: row r goes to canonical client r
         noise = state.rng.standard_normal((len(ids), cfg.num_experts))
     fw = _forward(state, ids, deltas, noise)
-    loss = float(np.mean(_meta_losses(fw.personalized, fw.deltas, cfg.alpha, cfg.beta)))
+    loss = _mean_loss(state, fw)
     grads = _backward(state, fw)
 
     params = _parameters(state, ids)

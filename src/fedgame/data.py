@@ -60,9 +60,6 @@ class WindowedDataset:
     def denormalize(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values) * self.std + self.mean
 
-    def normalize(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values) - self.mean) / self.std
-
 
 def _parse_timestamp(raw: str, line_no: int) -> datetime:
     try:

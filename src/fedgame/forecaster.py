@@ -346,7 +346,8 @@ def _pinball_weights(diff: np.ndarray, q_flat: np.ndarray) -> np.ndarray:
 
     diff = pred - target.  Where diff > 0 (over-prediction) the slope is
     1 - q; where diff <= 0 it is -q, which makes the tie at diff == 0
-    take the y >= yhat branch.
+    take the y >= yhat branch.  Training and the evaluation metrics both
+    weigh residuals with it.
     """
     return np.where(diff > 0, 1.0 - q_flat, -q_flat)
 
@@ -406,20 +407,6 @@ def task_gradient(model: ForecasterModel, windows: np.ndarray, targets: np.ndarr
     return _one_client(model, windows, targets)[1]
 
 
-def fedprox_gradient(
-    model: ForecasterModel,
-    windows: np.ndarray,
-    targets: np.ndarray,
-    global_params: ParameterVector,
-    mu: float,
-) -> np.ndarray:
-    """Gradient of task loss + (mu/2) * |w - w_global|^2."""
-    if model.params.spec != global_params.spec:
-        raise StructuralError("model and global parameters use different layer specs")
-    grad = task_gradient(model, windows, targets)
-    return grad + mu * (model.params.values - global_params.values)
-
-
 def _require_finite(ids: list[str], ok: np.ndarray, what: str) -> None:
     if not ok.all():
         raise NumericError(f"{what} for clients {[c for c, fine in zip(ids, ok) if not fine]}")
@@ -460,7 +447,7 @@ def local_train(
     global_params: ParameterVector,
     cfg: ForecasterConfig,
     rngs: Mapping[str, np.random.Generator],
-) -> dict[str, tuple[ForecasterModel, float]]:
+) -> dict[str, tuple[np.ndarray, float]]:
     """Mini-batch SGD on the proximally regularized objective, for every
     client at once.
 
@@ -472,7 +459,7 @@ def local_train(
     is added to every mini-batch gradient exactly.  Clients with equally
     many windows train as one stacked pass; every client's result is
     bit-identical to training it alone.  Returns client id -> (trained
-    model, mean mini-batch task loss).
+    parameter row (P,), mean mini-batch task loss).
     """
     if global_params.spec != build_spec(cfg):
         raise StructuralError("global parameters do not match the configured architecture")
@@ -500,5 +487,5 @@ def local_train(
             [rngs[c] for c in ids],
         )
         for k, cid in enumerate(ids):
-            out[cid] = models[cid].with_params(values[k]), float(np.mean(losses[k]))
+            out[cid] = values[k], float(np.mean(losses[k]))
     return out

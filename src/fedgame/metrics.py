@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError, UsageError
-from .forecaster import ForecasterModel, forward_batch
+from .forecaster import ForecasterModel, _pinball_weights, forward_batch
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def quantile_score(y: np.ndarray, yhat: np.ndarray, q: float) -> float:
     if not 0.0 < q < 1.0:
         raise UsageError(f"quantile level must lie in (0, 1), got {q}")
     diff = yhat - y
-    return float(np.mean(np.where(diff > 0, 1.0 - q, -q) * diff))
+    return float(np.mean(_pinball_weights(diff, q) * diff))
 
 
 def icp(y: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
@@ -123,20 +123,12 @@ def mil(lower: np.ndarray, upper: np.ndarray) -> float:
     return float(np.mean(np.abs(upper - lower)))
 
 
-def _denormalize(values: np.ndarray, data) -> np.ndarray:
-    mean = float(getattr(data, "mean", 0.0))
-    std = float(getattr(data, "std", 1.0))
-    return values * std + mean
-
-
-def _client_score(
-    client_id: str, model: ForecasterModel, data, quantiles: tuple[float, ...]
-) -> ClientScore:
-    q = np.asarray(quantiles, dtype=np.float64)
-    preds = _denormalize(forward_batch(model, data.inputs), data)
-    targets = _denormalize(np.asarray(data.targets, dtype=np.float64), data)
+def _client_score(client_id: str, model: ForecasterModel, data) -> ClientScore:
+    q = np.asarray(model.config.quantiles, dtype=np.float64)
+    preds = data.denormalize(forward_batch(model, data.inputs))
+    targets = data.denormalize(data.targets)
     diff = preds - targets[:, :, np.newaxis]
-    weights = np.where(diff > 0, 1.0 - q, -q)
+    weights = _pinball_weights(diff, q)
     qs = float(np.mean(weights * diff))
     per_q = tuple(float(np.mean(weights[:, :, k] * diff[:, :, k])) for k in range(q.size))
     lo = preds[:, :, int(np.argmin(q))].reshape(-1)
@@ -152,31 +144,31 @@ def _client_score(
     )
 
 
-def evaluate(
-    models: dict[str, ForecasterModel],
-    test_data: dict[str, object],
-    quantiles: tuple[float, ...] | None = None,
-) -> EvalReport:
+def evaluate(models: dict[str, ForecasterModel], test_data: dict) -> EvalReport:
     """Score every client on its own test windows.
 
-    Clients with no test windows are excluded from all averages and
-    listed in the report.  Predictions and targets are converted back
-    to original units with each dataset's normalization stats.
+    ``test_data`` maps client ids to :class:`~fedgame.data.WindowedDataset`
+    splits.  Each output column is scored at the quantile level the
+    models were configured with, so every model must share one quantile
+    set.  Clients with no test windows are excluded from all averages
+    and listed in the report.  Predictions and targets are converted
+    back to original units with each dataset's normalization stats.
     """
     if not models:
         raise UsageError("evaluate needs at least one client model")
-    if quantiles is None:
-        quantiles = next(iter(models.values())).config.quantiles
-    quantiles = tuple(float(v) for v in quantiles)
+    levels = {m.config.quantiles for m in models.values()}
+    if len(levels) > 1:
+        raise StructuralError(f"models disagree on their quantile levels: {sorted(levels)}")
+    (quantiles,) = levels
 
     scores = []
     excluded = []
     for client_id in sorted(models):
         data = test_data.get(client_id)
-        if data is None or len(np.asarray(data.inputs)) == 0:
+        if data is None or not len(data):
             excluded.append(client_id)
             continue
-        scores.append(_client_score(client_id, models[client_id], data, quantiles))
+        scores.append(_client_score(client_id, models[client_id], data))
     if not scores:
         raise UsageError("every client was excluded: no test windows at all")
 

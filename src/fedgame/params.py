@@ -52,17 +52,18 @@ class LayerSpec:
         return self.offset + self.length
 
 
-def validate_layout(spec: Sequence[LayerSpec], *, require_head: bool = True) -> int:
-    """Check that layers tile [0, total) contiguously; return the total length.
+def validate_layout(spec: Sequence[LayerSpec]) -> int:
+    """Check that layers tile [0, total) contiguously and include an
+    output head; return the total length.
 
     The check runs once per distinct spec tuple; an invalid spec raises
     on every call.
     """
-    return _checked_total(tuple(spec), require_head)
+    return _checked_total(tuple(spec))
 
 
 @functools.cache
-def _checked_total(spec: tuple[LayerSpec, ...], require_head: bool) -> int:
+def _checked_total(spec: tuple[LayerSpec, ...]) -> int:
     if not spec:
         raise ConfigError("layer spec is empty")
     ordered = sorted(spec, key=lambda s: s.offset)
@@ -74,7 +75,7 @@ def _checked_total(spec: tuple[LayerSpec, ...], require_head: bool) -> int:
                 f"layers {prev.name!r} and {cur.name!r} are not contiguous: "
                 f"{prev.stop} != {cur.offset}"
             )
-    if require_head and not any(s.kind == "output_head" for s in spec):
+    if not any(s.kind == "output_head" for s in spec):
         raise ConfigError("layer spec has no output_head layer")
     return ordered[-1].stop
 
@@ -125,18 +126,8 @@ class ParameterVector:
         if not np.isfinite(self.values).all():
             raise NumericError("parameter vector contains non-finite entries")
 
-    @classmethod
-    def zeros(cls, spec: Sequence[LayerSpec]) -> "ParameterVector":
-        return cls(np.zeros(total_params(spec)), tuple(spec))
-
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.values.copy(), self.spec)
-
-    def layer(self, name: str) -> np.ndarray:
-        for s in self.spec:
-            if s.name == name:
-                return self.values[s.offset : s.stop]
-        raise ConfigError(f"no layer named {name!r}")
 
     def __len__(self) -> int:
         return self.values.size

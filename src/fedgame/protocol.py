@@ -179,11 +179,6 @@ def round_traffic(n_clients: int, total: int, head: int, aggregator_kind: str) -
     return {"upstream": n_clients * total, "downstream": n_clients * total, "ratio": 1.0}
 
 
-def comm_cost(n_clients: int, spec, aggregator_kind: str) -> dict:
-    """:func:`round_traffic` with the counts of a layer spec."""
-    return round_traffic(n_clients, total_params(spec), head_length(spec), aggregator_kind)
-
-
 def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
     """An independent generator in the same state."""
     # seeded only to skip drawing OS entropy; the state is overwritten
@@ -257,7 +252,7 @@ def run_round(
     )
     train_losses = {cid: trained[cid][1] for cid in participants}
     # one row per participant, in sorted-id order
-    private = np.stack([trained[cid][0].params.values for cid in participants])
+    private = np.stack([trained[cid][0] for cid in participants])
     deltas = compute_delta(private, new_state.global_params)
 
     if kind != "local_only":
@@ -287,15 +282,12 @@ def run_round(
     if kind in PERSONALIZED_KINDS:
         update = scatter_head(spec, np.stack([personalized[cid] for cid in participants]))
         private = add_scaled(private, update, hyper.gamma)
+    # each participant's new model is built once, from its final row
     for k, cid in enumerate(participants):
-        model = trained[cid][0]
-        if kind in PERSONALIZED_KINDS:
-            model = model.with_params(private[k])
-        elif kind == "fedavg":
-            model = model.with_params(new_state.global_params.values)
-        new_state.client_models[cid] = model
+        values = new_state.global_params.values if kind == "fedavg" else private[k]
+        new_state.client_models[cid] = new_state.client_models[cid].with_params(values)
 
-    traffic = comm_cost(len(participants), spec, kind)
+    traffic = round_traffic(len(participants), total_params(spec), head_length(spec), kind)
     report = RoundReport(
         round_index=new_state.round_index,
         client_ids=tuple(participants),
@@ -515,7 +507,7 @@ def run_experiment(config: ExperimentConfig, aggregator_kind: str | None = None)
             raise type(exc)(f"round {state.round_index}: {exc}") from exc
         reports.append(report)
 
-    eval_report = evaluate(state.client_models, test_data, fcfg.quantiles)
+    eval_report = evaluate(state.client_models, test_data)
     return RunResult(
         aggregator_kind=kind,
         reports=reports,

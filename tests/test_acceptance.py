@@ -19,13 +19,13 @@ from fedgame.aggregator import (
     GatePair,
     aggregate_game,
     aggregate_single_attention,
-    clean_top_k_masks,
     flatten_parameters,
     init_aggregator,
     load_parameters,
     mean_meta_loss,
     meta_gradient,
     register_client,
+    top_k_mask,
     train_step,
 )
 from fedgame.cli import comm_summary, config_from_dict, main
@@ -33,8 +33,9 @@ from fedgame.data import WindowedDataset, make_windows, synth_generate
 from fedgame.forecaster import (
     ForecasterConfig,
     build_spec,
-    fedprox_gradient,
     init_forecaster,
+    local_train,
+    task_loss,
 )
 from fedgame.metrics import evaluate, icp, mil, quantile_score
 from fedgame.params import ParameterVector, total_params, head_length
@@ -181,13 +182,16 @@ def test_client_and_server_gradients_match_finite_differences():
     anchor = ParameterVector(rng.normal(size=len(model.params)), model.params.spec)
 
     def prox_objective(values):
-        from fedgame.forecaster import task_loss
-
         bumped = model.with_params(values)
         pull = 0.5 * cfg.prox_mu * float(np.sum((values - anchor.values) ** 2))
         return task_loss(bumped, windows, targets) + pull
 
-    analytic = fedprox_gradient(model, windows, targets, anchor, cfg.prox_mu)
+    # the gradient training applies: one full-batch SGD step w' = w - lr * g
+    assert cfg.batch_size >= len(windows) and cfg.local_epochs == 1
+    batch = WindowedDataset(windows, targets, mean=0.0, std=1.0)
+    stepped, _ = local_train({"c": model}, {"c": batch}, anchor, cfg,
+                             {"c": np.random.default_rng(0)})["c"]
+    analytic = (model.params.values - stepped) / cfg.local_lr
     numeric = central_difference(prox_objective, model.params.values.copy())
     assert_gradients_close(analytic, numeric)
 
@@ -200,7 +204,9 @@ def test_client_and_server_gradients_match_finite_differences():
             register_client(state, cid)
         delta_rng = np.random.default_rng(34)
         deltas = {cid: delta_rng.normal(size=8) for cid in ids}
-        masks = clean_top_k_masks(state, deltas)
+        # the clean logits that made the selection, rows in sorted-id order
+        rows = aggregate_game(state, deltas)[1]
+        masks = top_k_mask(np.stack([row.logits for row in rows]), top_k)
 
         def meta_objective(flat):
             probe = copy.deepcopy(state)
@@ -364,7 +370,7 @@ def test_metrics_match_brute_force_oracles_and_nominal_coverage():
         mean=0.0,
         std=1.0,
     )
-    report = evaluate({"a": model}, {"a": data}, cfg.quantiles)
+    report = evaluate({"a": model}, {"a": data})
     assert abs(report.macro_icp - 0.8) <= 0.05
 
 

@@ -13,11 +13,8 @@ from fedgame.aggregator import (
     aggregate_game,
     aggregate_mean,
     aggregate_single_attention,
-    clean_top_k_masks,
-    encode,
     expert_scores,
     flatten_parameters,
-    gate_weights,
     init_aggregator,
     load_parameters,
     mean_meta_loss,
@@ -27,7 +24,9 @@ from fedgame.aggregator import (
     top_k_mask,
     train_step,
     _batch,
+    _encode,
     _forward,
+    _masked_softmax,
     _parameters,
     _sorted_rows,
 )
@@ -67,14 +66,14 @@ def test_encode_zero_and_identity():
     state = make_state()
     state.encoder_w[...] = 0.0
     state.encoder_b[...] = 0.0
-    np.testing.assert_array_equal(encode(state, np.ones(6)), np.zeros(4))
+    np.testing.assert_array_equal(_encode(state, np.ones((1, 6)))[1], np.zeros((1, 4)))
 
     cfg = AggregatorConfig(embed_dim=5)
     ident = init_aggregator(cfg, 5, np.random.default_rng(0))
     ident.encoder_w[...] = np.eye(5)
     ident.encoder_b[...] = 0.0
-    delta = np.arange(5.0)
-    np.testing.assert_array_equal(encode(ident, delta), delta)
+    delta = np.arange(5.0)[np.newaxis]
+    np.testing.assert_array_equal(_encode(ident, delta)[1], delta)
 
 
 def test_encode_matches_matvec_oracle():
@@ -86,13 +85,14 @@ def test_encode_matches_matvec_oracle():
             for j in range(4)
         ]
     )
-    np.testing.assert_allclose(encode(state, delta), expected, rtol=0, atol=1e-12)
+    embedding = _encode(state, delta[np.newaxis])[1][0]
+    np.testing.assert_allclose(embedding, expected, rtol=0, atol=1e-12)
 
 
 def test_encode_rejects_wrong_length():
     state = make_state()
     with pytest.raises(StructuralError):
-        encode(state, np.ones(7))
+        aggregate_game(state, {"a": np.ones(7)})
 
 
 def test_expert_scores_zero_and_sum_expert():
@@ -190,13 +190,16 @@ def test_gate_logits_requires_registration():
 
 
 def test_gate_weights_uniform_onehot_and_hand_softmax():
+    zeros = np.zeros(4)
     np.testing.assert_allclose(
-        gate_weights(np.zeros(4), 4), np.full(4, 0.25), rtol=0, atol=1e-12
+        _masked_softmax(zeros, top_k_mask(zeros, 4)), np.full(4, 0.25), rtol=0, atol=1e-12
     )
+    logits = np.array([0.5, 2.0, 1.0])
     np.testing.assert_array_equal(
-        gate_weights(np.array([0.5, 2.0, 1.0]), 1), np.array([0.0, 1.0, 0.0])
+        _masked_softmax(logits, top_k_mask(logits, 1)), np.array([0.0, 1.0, 0.0])
     )
-    out = gate_weights(np.array([3.0, 1.0, 2.0, 0.0]), 2)
+    logits = np.array([3.0, 1.0, 2.0, 0.0])
+    out = _masked_softmax(logits, top_k_mask(logits, 2))
     e = math.e
     np.testing.assert_allclose(
         out, np.array([e / (1 + e), 0.0, 1 / (1 + e), 0.0]), rtol=0, atol=1e-12
@@ -204,9 +207,10 @@ def test_gate_weights_uniform_onehot_and_hand_softmax():
 
 
 def test_gate_weights_breaks_ties_by_lower_index():
-    kept = top_k_mask(np.array([1.0, 1.0, 1.0, 0.5]), 2)
+    logits = np.array([1.0, 1.0, 1.0, 0.5])
+    kept = top_k_mask(logits, 2)
     np.testing.assert_array_equal(np.flatnonzero(kept), [0, 1])
-    out = gate_weights(np.array([1.0, 1.0, 1.0, 0.5]), 2)
+    out = _masked_softmax(logits, kept)
     np.testing.assert_allclose(out, np.array([0.5, 0.5, 0.0, 0.0]), atol=1e-12)
 
 
@@ -214,7 +218,7 @@ def test_gate_weights_sparsity_and_sum():
     rng = np.random.default_rng(14)
     for _ in range(10):
         logits = rng.normal(size=6)
-        out = gate_weights(logits, 3)
+        out = _masked_softmax(logits, top_k_mask(logits, 3))
         assert np.count_nonzero(out) == 3
         assert math.fsum(out) == pytest.approx(1.0, abs=1e-9)
         assert np.all(out >= 0.0)
@@ -395,7 +399,9 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
         noise_enabled=False,
     )
     deltas = random_deltas(state, ("a", "b", "c"), seed=31)
-    masks = clean_top_k_masks(state, deltas)
+    # the clean logits that made the selection, rows in sorted-id order
+    logits = np.stack([row.logits for row in aggregate_game(state, deltas)[1]])
+    masks = top_k_mask(logits, top_k)
     marker = copy.deepcopy(state)
     for gate in marker.gates.values():
         gate.noise[...] = np.nan

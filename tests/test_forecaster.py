@@ -11,7 +11,6 @@ from fedgame.forecaster import (
     ForecasterConfig,
     ForecasterModel,
     build_spec,
-    fedprox_gradient,
     forward_batch,
     init_forecaster,
     local_train,
@@ -191,7 +190,8 @@ def test_forward_batch_agrees_with_single_forward():
 
 def test_zero_weights_mlp_outputs_bias():
     cfg = small_config()
-    model = ForecasterModel(ParameterVector.zeros(build_spec(cfg)), cfg)
+    spec = build_spec(cfg)
+    model = ForecasterModel(ParameterVector(np.zeros(total_params(spec)), spec), cfg)
     bias = np.linspace(-1.0, 1.0, cfg.output_dim)
     values = model.params.values.copy()
     values[-cfg.output_dim :] = bias
@@ -306,17 +306,28 @@ def test_task_gradient_matches_finite_differences_lstm():
         check_task_gradient(*case)
 
 
-def test_fedprox_gradient_adds_exact_proximal_pull():
-    cfg = small_config()
+def one_full_batch_step(cfg, model, anchor, windows, targets):
+    """Parameters after local_train's single SGD step over the whole batch."""
+    assert cfg.local_epochs == 1 and cfg.batch_size >= len(windows)
+    return local_train({"c": model}, {"c": Batch(windows, targets)}, anchor, cfg,
+                       {"c": np.random.default_rng(0)})["c"]
+
+
+def test_local_train_step_adds_exact_proximal_pull():
+    cfg = small_config(prox_mu=0.7)
     model = init_forecaster(cfg, np.random.default_rng(11))
     anchor = init_forecaster(cfg, np.random.default_rng(12)).params
     rng = np.random.default_rng(13)
-    windows = rng.normal(size=(3, cfg.history_len))
-    targets = rng.normal(size=(3, cfg.horizon))
+    # one window, so the batch order cannot move the task gradient's bits
+    windows = rng.normal(size=(1, cfg.history_len))
+    targets = rng.normal(size=(1, cfg.horizon))
     task = task_gradient(model, windows, targets)
-    prox = fedprox_gradient(model, windows, targets, anchor, mu=0.7)
     expected = task + 0.7 * (model.params.values - anchor.values)
-    np.testing.assert_allclose(prox, expected, rtol=0, atol=1e-12)
+    trained, _ = one_full_batch_step(cfg, model, anchor, windows, targets)
+    assert trained.tobytes() == (model.params.values - cfg.local_lr * expected).tobytes()
+    # at the anchor the pull vanishes and the step is the task step alone
+    trained, _ = one_full_batch_step(cfg, model, model.params, windows, targets)
+    assert trained.tobytes() == (model.params.values - cfg.local_lr * task).tobytes()
 
 
 def test_local_train_single_step_matches_hand_computation():
@@ -327,13 +338,12 @@ def test_local_train_single_step_matches_hand_computation():
     windows = rng.normal(size=(4, cfg.history_len))
     targets = rng.normal(size=(4, cfg.horizon))
 
-    grad = fedprox_gradient(model, windows, targets, anchor, cfg.prox_mu)
+    grad = task_gradient(model, windows, targets)
+    grad = grad + cfg.prox_mu * (model.params.values - anchor.values)
     expected = model.params.values - cfg.local_lr * grad
 
-    trained, loss = local_train(
-        {"c": model}, {"c": Batch(windows, targets)}, anchor, cfg, {"c": np.random.default_rng(0)}
-    )["c"]
-    np.testing.assert_allclose(trained.params.values, expected, rtol=0, atol=1e-12)
+    trained, loss = one_full_batch_step(cfg, model, anchor, windows, targets)
+    np.testing.assert_allclose(trained, expected, rtol=0, atol=1e-12)
     assert loss == pytest.approx(task_loss(model, windows, targets), abs=1e-12)
 
 
@@ -349,7 +359,7 @@ def test_local_train_is_deterministic_in_the_rng():
                             {"c": np.random.default_rng(42)})["c"]
     b, loss_b = local_train({"c": model}, {"c": data}, anchor, cfg,
                             {"c": np.random.default_rng(42)})["c"]
-    np.testing.assert_array_equal(a.params.values, b.params.values)
+    np.testing.assert_array_equal(a, b)
     assert loss_a == loss_b
 
 
@@ -362,7 +372,7 @@ def test_large_mu_contracts_toward_anchor():
     start = np.linalg.norm(model.params.values - anchor.values)
     trained, _ = local_train({"c": model}, {"c": data}, anchor, cfg,
                              {"c": np.random.default_rng(1)})["c"]
-    end = np.linalg.norm(trained.params.values - anchor.values)
+    end = np.linalg.norm(trained - anchor.values)
     assert end < start
 
 
@@ -436,9 +446,9 @@ def test_local_train_stacks_are_bit_identical_to_one_client_at_a_time(monkeypatc
         assert sorted(together) == sorted(sizes)
         alone_rngs = streams()
         for cid in sizes:
-            model, loss = local_train({cid: models[cid]}, {cid: data[cid]}, anchor, cfg,
-                                      {cid: alone_rngs[cid]})[cid]
-            assert together[cid][0].params.values.tobytes() == model.params.values.tobytes()
+            values, loss = local_train({cid: models[cid]}, {cid: data[cid]}, anchor, cfg,
+                                       {cid: alone_rngs[cid]})[cid]
+            assert together[cid][0].tobytes() == values.tobytes()
             assert together[cid][1] == loss
             assert (together_rngs[cid].bit_generator.state
                     == alone_rngs[cid].bit_generator.state)
@@ -474,10 +484,11 @@ def test_mismatched_specs_are_rejected():
     other = small_config(hidden_sizes=(7,))
     model = init_forecaster(cfg, np.random.default_rng(23))
     anchor = init_forecaster(other, np.random.default_rng(24)).params
-    windows = np.zeros((2, cfg.history_len))
-    targets = np.zeros((2, cfg.horizon))
+    data = Batch(np.zeros((2, cfg.history_len)), np.zeros((2, cfg.horizon)))
     with pytest.raises(StructuralError):
-        fedprox_gradient(model, windows, targets, anchor, 0.1)
+        local_train({"c": model}, {"c": data}, anchor, cfg, {"c": np.random.default_rng(0)})
+    with pytest.raises(StructuralError):
+        ForecasterModel(anchor, cfg)
 
 
 def test_forward_rejects_wrong_window_shape():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedgame.data import WindowedDataset
-from fedgame.errors import UsageError
+from fedgame.errors import StructuralError, UsageError
 from fedgame.forecaster import ForecasterConfig, ForecasterModel, build_spec, pinball_loss
 from fedgame.metrics import evaluate, icp, mil, quantile_score
 from fedgame.params import ParameterVector
@@ -135,7 +135,7 @@ def test_oracle_quantiles_hit_nominal_coverage():
     n = 2000
     data = raw_dataset(rng.normal(size=(n, cfg.history_len)),
                        m + s * rng.standard_normal((n, 1)))
-    report = evaluate({"a": model}, {"a": data}, cfg.quantiles)
+    report = evaluate({"a": model}, {"a": data})
     assert report.macro_icp == pytest.approx(0.8, abs=0.05)
     assert report.macro_mil == pytest.approx(2 * z90 * s, abs=1e-9)
 
@@ -146,7 +146,7 @@ def test_evaluate_identical_clients_macro_equals_each():
     model = constant_output_model(cfg, [0.0, 1.0, 0.5, 1.5])
     rng = np.random.default_rng(12)
     data = raw_dataset(rng.normal(size=(10, 3)), rng.normal(size=(10, 2)))
-    report = evaluate({"a": model, "b": model}, {"a": data, "b": data}, cfg.quantiles)
+    report = evaluate({"a": model, "b": model}, {"a": data, "b": data})
     assert report.macro_qs == report.clients[0].qs == report.clients[1].qs
     assert report.macro_icp == report.clients[0].icp
     assert report.weighted_qs == report.macro_qs
@@ -159,7 +159,7 @@ def test_evaluate_per_quantile_breakdown_matches_quantile_score():
     rng = np.random.default_rng(13)
     targets = rng.normal(size=(50, 1))
     data = raw_dataset(rng.normal(size=(50, 3)), targets)
-    report = evaluate({"a": model}, {"a": data}, cfg.quantiles)
+    report = evaluate({"a": model}, {"a": data})
     client = report.clients[0]
     y = targets[:, 0]
     assert client.qs_per_quantile[0] == pytest.approx(
@@ -169,6 +169,26 @@ def test_evaluate_per_quantile_breakdown_matches_quantile_score():
         quantile_score(y, np.full(50, 0.7), 0.9), abs=1e-12
     )
     assert client.qs == pytest.approx(np.mean(client.qs_per_quantile), abs=1e-12)
+
+
+def test_evaluate_rejects_models_with_different_quantile_levels():
+    """A report scores every column at its model's own level, so models
+    configured with two quantile sets cannot share one report."""
+    cfg = ForecasterConfig(history_len=3, horizon=1, quantiles=(0.1, 0.5, 0.9),
+                           hidden_sizes=(3,))
+    other = ForecasterConfig(history_len=3, horizon=1, quantiles=(0.2, 0.5, 0.8),
+                             hidden_sizes=(3,))
+    rng = np.random.default_rng(17)
+    data = raw_dataset(rng.normal(size=(6, 3)), rng.normal(size=(6, 1)))
+    a = constant_output_model(cfg, [-1.0, 0.0, 1.0])
+    b = constant_output_model(other, [-1.0, 0.0, 1.0])
+    with pytest.raises(StructuralError, match="quantile levels"):
+        evaluate({"a": a, "b": b}, {"a": data, "b": data})
+    # alone, a model is scored at its own levels
+    report = evaluate({"b": b}, {"b": data})
+    assert report.quantiles == (0.2, 0.5, 0.8)
+    first = quantile_score(data.targets[:, 0], np.full(6, -1.0), 0.2)
+    assert report.clients[0].qs_per_quantile[0] == pytest.approx(first, abs=1e-12)
 
 
 def test_evaluate_denormalizes_with_dataset_stats():
@@ -181,7 +201,7 @@ def test_evaluate_denormalizes_with_dataset_stats():
         mean=10.0,
         std=2.0,
     )
-    report = evaluate({"a": model}, {"a": data}, cfg.quantiles)
+    report = evaluate({"a": model}, {"a": data})
     assert report.clients[0].qs == pytest.approx(0.5 * abs(10.0 - 12.0), abs=1e-12)
 
 
@@ -192,12 +212,11 @@ def test_evaluate_excludes_clients_without_data():
     rng = np.random.default_rng(14)
     good = raw_dataset(rng.normal(size=(5, 3)), rng.normal(size=(5, 1)))
     empty = raw_dataset(np.zeros((0, 3)), np.zeros((0, 1)))
-    report = evaluate({"a": model, "b": model, "c": model},
-                      {"a": good, "b": empty}, cfg.quantiles)
+    report = evaluate({"a": model, "b": model, "c": model}, {"a": good, "b": empty})
     assert report.excluded == ("b", "c")
     assert len(report.clients) == 1
     with pytest.raises(UsageError):
-        evaluate({"a": model}, {}, cfg.quantiles)
+        evaluate({"a": model}, {})
 
 
 def test_weighted_average_uses_sample_counts():
@@ -207,7 +226,7 @@ def test_weighted_average_uses_sample_counts():
     rng = np.random.default_rng(15)
     small = raw_dataset(rng.normal(size=(2, 3)), rng.normal(size=(2, 1)))
     large = raw_dataset(rng.normal(size=(8, 3)), rng.normal(size=(8, 1)))
-    report = evaluate({"a": model, "b": model}, {"a": small, "b": large}, cfg.quantiles)
+    report = evaluate({"a": model, "b": model}, {"a": small, "b": large})
     a, b = report.clients
     assert report.macro_qs == pytest.approx((a.qs + b.qs) / 2, abs=1e-15)
     assert report.weighted_qs == pytest.approx((2 * a.qs + 8 * b.qs) / 10, abs=1e-15)
@@ -219,7 +238,7 @@ def test_report_serialization_shapes():
     model = constant_output_model(cfg, [0.0, 1.0])
     rng = np.random.default_rng(16)
     data = raw_dataset(rng.normal(size=(5, 3)), rng.normal(size=(5, 1)))
-    report = evaluate({"a": model}, {"a": data}, cfg.quantiles)
+    report = evaluate({"a": model}, {"a": data})
     as_dict = report.to_dict()
     assert set(as_dict) == {"quantiles", "clients", "excluded", "macro", "weighted"}
     rows = report.csv_rows()

@@ -21,9 +21,9 @@ from fedgame.protocol import (
     HyperParams,
     RoundReport,
     attention_diagnostics,
-    comm_cost,
     init_round_state,
     run_experiment,
+    round_traffic,
     run_round,
     seed_stream,
 )
@@ -93,12 +93,13 @@ def test_comm_cost_closed_forms():
     spec = build_spec(CFG)
     total = total_params(spec)
     head = head_length(spec)
-    game = comm_cost(5, spec, "game")
+    game = round_traffic(5, total, head, "game")
     assert game["upstream"] == 5 * total
     assert game["downstream"] == 5 * total + 5 * head
     assert game["ratio"] == pytest.approx(1.0 + head / total / 2.0, abs=1e-15)
-    assert comm_cost(5, spec, "fedavg")["ratio"] == 1.0
-    assert comm_cost(5, spec, "local_only") == {"upstream": 0, "downstream": 0, "ratio": 0.0}
+    assert round_traffic(5, total, head, "fedavg")["ratio"] == 1.0
+    assert round_traffic(5, total, head, "local_only") == {
+        "upstream": 0, "downstream": 0, "ratio": 0.0}
 
 
 def test_fedavg_round_syncs_clients_to_consensus():
@@ -183,14 +184,16 @@ def test_local_only_round_touches_nothing_shared():
 
 def test_report_bytes_match_closed_form():
     state, data = build_setup(3)
-    spec = state.global_params.spec
+    total = total_params(state.global_params.spec)
+    head = head_length(state.global_params.spec)
     agg = fresh_aggregator(state)
-    for kind, aggregator in (("game", agg), ("fedavg", None), ("fedprox_only", None)):
+    # every client uploads its model; the personalized kinds add its head downstream
+    for kind, aggregator, down in (("game", agg, total + head), ("fedavg", None, total),
+                                   ("fedprox_only", None, total)):
         hyper = HyperParams(rounds=1, aggregator_kind=kind)
         _, report = run_round(state, hyper, aggregator, data)
-        cost = comm_cost(3, spec, kind)
-        assert report.upstream_bytes == cost["upstream"] * 8
-        assert report.downstream_bytes == cost["downstream"] * 8
+        assert report.upstream_bytes == 3 * total * 8
+        assert report.downstream_bytes == 3 * down * 8
         assert isinstance(report.upstream_bytes, int)
         assert isinstance(report.downstream_bytes, int)
 
