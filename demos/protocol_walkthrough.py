@@ -39,20 +39,22 @@ windows = {s.client_id: make_windows(s, cfg.history_len, cfg.horizon, (0.7, 0.1,
 train = {cid: w["train"] for cid, w in windows.items()}
 print(f"\ntraining windows per client: {[len(d) for d in train.values()]}")
 
-# Server side: one consensus model, per-client copies, one rng per role.
+# Server side: one consensus model that every client starts from (models
+# are read-only, so they share it), and one rng per role.
 state = init_round_state(cfg, list(train), MASTER_SEED)
 aggregator = init_aggregator(AggregatorConfig(embed_dim=8, num_experts=4, top_k=2),
-                             head_length(state.global_params.spec),
+                             head_length(state.global_model.spec),
                              seed_stream(MASTER_SEED, "aggregator"))
 for cid in sorted(train):
     register_client(aggregator, cid)
 
 hyper = HyperParams(rounds=5, aggregator_kind="game", gamma=0.1)
-consensus_before = state.global_params.values.copy()
+# no copy needed: a round builds a new consensus instead of writing this one
+consensus_before = state.global_model.values
 
 for _ in range(hyper.rounds):
     state, report = run_round(state, hyper, aggregator, train)
-    drift = np.linalg.norm(state.global_params.values - consensus_before)
+    drift = np.linalg.norm(state.global_model.values - consensus_before)
     losses = ", ".join(f"{cid}={loss:.4f}" for cid, loss in report.train_losses.items())
     print(f"\nround {report.round_index}: train losses {losses}")
     print(f"  meta loss {report.meta_loss:.6f}, consensus moved {drift:.4f}")

@@ -50,7 +50,6 @@ from .forecaster import (
 from .metrics import ClientScore, EvalReport, evaluate, icp, mil, quantile_score
 from .params import (
     LayerSpec,
-    ParameterVector,
     add_scaled,
     compute_delta,
     cosine_similarity,
@@ -60,7 +59,6 @@ from .params import (
     scatter_head,
     select_head_values,
     total_params,
-    validate_layout,
 )
 from .protocol import (
     AGGREGATOR_KINDS,

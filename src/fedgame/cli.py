@@ -20,8 +20,6 @@ from pathlib import Path
 
 from .data import shards_to_csv, synth_generate
 from .errors import ConfigError, FedGameError
-from .forecaster import build_spec
-from .params import head_length, total_params
 from .protocol import (
     PERSONALIZED_KINDS,
     ExperimentConfig,
@@ -192,9 +190,7 @@ def comm_summary(config: ExperimentConfig) -> dict:
     derived from the layer layout, so externally reported model sizes
     can be checked without rebuilding the exact architecture.
     """
-    spec = build_spec(config.forecaster_config())
-    total = config.published_total_params or total_params(spec)
-    head = config.published_head_params or head_length(spec)
+    total, head = config.param_counts()
     kind = config.aggregator_kind
     traffic = round_traffic(config.n_clients, total, head, kind)
     percent = 0.0

@@ -12,6 +12,7 @@ archetype and clients deviate from it in proportion to ``noise_sd``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -93,22 +94,28 @@ def load_csv(path) -> list[SeriesShard]:
     of it, and no single gap may fill more zeros than the station has
     rows (a mistyped year would otherwise expand into a series of
     millions of zeros).  A station with two rows at one timestamp is
-    rejected.
+    rejected.  The file must be UTF-8.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in CSV_COLUMNS:
-            if column not in header:
-                raise FormatError(f"missing required column {column!r}")
-        rows: dict[str, list[tuple[datetime, float, int]]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            station = (row["station_id"] or "").strip()
-            if not station:
-                raise FormatError(f"line {line_no}: empty station_id")
-            stamp = _parse_timestamp(row["timestamp"] or "", line_no)
-            demand = _parse_demand(row["demand_kwh"] or "", line_no)
-            rows.setdefault(station, []).append((stamp, demand, line_no))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"line {line_no}: not valid UTF-8 ({exc.reason})") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    for column in CSV_COLUMNS:
+        if column not in header:
+            raise FormatError(f"missing required column {column!r}")
+    rows: dict[str, list[tuple[datetime, float, int]]] = {}
+    for line_no, row in enumerate(reader, start=2):
+        station = (row["station_id"] or "").strip()
+        if not station:
+            raise FormatError(f"line {line_no}: empty station_id")
+        stamp = _parse_timestamp(row["timestamp"] or "", line_no)
+        demand = _parse_demand(row["demand_kwh"] or "", line_no)
+        rows.setdefault(station, []).append((stamp, demand, line_no))
 
     shards = []
     for station in sorted(rows):
@@ -260,7 +267,7 @@ def synth_generate(
 def shards_to_csv(shards: list[SeriesShard], path, start: datetime | None = None) -> None:
     """Write shards in the input CSV schema (cluster labels are not kept)."""
     start = start or datetime(2024, 1, 1)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for shard in shards:

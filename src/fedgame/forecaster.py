@@ -3,9 +3,10 @@
 Two small architectures share one flat-parameter contract: an MLP with
 tanh hidden layers (the default for tests and desk-scale runs) and a
 stacked LSTM, both ending in a dense output layer of width
-``horizon * len(quantiles)``.  That final layer is flagged
-``output_head`` in the layer registry and is the only slice exchanged
-for personalized aggregation.
+``horizon * len(quantiles)``.  The config is the one source of the
+flat layout (:func:`build_spec`); the final layer's blocks are flagged
+``output_head`` and are the only slice exchanged for personalized
+aggregation.  A model is its flat values plus its config.
 
 Gradients are derived by hand.  One forward pass over the flat
 parameter vector caches its activations, and an explicit backward
@@ -34,12 +35,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, StructuralError, UsageError, too_small
-from .params import LayerSpec, ParameterVector
+from .params import LayerSpec, total_params
 
 ARCHS = ("mlp", "lstm")
 
@@ -88,30 +89,21 @@ class ForecasterConfig:
         return self.horizon * len(self.quantiles)
 
 
-class Block(NamedTuple):
-    """One parameter block of the flat vector."""
-
-    name: str
-    shape: tuple[int, ...]
-    kind: str
-    offset: int
-    length: int
-    fan_in: int
-
-
 @functools.cache
-def layer_plan(cfg: ForecasterConfig) -> tuple[Block, ...]:
+def build_spec(cfg: ForecasterConfig) -> tuple[LayerSpec, ...]:
     """Every parameter block, in storage order, built once per config.
 
-    LSTM gate pre-activations are packed as 4*H columns in i, f, g, o
-    order (input, forget, cell, output).  ``fan_in`` is the input width
-    of the layer a block belongs to; all LSTM blocks use the hidden size.
+    Blocks tile [0, P) contiguously and end with the output head,
+    ``out.w`` then ``out.b``.  LSTM gate pre-activations are packed as
+    4*H columns in i, f, g, o order (input, forget, cell, output).
+    ``fan_in`` is the input width of the layer a block belongs to; all
+    LSTM blocks use the hidden size.
     """
-    plan: list[Block] = []
+    spec: list[LayerSpec] = []
 
     def add(name: str, shape: tuple[int, ...], kind: str, fan_in: int) -> None:
-        offset = plan[-1].offset + plan[-1].length if plan else 0
-        plan.append(Block(name, shape, kind, offset, math.prod(shape), fan_in))
+        offset = spec[-1].stop if spec else 0
+        spec.append(LayerSpec(name, shape, kind, offset, math.prod(shape), fan_in))
 
     if cfg.arch == "mlp":
         in_dim = cfg.history_len * cfg.features
@@ -128,40 +120,52 @@ def layer_plan(cfg: ForecasterConfig) -> tuple[Block, ...]:
             in_dim = width
     add("out.w", (in_dim, cfg.output_dim), "output_head", in_dim)
     add("out.b", (cfg.output_dim,), "output_head", in_dim)
-    return tuple(plan)
-
-
-@functools.cache
-def build_spec(cfg: ForecasterConfig) -> tuple[LayerSpec, ...]:
-    return tuple(LayerSpec(b.name, b.offset, b.length, b.kind) for b in layer_plan(cfg))
+    return tuple(spec)
 
 
 @dataclass
 class ForecasterModel:
-    """Flat parameters plus the config that interprets them."""
+    """Flat parameters plus the config that plans their layout.
 
-    params: ParameterVector
+    The model keeps its own float64 copy of ``values`` and marks it
+    read-only: models are never written in place, so rounds and states
+    can share them.
+    """
+
+    values: np.ndarray
     config: ForecasterConfig
 
     def __post_init__(self) -> None:
-        if self.params.spec != build_spec(self.config):
-            raise StructuralError("parameter spec does not match the configured architecture")
+        values = np.array(np.ravel(self.values), dtype=np.float64)
+        total = total_params(build_spec(self.config))
+        if values.size != total:
+            raise StructuralError(
+                f"parameter vector has {values.size} entries, the config's layout requires {total}"
+            )
+        if not np.isfinite(values).all():
+            raise NumericError("parameter vector contains non-finite entries")
+        values.flags.writeable = False
+        self.values = values
+
+    def __setstate__(self, state: dict) -> None:
+        # a deep copy or an unpickled model is checked and made read-only too
+        self.__init__(**state)
 
     @property
     def spec(self) -> tuple[LayerSpec, ...]:
-        return self.params.spec
+        return build_spec(self.config)
 
     def with_params(self, values: np.ndarray) -> "ForecasterModel":
-        return ForecasterModel(ParameterVector(values, self.params.spec), self.config)
+        return ForecasterModel(values, self.config)
 
 
 def init_forecaster(cfg: ForecasterConfig, rng: np.random.Generator) -> ForecasterModel:
     """Uniform(-s, s) init with s = 1/sqrt(fan_in) per block."""
     chunks = []
-    for block in layer_plan(cfg):
+    for block in build_spec(cfg):
         s = 1.0 / np.sqrt(block.fan_in)
         chunks.append(rng.uniform(-s, s, size=block.length))
-    return ForecasterModel(ParameterVector(np.concatenate(chunks), build_spec(cfg)), cfg)
+    return ForecasterModel(np.concatenate(chunks), cfg)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -172,7 +176,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def _blocks(plan: tuple[Block, ...], flat: np.ndarray) -> dict[str, np.ndarray]:
+def _blocks(spec: tuple[LayerSpec, ...], flat: np.ndarray) -> dict[str, np.ndarray]:
     """Name -> shaped view of each parameter block of the stacked ``flat``.
 
     ``flat`` is (N, P), one client per row.  A matrix block is viewed as
@@ -180,8 +184,7 @@ def _blocks(plan: tuple[Block, ...], flat: np.ndarray) -> dict[str, np.ndarray]:
     broadcasts over a (N, B, width) batch.  The views write through.
     """
     n = flat.shape[0]
-    return {b.name: flat[:, b.offset : b.offset + b.length].reshape(n, -1, b.shape[-1])
-            for b in plan}
+    return {b.name: flat[:, b.offset : b.stop].reshape(n, -1, b.shape[-1]) for b in spec}
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -330,11 +333,11 @@ def forward_batch(model: ForecasterModel, windows: np.ndarray) -> np.ndarray:
     """Predictions for a batch of windows, shaped (n, horizon, n_quantiles).
 
     ``windows`` is (n, history_len, features), or (n, history_len) for a
-    univariate model.  Deterministic in (params, windows).
+    univariate model.  Deterministic in (values, windows).
     """
     cfg = model.config
     batch = _as_batch(cfg, windows)
-    w = _blocks(layer_plan(cfg), model.params.values[np.newaxis])
+    w = _blocks(build_spec(cfg), model.values[np.newaxis])
     pred = _forward(cfg, w, batch[np.newaxis])[0][0]
     if not np.all(np.isfinite(pred)):
         raise NumericError("forward produced non-finite predictions")
@@ -375,14 +378,14 @@ def task_loss_and_gradient(
     features) and ``targets`` (N, B, horizon).  No operation mixes two
     rows, so each row is bit-identical to a stack of that client alone.
     """
-    plan = layer_plan(cfg)
-    w = _blocks(plan, values)
+    spec = build_spec(cfg)
+    w = _blocks(spec, values)
     pred, head_in, cache = _forward(cfg, w, batch)
     diff = pred - np.repeat(targets, len(cfg.quantiles), axis=2)
     weights = _pinball_weights(diff, np.tile(cfg.quantiles, cfg.horizon))
     scale = 1.0 / diff[0].size
     grad = np.zeros_like(values)
-    _backward(cfg, w, _blocks(plan, grad), head_in, cache, scale * weights)
+    _backward(cfg, w, _blocks(spec, grad), head_in, cache, scale * weights)
     return (diff * weights).reshape(len(values), -1).sum(axis=1) * scale, grad
 
 
@@ -390,7 +393,7 @@ def _one_client(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray
     """Loss and gradient of one model on one batch, as a stack of one."""
     batch, targets = _checked_batch(model.config, windows, targets)
     losses, grads = task_loss_and_gradient(
-        model.config, model.params.values[np.newaxis], batch[np.newaxis], targets[np.newaxis]
+        model.config, model.values[np.newaxis], batch[np.newaxis], targets[np.newaxis]
     )
     return float(losses[0]), grads[0]
 
@@ -444,30 +447,31 @@ def _train_stack(
 def local_train(
     models: Mapping[str, ForecasterModel],
     data: Mapping[str, object],
-    global_params: ParameterVector,
-    cfg: ForecasterConfig,
+    global_model: ForecasterModel,
     rngs: Mapping[str, np.random.Generator],
 ) -> dict[str, tuple[np.ndarray, float]]:
     """Mini-batch SGD on the proximally regularized objective, for every
     client at once.
 
     ``models``, ``data`` and ``rngs`` are keyed by client id, and every
-    model must use ``cfg``.  Each ``data[cid]`` exposes ``inputs``
-    (n, history_len[, features]) and ``targets`` (n, horizon).  Each
-    client runs ``cfg.local_epochs`` passes whose batch order is drawn
-    from its own rng stream, and the proximal pull mu * (w - w_global)
-    is added to every mini-batch gradient exactly.  Clients with equally
-    many windows train as one stacked pass; every client's result is
-    bit-identical to training it alone.  Returns client id -> (trained
-    parameter row (P,), mean mini-batch task loss).
+    model must use ``cfg``, the config of the consensus ``global_model``.
+    Each ``data[cid]`` exposes ``inputs`` (n, history_len[, features])
+    and ``targets`` (n, horizon).  Each client runs ``cfg.local_epochs``
+    passes whose batch order is drawn from its own rng stream, and the
+    proximal pull mu * (w - w_global) is added to every mini-batch
+    gradient exactly.  Clients with equally many windows train as one
+    stacked pass; every client's result is bit-identical to training it
+    alone.  Returns client id -> (trained parameter row (P,), mean
+    mini-batch task loss).
     """
-    if global_params.spec != build_spec(cfg):
-        raise StructuralError("global parameters do not match the configured architecture")
+    cfg = global_model.config
     sets: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for cid in sorted(models):
-        # a model's spec matches its config, so this also checks the spec
+        # a model's layout follows from its config, so this also checks the layout
         if models[cid].config != cfg:
-            raise StructuralError(f"client {cid!r}: model config differs from the training config")
+            raise StructuralError(
+                f"client {cid!r}: model config differs from the consensus model's"
+            )
         sets[cid] = _checked_batch(cfg, data[cid].inputs, data[cid].targets)
         if not len(sets[cid][0]):
             raise UsageError(f"client {cid!r}: local_train called with an empty dataset")
@@ -482,8 +486,8 @@ def local_train(
             ids,
             np.stack([sets[c][0] for c in ids]),
             np.stack([sets[c][1] for c in ids]),
-            np.stack([models[c].params.values for c in ids]),
-            global_params.values,
+            np.stack([models[c].values for c in ids]),
+            global_model.values,
             [rngs[c] for c in ids],
         )
         for k, cid in enumerate(ids):

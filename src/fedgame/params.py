@@ -1,95 +1,55 @@
-"""Flat parameter vectors with a layer registry, plus the delta algebra.
+"""Flat parameter vectors, their block layout, and the delta algebra.
 
 Every model in the simulator stores its parameters as one contiguous
-float64 vector described by a list of :class:`LayerSpec` blocks.  Keeping
-the storage flat makes the exchange protocol trivial: a round's clients
+float64 vector.  Its layout is the tuple of :class:`LayerSpec` blocks
+that the forecaster config plans (``forecaster.build_spec``): blocks
+tile [0, P) in storage order and end with the output head.  Keeping the
+storage flat makes the exchange protocol trivial: a round's clients
 form one matrix, a row per client, and parameter differences, consensus
 averaging, norms and output-head slicing are plain row and column
-operations on it.  Layout checks run once per distinct spec.
+operations on it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, StructuralError, UsageError
-
-LAYER_KINDS = ("recurrent", "dense", "output_head")
+from .errors import NumericError, StructuralError, UsageError
 
 # Norms below this are treated as zero when computing cosine similarity.
 NORM_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(NamedTuple):
     """One contiguous block of a flat parameter vector.
 
-    ``kind`` is one of ``recurrent``, ``dense`` or ``output_head``; the
+    ``kind`` is ``recurrent``, ``dense`` or ``output_head``; the
     output-head blocks are the slice exchanged for personalized
-    aggregation.
+    aggregation.  ``fan_in`` is the input width of the layer the block
+    belongs to, which scales its initialization.
     """
 
     name: str
+    shape: tuple[int, ...]
+    kind: str
     offset: int
     length: int
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in LAYER_KINDS:
-            raise ConfigError(f"unknown layer kind {self.kind!r} for layer {self.name!r}")
-        if self.offset < 0 or self.length <= 0:
-            raise ConfigError(
-                f"layer {self.name!r} must have offset >= 0 and length > 0, "
-                f"got offset={self.offset}, length={self.length}"
-            )
+    fan_in: int
 
     @property
     def stop(self) -> int:
         return self.offset + self.length
 
 
-def validate_layout(spec: Sequence[LayerSpec]) -> int:
-    """Check that layers tile [0, total) contiguously and include an
-    output head; return the total length.
-
-    The check runs once per distinct spec tuple; an invalid spec raises
-    on every call.
-    """
-    return _checked_total(tuple(spec))
-
-
-@functools.cache
-def _checked_total(spec: tuple[LayerSpec, ...]) -> int:
-    if not spec:
-        raise ConfigError("layer spec is empty")
-    ordered = sorted(spec, key=lambda s: s.offset)
-    if ordered[0].offset != 0:
-        raise ConfigError(f"first layer {ordered[0].name!r} must start at offset 0")
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.offset != prev.stop:
-            raise ConfigError(
-                f"layers {prev.name!r} and {cur.name!r} are not contiguous: "
-                f"{prev.stop} != {cur.offset}"
-            )
-    if not any(s.kind == "output_head" for s in spec):
-        raise ConfigError("layer spec has no output_head layer")
-    return ordered[-1].stop
-
-
 def total_params(spec: Sequence[LayerSpec]) -> int:
     return sum(s.length for s in spec)
 
 
-def head_layers(spec: Sequence[LayerSpec]) -> tuple[LayerSpec, ...]:
-    return tuple(s for s in spec if s.kind == "output_head")
-
-
 def head_length(spec: Sequence[LayerSpec]) -> int:
-    return sum(s.length for s in head_layers(spec))
+    return sum(s.length for s in spec if s.kind == "output_head")
 
 
 def head_indices(spec: Sequence[LayerSpec]) -> np.ndarray:
@@ -100,37 +60,9 @@ def head_indices(spec: Sequence[LayerSpec]) -> np.ndarray:
 
 @functools.cache
 def _head_indices(spec: tuple[LayerSpec, ...]) -> np.ndarray:
-    heads = head_layers(spec)
-    if not heads:
-        raise ConfigError("layer spec has no output_head layer")
-    idx = np.concatenate([np.arange(s.offset, s.stop) for s in heads])
+    idx = np.concatenate([np.arange(s.offset, s.stop) for s in spec if s.kind == "output_head"])
     idx.flags.writeable = False
     return idx
-
-
-@dataclass
-class ParameterVector:
-    """A flat float64 parameter vector bound to its layer registry."""
-
-    values: np.ndarray
-    spec: tuple[LayerSpec, ...]
-
-    def __post_init__(self) -> None:
-        self.spec = tuple(self.spec)
-        total = validate_layout(self.spec)
-        self.values = np.array(self.values, dtype=np.float64).reshape(-1)
-        if self.values.size != total:
-            raise StructuralError(
-                f"parameter vector has {self.values.size} entries, spec requires {total}"
-            )
-        if not np.isfinite(self.values).all():
-            raise NumericError("parameter vector contains non-finite entries")
-
-    def copy(self) -> "ParameterVector":
-        return ParameterVector(self.values.copy(), self.spec)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 # The delta algebra works on client matrices: one row per client, in the
@@ -143,27 +75,28 @@ def select_head_values(values: np.ndarray, spec: Sequence[LayerSpec]) -> np.ndar
     return np.asarray(values)[..., head_indices(spec)]
 
 
-def compute_delta(private: np.ndarray, global_model: ParameterVector) -> np.ndarray:
+def compute_delta(
+    private: np.ndarray, global_values: np.ndarray, spec: Sequence[LayerSpec]
+) -> np.ndarray:
     """Parameter differences private - global, one row per client.
 
-    ``private`` is the (N, P) matrix of the clients' parameters.  The
-    layout must split into a shared body and an output head, the slice
-    the personalized stream exchanges.
+    ``private`` is the (N, P) matrix of the clients' parameters and
+    ``global_values`` the (P,) consensus, both laid out by ``spec``.
+    The layout must split into a shared body and an output head, the
+    slice the personalized stream exchanges.
     """
-    spec = global_model.spec
-    head = head_length(spec)
-    if not 0 < head < len(global_model):
+    total, head = total_params(spec), head_length(spec)
+    if not 0 < head < total:
         raise StructuralError(
-            "head fraction must satisfy 0 < len(head)/len(full) < 1; "
-            f"got {head}/{len(global_model)}"
+            f"head fraction must satisfy 0 < len(head)/len(full) < 1; got {head}/{total}"
         )
     private = np.asarray(private, dtype=np.float64)
-    if private.ndim != 2 or private.shape[1] != len(global_model):
+    if private.ndim != 2 or private.shape[1] != total:
         raise StructuralError(
-            f"client matrix has shape {private.shape}, spec requires (*, {len(global_model)})"
+            f"client matrix has shape {private.shape}, spec requires (*, {total})"
         )
     with np.errstate(over="ignore"):
-        delta = private - global_model.values
+        delta = private - global_values
     if not np.all(np.isfinite(delta)):
         raise NumericError("compute_delta produced non-finite entries")
     return delta

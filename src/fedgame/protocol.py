@@ -14,6 +14,12 @@ participant, in sorted-id order: the differences, their mean, the head
 columns sent to the aggregator and the personalized updates are each
 one call on it.
 
+The round state holds the consensus as a model, the same record a
+client's model is: read-only flat values plus the forecaster config
+that plans their layout.  Models are never written in place, so states
+share them: every client starts from the consensus object itself, and
+a ``fedavg`` participant ends its round holding the new consensus.
+
 Rounds are atomic: the caller's state is never mutated, and a round
 that raises leaves it and the caller's aggregator untouched.  The meta
 step runs on a shallow copy of the aggregator (its own dicts and rng)
@@ -44,10 +50,9 @@ from .aggregator import (
 )
 from .data import make_windows, load_csv, synth_generate
 from .errors import ConfigError, FedGameError, UsageError, too_small
-from .forecaster import ForecasterConfig, ForecasterModel, init_forecaster, local_train
+from .forecaster import ForecasterConfig, ForecasterModel, build_spec, init_forecaster, local_train
 from .metrics import EvalReport, evaluate
 from .params import (
-    ParameterVector,
     add_scaled,
     compute_delta,
     head_length,
@@ -99,7 +104,7 @@ class RoundState:
     """Everything that persists between rounds on clients and server."""
 
     round_index: int
-    global_params: ParameterVector
+    global_model: ForecasterModel
     client_models: dict[str, ForecasterModel]
     client_rngs: dict[str, np.random.Generator]
     server_rng: np.random.Generator
@@ -141,7 +146,7 @@ class RoundReport:
 def init_round_state(
     cfg: ForecasterConfig, client_ids, master_seed: int
 ) -> RoundState:
-    """Consensus model plus per-client copies and named RNG streams."""
+    """Consensus model, shared by every client, and named RNG streams."""
     ids = sorted(str(c) for c in client_ids)
     if not ids:
         raise ConfigError("need at least one client")
@@ -150,8 +155,8 @@ def init_round_state(
     global_model = init_forecaster(cfg, seed_stream(master_seed, "init"))
     return RoundState(
         round_index=0,
-        global_params=global_model.params,
-        client_models={c: ForecasterModel(global_model.params.copy(), cfg) for c in ids},
+        global_model=global_model,
+        client_models={c: global_model for c in ids},
         client_rngs={c: seed_stream(master_seed, f"client:{c}") for c in ids},
         server_rng=seed_stream(master_seed, "server"),
     )
@@ -218,12 +223,11 @@ def run_round(
             raise UsageError(f"client {cid!r} has no training data")
 
     # the new state is built from the parts a round changes, so the
-    # caller's state is never written: models and parameter vectors are
-    # never written in place and are shared, while the rngs advance in
-    # place and are copied
+    # caller's state is never written: models are read-only and are
+    # shared, while the rngs advance in place and are copied
     new_state = RoundState(
         round_index=state.round_index,
-        global_params=state.global_params,
+        global_model=state.global_model,
         client_models=dict(state.client_models),
         client_rngs={cid: _copy_rng(rng) for cid, rng in state.client_rngs.items()},
         server_rng=_copy_rng(state.server_rng),
@@ -240,24 +244,23 @@ def run_round(
             adam_v=dict(aggregator.adam_v),
             rng=_copy_rng(aggregator.rng),
         )
-    spec = new_state.global_params.spec
+    spec = new_state.global_model.spec
     participants = _select_participants(new_state, hyper)
 
     trained = local_train(
         {cid: new_state.client_models[cid] for cid in participants},
         train_data,
-        new_state.global_params,
-        new_state.client_models[participants[0]].config,
+        new_state.global_model,
         new_state.client_rngs,
     )
     train_losses = {cid: trained[cid][1] for cid in participants}
     # one row per participant, in sorted-id order
     private = np.stack([trained[cid][0] for cid in participants])
-    deltas = compute_delta(private, new_state.global_params)
+    deltas = compute_delta(private, new_state.global_model.values, spec)
 
     if kind != "local_only":
-        new_state.global_params = ParameterVector(
-            add_scaled(new_state.global_params.values, mean_deltas(deltas), hyper.eta), spec
+        new_state.global_model = new_state.global_model.with_params(
+            add_scaled(new_state.global_model.values, mean_deltas(deltas), hyper.eta)
         )
 
     head_deltas = dict(zip(participants, select_head_values(deltas, spec)))
@@ -282,10 +285,13 @@ def run_round(
     if kind in PERSONALIZED_KINDS:
         update = scatter_head(spec, np.stack([personalized[cid] for cid in participants]))
         private = add_scaled(private, update, hyper.gamma)
-    # each participant's new model is built once, from its final row
+    # each participant's new model is built once, from its final row;
+    # a fedavg participant holds the new consensus itself
     for k, cid in enumerate(participants):
-        values = new_state.global_params.values if kind == "fedavg" else private[k]
-        new_state.client_models[cid] = new_state.client_models[cid].with_params(values)
+        new_state.client_models[cid] = (
+            new_state.global_model if kind == "fedavg"
+            else new_state.client_models[cid].with_params(private[k])
+        )
 
     traffic = round_traffic(len(participants), total_params(spec), head_length(spec), kind)
     report = RoundReport(
@@ -379,16 +385,38 @@ class ExperimentConfig:
         unknown = [b for b in self.baselines if b not in AGGREGATOR_KINDS]
         if unknown:
             problems.append(f"baselines contains unknown kinds {unknown}")
-        for key in ("published_total_params", "published_head_params"):
-            if getattr(self, key) is not None:
-                problems += too_small(self, (key,), 1)
-        for build in (self.forecaster_config, self.aggregator_config, self.hyper_params):
+        published = tuple(k for k in ("published_total_params", "published_head_params")
+                          if getattr(self, k) is not None)
+        small = too_small(self, published, 1)
+        problems += small
+        counts = None
+        try:
+            counts = self.param_counts()
+        except ConfigError as exc:
+            problems.extend(exc.problems)
+        for build in (self.aggregator_config, self.hyper_params):
             try:
                 build()
             except ConfigError as exc:
                 problems.extend(exc.problems)
+        # a published count must leave a shared body: 0 < head < total
+        if published and not small and counts and counts[1] >= counts[0]:
+            problems.append(
+                f"{' and '.join(published)}: the head count {counts[1]} must be smaller "
+                f"than the total count {counts[0]}"
+            )
         if problems:
             raise ConfigError(*problems)
+
+    def param_counts(self) -> tuple[int, int]:
+        """(total, head) parameter counts of the configured model.
+
+        Published counts, when set, replace the counts derived from the
+        layer layout.
+        """
+        spec = build_spec(self.forecaster_config())
+        return (self.published_total_params or total_params(spec),
+                self.published_head_params or head_length(spec))
 
     def forecaster_config(self, kind: str | None = None) -> ForecasterConfig:
         """Client settings; consensus-only kinds drop the proximal pull."""
@@ -452,7 +480,10 @@ class RunResult:
 
 def _load_shards(config: ExperimentConfig):
     if config.csv_path:
-        return load_csv(config.csv_path)
+        try:
+            return load_csv(config.csv_path)
+        except OSError as exc:
+            raise ConfigError(f"csv_path: cannot read CSV file: {exc}") from exc
     return synth_generate(
         config.n_clients,
         config.n_clusters,
@@ -493,7 +524,7 @@ def run_experiment(config: ExperimentConfig, aggregator_kind: str | None = None)
     if kind in PERSONALIZED_KINDS:
         aggregator = init_aggregator(
             config.aggregator_config(kind),
-            head_length(state.global_params.spec),
+            head_length(state.global_model.spec),
             seed_stream(config.master_seed, "aggregator"),
         )
         for cid in sorted(train_data):

@@ -38,7 +38,7 @@ from fedgame.forecaster import (
     task_loss,
 )
 from fedgame.metrics import evaluate, icp, mil, quantile_score
-from fedgame.params import ParameterVector, total_params, head_length
+from fedgame.params import total_params, head_length
 from fedgame.protocol import (
     ExperimentConfig,
     HyperParams,
@@ -82,7 +82,7 @@ def reference_fedavg_trajectory(cfg, train_data, master_seed, rounds):
             w[offsets[3]:offsets[4]],
         )
 
-    w_global = init_forecaster(cfg, seed_stream(master_seed, "init")).params.values.copy()
+    w_global = init_forecaster(cfg, seed_stream(master_seed, "init")).values.copy()
     ids = sorted(train_data)
     rngs = {cid: seed_stream(master_seed, f"client:{cid}") for cid in ids}
 
@@ -131,11 +131,11 @@ def test_consensus_training_matches_standalone_fedavg_reference():
     hyper = HyperParams(rounds=10, eta=1.0, aggregator_kind="fedavg")
     for round_index in range(10):
         state, _ = run_round(state, hyper, None, train_data)
-        gap = np.max(np.abs(state.global_params.values - reference[round_index]))
+        gap = np.max(np.abs(state.global_model.values - reference[round_index]))
         assert gap < 1e-10, f"round {round_index}: max |diff| = {gap}"
         for cid in state.client_models:
             np.testing.assert_array_equal(
-                state.client_models[cid].params.values, state.global_params.values
+                state.client_models[cid].values, state.global_model.values
             )
     assert time.perf_counter() - started < 30.0
 
@@ -179,7 +179,7 @@ def test_client_and_server_gradients_match_finite_differences():
     rng = np.random.default_rng(32)
     windows = rng.normal(size=(6, cfg.history_len))
     targets = rng.normal(size=(6, cfg.horizon)) + 5.0
-    anchor = ParameterVector(rng.normal(size=len(model.params)), model.params.spec)
+    anchor = model.with_params(rng.normal(size=model.values.size))
 
     def prox_objective(values):
         bumped = model.with_params(values)
@@ -189,10 +189,10 @@ def test_client_and_server_gradients_match_finite_differences():
     # the gradient training applies: one full-batch SGD step w' = w - lr * g
     assert cfg.batch_size >= len(windows) and cfg.local_epochs == 1
     batch = WindowedDataset(windows, targets, mean=0.0, std=1.0)
-    stepped, _ = local_train({"c": model}, {"c": batch}, anchor, cfg,
+    stepped, _ = local_train({"c": model}, {"c": batch}, anchor,
                              {"c": np.random.default_rng(0)})["c"]
-    analytic = (model.params.values - stepped) / cfg.local_lr
-    numeric = central_difference(prox_objective, model.params.values.copy())
+    analytic = (model.values - stepped) / cfg.local_lr
+    numeric = central_difference(prox_objective, model.values.copy())
     assert_gradients_close(analytic, numeric)
 
     for num_experts, top_k in ((4, 2), (1, 1)):
@@ -362,7 +362,7 @@ def test_metrics_match_brute_force_oracles_and_nominal_coverage():
             values[layer.offset:layer.stop] = [m - z90 * s, m, m + z90 * s]
     from fedgame.forecaster import ForecasterModel
 
-    model = ForecasterModel(ParameterVector(values, spec), cfg)
+    model = ForecasterModel(values, cfg)
     n = 2000
     data = WindowedDataset(
         inputs=rng.normal(size=(n, cfg.history_len)),
@@ -473,7 +473,7 @@ def test_reruns_and_scheduling_orders_are_byte_identical(tmp_path):
     train_data = {cid: w["train"] for cid, w in windows.items()}
     state = init_round_state(cfg, list(train_data), 12)
     agg = init_aggregator(AggregatorConfig(embed_dim=4, num_experts=2, top_k=1),
-                          head_length(state.global_params.spec),
+                          head_length(state.global_model.spec),
                           seed_stream(12, "server"))
     for cid in sorted(train_data):
         register_client(agg, cid)
@@ -488,5 +488,5 @@ def test_reruns_and_scheduling_orders_are_byte_identical(tmp_path):
     assert (json.dumps(report_a.to_json_dict(), sort_keys=True)
             == json.dumps(report_b.to_json_dict(), sort_keys=True))
     for cid in out_a.client_models:
-        np.testing.assert_array_equal(out_a.client_models[cid].params.values,
-                                      out_b.client_models[cid].params.values)
+        np.testing.assert_array_equal(out_a.client_models[cid].values,
+                                      out_b.client_models[cid].values)

@@ -156,24 +156,44 @@ def test_comm_summary_fedavg_ratio_is_one():
     assert summary["upstream_params"] == summary["downstream_params"]
 
 
+def test_published_head_must_be_smaller_than_the_total(tmp_path, capsys):
+    both = write_config(tmp_path, {"published_total_params": 100,
+                                   "published_head_params": 500}, name="both.json")
+    assert main(["comm", both]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err
+    assert "published_total_params and published_head_params: the head count 500" in err
+    # an unset count is the derived one: the default model has 614
+    # parameters, 32 * 6 + 6 = 198 of them in the head
+    total = write_config(tmp_path, {"published_total_params": 100}, name="total.json")
+    assert main(["comm", total]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err and "published_total_params: the head count 198" in err
+    _, errors = config_from_dict({"published_head_params": 614})
+    assert errors == ["published_head_params: the head count 614 must be smaller "
+                      "than the total count 614"]
+    config, errors = config_from_dict({"published_head_params": 613})
+    assert errors == [] and comm_summary(config)["head_params"] == 613
+
+
 def test_run_writes_all_report_files(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, {**SMALL, "output_dir": str(out)})
     assert main(["run", path]) == 0
-    lines = (out / "rounds.jsonl").read_text().splitlines()
+    lines = (out / "rounds.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == SMALL["rounds"]
     for line in lines:
         json.loads(line)
-    eval_payload = json.loads((out / "eval.json").read_text())
+    eval_payload = json.loads((out / "eval.json").read_text(encoding="utf-8"))
     assert "macro" in eval_payload
-    with open(out / "eval.csv", newline="") as handle:
+    with open(out / "eval.csv", newline="", encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
     assert rows[-1]["client_id"] == "macro"
-    with open(out / "attention.csv", newline="") as handle:
+    with open(out / "attention.csv", newline="", encoding="utf-8") as handle:
         attention = list(csv.DictReader(handle))
     assert set(attention[0]) == {"round", "i", "j", "w_ij"}
     assert len(attention) == SMALL["rounds"] * 3 * 2
-    json.loads((out / "config.json").read_text())
+    json.loads((out / "config.json").read_text(encoding="utf-8"))
 
 
 def test_rerun_from_effective_config_is_byte_identical(tmp_path):
@@ -196,7 +216,8 @@ def test_seed_flag_overrides_config(tmp_path):
     d = (tmp_path / "d" / "rounds.jsonl").read_bytes()
     assert b == c
     assert b != d
-    assert json.loads((tmp_path / "b" / "config.json").read_text())["master_seed"] == 99
+    written = json.loads((tmp_path / "b" / "config.json").read_text(encoding="utf-8"))
+    assert written["master_seed"] == 99
 
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
@@ -260,6 +281,16 @@ def test_runtime_failure_exits_one_with_round_context(tmp_path, capsys, monkeypa
     assert "round 0" in capsys.readouterr().err
 
 
+def test_unreadable_csv_exits_two_before_any_output(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        **SMALL, "csv_path": str(tmp_path / "absent.csv"), "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err and "csv_path: cannot read" in err and "absent.csv" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_series_too_short_for_a_test_window_exits_two(tmp_path, capsys):
     # 40 points at 0.7/0.1/0.2 leave 8 test points, fewer than 12 + 2
     path = write_config(tmp_path, {
@@ -280,7 +311,7 @@ def test_ablate_writes_one_row_per_method(tmp_path):
         "baselines": ["game", "mean", "fedavg", "local_only"],
     })
     assert main(["ablate", path]) == 0
-    with open(out / "ablation.csv", newline="") as handle:
+    with open(out / "ablation.csv", newline="", encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
     assert [r["method"] for r in rows] == ["game", "mean", "fedavg", "local_only"]
     assert set(rows[0]) == {"method", "qs", "mil", "icp"}
@@ -295,7 +326,7 @@ def test_ablate_two_clients_game_equals_mean(tmp_path):
         "baselines": ["game", "mean"],
     })
     assert main(["ablate", path]) == 0
-    with open(out / "ablation.csv", newline="") as handle:
+    with open(out / "ablation.csv", newline="", encoding="utf-8") as handle:
         rows = {r["method"]: r for r in csv.DictReader(handle)}
     assert rows["game"]["qs"] == rows["mean"]["qs"]
     assert rows["game"]["mil"] == rows["mean"]["mil"]

@@ -129,6 +129,25 @@ def test_load_csv_rejects_fractional_interval_gap(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_rejects_non_utf8_bytes_with_line_number(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(
+        b"timestamp,station_id,demand_kwh\n"
+        b"2024-01-01T00:00:00,a,1.0\n"
+        b"2024-01-01T00:05:00,a,2.\xff\n"
+    )
+    with pytest.raises(FormatError, match="^line 3: not valid UTF-8"):
+        load_csv(str(path))
+
+
+def test_csv_files_are_utf8_whatever_the_locale(tmp_path):
+    shards = [SeriesShard("station-\u00e9", np.array([1.0, 2.0]))]
+    path = tmp_path / "utf8.csv"
+    shards_to_csv(shards, path)
+    assert b"station-\xc3\xa9" in path.read_bytes()
+    assert [s.client_id for s in load_csv(str(path))] == ["station-\u00e9"]
+
+
 def test_csv_round_trip_preserves_values(tmp_path):
     shards = synth_generate(3, 2, 50, 0.2, 9)
     path = tmp_path / "rt.csv"

@@ -1,6 +1,8 @@
 """Tests for the quantile forecasters and local training."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from fedgame.forecaster import (
     task_loss,
     task_loss_and_gradient,
 )
-from fedgame.params import ParameterVector, head_length, total_params
+from fedgame.params import head_length, total_params
 
 
 class Batch:
@@ -36,12 +38,7 @@ def small_config(**kw):
 
 def layer_arrays(model):
     """Name -> shaped ndarray view of each parameter block."""
-    from fedgame.forecaster import layer_plan
-
-    out = {}
-    for (name, shape, *_), spec in zip(layer_plan(model.config), model.spec):
-        out[name] = model.params.values[spec.offset : spec.stop].reshape(shape)
-    return out
+    return {b.name: model.values[b.offset : b.stop].reshape(b.shape) for b in model.spec}
 
 
 def ref_dense(x, w, b):
@@ -108,25 +105,23 @@ def test_spec_shapes_mlp():
 
 
 def test_layout_is_built_once_per_config_and_read_only():
-    from fedgame.forecaster import layer_plan
-
     cfg = small_config(arch="lstm", hidden_sizes=(4, 3))
-    plan = layer_plan(cfg)
-    assert isinstance(plan, tuple)
-    # equal configs share one plan and one spec
-    assert layer_plan(small_config(arch="lstm", hidden_sizes=(4, 3))) is plan
-    assert build_spec(small_config(arch="lstm", hidden_sizes=(4, 3))) is build_spec(cfg)
+    spec = build_spec(cfg)
+    assert isinstance(spec, tuple)
+    # equal configs share one spec, which every model of the config reads
+    assert build_spec(small_config(arch="lstm", hidden_sizes=(4, 3))) is spec
+    assert init_forecaster(cfg, np.random.default_rng(0)).spec is spec
     with pytest.raises(TypeError):
-        plan[0] = plan[1]
+        spec[0] = spec[1]
     with pytest.raises(AttributeError):
-        plan[0].offset = 1
-    assert [b.name for b in layer_plan(cfg)][-2:] == ["out.w", "out.b"]
+        spec[0].offset = 1
+    assert [b.name for b in spec][-2:] == ["out.w", "out.b"]
 
 
 def test_with_params_checks_length_and_finiteness_on_every_call():
     cfg = small_config()
     model = init_forecaster(cfg, np.random.default_rng(3))
-    values = model.params.values
+    values = model.values.copy()
     for _ in range(2):
         bad = values.copy()
         bad[4] = np.inf
@@ -134,11 +129,21 @@ def test_with_params_checks_length_and_finiteness_on_every_call():
             model.with_params(bad)
         with pytest.raises(StructuralError):
             model.with_params(values[:-1])
-    # the new model owns a copy of the values
+    # the new model owns a read-only copy of the values
     fresh = model.with_params(values)
     original = values[0]
     values[0] += 1.0
-    assert fresh.params.values[0] == original
+    assert fresh.values[0] == original
+    with pytest.raises(ValueError):
+        fresh.values[0] = 0.0
+
+
+def test_copied_and_unpickled_models_stay_read_only():
+    model = init_forecaster(small_config(), np.random.default_rng(5))
+    for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert twin.values.tobytes() == model.values.tobytes()
+        with pytest.raises(ValueError):
+            twin.values[0] = 0.0
 
 
 def test_lstm_head_sizes_for_reference_architecture():
@@ -190,10 +195,9 @@ def test_forward_batch_agrees_with_single_forward():
 
 def test_zero_weights_mlp_outputs_bias():
     cfg = small_config()
-    spec = build_spec(cfg)
-    model = ForecasterModel(ParameterVector(np.zeros(total_params(spec)), spec), cfg)
+    model = ForecasterModel(np.zeros(total_params(build_spec(cfg))), cfg)
     bias = np.linspace(-1.0, 1.0, cfg.output_dim)
-    values = model.params.values.copy()
+    values = model.values.copy()
     values[-cfg.output_dim :] = bias
     model = model.with_params(values)
     pred = forward_batch(model, np.random.default_rng(0).normal(size=(1, cfg.history_len)))[0]
@@ -202,17 +206,15 @@ def test_zero_weights_mlp_outputs_bias():
 
 def test_identity_linear_model_is_constant_on_constant_window():
     cfg = ForecasterConfig(history_len=6, horizon=2, quantiles=(0.1, 0.5, 0.9), hidden_sizes=())
-    spec = build_spec(cfg)
     values = np.concatenate([np.eye(6).reshape(-1), np.zeros(6)])
-    model = ForecasterModel(ParameterVector(values, spec), cfg)
+    model = ForecasterModel(values, cfg)
     pred = forward_batch(model, np.full((1, 6), 3.25))[0]
     np.testing.assert_array_equal(pred, np.full((2, 3), 3.25))
 
 
 def test_forward_batch_rejects_non_finite_predictions():
     cfg = small_config(hidden_sizes=())
-    spec = build_spec(cfg)
-    model = ForecasterModel(ParameterVector(np.full(total_params(spec), 1e308), spec), cfg)
+    model = ForecasterModel(np.full(total_params(build_spec(cfg)), 1e308), cfg)
     with pytest.raises(NumericError), np.errstate(over="ignore"):
         forward_batch(model, np.ones((1, cfg.history_len)))
 
@@ -247,7 +249,7 @@ def test_pinball_penalizes_the_correct_side_more():
 
 
 def fd_task_gradient(model, windows, targets, eps=1e-5):
-    values = model.params.values.copy()
+    values = model.values.copy()
     grad = np.zeros_like(values)
     for i in range(values.size):
         orig = values[i]
@@ -309,38 +311,38 @@ def test_task_gradient_matches_finite_differences_lstm():
 def one_full_batch_step(cfg, model, anchor, windows, targets):
     """Parameters after local_train's single SGD step over the whole batch."""
     assert cfg.local_epochs == 1 and cfg.batch_size >= len(windows)
-    return local_train({"c": model}, {"c": Batch(windows, targets)}, anchor, cfg,
+    return local_train({"c": model}, {"c": Batch(windows, targets)}, anchor,
                        {"c": np.random.default_rng(0)})["c"]
 
 
 def test_local_train_step_adds_exact_proximal_pull():
     cfg = small_config(prox_mu=0.7)
     model = init_forecaster(cfg, np.random.default_rng(11))
-    anchor = init_forecaster(cfg, np.random.default_rng(12)).params
+    anchor = init_forecaster(cfg, np.random.default_rng(12))
     rng = np.random.default_rng(13)
     # one window, so the batch order cannot move the task gradient's bits
     windows = rng.normal(size=(1, cfg.history_len))
     targets = rng.normal(size=(1, cfg.horizon))
     task = task_gradient(model, windows, targets)
-    expected = task + 0.7 * (model.params.values - anchor.values)
+    expected = task + 0.7 * (model.values - anchor.values)
     trained, _ = one_full_batch_step(cfg, model, anchor, windows, targets)
-    assert trained.tobytes() == (model.params.values - cfg.local_lr * expected).tobytes()
+    assert trained.tobytes() == (model.values - cfg.local_lr * expected).tobytes()
     # at the anchor the pull vanishes and the step is the task step alone
-    trained, _ = one_full_batch_step(cfg, model, model.params, windows, targets)
-    assert trained.tobytes() == (model.params.values - cfg.local_lr * task).tobytes()
+    trained, _ = one_full_batch_step(cfg, model, model, windows, targets)
+    assert trained.tobytes() == (model.values - cfg.local_lr * task).tobytes()
 
 
 def test_local_train_single_step_matches_hand_computation():
     cfg = small_config(local_lr=0.01, local_epochs=1, batch_size=8, prox_mu=0.3)
     model = init_forecaster(cfg, np.random.default_rng(14))
-    anchor = init_forecaster(cfg, np.random.default_rng(15)).params
+    anchor = init_forecaster(cfg, np.random.default_rng(15))
     rng = np.random.default_rng(16)
     windows = rng.normal(size=(4, cfg.history_len))
     targets = rng.normal(size=(4, cfg.horizon))
 
     grad = task_gradient(model, windows, targets)
-    grad = grad + cfg.prox_mu * (model.params.values - anchor.values)
-    expected = model.params.values - cfg.local_lr * grad
+    grad = grad + cfg.prox_mu * (model.values - anchor.values)
+    expected = model.values - cfg.local_lr * grad
 
     trained, loss = one_full_batch_step(cfg, model, anchor, windows, targets)
     np.testing.assert_allclose(trained, expected, rtol=0, atol=1e-12)
@@ -350,14 +352,14 @@ def test_local_train_single_step_matches_hand_computation():
 def test_local_train_is_deterministic_in_the_rng():
     cfg = small_config(local_epochs=2, batch_size=2)
     model = init_forecaster(cfg, np.random.default_rng(17))
-    anchor = model.params.copy()
+    anchor = model
     rng = np.random.default_rng(18)
     windows = rng.normal(size=(7, cfg.history_len))
     targets = rng.normal(size=(7, cfg.horizon))
     data = Batch(windows, targets)
-    a, loss_a = local_train({"c": model}, {"c": data}, anchor, cfg,
+    a, loss_a = local_train({"c": model}, {"c": data}, anchor,
                             {"c": np.random.default_rng(42)})["c"]
-    b, loss_b = local_train({"c": model}, {"c": data}, anchor, cfg,
+    b, loss_b = local_train({"c": model}, {"c": data}, anchor,
                             {"c": np.random.default_rng(42)})["c"]
     np.testing.assert_array_equal(a, b)
     assert loss_a == loss_b
@@ -366,11 +368,11 @@ def test_local_train_is_deterministic_in_the_rng():
 def test_large_mu_contracts_toward_anchor():
     cfg = small_config(local_lr=1e-7, prox_mu=1e6, local_epochs=3, batch_size=4)
     model = init_forecaster(cfg, np.random.default_rng(19))
-    anchor = init_forecaster(cfg, np.random.default_rng(20)).params
+    anchor = init_forecaster(cfg, np.random.default_rng(20))
     rng = np.random.default_rng(21)
     data = Batch(rng.normal(size=(4, cfg.history_len)), rng.normal(size=(4, cfg.horizon)))
-    start = np.linalg.norm(model.params.values - anchor.values)
-    trained, _ = local_train({"c": model}, {"c": data}, anchor, cfg,
+    start = np.linalg.norm(model.values - anchor.values)
+    trained, _ = local_train({"c": model}, {"c": data}, anchor,
                              {"c": np.random.default_rng(1)})["c"]
     end = np.linalg.norm(trained - anchor.values)
     assert end < start
@@ -381,8 +383,7 @@ def test_local_train_rejects_empty_dataset():
     model = init_forecaster(cfg, np.random.default_rng(22))
     empty = Batch(np.zeros((0, cfg.history_len)), np.zeros((0, cfg.horizon)))
     with pytest.raises(UsageError):
-        local_train({"c": model}, {"c": empty}, model.params, cfg,
-                    {"c": np.random.default_rng(0)})
+        local_train({"c": model}, {"c": empty}, model, {"c": np.random.default_rng(0)})
 
 
 # Architectures for the stacked pass; each runs every stack size with
@@ -401,15 +402,15 @@ def test_stacked_loss_and_gradient_equal_each_client_alone():
     rng = np.random.default_rng(40)
     for overrides in STACK_CASES:
         cfg = small_config(**overrides)
-        spec = build_spec(cfg)
+        total = total_params(build_spec(cfg))
         for n, size in itertools.product((1, 3, 8, 32), (1, 7, 32)):
-            values = rng.uniform(-0.5, 0.5, size=(n, total_params(spec)))
+            values = rng.uniform(-0.5, 0.5, size=(n, total))
             batch = rng.normal(size=(n, size, cfg.history_len, cfg.features))
             targets = rng.normal(size=(n, size, cfg.horizon))
             losses, grads = task_loss_and_gradient(cfg, values, batch, targets)
             assert losses.shape == (n,) and grads.shape == values.shape
             for k in range(n):
-                model = ForecasterModel(ParameterVector(values[k], spec), cfg)
+                model = ForecasterModel(values[k], cfg)
                 case = (overrides, n, size, k)
                 assert task_loss(model, batch[k], targets[k]) == losses[k], case
                 grad = task_gradient(model, batch[k], targets[k])
@@ -420,7 +421,7 @@ def test_local_train_stacks_are_bit_identical_to_one_client_at_a_time(monkeypatc
     sizes = {"a": 11, "b": 6, "c": 11, "d": 11, "e": 6}
     for overrides in (dict(hidden_sizes=(5,)), dict(arch="lstm", hidden_sizes=(4, 3))):
         cfg = small_config(local_epochs=2, batch_size=4, local_lr=0.05, **overrides)
-        anchor = init_forecaster(cfg, np.random.default_rng(50)).params
+        anchor = init_forecaster(cfg, np.random.default_rng(50))
         models = {c: init_forecaster(cfg, np.random.default_rng(51 + i))
                   for i, c in enumerate(sizes)}
         rng = np.random.default_rng(60)
@@ -439,14 +440,14 @@ def test_local_train_stacks_are_bit_identical_to_one_client_at_a_time(monkeypatc
 
         monkeypatch.setattr(fedgame.forecaster, "task_loss_and_gradient", spy)
         together_rngs = streams()
-        together = local_train(models, data, anchor, cfg, together_rngs)
+        together = local_train(models, data, anchor, together_rngs)
         monkeypatch.undo()
         # 11 windows in batches of 4 is 3 steps an epoch, 6 windows 2 steps
         assert sorted(stack_sizes) == [2] * 4 + [3] * 6
         assert sorted(together) == sorted(sizes)
         alone_rngs = streams()
         for cid in sizes:
-            values, loss = local_train({cid: models[cid]}, {cid: data[cid]}, anchor, cfg,
+            values, loss = local_train({cid: models[cid]}, {cid: data[cid]}, anchor,
                                        {cid: alone_rngs[cid]})[cid]
             assert together[cid][0].tobytes() == values.tobytes()
             assert together[cid][1] == loss
@@ -456,14 +457,14 @@ def test_local_train_stacks_are_bit_identical_to_one_client_at_a_time(monkeypatc
 
 def test_non_finite_loss_names_the_client():
     cfg = small_config()
-    anchor = init_forecaster(cfg, np.random.default_rng(80)).params
+    anchor = init_forecaster(cfg, np.random.default_rng(80))
     rng = np.random.default_rng(81)
     data = {c: Batch(rng.normal(size=(5, cfg.history_len)), rng.normal(size=(5, cfg.horizon)))
             for c in ("a", "b", "c")}
     data["b"].targets[2, 0] = np.inf
     models = {c: init_forecaster(cfg, np.random.default_rng(82)) for c in data}
     with pytest.raises(NumericError, match=r"non-finite training loss for clients \['b'\]$"):
-        local_train(models, data, anchor, cfg, {c: np.random.default_rng(83) for c in data})
+        local_train(models, data, anchor, {c: np.random.default_rng(83) for c in data})
 
 
 def test_local_train_rejects_mismatched_configs():
@@ -474,21 +475,22 @@ def test_local_train_rejects_mismatched_configs():
     data = Batch(np.zeros((2, cfg.history_len)), np.zeros((2, cfg.horizon)))
     rngs = {c: np.random.default_rng(86) for c in "ab"}
     with pytest.raises(StructuralError, match="'b'"):
-        local_train({"a": model, "b": other}, {"a": data, "b": data}, model.params, cfg, rngs)
-    with pytest.raises(StructuralError, match="global parameters"):
-        local_train({"a": model}, {"a": data}, wider.params, cfg, rngs)
+        local_train({"a": model, "b": other}, {"a": data, "b": data}, model, rngs)
+    # the consensus's config is the training config
+    with pytest.raises(StructuralError, match="'a'"):
+        local_train({"a": model}, {"a": data}, wider, rngs)
 
 
 def test_mismatched_specs_are_rejected():
     cfg = small_config()
     other = small_config(hidden_sizes=(7,))
     model = init_forecaster(cfg, np.random.default_rng(23))
-    anchor = init_forecaster(other, np.random.default_rng(24)).params
+    anchor = init_forecaster(other, np.random.default_rng(24))
     data = Batch(np.zeros((2, cfg.history_len)), np.zeros((2, cfg.horizon)))
     with pytest.raises(StructuralError):
-        local_train({"c": model}, {"c": data}, anchor, cfg, {"c": np.random.default_rng(0)})
+        local_train({"c": model}, {"c": data}, anchor, {"c": np.random.default_rng(0)})
     with pytest.raises(StructuralError):
-        ForecasterModel(anchor, cfg)
+        ForecasterModel(anchor.values, cfg)
 
 
 def test_forward_rejects_wrong_window_shape():

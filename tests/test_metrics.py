@@ -7,7 +7,6 @@ from fedgame.data import WindowedDataset
 from fedgame.errors import StructuralError, UsageError
 from fedgame.forecaster import ForecasterConfig, ForecasterModel, build_spec, pinball_loss
 from fedgame.metrics import evaluate, icp, mil, quantile_score
-from fedgame.params import ParameterVector
 
 
 def quantile_score_oracle(y, yhat, q):
@@ -112,7 +111,7 @@ def constant_output_model(cfg: ForecasterConfig, outputs) -> ForecasterModel:
     for layer in spec:
         if layer.name == "out.b":
             values[layer.offset : layer.stop] = outputs
-    return ForecasterModel(ParameterVector(values, spec), cfg)
+    return ForecasterModel(values, cfg)
 
 
 def raw_dataset(inputs, targets) -> WindowedDataset:

@@ -52,7 +52,7 @@ def build_setup(n_clients=3, seed=0):
 def fresh_aggregator(state, seed=0, **overrides):
     settings = {"embed_dim": 4, "num_experts": 2, "top_k": 1, **overrides}
     cfg = AggregatorConfig(**settings)
-    agg = init_aggregator(cfg, head_length(state.global_params.spec),
+    agg = init_aggregator(cfg, head_length(state.global_model.spec),
                           seed_stream(seed, "server"))
     for cid in sorted(state.client_models):
         register_client(agg, cid)
@@ -78,13 +78,12 @@ def test_hyper_params_validation():
         HyperParams(rounds=1, eta=-0.1)
 
 
-def test_init_round_state_gives_clients_independent_copies():
+def test_init_round_state_clients_share_the_read_only_consensus():
     state, _ = build_setup(2)
-    a = state.client_models["c0"].params.values
-    b = state.client_models["c1"].params.values
-    np.testing.assert_array_equal(a, state.global_params.values)
-    a[0] += 1.0
-    assert b[0] != a[0]
+    assert state.client_models["c0"] is state.client_models["c1"] is state.global_model
+    # sharing is safe because no one can write the values
+    with pytest.raises(ValueError):
+        state.global_model.values[0] += 1.0
     with pytest.raises(ConfigError):
         init_round_state(CFG, ["x", "x"], 0)
 
@@ -107,10 +106,7 @@ def test_fedavg_round_syncs_clients_to_consensus():
     hyper = HyperParams(rounds=1, aggregator_kind="fedavg")
     new_state, report = run_round(state, hyper, None, data)
     for cid in new_state.client_models:
-        np.testing.assert_array_equal(
-            new_state.client_models[cid].params.values,
-            new_state.global_params.values,
-        )
+        assert new_state.client_models[cid] is new_state.global_model
     assert new_state.round_index == 1
     assert report.client_ids == ("c0", "c1", "c2")
     assert report.meta_loss == 0.0
@@ -121,19 +117,19 @@ def test_mean_round_applies_hand_reconstructed_update():
     agg = fresh_aggregator(state)
     gamma = 0.5
     hyper = HyperParams(rounds=1, aggregator_kind="mean", gamma=gamma)
-    before = state.global_params
+    before = state.global_model
     new_state, _ = run_round(state, hyper, agg, data)
     # run_round never mutates its input, so a round without head updates
     # on the same state trains the same local models
     prox_state, _ = run_round(state, HyperParams(rounds=1, aggregator_kind="fedprox_only"),
                               None, data)
-    trained = {c: m.params.values for c, m in prox_state.client_models.items()}
+    trained = {c: m.values for c, m in prox_state.client_models.items()}
     heads = {c: select_head_values(v - before.values, before.spec) for c, v in trained.items()}
     pers = aggregate_mean(heads, agg.config.w_self)
     for cid in trained:
         expected = trained[cid] + gamma * scatter_head(before.spec, pers[cid])
         np.testing.assert_allclose(
-            new_state.client_models[cid].params.values, expected, rtol=0, atol=1e-12
+            new_state.client_models[cid].values, expected, rtol=0, atol=1e-12
         )
 
 
@@ -148,11 +144,11 @@ def test_zero_gamma_game_matches_fedprox_only_trajectory():
         state_b, _ = run_round(state_b, prox, None, data)
     for cid in state_a.client_models:
         np.testing.assert_array_equal(
-            state_a.client_models[cid].params.values,
-            state_b.client_models[cid].params.values,
+            state_a.client_models[cid].values,
+            state_b.client_models[cid].values,
         )
-    np.testing.assert_array_equal(state_a.global_params.values,
-                                  state_b.global_params.values)
+    np.testing.assert_array_equal(state_a.global_model.values,
+                                  state_b.global_model.values)
 
 
 def test_first_round_consensus_is_identical_across_personalized_kinds():
@@ -166,7 +162,7 @@ def test_first_round_consensus_is_identical_across_personalized_kinds():
             agg = fresh_aggregator(state, seed=8)
         hyper = HyperParams(rounds=1, aggregator_kind=kind)
         new_state, _ = run_round(state, hyper, agg, data)
-        results[kind] = new_state.global_params.values
+        results[kind] = new_state.global_model.values
     np.testing.assert_array_equal(results["game"], results["mean"])
     np.testing.assert_array_equal(results["game"], results["single_attention"])
 
@@ -174,18 +170,18 @@ def test_first_round_consensus_is_identical_across_personalized_kinds():
 def test_local_only_round_touches_nothing_shared():
     state, data = build_setup(2)
     hyper = HyperParams(rounds=1, aggregator_kind="local_only")
-    before = state.global_params.values.copy()
-    client_before = state.client_models["c0"].params.values.copy()
+    before = state.global_model.values.copy()
+    client_before = state.client_models["c0"].values.copy()
     new_state, report = run_round(state, hyper, None, data)
-    np.testing.assert_array_equal(new_state.global_params.values, before)
-    assert not np.array_equal(new_state.client_models["c0"].params.values, client_before)
+    np.testing.assert_array_equal(new_state.global_model.values, before)
+    assert not np.array_equal(new_state.client_models["c0"].values, client_before)
     assert report.upstream_bytes == 0 and report.downstream_bytes == 0
 
 
 def test_report_bytes_match_closed_form():
     state, data = build_setup(3)
-    total = total_params(state.global_params.spec)
-    head = head_length(state.global_params.spec)
+    total = total_params(state.global_model.spec)
+    head = head_length(state.global_model.spec)
     agg = fresh_aggregator(state)
     # every client uploads its model; the personalized kinds add its head downstream
     for kind, aggregator, down in (("game", agg, total + head), ("fedavg", None, total),
@@ -200,11 +196,11 @@ def test_report_bytes_match_closed_form():
 
 def assert_same_round_state(state, snapshot):
     assert state.round_index == snapshot.round_index
-    np.testing.assert_array_equal(state.global_params.values,
-                                  snapshot.global_params.values)
+    np.testing.assert_array_equal(state.global_model.values,
+                                  snapshot.global_model.values)
     for cid in state.client_models:
-        np.testing.assert_array_equal(state.client_models[cid].params.values,
-                                      snapshot.client_models[cid].params.values)
+        np.testing.assert_array_equal(state.client_models[cid].values,
+                                      snapshot.client_models[cid].values)
         assert (state.client_rngs[cid].bit_generator.state
                 == snapshot.client_rngs[cid].bit_generator.state)
 
@@ -293,8 +289,8 @@ def test_round_is_independent_of_dict_insertion_order():
     assert (json.dumps(report_a.to_json_dict(), sort_keys=True)
             == json.dumps(report_b.to_json_dict(), sort_keys=True))
     for cid in out_a.client_models:
-        np.testing.assert_array_equal(out_a.client_models[cid].params.values,
-                                      out_b.client_models[cid].params.values)
+        np.testing.assert_array_equal(out_a.client_models[cid].values,
+                                      out_b.client_models[cid].values)
 
 
 def test_missing_training_data_is_a_usage_error():
@@ -311,13 +307,13 @@ def test_missing_training_data_is_a_usage_error():
 def test_participation_subsamples_clients():
     state, data = build_setup(4)
     hyper = HyperParams(rounds=1, aggregator_kind="fedavg", participation=0.5)
-    before = {cid: m.params.values.copy() for cid, m in state.client_models.items()}
+    before = {cid: m.values.copy() for cid, m in state.client_models.items()}
     new_state, report = run_round(state, hyper, None, data)
     assert len(report.client_ids) == 2
     assert list(report.client_ids) == sorted(report.client_ids)
     skipped = set(state.client_models) - set(report.client_ids)
     for cid in skipped:
-        np.testing.assert_array_equal(new_state.client_models[cid].params.values,
+        np.testing.assert_array_equal(new_state.client_models[cid].values,
                                       before[cid])
 
 
@@ -395,7 +391,7 @@ def test_run_experiment_zero_rounds_evaluates_initial_models():
 def test_aggregator_has_its_own_random_stream():
     config = ExperimentConfig(**{**SMALL, "rounds": 0})
     result = run_experiment(config, "game")
-    head = head_length(result.state.global_params.spec)
+    head = head_length(result.state.global_model.spec)
     for name in ("aggregator", "server"):
         stream = seed_stream(config.master_seed, name)
         fresh = init_aggregator(config.aggregator_config(), head, stream)
