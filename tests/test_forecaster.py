@@ -83,6 +83,66 @@ def ref_lstm_forward(model, window):
     return out.reshape(cfg.horizon, len(cfg.quantiles))
 
 
+def ref_lstm_recompute_gradient(cfg, values, batch, targets):
+    """Flat gradients (N, P) of a stack of LSTM clients by the BPTT that
+    keeps only h and c and recomputes each step's gates in the backward,
+    with the input product as a matmul.  It performs the same float
+    operations in the same order as task_loss_and_gradient, so its bytes
+    pin that order."""
+    n, q = len(values), np.tile(cfg.quantiles, cfg.horizon)
+
+    def views(flat):
+        return {b.name: flat[:, b.offset : b.stop].reshape(n, -1, b.shape[-1])
+                for b in build_spec(cfg)}
+
+    def mT(a):
+        return a.swapaxes(1, 2)
+
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    def cell(x, h, c, i):
+        width = w[f"lstm{i}.wh"].shape[1]
+        pre = x @ w[f"lstm{i}.wx"] + h @ w[f"lstm{i}.wh"] + w[f"lstm{i}.b"]
+        gi, gf, gg, go = (pre[..., k * width : (k + 1) * width] for k in range(4))
+        gi, gf, gg, go = sigmoid(gi), sigmoid(gf), np.tanh(gg), sigmoid(go)
+        c = gf * c + gi * gg
+        return gi, gf, gg, go, c, np.tanh(c)
+
+    w, grad = views(values), np.zeros_like(values)
+    g = views(grad)
+    seq, states = [batch[:, :, t, :] for t in range(cfg.history_len)], []
+    for i, width in enumerate(cfg.hidden_sizes):
+        hs = cs = [np.zeros((n, batch.shape[1], width))]
+        for x in seq:
+            _, _, _, go, c, tc = cell(x, hs[-1], cs[-1], i)
+            hs, cs = hs + [go * tc], cs + [c]
+        states.append((seq, hs, cs))
+        seq = hs[1:]
+    diff = seq[-1] @ w["out.w"] + w["out.b"] - np.repeat(targets, len(cfg.quantiles), axis=2)
+    d_pred = (1.0 / diff[0].size) * np.where(diff > 0, 1.0 - q, -q)
+    g["out.w"] += mT(seq[-1]) @ d_pred
+    g["out.b"] += d_pred.sum(axis=1, keepdims=True)
+    d_out = [0.0] * (cfg.history_len - 1) + [d_pred @ mT(w["out.w"])]
+    for i in reversed(range(len(cfg.hidden_sizes))):
+        seq, hs, cs = states[i]
+        d_in, dh, dc = [None] * cfg.history_len, 0.0, 0.0
+        for t in reversed(range(cfg.history_len)):
+            dh = d_out[t] + dh
+            gi, gf, gg, go, _, tc = cell(seq[t], hs[t], cs[t], i)
+            dc = dh * go * (1.0 - tc**2) + dc
+            d_pre = np.concatenate([dc * gg * gi * (1.0 - gi), dc * cs[t] * gf * (1.0 - gf),
+                                    dc * gi * (1.0 - gg**2), dh * tc * go * (1.0 - go)], axis=2)
+            dc = dc * gf
+            g[f"lstm{i}.wx"] += mT(seq[t]) @ d_pre
+            g[f"lstm{i}.wh"] += mT(hs[t]) @ d_pre
+            g[f"lstm{i}.b"] += d_pre.sum(axis=1, keepdims=True)
+            d_in[t] = d_pre @ mT(w[f"lstm{i}.wx"])
+            dh = d_pre @ mT(w[f"lstm{i}.wh"])
+        d_out = d_in
+    return grad
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(quantiles=(0.5, 0.1))
@@ -282,6 +342,7 @@ LSTM_GRADIENT_CASES = [
     (dict(arch="lstm", hidden_sizes=(6,)), 9, 4),
     (dict(arch="lstm", hidden_sizes=(4, 3)), 32, 4),
     (dict(arch="lstm", hidden_sizes=(6,), features=2), 34, 4),
+    (dict(arch="lstm", hidden_sizes=(1, 3)), 36, 4),
 ]
 
 
@@ -387,7 +448,8 @@ def test_local_train_rejects_empty_dataset():
 
 
 # Architectures for the stacked pass; each runs every stack size with
-# every batch size below, and features=2 reaches the input-feature path.
+# every batch size below.  features=2 reaches the input-feature matmul,
+# and hidden_sizes=(1, 3) the broadcast input product on an upper layer.
 STACK_CASES = [
     dict(hidden_sizes=(32,)),
     dict(hidden_sizes=(8, 5), features=2),
@@ -395,6 +457,7 @@ STACK_CASES = [
     dict(arch="lstm", hidden_sizes=(16,)),
     dict(arch="lstm", hidden_sizes=(6, 4), features=2),
     dict(arch="lstm", hidden_sizes=(2,)),
+    dict(arch="lstm", hidden_sizes=(1, 3)),
 ]
 
 
@@ -415,6 +478,21 @@ def test_stacked_loss_and_gradient_equal_each_client_alone():
                 assert task_loss(model, batch[k], targets[k]) == losses[k], case
                 grad = task_gradient(model, batch[k], targets[k])
                 assert grad.tobytes() == grads[k].tobytes(), case
+
+
+def test_cached_gate_gradients_equal_the_recomputing_bptt_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for overrides in STACK_CASES:
+        cfg = small_config(**overrides)
+        if cfg.arch != "lstm":
+            continue
+        for n, size in ((1, 1), (3, 7), (8, 32)):
+            values = rng.uniform(-0.5, 0.5, size=(n, total_params(build_spec(cfg))))
+            batch = rng.normal(size=(n, size, cfg.history_len, cfg.features))
+            targets = rng.normal(size=(n, size, cfg.horizon))
+            _, grads = task_loss_and_gradient(cfg, values, batch, targets)
+            expected = ref_lstm_recompute_gradient(cfg, values, batch, targets)
+            assert grads.tobytes() == expected.tobytes(), (overrides, n, size)
 
 
 def test_local_train_stacks_are_bit_identical_to_one_client_at_a_time(monkeypatch):

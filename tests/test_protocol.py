@@ -88,6 +88,15 @@ def test_init_round_state_clients_share_the_read_only_consensus():
         init_round_state(CFG, ["x", "x"], 0)
 
 
+def test_models_and_round_states_compare_by_identity_without_raising():
+    state, _ = build_setup(2)
+    model = state.global_model
+    assert model == model
+    assert model != model.with_params(model.values)
+    assert state == state
+    assert state != copy.deepcopy(state)
+
+
 def test_comm_cost_closed_forms():
     spec = build_spec(CFG)
     total = total_params(spec)
