@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -130,6 +131,35 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _csv_fields(values) -> dict[str, str]:
+    """Each string as ``_write_csv`` writes it inside a row, quoted when it must be."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    out = {}
+    for value in values:
+        buffer.seek(0)
+        buffer.truncate()
+        # the second of two fields: a row of one empty field would be quoted
+        writer.writerow(["", value])
+        out[value] = buffer.getvalue()[1:-1]
+    return out
+
+
+def _write_attention(path: Path, reports) -> None:
+    """attention.csv: one ``round,i,j,w_ij`` row per off-diagonal entry,
+    the same bytes as ``_write_csv`` with ``repr`` of each weight."""
+    quoted = _csv_fields({cid for report in reports for cid in report.client_ids})
+    lines = ["round,i,j,w_ij\n"]
+    for report in reports:
+        ids = [quoted[cid] for cid in report.client_ids]
+        for i, row in enumerate(report.attention.tolist()):
+            head = f"{report.round_index},{ids[i]},"
+            del row[i]
+            lines.extend([f"{head}{dst},{w!r}\n" for dst, w in zip(ids[:i] + ids[i + 1 :], row)])
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("".join(lines))
+
+
 def write_run_outputs(result: RunResult, out_dir: Path, config: ExperimentConfig) -> None:
     """rounds.jsonl, eval.json, eval.csv, attention.csv, config.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -143,16 +173,7 @@ def write_run_outputs(result: RunResult, out_dir: Path, config: ExperimentConfig
         ["client_id", "qs", "mil", "icp", "n"],
         [[r["client_id"], repr(r["qs"]), repr(r["mil"]), repr(r["icp"]), r["n"]] for r in rows],
     )
-    attention_rows = []
-    for report in result.reports:
-        ids = report.client_ids
-        for i, src in enumerate(ids):
-            for j, dst in enumerate(ids):
-                if i != j:
-                    attention_rows.append(
-                        [report.round_index, src, dst, repr(float(report.attention[i, j]))]
-                    )
-    _write_csv(out_dir / "attention.csv", ["round", "i", "j", "w_ij"], attention_rows)
+    _write_attention(out_dir / "attention.csv", result.reports)
     _json_dump(config_to_dict(config), out_dir / "config.json")
 
 

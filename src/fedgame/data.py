@@ -59,7 +59,13 @@ class WindowedDataset:
         return int(self.inputs.shape[0])
 
     def denormalize(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values) * self.std + self.mean
+        return denormalize(values, self.mean, self.std)
+
+
+def denormalize(values: np.ndarray, mean, std) -> np.ndarray:
+    """Undo the z-scoring; ``mean`` and ``std`` broadcast against ``values``,
+    so one call can de-normalize a stack of clients with their own stats."""
+    return np.asarray(values) * std + mean
 
 
 def _parse_timestamp(raw: str, line_no: int) -> datetime:

@@ -12,8 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import denormalize
 from .errors import StructuralError, UsageError
-from .forecaster import ForecasterModel, _pinball_weights, forward_batch
+from .forecaster import (
+    ForecasterConfig, ForecasterModel, _blocks, _checked_batch, _forward, _pinball_weights,
+    _require_finite, build_spec,
+)
 
 
 @dataclass(frozen=True)
@@ -123,25 +127,42 @@ def mil(lower: np.ndarray, upper: np.ndarray) -> float:
     return float(np.mean(np.abs(upper - lower)))
 
 
-def _client_score(client_id: str, model: ForecasterModel, data) -> ClientScore:
-    q = np.asarray(model.config.quantiles, dtype=np.float64)
-    preds = data.denormalize(forward_batch(model, data.inputs))
-    targets = data.denormalize(data.targets)
-    diff = preds - targets[:, :, np.newaxis]
+def _score_stack(
+    cfg: ForecasterConfig, ids: list[str], models: dict, test_data: dict
+) -> list[ClientScore]:
+    """Scores of clients ``ids``, which share ``cfg`` and a test-set size,
+    from one stacked forward.  Elementwise work runs on the stack and
+    every reduction on one client's own contiguous arrays, so each score
+    is bit-identical to scoring that client alone."""
+    sets = [test_data[c] for c in ids]
+    checked = [_checked_batch(cfg, d.inputs, d.targets) for d in sets]
+    values = np.stack([models[c].values for c in ids])
+    pred = _forward(cfg, _blocks(build_spec(cfg), values), np.stack([b for b, _ in checked]))[0]
+    _require_finite(ids, np.isfinite(pred).all(axis=(1, 2)), "evaluate: non-finite predictions")
+    q = np.asarray(cfg.quantiles, dtype=np.float64)
+    mean = np.array([d.mean for d in sets])[:, np.newaxis, np.newaxis]
+    std = np.array([d.std for d in sets])[:, np.newaxis, np.newaxis]
+    n, size = pred.shape[:2]
+    preds = denormalize(pred, mean, std).reshape(n, size, cfg.horizon, q.size)
+    targets = denormalize(np.stack([t for _, t in checked]), mean, std)
+    diff = preds - targets[..., np.newaxis]
     weights = _pinball_weights(diff, q)
-    qs = float(np.mean(weights * diff))
-    per_q = tuple(float(np.mean(weights[:, :, k] * diff[:, :, k])) for k in range(q.size))
-    lo = preds[:, :, int(np.argmin(q))].reshape(-1)
-    hi = preds[:, :, int(np.argmax(q))].reshape(-1)
-    flat_y = targets.reshape(-1)
-    return ClientScore(
-        client_id=client_id,
-        qs=qs,
-        mil=mil(lo, hi),
-        icp=icp(flat_y, lo, hi),
-        n=int(preds.shape[0]),
-        qs_per_quantile=per_q,
-    )
+    loss = weights * diff
+    # (N, n_quantiles, size, horizon): one contiguous block per client and level
+    loss_by_level = np.ascontiguousarray(np.moveaxis(loss, 3, 1))
+    lo = preds[..., int(np.argmin(q))]
+    hi = preds[..., int(np.argmax(q))]
+    return [
+        ClientScore(
+            client_id=cid,
+            qs=float(np.mean(loss[k])),
+            mil=mil(lo[k], hi[k]),
+            icp=icp(targets[k], lo[k], hi[k]),
+            n=size,
+            qs_per_quantile=tuple(float(np.mean(block)) for block in loss_by_level[k]),
+        )
+        for k, cid in enumerate(ids)
+    ]
 
 
 def evaluate(models: dict[str, ForecasterModel], test_data: dict) -> EvalReport:
@@ -161,16 +182,20 @@ def evaluate(models: dict[str, ForecasterModel], test_data: dict) -> EvalReport:
         raise StructuralError(f"models disagree on their quantile levels: {sorted(levels)}")
     (quantiles,) = levels
 
-    scores = []
+    stacks: dict[tuple[ForecasterConfig, int], list[str]] = {}
     excluded = []
     for client_id in sorted(models):
         data = test_data.get(client_id)
         if data is None or not len(data):
             excluded.append(client_id)
             continue
-        scores.append(_client_score(client_id, models[client_id], data))
-    if not scores:
+        stacks.setdefault((models[client_id].config, len(data)), []).append(client_id)
+    if not stacks:
         raise UsageError("every client was excluded: no test windows at all")
+    scored = {}
+    for (cfg, _), ids in stacks.items():
+        scored.update(zip(ids, _score_stack(cfg, ids, models, test_data)))
+    scores = [scored[c] for c in sorted(scored)]
 
     ns = np.array([c.n for c in scores], dtype=np.float64)
 

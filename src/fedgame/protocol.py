@@ -116,8 +116,10 @@ class RoundReport:
 
     ``attention[i, j]`` is client ``client_ids[i]``'s weight on client
     ``client_ids[j]`` (zero diagonal, zero rows for kinds without
-    attention).  ``wall_time`` is informational only and deliberately
-    left out of the serialized form so reruns are byte-identical.
+    attention).  The serialized form leaves out the attention matrix,
+    whose one on-disk copy is ``attention.csv`` (off-diagonal entries
+    only), and ``wall_time``, which is informational only and would
+    keep reruns from being byte-identical.
     """
 
     round_index: int
@@ -136,7 +138,6 @@ class RoundReport:
             "client_ids": list(self.client_ids),
             "train_losses": {k: self.train_losses[k] for k in sorted(self.train_losses)},
             "meta_loss": self.meta_loss,
-            "attention": [[float(v) for v in row] for row in self.attention],
             "gate_mixes": {k: list(self.gate_mixes[k]) for k in sorted(self.gate_mixes)},
             "upstream_bytes": self.upstream_bytes,
             "downstream_bytes": self.downstream_bytes,

@@ -1,15 +1,24 @@
 """Config validation, subcommands, output files, and exit codes."""
 
 import csv
+import io
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from fedgame.cli import comm_summary, config_from_dict, config_to_dict, load_config, main
-from fedgame.data import load_csv
+from fedgame.cli import (
+    comm_summary,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+    main,
+    write_run_outputs,
+)
+from fedgame.data import load_csv, shards_to_csv, synth_generate
 from fedgame.errors import ConfigError, NumericError
-from fedgame.protocol import ExperimentConfig
+from fedgame.protocol import ExperimentConfig, run_experiment
 
 SMALL = {
     "n_clients": 3,
@@ -194,6 +203,48 @@ def test_run_writes_all_report_files(tmp_path):
     assert set(attention[0]) == {"round", "i", "j", "w_ij"}
     assert len(attention) == SMALL["rounds"] * 3 * 2
     json.loads((out / "config.json").read_text(encoding="utf-8"))
+
+
+def attention_reference(reports) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["round", "i", "j", "w_ij"])
+    for report in reports:
+        for i, src in enumerate(report.client_ids):
+            for j, dst in enumerate(report.client_ids):
+                if i != j:
+                    writer.writerow([report.round_index, src, dst,
+                                     repr(float(report.attention[i, j]))])
+    return buffer.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("ids, rounds", [
+    (["a,b", 'q"t', "plain"], 2),
+    (["a,b", 'q"t', "plain"], 0),
+    (["a,b"], 2),
+])
+def test_attention_csv_matches_csv_writer_and_rebuilds_each_matrix(tmp_path, ids, rounds):
+    shards = synth_generate(len(ids), 1, 160, 0.1, np.random.default_rng(3))
+    for shard, cid in zip(shards, ids):
+        shard.client_id = cid
+    shards_to_csv(shards, tmp_path / "fleet.csv")
+    config = replace(config_from_dict(SMALL)[0], n_clients=len(ids), n_clusters=1,
+                     rounds=rounds, csv_path=str(tmp_path / "fleet.csv"))
+    result = run_experiment(config)
+    write_run_outputs(result, tmp_path / "out", config)
+    written = (tmp_path / "out" / "attention.csv").read_bytes()
+    assert written == attention_reference(result.reports)
+
+    with open(tmp_path / "out" / "attention.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == rounds * len(ids) * (len(ids) - 1)
+    for report in result.reports:
+        index = {cid: k for k, cid in enumerate(report.client_ids)}
+        rebuilt = np.zeros((len(ids), len(ids)))
+        for row in rows:
+            if int(row["round"]) == report.round_index:
+                rebuilt[index[row["i"]], index[row["j"]]] = float(row["w_ij"])
+        np.testing.assert_array_equal(rebuilt, report.attention)
 
 
 def test_rerun_from_effective_config_is_byte_identical(tmp_path):

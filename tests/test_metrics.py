@@ -1,11 +1,20 @@
 """Metric definitions against brute-force oracles and hand values."""
 
+import json
+
 import numpy as np
 import pytest
 
 from fedgame.data import WindowedDataset
-from fedgame.errors import StructuralError, UsageError
-from fedgame.forecaster import ForecasterConfig, ForecasterModel, build_spec, pinball_loss
+from fedgame.errors import NumericError, StructuralError, UsageError
+from fedgame.forecaster import (
+    ForecasterConfig,
+    ForecasterModel,
+    build_spec,
+    forward_batch,
+    init_forecaster,
+    pinball_loss,
+)
 from fedgame.metrics import evaluate, icp, mil, quantile_score
 
 
@@ -243,3 +252,74 @@ def test_report_serialization_shapes():
     rows = report.csv_rows()
     assert [r["client_id"] for r in rows] == ["a", "macro"]
     assert set(rows[0]) == {"client_id", "qs", "mil", "icp", "n"}
+
+
+def score_alone(client_id, model, data) -> dict:
+    """One client's to_dict() entry from its own forward_batch call."""
+    q = np.asarray(model.config.quantiles)
+    preds = data.denormalize(forward_batch(model, data.inputs))
+    targets = data.denormalize(data.targets)
+    diff = preds - targets[:, :, np.newaxis]
+    weights = np.where(diff > 0, 1.0 - q, -q)
+    lo = preds[:, :, np.argmin(q)].reshape(-1)
+    hi = preds[:, :, np.argmax(q)].reshape(-1)
+    per_q = [float(np.mean(weights[:, :, k] * diff[:, :, k])) for k in range(q.size)]
+    return {
+        "client_id": client_id,
+        "qs": float(np.mean(weights * diff)),
+        "mil": mil(lo, hi),
+        "icp": icp(targets.reshape(-1), lo, hi),
+        "n": len(data),
+        "qs_per_quantile": dict(zip(map(str, model.config.quantiles), per_q)),
+    }
+
+
+def random_dataset(rng, n, cfg) -> WindowedDataset:
+    return WindowedDataset(
+        inputs=rng.normal(size=(n, cfg.history_len)),
+        targets=rng.normal(size=(n, cfg.horizon)),
+        mean=float(rng.uniform(-5.0, 5.0)),
+        std=float(rng.uniform(0.5, 3.0)),
+    )
+
+
+EVAL_MLP = ForecasterConfig(history_len=4, horizon=2, hidden_sizes=(5,))
+EVAL_LSTM = ForecasterConfig(history_len=4, horizon=2, hidden_sizes=(4, 3), arch="lstm")
+
+
+@pytest.mark.parametrize("fleet", [
+    # client id -> (config, test windows); 0 windows is an excluded client
+    {"a": (EVAL_MLP, 7), "b": (EVAL_MLP, 3), "c": (EVAL_MLP, 7), "d": (EVAL_LSTM, 7),
+     "e": (EVAL_LSTM, 5), "f": (EVAL_LSTM, 7), "g": (EVAL_MLP, 0)},
+    {"solo": (EVAL_LSTM, 6)},
+])
+def test_stacked_evaluate_is_bit_identical_to_scoring_each_client_alone(fleet):
+    rng = np.random.default_rng(21)
+    models = {cid: init_forecaster(cfg, rng) for cid, (cfg, _) in fleet.items()}
+    data = {cid: random_dataset(rng, n, cfg) for cid, (cfg, n) in fleet.items()}
+    report = evaluate(models, data).to_dict()
+    clients = [score_alone(c, models[c], data[c]) for c in sorted(fleet) if fleet[c][1]]
+    ns = np.array([c["n"] for c in clients], dtype=np.float64)
+    expected = {
+        "quantiles": list(EVAL_MLP.quantiles),
+        "clients": clients,
+        "excluded": [c for c in sorted(fleet) if not fleet[c][1]],
+        "macro": {m: float(np.mean([c[m] for c in clients])) for m in ("qs", "mil", "icp")},
+        "weighted": {
+            m: float(np.sum(np.array([c[m] for c in clients]) * ns) / np.sum(ns))
+            for m in ("qs", "mil", "icp")
+        },
+    }
+    # repr-exact: json writes every float with repr
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_evaluate_names_the_clients_with_non_finite_forecasts():
+    rng = np.random.default_rng(22)
+    models = {cid: init_forecaster(EVAL_MLP, rng) for cid in ("a", "b", "c")}
+    data = {cid: random_dataset(rng, 4, EVAL_MLP) for cid in models}
+    # a corrupted row: the constructor refuses non-finite values, so bypass it
+    models["b"].values = np.full_like(models["b"].values, np.nan)
+    with pytest.raises(NumericError) as info:
+        evaluate(models, data)
+    assert str(info.value) == "evaluate: non-finite predictions for clients ['b']"

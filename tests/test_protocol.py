@@ -333,7 +333,7 @@ def test_round_report_serialization_excludes_wall_time():
     payload = report.to_json_dict()
     assert "wall_time" not in payload
     assert payload["round"] == 0
-    assert isinstance(payload["attention"], list)
+    assert "attention" not in payload  # attention.csv is its one copy
     json.dumps(payload)
 
 
