@@ -1,9 +1,15 @@
 """CSV ingestion, windowing, splits, and the synthetic generator."""
 
+import csv
+import io
+import math
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 
 from fedgame.data import (
+    CHUNK_ROWS,
     SeriesShard,
     load_csv,
     make_windows,
@@ -156,6 +162,332 @@ def test_csv_round_trip_preserves_values(tmp_path):
     assert [s.client_id for s in loaded] == [s.client_id for s in shards]
     for original, read in zip(shards, loaded):
         np.testing.assert_array_equal(read.values, original.values)
+
+
+def _ref_parse_timestamp(raw, line_no):
+    try:
+        return datetime.fromisoformat(raw.strip())
+    except ValueError as exc:
+        raise FormatError(f"line {line_no}: unparseable timestamp {raw!r}") from exc
+
+
+def _ref_parse_demand(raw, line_no):
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise FormatError(f"line {line_no}: unparseable demand_kwh {raw!r}") from exc
+    if not math.isfinite(value):
+        raise FormatError(f"line {line_no}: non-finite demand_kwh {raw!r}")
+    return value
+
+
+def ref_load_csv(path):
+    """The row-at-a-time loader that ``load_csv`` replaced, kept as its
+    oracle: a DictReader, one (datetime, float, line) tuple per row and
+    timedelta gaps.  It numbers records rather than physical lines, so
+    its messages are only right for files without blank lines or quoted
+    newlines."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"line {line_no}: not valid UTF-8 ({exc.reason})") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    for column in ("timestamp", "station_id", "demand_kwh"):
+        if column not in header:
+            raise FormatError(f"missing required column {column!r}")
+    rows = {}
+    for line_no, row in enumerate(reader, start=2):
+        station = (row["station_id"] or "").strip()
+        if not station:
+            raise FormatError(f"line {line_no}: empty station_id")
+        stamp = _ref_parse_timestamp(row["timestamp"] or "", line_no)
+        demand = _ref_parse_demand(row["demand_kwh"] or "", line_no)
+        rows.setdefault(station, []).append((stamp, demand, line_no))
+
+    shards = []
+    for station in sorted(rows):
+        entries = sorted(rows[station], key=lambda item: item[0])
+        stamps = [e[0] for e in entries]
+        diffs = [b - a for a, b in zip(stamps, stamps[1:]) if b > a]
+        interval = min(diffs) if diffs else timedelta(minutes=5)
+        positions = [0]
+        for idx in range(1, len(entries)):
+            stamp, _, line_no = entries[idx]
+            gap = stamp - stamps[idx - 1]
+            if not gap:
+                raise FormatError(
+                    f"line {line_no}: repeats timestamp {stamp.isoformat()} "
+                    f"of line {entries[idx - 1][2]} for station {station!r}"
+                )
+            steps = gap / interval
+            if abs(steps - round(steps)) > 1e-6:
+                raise FormatError(
+                    f"line {line_no}: timestamp gap {gap} is not a multiple "
+                    f"of the {interval} interval for station {station!r}"
+                )
+            steps = int(round(steps))
+            if steps - 1 > len(entries):
+                raise FormatError(
+                    f"line {line_no}: timestamp gap {gap} would fill {steps - 1} zeros, "
+                    f"more than the {len(entries)} rows of station {station!r}"
+                )
+            positions.append(positions[-1] + steps)
+        values = np.zeros(positions[-1] + 1)
+        values[positions] = [e[1] for e in entries]
+        shards.append(SeriesShard(station, values, interval.total_seconds() / 60.0))
+    return shards
+
+
+def _far_gap_rows():
+    # 9078254179105727 us (~288 years) is 1296893454157961 intervals of
+    # 7 us exactly, but float64(gap) / 7 is off the integer by 0.25
+    start = datetime(1700, 1, 1)
+    stamps = [start, start + timedelta(microseconds=7),
+              start + timedelta(microseconds=7 + 9078254179105727)]
+    return "".join(f"{stamp.isoformat()},a,1.0\n" for stamp in stamps)
+
+
+HEADER = "timestamp,station_id,demand_kwh\n"
+VALID_CSVS = {
+    "unsorted": HEADER + (
+        "2024-01-01T00:10:00,a,3.0\n2024-01-01T00:00:00,a,1.0\n"
+        "2024-01-01T00:05:00,a,2.0\n2024-01-01T00:20:00,a,5.0\n"
+    ),
+    "interleaved": HEADER + "".join(
+        f"2024-01-01T00:{5 * i:02d}:00,{station},{i + k}.5\n"
+        for i in range(6) for k, station in enumerate(("b", "a", "c"))
+    ),
+    "zero_filled_gaps": HEADER + (
+        "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00,a,2.0\n"
+        "2024-01-01T00:20:00,a,3.0\n2024-01-01T00:25:00,a,4.0\n"
+        "2024-01-01T00:00:00,b,1.0\n2024-01-01T01:00:00,b,2.0\n"
+    ),
+    "reordered_and_extra_columns": (
+        "note,demand_kwh,station_id,spare,timestamp\n"
+        "x,1.0,a,,2024-01-01T00:00:00\ny,2.0,a,,2024-01-01T00:05:00\n"
+        "z,3.0,b,9,2024-01-01T00:00:00,trailing\n"
+    ),
+    "short_rows_lacking_an_extra_column": (
+        "timestamp,station_id,demand_kwh,note\n"
+        "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00,a,2.0,n\n"
+    ),
+    "quoted_ids": HEADER + (
+        '2024-01-01T00:00:00,"st,1",1.0\n2024-01-01T00:05:00,"st,1",2.0\n'
+        '2024-01-01T00:00:00,"q""t",3.0\n"2024-01-01T00:05:00","q""t","4.0"\n'
+    ),
+    "padded_fields": HEADER + (
+        " 2024-01-01T00:00:00 , a ,1.0 \n2024-01-01T00:05:00,a,  2.0\n"
+    ),
+    "crlf": HEADER.replace("\n", "\r\n") + (
+        "2024-01-01T00:00:00,a,1.0\r\n2024-01-01T00:05:00,a,2.0\r\n"
+        "2024-01-01T00:15:00,a,3.0\r\n"
+    ),
+    "trailing_blank_line": HEADER + (
+        "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00,a,2.0\n\n"
+    ),
+    "fractional_seconds": HEADER + (
+        "2024-01-01T00:00:00.250000,a,1.0\n2024-01-01T00:00:00.500,a,2.0\n"
+        "2024-01-01T00:00:01.250000,a,3.0\n2024-01-01T00:00:00,b,4.0\n"
+        "2024-01-01T00:00:01.500000,b,5.0\n"
+    ),
+    "aware_across_a_dst_change": HEADER + (
+        "2024-03-31T01:50:00+01:00,a,1.0\n2024-03-31T01:55:00+01:00,a,2.0\n"
+        "2024-03-31T03:05:00+02:00,a,3.0\n2024-03-31T03:00:00+02:00,a,4.0\n"
+        "2024-03-31T00:45:00+00:00,a,5.0\n"
+    ),
+    "single_row_station": HEADER + (
+        "2024-01-01T00:00:00,solo,1.0\n2024-01-01T00:00:00,a,1.0\n"
+        "2024-01-01T00:30:00,a,2.0\n"
+    ),
+    "header_only": HEADER,
+    "runs_of_blank_lines_longer_than_a_chunk": HEADER + "\n" * CHUNK_ROWS + (
+        "2024-01-01T00:00:00,a,1.0\n" + "\n" * (2 * CHUNK_ROWS + 1)
+        + "2024-01-01T00:05:00,a,2.0\n2024-01-01T00:00:00,b,3.0\n" + "\n" * CHUNK_ROWS
+        + "2024-01-01T00:15:00,a,4.0\n"
+    ),
+    "unicode_ids_sort_by_code_point": HEADER + (
+        "2024-01-01T00:00:00,é,1.0\n2024-01-01T00:00:00,z,2.0\n"
+        "2024-01-01T00:00:00,Z,3.0\n"
+    ),
+}
+
+
+def assert_same_shards(actual, expected):
+    assert [s.client_id for s in actual] == [s.client_id for s in expected]
+    for got, want in zip(actual, expected):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.interval_minutes == want.interval_minutes
+        assert got.cluster_label == want.cluster_label
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CSVS))
+def test_load_csv_matches_the_row_loader_byte_for_byte(tmp_path, name):
+    path = write(tmp_path / f"{name}.csv", VALID_CSVS[name])
+    assert_same_shards(load_csv(path), ref_load_csv(path))
+
+
+def test_load_csv_matches_the_row_loader_on_a_synthetic_fleet(tmp_path):
+    path = tmp_path / "fleet.csv"
+    shards_to_csv(synth_generate(5, 2, 240, 0.15, 4), path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # leave gaps in one station, and shuffle the rows
+    rows = [row for i, row in enumerate(rows) if not (",client03," in row and i % 3 == 1)]
+    np.random.default_rng(0).shuffle(rows)
+    path.write_text(header + "".join(rows), encoding="utf-8")
+    shards = load_csv(str(path))
+    assert shards[3].values.size == 240 and np.count_nonzero(shards[3].values == 0.0) >= 80
+    assert_same_shards(shards, ref_load_csv(str(path)))
+
+
+BAD_CSVS = {
+    "empty_station": HEADER + "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00, ,2.0\n",
+    "bad_timestamp": HEADER + "2024-01-01T00:00:00,a,1.0\n 2024-13-01 ,a,2.0\n",
+    "bad_demand": HEADER + "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00,a,2.o\n",
+    "infinite_demand": HEADER + "2024-01-01T00:00:00,a,-inf\n",
+    "nan_demand": HEADER + "2024-01-01T00:00:00,a,NaN\n",
+    "short_row": HEADER + "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00,a\n",
+    "first_bad_row_wins": HEADER + (
+        "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00,a,x\n"
+        "2024-01-01T00:10:00,,2.0\nsoon,a,1.0\n"
+    ),
+    "station_checked_before_timestamp": HEADER + "soon, ,x\n",
+    "timestamp_checked_before_demand": HEADER + "soon,a,x\n",
+    "row_error_after_a_repeat": HEADER + (
+        "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00,a,x\n"
+    ),
+    "repeat": HEADER + (
+        "2024-01-01T00:05:00+01:00,a,1.0\n2024-01-01T00:10:00+01:00,a,1.0\n"
+        "2024-01-01T00:05:00+01:00,a,2.0\n"
+    ),
+    "repeat_across_offsets": HEADER + (
+        "2024-01-01T01:05:00+01:00,a,1.0\n2024-01-01T00:05:00+00:00,a,2.0\n"
+    ),
+    "not_a_multiple": HEADER + (
+        "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00,a,2.0\n2024-01-01T00:12:30,a,3.0\n"
+    ),
+    "fills_too_many_zeros": HEADER + (
+        "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00,a,2.0\n"
+        "2025-01-01T00:10:00,a,3.0\n2024-01-01T00:15:00,a,4.0\n"
+    ),
+    "fills_one_zero_more_than_the_rows": HEADER + (
+        "2024-01-01T00:00:00,a,1.0\n2024-01-01T00:05:00,a,2.0\n2024-01-01T00:30:00,a,3.0\n"
+    ),
+    "gap_past_2_53_microseconds": HEADER + _far_gap_rows(),
+    "stations_in_id_order_then_time_order": HEADER + (
+        "2024-01-01T00:00:00,b,1.0\n2024-01-01T00:07:00,b,1.0\n"
+        "2024-01-01T00:05:00,b,1.0\n2024-01-01T00:30:00,a,1.0\n"
+        "2024-01-01T00:30:00,a,2.0\n2024-01-01T00:00:00,a,3.0\n"
+        "2024-01-01T00:00:00,a,4.0\n"
+    ),
+    "bad_demand_past_the_first_chunks": HEADER + "".join(
+        f"{(datetime(2024, 1, 1) + timedelta(minutes=5 * i)).isoformat()},a,"
+        f"{'x' if i == 700 else i}\n"
+        for i in range(900)
+    ),
+    "missing_column": "timestamp,station,demand_kwh\n2024-01-01T00:00:00,a,1.0\n",
+    "blank_header": "\n" + HEADER + "2024-01-01T00:00:00,a,1.0\n",
+    "empty_file": "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CSVS))
+def test_load_csv_errors_match_the_row_loader(tmp_path, name):
+    path = write(tmp_path / f"{name}.csv", BAD_CSVS[name])
+    with pytest.raises(FormatError) as expected:
+        ref_load_csv(path)
+    with pytest.raises(FormatError) as actual:
+        load_csv(path)
+    assert str(actual.value) == str(expected.value)
+
+
+def test_load_csv_names_a_bad_row_past_the_first_chunks(tmp_path):
+    path = write(tmp_path / "late.csv", BAD_CSVS["bad_demand_past_the_first_chunks"])
+    assert 700 > 2 * CHUNK_ROWS
+    with pytest.raises(FormatError, match=r"^line 702: unparseable demand_kwh 'x'$"):
+        load_csv(path)
+
+
+def test_load_csv_non_utf8_error_matches_the_row_loader(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(HEADER.encode() + b"2024-01-01T00:00:00,\xe9,1.0\n")
+    with pytest.raises(FormatError) as expected:
+        ref_load_csv(str(path))
+    with pytest.raises(FormatError) as actual:
+        load_csv(str(path))
+    assert str(actual.value) == str(expected.value) == "line 2: not valid UTF-8 (invalid continuation byte)"
+
+
+@pytest.mark.parametrize("blank_lines", [1, 2 * CHUNK_ROWS + 1])
+def test_load_csv_reports_physical_lines_after_blank_lines(tmp_path, blank_lines):
+    path = write(tmp_path / "blank.csv", HEADER + (
+        "2024-01-01T00:00:00,a,1.0\n" + "\n" * blank_lines + "2024-01-01T00:05:00,a,oops\n"
+    ))
+    line_no = blank_lines + 3
+    with pytest.raises(FormatError, match=rf"^line {line_no}: unparseable demand_kwh 'oops'$"):
+        load_csv(path)
+
+
+def test_load_csv_counts_lone_carriage_returns_as_line_ends(tmp_path):
+    rows = "2024-01-01T00:00:00,a,1.0\r2024-01-01T00:05:00,"
+    path = tmp_path / "mac.csv"
+    path.write_bytes((HEADER.replace("\n", "\r") + rows).encode() + b"\xe9,2.0\r")
+    with pytest.raises(FormatError, match=r"^line 3: not valid UTF-8 "):
+        load_csv(str(path))
+    path.write_bytes((HEADER.replace("\n", "\r") + rows + "a,x\r").encode())
+    with pytest.raises(FormatError, match=r"^line 3: unparseable demand_kwh 'x'$"):
+        load_csv(str(path))
+
+
+def test_load_csv_reports_the_line_a_multi_line_record_starts_on(tmp_path):
+    path = write(tmp_path / "quoted.csv", HEADER + (
+        '2024-01-01T00:00:00,"a",1.0\n2024-01-01T00:05:00,a,2.0\n'
+        '2024-01-01T00:00:00,"b\nsouth",1.0\n2024-01-01T00:00:00,"b\nsouth",2.0\n'
+    ))
+    with pytest.raises(FormatError, match=r"^line 6: repeats timestamp \S+ of line 4 for station 'b\\nsouth'$"):
+        load_csv(path)
+
+
+def test_load_csv_rejects_mixed_naive_and_aware_stamps_in_one_station(tmp_path):
+    path = write(tmp_path / "mixed.csv", HEADER + (
+        "2024-01-01T01:30:00+00:00,b,1.0\n2024-01-01T01:35:00,b,1.0\n"
+        "2024-01-01T01:30:00,a,1.0\n2024-01-01T01:35:00,a,2.0\n"
+        "2024-01-01T01:40:00+00:00,a,3.0\n2024-01-01T01:45:00+00:00,a,4.0\n"
+    ))
+    with pytest.raises(FormatError, match=(
+        r"^line 6: timestamp 2024-01-01T01:40:00\+00:00 has a UTC offset, "
+        r"unlike line 4 of station 'a'$"
+    )):
+        load_csv(path)
+
+
+def test_load_csv_keeps_stations_that_are_wholly_naive_or_wholly_aware(tmp_path):
+    path = write(tmp_path / "per_station.csv", HEADER + (
+        "2024-01-01T01:30:00+05:30,a,1.0\n2024-01-01T01:35:00+05:30,a,2.0\n"
+        "2024-01-01T01:30:00,b,3.0\n2024-01-01T01:40:00,b,4.0\n2024-01-01T01:45:00,b,5.0\n"
+    ))
+    shards = load_csv(path)
+    np.testing.assert_array_equal(shards[0].values, [1.0, 2.0])
+    np.testing.assert_array_equal(shards[1].values, [3.0, 0.0, 4.0, 5.0])
+
+
+def test_load_csv_rejects_a_required_column_given_twice(tmp_path):
+    path = write(tmp_path / "twice.csv", (
+        "timestamp,station_id,demand_kwh,demand_kwh\n2024-01-01T00:00:00,a,1.0,2.0\n"
+    ))
+    with pytest.raises(FormatError, match=r"^line 1: column 'demand_kwh' appears more than once$"):
+        load_csv(path)
+
+
+def test_load_csv_drops_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (HEADER + "2024-01-01T00:00:00,a,1.0\n").encode())
+    shards = load_csv(str(path))
+    assert [s.client_id for s in shards] == ["a"]
+    np.testing.assert_array_equal(shards[0].values, [1.0])
 
 
 def test_make_windows_hand_enumeration():
