@@ -105,14 +105,20 @@ def _records(text: str):
     """(physical line the record starts on, fields) for each data record.
 
     Blank lines are skipped, and a quoted newline stays inside its record.
+    A record that csv cannot read, such as one with a field over csv's
+    size limit, raises FormatError naming its line (1 for the header).
     """
     reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader, None)
-    start = reader.line_num + 1
-    for row in reader:
-        if row:
-            yield start, row
+    start = 1
+    try:
+        next(reader, None)
         start = reader.line_num + 1
+        for row in reader:
+            if row:
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise FormatError(f"line {start}: {exc}") from exc
 
 
 def _fields(row: list[str], positions: list[int]) -> list[str]:
@@ -220,10 +226,11 @@ def load_csv(path) -> list[SeriesShard]:
     """
     text = _read_text(path)
     reader = csv.reader(io.StringIO(text, newline=""))
-    positions = _column_positions(next(reader, []))
     try:
+        # a header that csv cannot read fails in _records before it yields a row
+        positions = _column_positions(next(reader, []))
         names, codes, micros, aware, demand = _read_columns(reader, positions)
-    except ValueError:
+    except (ValueError, csv.Error):
         for line_no, row in _records(text):
             _check_row(row, positions, line_no)
         raise

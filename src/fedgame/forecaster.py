@@ -25,9 +25,18 @@ stack of one; there is no separate per-client path.
 
 The LSTM forward caches every timestep's gates i, f, g, o and tanh(c)
 next to h and c, and the backward reads them instead of re-running the
-forward: 5*N*B*W*T*8 bytes per layer of width W, ~1.9 MB at N=8, B=32,
-W=16, T=12.  On ``lstm_fedavg`` peak RSS rose by 1.8 MB, 40.7 to 42.5 MB
-(2-CPU Xeon, numpy 2.4), and the median round time fell by a fifth.
+forward.  Each layer's cache is one float64 block of (7T + 2, N, B, W):
+h at steps 0..T, c at steps 0..T, then the gates as (T, 5, N, B, W),
+~2.8 MB at N=8, B=32, W=16, T=12.  The gates are gate-major, so each is
+one contiguous (N, B, W) array; in a (T, N, B, 5W) layout every gate is
+a strided view, and the cell's gate ufuncs ran 1.8x slower.  It is one
+allocation because glibc's malloc raises its trim threshold to twice
+the size of the largest mmapped chunk freed so far: one 2.8 MB block
+lifts it above a training step's working set, so the heap keeps the
+step's pages.  As ~86 arrays of 32 KB the cache was trimmed and faulted
+in again on every step, ~650 minor faults a step on ``lstm_fedavg``
+(none now), and its median round fell from ~42 to ~32 ms (2-CPU Xeon,
+numpy 2.4).  Other allocators compute the same bytes, perhaps no faster.
 """
 
 from __future__ import annotations
@@ -168,11 +177,11 @@ def init_forecaster(cfg: ForecasterConfig, rng: np.random.Generator) -> Forecast
     return ForecasterModel(np.concatenate(chunks), cfg)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+exp(-x)); the caller ignores overflow, which saturates to the exact limit 0
-    out = np.exp(-x)
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
+    # 1/(1+exp(-x)) into out; the caller ignores overflow, which saturates to the exact limit 0
+    np.exp(np.negative(x, out=out), out=out)
     out += 1.0
-    return np.divide(1.0, out, out=out)
+    np.divide(1.0, out, out=out)
 
 
 def _blocks(spec: tuple[LayerSpec, ...], flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -215,20 +224,24 @@ def _checked_batch(
     return batch, targets
 
 
-def _lstm_cell(x, h, c, wx, wh, b, width: int):
-    """One LSTM step: gates i, f, g, o, the new cell state and its tanh."""
+def _lstm_cell(x, h, c, wx, wh, b, gates, h_out, c_out) -> None:
+    """One LSTM step from input x and state (h, c): writes the gates i, f,
+    g, o and tanh(c) into ``gates`` (5, N, B, W) and the new state into
+    ``h_out`` and ``c_out``."""
+    width = h_out.shape[-1]
     pre = h @ wh
     # one input feature broadcasts, as the (N, B, 1) @ (N, 1, 4W) matmul skips BLAS; addition
     # commutes, so only an exact zero's sign can differ, which a nonzero bias erases
     pre += x * wx if wx.shape[1] == 1 else x @ wx
     pre += b
+    gi, gf, gg, go, tc = gates
     with np.errstate(over="ignore"):
-        gi = _sigmoid(pre[..., 0 * width : 1 * width])
-        gf = _sigmoid(pre[..., 1 * width : 2 * width])
-        go = _sigmoid(pre[..., 3 * width : 4 * width])
-    gg = np.tanh(pre[..., 2 * width : 3 * width])
-    c = gf * c + gi * gg
-    return gi, gf, gg, go, c, np.tanh(c)
+        for k, gate in ((0, gi), (1, gf), (3, go)):
+            _sigmoid(pre[..., k * width : (k + 1) * width], out=gate)
+    np.tanh(pre[..., 2 * width : 3 * width], out=gg)
+    np.multiply(gf, c, out=c_out)
+    c_out += gi * gg
+    np.multiply(go, np.tanh(c_out, out=tc), out=h_out)
 
 
 def _lstm_cell_backward(gates, c_prev, dh, dc):
@@ -252,8 +265,11 @@ def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray)
     the activations the backward pass reads.
 
     MLP: the flattened input and every hidden activation.  LSTM: per
-    layer, the input sequence, every timestep's hidden and cell states
-    (index 0 holds the zeros) and its gates i, f, g, o and tanh(c).
+    layer, the input sequence and three views of the layer's one cache
+    block (see the module docstring): every timestep's hidden and cell
+    states (index 0 holds the zeros) and its gates i, f, g, o and tanh(c).
+    Writing into views with ``out=`` keeps every float operation and its
+    order, which the bit-for-bit tests pin.
     """
     n, size = batch.shape[:2]
     if cfg.arch == "mlp":
@@ -262,18 +278,17 @@ def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray)
             acts.append(np.tanh(acts[-1] @ w[f"hidden{i}.w"] + w[f"hidden{i}.b"]))
         return acts[-1] @ w["out.w"] + w["out.b"], acts[-1], acts
 
-    seq = [batch[:, :, t, :] for t in range(cfg.history_len)]
+    steps = cfg.history_len
+    seq = [batch[:, :, t, :] for t in range(steps)]
     cache = []
     for i, width in enumerate(cfg.hidden_sizes):
         wx, wh, b = w[f"lstm{i}.wx"], w[f"lstm{i}.wh"], w[f"lstm{i}.b"]
-        h = c = np.zeros((n, size, width))
-        hs, cs, gates = [h], [c], []
-        for x in seq:
-            gi, gf, gg, go, c, tc = _lstm_cell(x, h, c, wx, wh, b, width)
-            h = go * tc
-            hs.append(h)
-            cs.append(c)
-            gates.append((gi, gf, gg, go, tc))
+        blk = np.empty((7 * steps + 2, n, size, width))
+        hs, cs = blk[: steps + 1], blk[steps + 1 : 2 * steps + 2]
+        gates = blk[2 * steps + 2 :].reshape(steps, 5, n, size, width)
+        hs[0] = cs[0] = 0.0
+        for t, x in enumerate(seq):
+            _lstm_cell(x, hs[t], cs[t], wx, wh, b, gates[t], hs[t + 1], cs[t + 1])
         cache.append((seq, hs, cs, gates))
         seq = hs[1:]
     return seq[-1] @ w["out.w"] + w["out.b"], seq[-1], cache
@@ -380,11 +395,12 @@ def task_loss_and_gradient(
     """
     spec = build_spec(cfg)
     w = _blocks(spec, values)
+    # allocated before the cache block, so that freeing the block returns it to the heap's top
+    grad = np.zeros_like(values)
     pred, head_in, cache = _forward(cfg, w, batch)
     diff = pred - np.repeat(targets, len(cfg.quantiles), axis=2)
     weights = _pinball_weights(diff, np.tile(cfg.quantiles, cfg.horizon))
     scale = 1.0 / diff[0].size
-    grad = np.zeros_like(values)
     _backward(cfg, w, _blocks(spec, grad), head_in, cache, scale * weights)
     return (diff * weights).reshape(len(values), -1).sum(axis=1) * scale, grad
 

@@ -451,6 +451,24 @@ def test_load_csv_reports_the_line_a_multi_line_record_starts_on(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_names_the_line_of_a_field_over_the_csv_size_limit(tmp_path):
+    huge = "x" * (csv.field_size_limit() + 1)
+    limit = rf"field larger than field limit \({csv.field_size_limit()}\)$"
+    first = "2024-01-01T00:00:00,a,1.0\n"
+    cases = [
+        (HEADER + first + f"2024-01-01T00:05:00,{huge},2.0\n", rf"^line 3: {limit}"),
+        (HEADER + first + f'\n2024-01-01T00:05:00,"b\n{huge}",2.0\n', rf"^line 4: {limit}"),
+        (f"timestamp,station_id,demand_kwh,{huge}\n" + first, rf"^line 1: {limit}"),
+        # an earlier bad row is still the one reported
+        (HEADER + "2024-01-01T00:00:00,a,x\n" + f"2024-01-01T00:05:00,{huge},2.0\n",
+         r"^line 2: unparseable demand_kwh 'x'$"),
+    ]
+    for k, (text, message) in enumerate(cases):
+        path = write(tmp_path / f"huge{k}.csv", text)
+        with pytest.raises(FormatError, match=message):
+            load_csv(path)
+
+
 def test_load_csv_rejects_mixed_naive_and_aware_stamps_in_one_station(tmp_path):
     path = write(tmp_path / "mixed.csv", HEADER + (
         "2024-01-01T01:30:00+00:00,b,1.0\n2024-01-01T01:35:00,b,1.0\n"

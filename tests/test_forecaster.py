@@ -450,6 +450,8 @@ def test_local_train_rejects_empty_dataset():
 # Architectures for the stacked pass; each runs every stack size with
 # every batch size below.  features=2 reaches the input-feature matmul,
 # and hidden_sizes=(1, 3) the broadcast input product on an upper layer.
+# (5, 3, 7) stacks three LSTM layers whose widths are not multiples of
+# the SIMD width, so many slots of a cache block start off a vector boundary.
 STACK_CASES = [
     dict(hidden_sizes=(32,)),
     dict(hidden_sizes=(8, 5), features=2),
@@ -458,6 +460,7 @@ STACK_CASES = [
     dict(arch="lstm", hidden_sizes=(6, 4), features=2),
     dict(arch="lstm", hidden_sizes=(2,)),
     dict(arch="lstm", hidden_sizes=(1, 3)),
+    dict(arch="lstm", hidden_sizes=(5, 3, 7)),
 ]
 
 
