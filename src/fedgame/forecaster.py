@@ -36,7 +36,18 @@ lifts it above a training step's working set, so the heap keeps the
 step's pages.  As ~86 arrays of 32 KB the cache was trimmed and faulted
 in again on every step, ~650 minor faults a step on ``lstm_fedavg``
 (none now), and its median round fell from ~42 to ~32 ms (2-CPU Xeon,
-numpy 2.4).  Other allocators compute the same bytes, perhaps no faster.
+numpy 2.4).
+
+The MLP forward does the same with one float64 block per step of
+N*B*(sum(hidden_sizes) + 3*max(hidden_sizes)): every hidden activation
+as a contiguous (N, B, W) slice, then three scratch slots of the widest
+layer, into which the backward writes each layer's delta and its
+1 - a**2 term with ``out=``.  At N=32, B=32, W=32 each activation or
+delta is 256 KB, above glibc's default mmap threshold; as separate
+arrays the step faulted them in again every time, ~220 minor faults a
+step on ``wide_server``, and with the scratch in a second block ~25.
+One ~1 MB block takes none once warm.  Other allocators compute the
+same bytes, perhaps no faster.
 """
 
 from __future__ import annotations
@@ -130,6 +141,15 @@ def build_spec(cfg: ForecasterConfig) -> tuple[LayerSpec, ...]:
     add("out.w", (in_dim, cfg.output_dim), "output_head", in_dim)
     add("out.b", (cfg.output_dim,), "output_head", in_dim)
     return tuple(spec)
+
+
+@functools.cache
+def _quantile_row(cfg: ForecasterConfig) -> np.ndarray:
+    """The quantile level of each output column, built once per config
+    and read-only: ``cfg.quantiles`` repeated for every horizon step."""
+    row = np.tile(cfg.quantiles, cfg.horizon)
+    row.flags.writeable = False
+    return row
 
 
 @dataclass(eq=False)
@@ -264,19 +284,27 @@ def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray)
     (N, B, history_len, features) batches, the output layer's input, and
     the activations the backward pass reads.
 
-    MLP: the flattened input and every hidden activation.  LSTM: per
-    layer, the input sequence and three views of the layer's one cache
-    block (see the module docstring): every timestep's hidden and cell
-    states (index 0 holds the zeros) and its gates i, f, g, o and tanh(c).
-    Writing into views with ``out=`` keeps every float operation and its
-    order, which the bit-for-bit tests pin.
+    MLP: the flattened input and every hidden activation, then three
+    scratch slots of the widest layer for the backward, all views of one
+    block (see the module docstring).  LSTM: per layer, the input
+    sequence and three views of the layer's one cache block: every
+    timestep's hidden and cell states (index 0 holds the zeros) and its
+    gates i, f, g, o and tanh(c).  Writing into views with ``out=`` keeps
+    every float operation and its order, which the bit-for-bit tests pin.
     """
     n, size = batch.shape[:2]
     if cfg.arch == "mlp":
-        acts = [batch.reshape(n, size, cfg.history_len * cfg.features)]
-        for i in range(len(cfg.hidden_sizes)):
-            acts.append(np.tanh(acts[-1] @ w[f"hidden{i}.w"] + w[f"hidden{i}.b"]))
-        return acts[-1] @ w["out.w"] + w["out.b"], acts[-1], acts
+        widths = cfg.hidden_sizes
+        blk = np.empty(n * size * (sum(widths) + 3 * max(widths, default=0)))
+        acts, start = [batch.reshape(n, size, cfg.history_len * cfg.features)], 0
+        for i, width in enumerate(widths):
+            a = blk[start : start + n * size * width].reshape(n, size, width)
+            start += a.size
+            np.matmul(acts[-1], w[f"hidden{i}.w"], out=a)
+            a += w[f"hidden{i}.b"]
+            np.tanh(a, out=a)
+            acts.append(a)
+        return acts[-1] @ w["out.w"] + w["out.b"], acts[-1], (acts, blk[start:].reshape(3, -1))
 
     steps = cfg.history_len
     seq = [batch[:, :, t, :] for t in range(steps)]
@@ -299,7 +327,7 @@ def _backward(
     w: dict[str, np.ndarray],
     g: dict[str, np.ndarray],
     head_in: np.ndarray,
-    cache: list,
+    cache: tuple | list,
     d_pred: np.ndarray,
 ) -> None:
     """Add the parameter gradients to the zeroed blocks ``g``, from
@@ -316,10 +344,18 @@ def _backward(
     g["out.b"] += d_pred.sum(axis=1, keepdims=True)
 
     if cfg.arch == "mlp":
+        # each layer's d goes to slot 0 or 2 while the d from the layer
+        # above is read from the other one; slot 1 holds 1 - a**2
+        acts, slots = cache
         d, w_above = d_pred, w["out.w"]
         for i in reversed(range(len(cfg.hidden_sizes))):
-            d = (d @ _mT(w_above)) * (1.0 - cache[i + 1] ** 2)
-            g[f"hidden{i}.w"] += _mT(cache[i]) @ d
+            a = acts[i + 1]
+            d = np.matmul(d, _mT(w_above), out=slots[2 * (i % 2), : a.size].reshape(a.shape))
+            slope = slots[1, : a.size].reshape(a.shape)
+            np.square(a, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            d *= slope
+            g[f"hidden{i}.w"] += _mT(acts[i]) @ d
             g[f"hidden{i}.b"] += d.sum(axis=1, keepdims=True)
             w_above = w[f"hidden{i}.w"]
         return
@@ -379,6 +415,8 @@ def pinball_loss(pred: np.ndarray, target: np.ndarray, quantiles: Sequence[float
         raise StructuralError(
             f"pred has shape {pred.shape}, expected ({target.size}, {q.size})"
         )
+    if not pred.size:
+        raise UsageError("pinball_loss needs at least one target and one quantile level")
     diff = pred - target[:, np.newaxis]
     return float(np.mean(_pinball_weights(diff, q[np.newaxis, :]) * diff))
 
@@ -399,7 +437,7 @@ def task_loss_and_gradient(
     grad = np.zeros_like(values)
     pred, head_in, cache = _forward(cfg, w, batch)
     diff = pred - np.repeat(targets, len(cfg.quantiles), axis=2)
-    weights = _pinball_weights(diff, np.tile(cfg.quantiles, cfg.horizon))
+    weights = _pinball_weights(diff, _quantile_row(cfg))
     scale = 1.0 / diff[0].size
     _backward(cfg, w, _blocks(spec, grad), head_in, cache, scale * weights)
     return (diff * weights).reshape(len(values), -1).sum(axis=1) * scale, grad
@@ -408,6 +446,8 @@ def task_loss_and_gradient(
 def _one_client(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray):
     """Loss and gradient of one model on one batch, as a stack of one."""
     batch, targets = _checked_batch(model.config, windows, targets)
+    if not len(batch):
+        raise UsageError("task_loss and task_gradient need a non-empty batch")
     losses, grads = task_loss_and_gradient(
         model.config, model.values[np.newaxis], batch[np.newaxis], targets[np.newaxis]
     )
@@ -421,8 +461,6 @@ def task_loss(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray) 
 
 def task_gradient(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Gradient of the mean pinball loss w.r.t. all parameters, flat."""
-    if np.asarray(windows).size == 0:
-        raise UsageError("task_gradient needs a non-empty batch")
     return _one_client(model, windows, targets)[1]
 
 

@@ -2,7 +2,12 @@
 
 import copy
 import itertools
+import os
 import pickle
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from fedgame.errors import ConfigError, NumericError, StructuralError, UsageErro
 from fedgame.forecaster import (
     ForecasterConfig,
     ForecasterModel,
+    _quantile_row,
     build_spec,
     forward_batch,
     init_forecaster,
@@ -83,6 +89,41 @@ def ref_lstm_forward(model, window):
     return out.reshape(cfg.horizon, len(cfg.quantiles))
 
 
+def stack_views(cfg, flat):
+    """Name -> (N, rows, cols) view of each parameter block of a stack (N, P)."""
+    return {b.name: flat[:, b.offset : b.stop].reshape(len(flat), -1, b.shape[-1])
+            for b in build_spec(cfg)}
+
+
+def mT(a):
+    return a.swapaxes(1, 2)
+
+
+def ref_mlp_gradient(cfg, values, batch, targets):
+    """Losses (N,) and flat gradients (N, P) of a stack of MLP clients by
+    backprop in plain expressions, every intermediate a fresh array.  It
+    performs the same float operations in the same order as
+    task_loss_and_gradient, so its bytes pin that order."""
+    n, q = len(values), np.tile(cfg.quantiles, cfg.horizon)
+    w, grad = stack_views(cfg, values), np.zeros_like(values)
+    g = stack_views(cfg, grad)
+    acts = [batch.reshape(n, batch.shape[1], -1)]
+    for i in range(len(cfg.hidden_sizes)):
+        acts.append(np.tanh(acts[-1] @ w[f"hidden{i}.w"] + w[f"hidden{i}.b"]))
+    diff = acts[-1] @ w["out.w"] + w["out.b"] - np.repeat(targets, len(cfg.quantiles), axis=2)
+    weights, scale = np.where(diff > 0, 1.0 - q, -q), 1.0 / diff[0].size
+    d = scale * weights
+    g["out.w"] += mT(acts[-1]) @ d
+    g["out.b"] += d.sum(axis=1, keepdims=True)
+    w_above = w["out.w"]
+    for i in reversed(range(len(cfg.hidden_sizes))):
+        d = (d @ mT(w_above)) * (1.0 - acts[i + 1] ** 2)
+        g[f"hidden{i}.w"] += mT(acts[i]) @ d
+        g[f"hidden{i}.b"] += d.sum(axis=1, keepdims=True)
+        w_above = w[f"hidden{i}.w"]
+    return (diff * weights).reshape(n, -1).sum(axis=1) * scale, grad
+
+
 def ref_lstm_recompute_gradient(cfg, values, batch, targets):
     """Flat gradients (N, P) of a stack of LSTM clients by the BPTT that
     keeps only h and c and recomputes each step's gates in the backward,
@@ -90,13 +131,6 @@ def ref_lstm_recompute_gradient(cfg, values, batch, targets):
     operations in the same order as task_loss_and_gradient, so its bytes
     pin that order."""
     n, q = len(values), np.tile(cfg.quantiles, cfg.horizon)
-
-    def views(flat):
-        return {b.name: flat[:, b.offset : b.stop].reshape(n, -1, b.shape[-1])
-                for b in build_spec(cfg)}
-
-    def mT(a):
-        return a.swapaxes(1, 2)
 
     def sigmoid(a):
         return 1.0 / (1.0 + np.exp(-a))
@@ -109,8 +143,8 @@ def ref_lstm_recompute_gradient(cfg, values, batch, targets):
         c = gf * c + gi * gg
         return gi, gf, gg, go, c, np.tanh(c)
 
-    w, grad = views(values), np.zeros_like(values)
-    g = views(grad)
+    w, grad = stack_views(cfg, values), np.zeros_like(values)
+    g = stack_views(cfg, grad)
     seq, states = [batch[:, :, t, :] for t in range(cfg.history_len)], []
     for i, width in enumerate(cfg.hidden_sizes):
         hs = cs = [np.zeros((n, batch.shape[1], width))]
@@ -299,6 +333,28 @@ def test_pinball_loss_nonnegative_and_zero_at_target():
     assert pinball_loss(exact, target, q) == 0.0
 
 
+def test_empty_batches_are_usage_errors():
+    cfg = small_config()
+    model = init_forecaster(cfg, np.random.default_rng(26))
+    windows, targets = np.zeros((0, cfg.history_len)), np.zeros((0, cfg.horizon))
+    for call in (task_loss, task_gradient):
+        with pytest.raises(UsageError, match="non-empty batch"):
+            call(model, windows, targets)
+    with pytest.raises(UsageError, match="at least one target"):
+        pinball_loss(np.zeros((0, 3)), np.zeros(0), cfg.quantiles)
+    with pytest.raises(UsageError, match="one quantile level"):
+        pinball_loss(np.zeros((2, 0)), np.zeros(2), ())
+
+
+def test_quantile_row_is_built_once_per_config_and_read_only():
+    cfg = small_config(horizon=3, quantiles=(0.2, 0.7))
+    row = _quantile_row(cfg)
+    assert row.tobytes() == np.tile(cfg.quantiles, cfg.horizon).tobytes()
+    assert _quantile_row(small_config(horizon=3, quantiles=(0.2, 0.7))) is row
+    with pytest.raises(ValueError):
+        row[0] = 0.5
+
+
 def test_pinball_penalizes_the_correct_side_more():
     q = (0.9,)
     target = np.array([0.0])
@@ -450,12 +506,15 @@ def test_local_train_rejects_empty_dataset():
 # Architectures for the stacked pass; each runs every stack size with
 # every batch size below.  features=2 reaches the input-feature matmul,
 # and hidden_sizes=(1, 3) the broadcast input product on an upper layer.
-# (5, 3, 7) stacks three LSTM layers whose widths are not multiples of
-# the SIMD width, so many slots of a cache block start off a vector boundary.
+# (5, 3, 7) stacks three layers whose widths are not multiples of the
+# SIMD width, so many slots of a cache block start off a vector boundary;
+# the MLP's () has no hidden layer and an empty activation block.
 STACK_CASES = [
     dict(hidden_sizes=(32,)),
     dict(hidden_sizes=(8, 5), features=2),
     dict(hidden_sizes=(3,)),
+    dict(hidden_sizes=(5, 3, 7)),
+    dict(hidden_sizes=()),
     dict(arch="lstm", hidden_sizes=(16,)),
     dict(arch="lstm", hidden_sizes=(6, 4), features=2),
     dict(arch="lstm", hidden_sizes=(2,)),
@@ -496,6 +555,65 @@ def test_cached_gate_gradients_equal_the_recomputing_bptt_bit_for_bit():
             _, grads = task_loss_and_gradient(cfg, values, batch, targets)
             expected = ref_lstm_recompute_gradient(cfg, values, batch, targets)
             assert grads.tobytes() == expected.tobytes(), (overrides, n, size)
+
+
+def test_mlp_gradients_equal_the_plain_expression_backprop_bit_for_bit():
+    rng = np.random.default_rng(42)
+    for overrides in STACK_CASES:
+        cfg = small_config(**overrides)
+        if cfg.arch != "mlp":
+            continue
+        for n, size in ((1, 1), (3, 7), (8, 32), (32, 32)):
+            values = rng.uniform(-0.5, 0.5, size=(n, total_params(build_spec(cfg))))
+            batch = rng.normal(size=(n, size, cfg.history_len, cfg.features))
+            targets = rng.normal(size=(n, size, cfg.horizon))
+            losses, grads = task_loss_and_gradient(cfg, values, batch, targets)
+            ref_losses, expected = ref_mlp_gradient(cfg, values, batch, targets)
+            assert losses.tobytes() == ref_losses.tobytes(), (overrides, n, size)
+            assert grads.tobytes() == expected.tobytes(), (overrides, n, size)
+
+
+# Minor page faults per loss-and-gradient step of one architecture, run in
+# a fresh interpreter: earlier tests in this process may have raised
+# malloc's thresholds, which would hide the faults this probe looks for.
+FAULT_PROBE = """
+import resource, statistics, sys
+import numpy as np
+from fedgame.forecaster import ForecasterConfig, build_spec, task_loss_and_gradient
+from fedgame.params import total_params
+
+arch, n, width = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+cfg = ForecasterConfig(history_len=12, horizon=2, hidden_sizes=(width,), arch=arch)
+rng = np.random.default_rng(0)
+values = rng.uniform(-0.5, 0.5, size=(n, total_params(build_spec(cfg))))
+batch = rng.normal(size=(n, 32, cfg.history_len, cfg.features))
+targets = rng.normal(size=(n, 32, cfg.horizon))
+faults = []
+for _ in range(3 + 20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, grad = task_loss_and_gradient(cfg, values, batch, targets)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    values = values - 1e-3 * grad
+print(statistics.median(faults[3:]))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the fault counts follow glibc malloc's trim and mmap thresholds",
+)
+@pytest.mark.parametrize("arch, n, width", [("mlp", 32, 32), ("lstm", 8, 16)])
+def test_training_step_takes_no_page_faults_once_warm(arch, n, width):
+    # each step's temporaries sit in one block large enough to raise
+    # glibc's trim threshold above the step's working set, so the heap
+    # keeps their pages from one step to the next
+    src = str(Path(fedgame.forecaster.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    probe = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, arch, str(n), str(width)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert float(probe.stdout) == 0, probe.stdout
 
 
 def test_local_train_stacks_are_bit_identical_to_one_client_at_a_time(monkeypatch):
