@@ -8,13 +8,14 @@ temperature-scaled softmax over neighbors turns logits into attention
 weights; and the personalized update blends the client's own delta with
 the attention-weighted neighbor deltas.
 
-All clients go through one batched forward over the N x h matrix of
-head deltas.  The meta-loss gradient is a hand-derived backward through
-the same arrays, and the meta step is one lazy Adam update over the
-flat concatenation of the stepped arrays: only the shared arrays and
-the batch's gates move, and the step rebinds new arrays instead of
-writing the old ones, which is what lets a round discard a failed step
-by dropping a shallow copy.
+The state is plain arrays: one (C, 2, d, K) gate array with a row per
+registered client, and Adam's moments as a flat vector for the shared
+arrays plus an array shaped like the gates.  All clients go through one
+batched forward over the N x h matrix of head deltas, and the meta-loss
+gradient is a hand-derived backward through the same arrays.  The meta
+step, lazy Adam on the shared arrays and the batch's gate rows, binds
+new arrays and writes none of the old ones, which is what lets a round
+discard a failed step by dropping a shallow copy.
 
 Experts read only the neighbor's embedding, without the encoder bias.
 A term that depends on the scoring client alone is the same for every
@@ -23,7 +24,7 @@ embedding, an expert bias and the shared encoder bias are such terms.
 
 Relabeling clients permutes every output bit for bit.  Each batch runs
 in a canonical order set by content: clients sorted by the raw bytes of
-their head delta and gate weights.  The forward, the backward and the
+their head delta and gate row.  The forward, the backward and the
 noise draws follow it, so a relabeling changes no input of any numeric
 operation and plain ``@`` and sums, BLAS included, give the same bits.
 Clients whose keys tie have identical inputs.  Outputs are returned in
@@ -33,8 +34,7 @@ sorted-id order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,14 +76,6 @@ class AggregatorConfig:
 
 
 @dataclass
-class GatePair:
-    """Per-client gate projections: clean logits and noise scale."""
-
-    weight: np.ndarray
-    noise: np.ndarray
-
-
-@dataclass
 class AttentionRow:
     """One client's attention over its peers, plus gate diagnostics.
 
@@ -104,7 +96,12 @@ class AggregatorState:
     """All learnable server parameters plus optimizer slots and RNG.
 
     ``experts_w`` holds one row per expert; expert k scores a
-    neighbor embedding e_j as ``experts_w[k] . e_j``.
+    neighbor embedding e_j as ``experts_w[k] . e_j``.  ``gates`` holds
+    one (2, embed_dim, num_experts) row per registered client, its gate
+    weight then its noise projection, and ``rows`` maps each client id
+    to its row.  ``adam_m`` and ``adam_v`` are Adam's moments of the
+    shared arrays, flat in the order encoder_w, encoder_b, experts_w;
+    ``gate_m`` and ``gate_v`` are those of the gates, shaped like them.
     """
 
     config: AggregatorConfig
@@ -112,10 +109,13 @@ class AggregatorState:
     encoder_w: np.ndarray
     encoder_b: np.ndarray
     experts_w: np.ndarray
-    gates: dict[str, GatePair]
     rng: np.random.Generator
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+    gates: np.ndarray
+    rows: dict[str, int]
+    adam_m: np.ndarray
+    adam_v: np.ndarray
+    gate_m: np.ndarray
+    gate_v: np.ndarray
     adam_t: int = 0
 
 
@@ -128,47 +128,50 @@ def init_aggregator(
     d = cfg.embed_dim
     s_enc = 1.0 / math.sqrt(head_dim)
     s_exp = 1.0 / math.sqrt(d)
+    shared, no_gates = (head_dim + 1 + cfg.num_experts) * d, np.zeros((0, 2, d, cfg.num_experts))
     return AggregatorState(
         config=cfg,
         head_dim=head_dim,
         encoder_w=rng.uniform(-s_enc, s_enc, size=(head_dim, d)),
         encoder_b=rng.uniform(-s_enc, s_enc, size=d),
         experts_w=rng.uniform(-s_exp, s_exp, size=(cfg.num_experts, d)),
-        gates={},
         rng=rng,
+        gates=no_gates,
+        rows={},
+        adam_m=np.zeros(shared),
+        adam_v=np.zeros(shared),
+        gate_m=no_gates,
+        gate_v=no_gates,
     )
 
 
 def register_client(state: AggregatorState, client_id: str) -> None:
-    """Create the client's gate pair; a second call is a no-op.
+    """Append the client's gate row, with zero Adam moments; a second
+    call is a no-op.  New arrays are bound, none is written.
 
     Registration draws from the aggregator RNG, so callers should
     register clients in a fixed (sorted) order for reproducibility.
     """
-    if client_id in state.gates:
+    if client_id in state.rows:
         return
-    d = state.config.embed_dim
-    s = 1.0 / math.sqrt(d)
-    state.gates[client_id] = GatePair(
-        weight=state.rng.uniform(-s, s, size=(d, state.config.num_experts)),
-        noise=state.rng.uniform(-s, s, size=(d, state.config.num_experts)),
-    )
-
-
-def _require_gate(state: AggregatorState, client_id: str) -> GatePair:
-    if client_id not in state.gates:
-        raise UsageError(f"client {client_id!r} has no registered gate")
-    return state.gates[client_id]
+    cfg = state.config
+    s = 1.0 / math.sqrt(cfg.embed_dim)
+    # the gate weight's draws, then the noise projection's
+    gate = state.rng.uniform(-s, s, size=(1, 2, cfg.embed_dim, cfg.num_experts))
+    state.rows = {**state.rows, client_id: len(state.rows)}
+    state.gates = np.concatenate([state.gates, gate])
+    zeros = np.zeros(gate.shape)
+    state.gate_m, state.gate_v = (np.concatenate([a, zeros]) for a in (state.gate_m, state.gate_v))
 
 
 def _stack_deltas(
-    head_deltas: dict[str, np.ndarray],
-    head_dim: int | None = None,
-    gates: dict[str, GatePair] | None = None,
+    head_deltas: dict[str, np.ndarray], head_dim: int | None = None,
+    state: AggregatorState | None = None,
 ) -> tuple[list[str], np.ndarray]:
     """Client ids and their head deltas as the rows of one matrix, in
     canonical order: by the bytes of each delta, then of the client's
-    gate weights if given (bytes tell 0.0 from -0.0); ties by id."""
+    gate row in ``state`` if given (bytes tell 0.0 from -0.0); ties by
+    id."""
     ids = sorted(head_deltas)
     rows = [np.asarray(head_deltas[i], dtype=np.float64).reshape(-1) for i in ids]
     head_dim = head_dim or (rows[0].size if rows else 0)
@@ -178,9 +181,8 @@ def _stack_deltas(
                 f"head delta of client {cid!r} has length {row.size}, expected {head_dim}"
             )
     keys = [row.tobytes() for row in rows]
-    if gates is not None:
-        keys = [k + gates[c].weight.tobytes() + gates[c].noise.tobytes()
-                for k, c in zip(keys, ids)]
+    if state is not None:
+        keys = [k + state.gates[state.rows[c]].tobytes() for k, c in zip(keys, ids)]
     order = sorted(range(len(ids)), key=keys.__getitem__)
     return [ids[r] for r in order], np.array([rows[r] for r in order]).reshape(len(ids), head_dim)
 
@@ -254,9 +256,11 @@ def _blend(deltas: np.ndarray, attention: np.ndarray, w_self: float) -> np.ndarr
 
 @dataclass
 class _Forward:
-    """Every array of one batched pass; rows follow canonical ``ids``."""
+    """Every array of one batched pass; rows follow canonical ``ids``,
+    whose gates are rows ``rows`` of the state's gates."""
 
     ids: list[str]
+    rows: list[int]
     deltas: np.ndarray
     gate_w: np.ndarray
     gate_noise: np.ndarray
@@ -272,12 +276,12 @@ class _Forward:
     personalized: np.ndarray
 
 
-def _batch(
-    state: AggregatorState, head_deltas: dict[str, np.ndarray]
-) -> tuple[list[str], np.ndarray]:
+def _batch(state: AggregatorState, head_deltas: dict) -> tuple[list[str], np.ndarray]:
     """Canonical ids and stacked deltas of registered clients."""
-    gates = {cid: _require_gate(state, cid) for cid in head_deltas}
-    return _stack_deltas(head_deltas, state.head_dim, gates)
+    for cid in head_deltas:
+        if cid not in state.rows:
+            raise UsageError(f"client {cid!r} has no registered gate")
+    return _stack_deltas(head_deltas, state.head_dim, state)
 
 
 def _forward(
@@ -293,9 +297,8 @@ def _forward(
     top-k selection instead of taking it from the logits.
     """
     cfg = state.config
-    shape = (len(ids), cfg.embed_dim, cfg.num_experts)
-    gate_w = np.array([state.gates[i].weight for i in ids]).reshape(shape)
-    gate_noise = np.array([state.gates[i].noise for i in ids]).reshape(shape)
+    rows = [state.rows[i] for i in ids]
+    gate_w, gate_noise = state.gates[rows, 0], state.gates[rows, 1]
     linear, emb = _encode(state, deltas)
     logits, noise_pre = _gate_logits(emb, gate_w, gate_noise, noise)
     if kept is None:
@@ -304,7 +307,7 @@ def _forward(
     scores = expert_scores(state, linear)
     attention = _attention(mix @ scores.T, cfg.temperature)
     return _Forward(
-        ids, deltas, gate_w, gate_noise, linear, emb, noise, noise_pre, logits, kept, mix,
+        ids, rows, deltas, gate_w, gate_noise, linear, emb, noise, noise_pre, logits, kept, mix,
         scores, attention, _blend(deltas, attention, cfg.w_self),
     )
 
@@ -327,46 +330,31 @@ def meta_loss(delta_pers: np.ndarray, delta_u: np.ndarray, alpha: float, beta: f
     return float(_meta_losses(*rows, alpha, beta)[0])
 
 
-def _parameters(state: AggregatorState, ids: Iterable[str] | None = None) -> dict[str, np.ndarray]:
-    """Learnable arrays by name, in flattening order: the shared arrays,
-    then the gates of ``ids`` (every registered client by default) by id."""
-    params = {
-        "encoder.w": state.encoder_w,
-        "encoder.b": state.encoder_b,
-        "experts.w": state.experts_w,
-    }
-    for cid in sorted(state.gates if ids is None else ids):
-        params[f"gate:{cid}.w"] = state.gates[cid].weight
-        params[f"gate:{cid}.noise"] = state.gates[cid].noise
-    return params
+def _shared(state: AggregatorState) -> np.ndarray:
+    """The shared arrays as one flat vector: encoder_w, encoder_b, experts_w."""
+    return np.concatenate(
+        [state.encoder_w.reshape(-1), state.encoder_b, state.experts_w.reshape(-1)]
+    )
 
 
-def _flat(arrays) -> np.ndarray:
-    return np.concatenate([arr.reshape(-1) for arr in arrays])
+def _bind_shared(state: AggregatorState, flat: np.ndarray) -> None:
+    """Bind views of ``flat``, ordered as :func:`_shared`, to the shared arrays."""
+    d = state.config.embed_dim
+    enc = state.head_dim * d
+    state.encoder_w = flat[:enc].reshape(state.head_dim, d)
+    state.encoder_b = flat[enc : enc + d]
+    state.experts_w = flat[enc + d :].reshape(-1, d)
 
 
-def _split(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Views of ``flat`` shaped like the arrays of ``like``, in its order."""
-    out, start = {}, 0
-    for name, arr in like.items():
-        out[name] = flat[start : start + arr.size].reshape(arr.shape)
-        start += arr.size
-    return out
+def _sorted_gate_rows(state: AggregatorState) -> list[int]:
+    """Gate row of every registered client, in sorted-id order."""
+    return [state.rows[c] for c in sorted(state.rows)]
 
 
-def _rebind(state: AggregatorState, ids: Iterable[str], arrays: dict[str, np.ndarray]) -> None:
-    """Bind ``arrays``, named as in :func:`_parameters`, to the shared
-    slots and to new gate pairs of ``ids``; no array is written."""
-    state.encoder_w = arrays["encoder.w"]
-    state.encoder_b = arrays["encoder.b"]
-    state.experts_w = arrays["experts.w"]
-    for cid in ids:
-        state.gates[cid] = GatePair(arrays[f"gate:{cid}.w"], arrays[f"gate:{cid}.noise"])
-
-
-def _backward(state: AggregatorState, fw: _Forward) -> dict[str, np.ndarray]:
-    """Gradient of the mean meta-loss of ``fw`` for the shared arrays and
-    the gates of its clients, named as in :func:`_parameters`.
+def _backward(state: AggregatorState, fw: _Forward) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the mean meta-loss of ``fw``: for the shared arrays,
+    flat as :func:`_shared`, and for the gate rows of its clients
+    (N, 2, embed_dim, num_experts), in its canonical order.
 
     Top-k selection, noise draws and head deltas are constants.
     """
@@ -390,21 +378,18 @@ def _backward(state: AggregatorState, fw: _Forward) -> dict[str, np.ndarray]:
     d_scores = d_s.T @ fw.mix
     d_logits = fw.mix * (d_mix - np.sum(fw.mix * d_mix, axis=1, keepdims=True))
 
-    grads = {"experts.w": d_scores.T @ fw.linear}
     emb = fw.embeddings[:, :, np.newaxis]
     d_emb = (fw.gate_w @ d_logits[:, :, np.newaxis])[:, :, 0]
-    gate_grads = {"w": emb * d_logits[:, np.newaxis], "noise": np.zeros_like(fw.gate_noise)}
+    d_gates = np.zeros((n, 2) + fw.gate_w.shape[1:])
+    np.multiply(emb, d_logits[:, np.newaxis], out=d_gates[:, 0])
     if fw.noise is not None:
         # d softplus(x) / dx = sigmoid(x) = exp(x - softplus(x))
         d_pre = d_logits * fw.noise * np.exp(fw.noise_pre - np.logaddexp(0.0, fw.noise_pre))
         d_emb += (fw.gate_noise @ d_pre[:, :, np.newaxis])[:, :, 0]
-        gate_grads["noise"] = emb * d_pre[:, np.newaxis]
-    for r, cid in enumerate(fw.ids):
-        for part, grad in gate_grads.items():
-            grads[f"gate:{cid}.{part}"] = grad[r]
-    grads["encoder.w"] = own.T @ (d_scores @ state.experts_w + d_emb)
-    grads["encoder.b"] = d_emb.sum(axis=0)
-    return grads
+        np.multiply(emb, d_pre[:, np.newaxis], out=d_gates[:, 1])
+    d_encoder_w = own.T @ (d_scores @ state.experts_w + d_emb)
+    d_shared = [d_encoder_w.reshape(-1), d_emb.sum(axis=0), (d_scores.T @ fw.linear).reshape(-1)]
+    return np.concatenate(d_shared), d_gates
 
 
 def aggregate_game(
@@ -447,18 +432,22 @@ def aggregate_mean(
 
 
 def flatten_parameters(state: AggregatorState) -> np.ndarray:
-    """All learnable server parameters as one flat vector."""
-    return _flat(_parameters(state).values())
+    """All learnable server parameters as one flat vector: the shared
+    arrays, then every client's gate row in sorted-id order."""
+    return np.concatenate([_shared(state), state.gates[_sorted_gate_rows(state)].reshape(-1)])
 
 
 def load_parameters(state: AggregatorState, values: np.ndarray) -> None:
     """Inverse of :func:`flatten_parameters`; binds new arrays to ``state``."""
     values = np.array(values, dtype=np.float64).reshape(-1)
-    params = _parameters(state)
-    total = sum(arr.size for arr in params.values())
+    shared = state.encoder_w.size + state.encoder_b.size + state.experts_w.size
+    total = shared + state.gates.size
     if values.size != total:
         raise StructuralError(f"flat vector has {values.size} entries, parameters need {total}")
-    _rebind(state, state.gates, _split(values, params))
+    _bind_shared(state, values[:shared])
+    gates = np.empty_like(state.gates)
+    gates[_sorted_gate_rows(state)] = values[shared:].reshape(gates.shape)
+    state.gates = gates
 
 
 def _pinned_forward(state, head_deltas, masks, noise) -> _Forward:
@@ -488,8 +477,20 @@ def meta_gradient(
 ) -> np.ndarray:
     """Gradient of :func:`mean_meta_loss`, flattened like
     :func:`flatten_parameters`."""
-    grads = _backward(state, _pinned_forward(state, head_deltas, masks, noise))
-    return _flat(grads.get(name, np.zeros_like(arr)) for name, arr in _parameters(state).items())
+    fw = _pinned_forward(state, head_deltas, masks, noise)
+    d_shared, d_gates = _backward(state, fw)
+    gates = np.zeros_like(state.gates)
+    gates[fw.rows] = d_gates
+    return np.concatenate([d_shared, gates[_sorted_gate_rows(state)].reshape(-1)])
+
+
+def _adam(cfg: AggregatorConfig, t: int, params, grad, m, v):
+    """New parameters and moments after Adam step ``t``; writes nothing."""
+    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad**2
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    return params - cfg.server_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> float:
@@ -499,12 +500,12 @@ def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> fl
     expert selection and the surviving softmax; the noise draw and the
     selected top-k mask are constants within the step.
 
-    The shared arrays and the gates of the batch's clients step, with
-    the bias correction of the global step count; the gates and Adam
-    slots of registered clients outside the batch keep their bytes.
-    The step binds new arrays to ``state`` and writes none in place, so
-    arrays held from before the step, or by a shallow copy of ``state``
-    with its own dicts, keep the pre-step values.
+    The shared arrays and the gate rows of the batch's clients step,
+    with the bias correction of the global step count; the gates and
+    Adam moments of registered clients outside the batch keep their
+    bytes.  The step binds new arrays to ``state`` and writes none in
+    place, so arrays held from before the step, or by a shallow copy of
+    ``state``, keep the pre-step values.
     """
     if len(head_deltas) < 2:
         raise UsageError("train_step needs at least two clients")
@@ -516,28 +517,21 @@ def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> fl
         noise = state.rng.standard_normal((len(ids), cfg.num_experts))
     fw = _forward(state, ids, deltas, noise)
     loss = _mean_loss(state, fw)
-    grads = _backward(state, fw)
+    d_shared, d_gates = _backward(state, fw)
+    if not (np.isfinite(d_shared).all() and np.isfinite(d_gates).all()):
+        dump = "; ".join(f"{i}: {np.array2string(row)}" for i, row in zip(ids, fw.logits))
+        raise NumericError(f"non-finite meta-loss gradient; gate logits {dump}")
 
-    params = _parameters(state, ids)
-    grad = _flat(grads[name] for name in params)
-    if not np.all(np.isfinite(grad)):
-        name = next(n for n in params if not np.all(np.isfinite(grads[n])))
-        dump = "; ".join(f"{i}: {np.array2string(row)}" for i, row in zip(fw.ids, fw.logits))
-        raise NumericError(f"non-finite meta-loss gradient for {name!r}; gate logits {dump}")
-
-    def slots(store: dict[str, np.ndarray]) -> np.ndarray:
-        return _flat(store[n] if n in store else np.zeros(a.size) for n, a in params.items())
-
-    # every operation is elementwise, so one flat update gives each
-    # array the bits of an update of its own
     state.adam_t += 1
-    t = state.adam_t
-    m = ADAM_BETA1 * slots(state.adam_m) + (1 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * slots(state.adam_v) + (1 - ADAM_BETA2) * grad**2
-    m_hat = m / (1 - ADAM_BETA1**t)
-    v_hat = v / (1 - ADAM_BETA2**t)
-    new = _flat(params.values()) - cfg.server_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    state.adam_m.update(_split(m, params))
-    state.adam_v.update(_split(v, params))
-    _rebind(state, ids, _split(new, params))
+    t, rows = state.adam_t, fw.rows
+    shared, state.adam_m, state.adam_v = _adam(
+        cfg, t, _shared(state), d_shared, state.adam_m, state.adam_v
+    )
+    _bind_shared(state, shared)
+    stepped = _adam(cfg, t, state.gates[rows], d_gates, state.gate_m[rows], state.gate_v[rows])
+    for name, new in zip(("gates", "gate_m", "gate_v"), stepped):
+        # the batch's rows go into a copy: the old array keeps its bytes
+        arr = getattr(state, name).copy()
+        arr[rows] = new
+        setattr(state, name, arr)
     return loss

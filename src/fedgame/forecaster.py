@@ -48,6 +48,13 @@ arrays the step faulted them in again every time, ~220 minor faults a
 step on ``wide_server``, and with the scratch in a second block ~25.
 One ~1 MB block takes none once warm.  Other allocators compute the
 same bytes, perhaps no faster.
+
+Local training runs each stack of clients with equally many windows
+through one loop: every epoch gathers the windows in the drawn orders
+once, each step slices its mini-batch from them, and the gradient
+(``task_loss_and_gradient(..., out=)``), the proximal pull and the
+update go into buffers allocated once per stack, before any step's
+cache block.
 """
 
 from __future__ import annotations
@@ -422,7 +429,8 @@ def pinball_loss(pred: np.ndarray, target: np.ndarray, quantiles: Sequence[float
 
 
 def task_loss_and_gradient(
-    cfg: ForecasterConfig, values: np.ndarray, batch: np.ndarray, targets: np.ndarray
+    cfg: ForecasterConfig, values: np.ndarray, batch: np.ndarray, targets: np.ndarray,
+    *, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean pinball losses (N,) and flat gradients (N, P) of a stack of N clients.
 
@@ -430,13 +438,15 @@ def task_loss_and_gradient(
     its own checked batch: row k of ``batch`` (N, B, history_len,
     features) and ``targets`` (N, B, horizon).  No operation mixes two
     rows, so each row is bit-identical to a stack of that client alone.
+    ``out``, if given, is a zeroed (N, P) buffer that receives the gradients.
     """
     spec = build_spec(cfg)
     w = _blocks(spec, values)
     # allocated before the cache block, so that freeing the block returns it to the heap's top
-    grad = np.zeros_like(values)
+    grad = np.zeros_like(values) if out is None else out
     pred, head_in, cache = _forward(cfg, w, batch)
-    diff = pred - np.repeat(targets, len(cfg.quantiles), axis=2)
+    # each target broadcasts over its quantile columns
+    diff = (pred.reshape(targets.shape + (-1,)) - targets[..., np.newaxis]).reshape(pred.shape)
     weights = _pinball_weights(diff, _quantile_row(cfg))
     scale = 1.0 / diff[0].size
     _backward(cfg, w, _blocks(spec, grad), head_in, cache, scale * weights)
@@ -470,32 +480,35 @@ def _require_finite(ids: list[str], ok: np.ndarray, what: str) -> None:
 
 
 def _train_stack(
-    cfg: ForecasterConfig,
-    ids: list[str],
-    batch: np.ndarray,
-    targets: np.ndarray,
-    values: np.ndarray,
-    anchor: np.ndarray,
-    rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray]:
-    """SGD for clients with equally many windows; trained (N, P) values
-    and the (N, steps) mini-batch losses."""
+    cfg: ForecasterConfig, ids: list[str], batch: np.ndarray, targets: np.ndarray,
+    values: np.ndarray, anchor: np.ndarray, rngs: list[np.random.Generator],
+) -> np.ndarray:
+    """SGD for clients with equally many windows: trains the (N, P)
+    ``values`` in place and returns the (N, steps) mini-batch losses."""
     n = batch.shape[1]
     rows = np.arange(len(ids))[:, np.newaxis]
+    pull, grad = np.empty_like(values), np.empty_like(values)
     losses = []
     for _ in range(cfg.local_epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])
+        epoch_batch, epoch_targets = batch[rows, order], targets[rows, order]
         for start in range(0, n, cfg.batch_size):
-            idx = order[:, start : start + cfg.batch_size]
-            loss, grad = task_loss_and_gradient(cfg, values, batch[rows, idx], targets[rows, idx])
+            step = slice(start, start + cfg.batch_size)
+            grad.fill(0.0)
+            loss, grad = task_loss_and_gradient(
+                cfg, values, epoch_batch[:, step], epoch_targets[:, step], out=grad
+            )
             _require_finite(ids, np.isfinite(loss), "non-finite training loss")
             losses.append(loss)
-            grad += cfg.prox_mu * (values - anchor)
-            values = values - cfg.local_lr * grad
-            _require_finite(
-                ids, np.isfinite(values).all(axis=1), "non-finite parameters after gradient step"
-            )
-    return values, np.stack(losses, axis=1)
+            # in place, in the float order of values - lr * (grad + mu * (values - anchor))
+            np.subtract(values, anchor, out=pull)
+            pull *= cfg.prox_mu
+            grad += pull
+            grad *= cfg.local_lr
+            values -= grad
+            ok = np.isfinite(values).all(axis=1)
+            _require_finite(ids, ok, "non-finite parameters after gradient step")
+    return np.stack(losses, axis=1)
 
 
 def local_train(
@@ -515,8 +528,8 @@ def local_train(
     proximal pull mu * (w - w_global) is added to every mini-batch
     gradient exactly.  Clients with equally many windows train as one
     stacked pass; every client's result is bit-identical to training it
-    alone.  Returns client id -> (trained parameter row (P,), mean
-    mini-batch task loss).
+    alone.  No input is written.  Returns client id -> (trained
+    parameter row (P,), mean mini-batch task loss).
     """
     cfg = global_model.config
     sets: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -526,6 +539,9 @@ def local_train(
             raise StructuralError(
                 f"client {cid!r}: model config differs from the consensus model's"
             )
+        for name, given in (("training data", data), ("rng stream", rngs)):
+            if cid not in given:
+                raise UsageError(f"client {cid!r}: local_train was given no {name}")
         sets[cid] = _checked_batch(cfg, data[cid].inputs, data[cid].targets)
         if not len(sets[cid][0]):
             raise UsageError(f"client {cid!r}: local_train called with an empty dataset")
@@ -535,15 +551,10 @@ def local_train(
         stacks.setdefault(len(batch), []).append(cid)
     out = {}
     for ids in stacks.values():
-        values, losses = _train_stack(
-            cfg,
-            ids,
-            np.stack([sets[c][0] for c in ids]),
-            np.stack([sets[c][1] for c in ids]),
-            np.stack([models[c].values for c in ids]),
-            global_model.values,
-            [rngs[c] for c in ids],
+        values = np.stack([models[c].values for c in ids])
+        losses = _train_stack(
+            cfg, ids, np.stack([sets[c][0] for c in ids]), np.stack([sets[c][1] for c in ids]),
+            values, global_model.values, [rngs[c] for c in ids],
         )
-        for k, cid in enumerate(ids):
-            out[cid] = values[k], float(np.mean(losses[k]))
+        out.update(zip(ids, zip(values, losses.mean(axis=1).tolist())))
     return out

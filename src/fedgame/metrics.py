@@ -131,9 +131,9 @@ def _score_stack(
     cfg: ForecasterConfig, ids: list[str], models: dict, test_data: dict
 ) -> list[ClientScore]:
     """Scores of clients ``ids``, which share ``cfg`` and a test-set size,
-    from one stacked forward.  Elementwise work runs on the stack and
-    every reduction on one client's own contiguous arrays, so each score
-    is bit-identical to scoring that client alone."""
+    from one stacked forward.  Each quantity is one mean over the last
+    axis of contiguous rows, a row per client (and level): the bits of
+    ``np.mean`` of the client's own array, as if it were scored alone."""
     sets = [test_data[c] for c in ids]
     checked = [_checked_batch(cfg, d.inputs, d.targets) for d in sets]
     values = np.stack([models[c].values for c in ids])
@@ -146,22 +146,16 @@ def _score_stack(
     preds = denormalize(pred, mean, std).reshape(n, size, cfg.horizon, q.size)
     targets = denormalize(np.stack([t for _, t in checked]), mean, std)
     diff = preds - targets[..., np.newaxis]
-    weights = _pinball_weights(diff, q)
-    loss = weights * diff
-    # (N, n_quantiles, size, horizon): one contiguous block per client and level
-    loss_by_level = np.ascontiguousarray(np.moveaxis(loss, 3, 1))
+    loss = _pinball_weights(diff, q) * diff
+    # (N, n_quantiles, size * horizon): one contiguous row per client and level
+    by_level = np.ascontiguousarray(np.moveaxis(loss, 3, 1)).reshape(n, q.size, -1)
     lo = preds[..., int(np.argmin(q))]
     hi = preds[..., int(np.argmax(q))]
+    qs, mils, icps = (a.reshape(n, -1).mean(axis=1).tolist()
+                      for a in (loss, np.abs(hi - lo), (lo <= targets) & (targets <= hi)))
     return [
-        ClientScore(
-            client_id=cid,
-            qs=float(np.mean(loss[k])),
-            mil=mil(lo[k], hi[k]),
-            icp=icp(targets[k], lo[k], hi[k]),
-            n=size,
-            qs_per_quantile=tuple(float(np.mean(block)) for block in loss_by_level[k]),
-        )
-        for k, cid in enumerate(ids)
+        ClientScore(cid, qs[k], mils[k], icps[k], size, tuple(level.tolist()))
+        for k, (cid, level) in enumerate(zip(ids, by_level.mean(axis=2)))
     ]
 
 

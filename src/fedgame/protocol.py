@@ -22,8 +22,8 @@ a ``fedavg`` participant ends its round holding the new consensus.
 
 Rounds are atomic: the caller's state is never mutated, and a round
 that raises leaves it and the caller's aggregator untouched.  The meta
-step runs on a shallow copy of the aggregator (its own dicts and rng)
-and rebinds arrays instead of writing them; a round that succeeds
+step runs on a shallow copy of the aggregator (its own rng) and
+rebinds arrays instead of writing them; a round that succeeds
 commits it by rebinding the caller's aggregator to the copy's arrays.
 All randomness flows from one master seed through named streams, so
 client scheduling order cannot affect results.
@@ -185,10 +185,16 @@ def round_traffic(n_clients: int, total: int, head: int, aggregator_kind: str) -
     return {"upstream": n_clients * total, "downstream": n_clients * total, "ratio": 1.0}
 
 
+class _Unseeded(np.random.bit_generator.ISeedSequence):
+    """Zeros, to seed a bit generator whose state is overwritten at once."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
 def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
     """An independent generator in the same state."""
-    # seeded only to skip drawing OS entropy; the state is overwritten
-    bit_generator = type(rng.bit_generator)(0)
+    bit_generator = type(rng.bit_generator)(_Unseeded())
     bit_generator.state = rng.bit_generator.state
     return np.random.Generator(bit_generator)
 
@@ -236,15 +242,9 @@ def run_round(
     server = aggregator
     if kind in ("game", "single_attention"):
         # the meta step rebinds arrays and never writes them, so it runs
-        # on a shallow copy with its own dicts and rng until the round
-        # can no longer fail
-        server = replace(
-            aggregator,
-            gates=dict(aggregator.gates),
-            adam_m=dict(aggregator.adam_m),
-            adam_v=dict(aggregator.adam_v),
-            rng=_copy_rng(aggregator.rng),
-        )
+        # on a shallow copy with its own rng until the round can no
+        # longer fail
+        server = replace(aggregator, rng=_copy_rng(aggregator.rng))
     spec = new_state.global_model.spec
     participants = _select_participants(new_state, hyper)
 

@@ -15,8 +15,6 @@ import pytest
 
 from fedgame.aggregator import (
     AggregatorConfig,
-    AggregatorState,
-    GatePair,
     aggregate_game,
     aggregate_single_attention,
     flatten_parameters,
@@ -221,14 +219,9 @@ def test_client_and_server_gradients_match_finite_differences():
 
 
 def relabeled_copy(state, mapping):
-    renamed = AggregatorState(
-        config=state.config,
-        head_dim=state.head_dim,
-        encoder_w=state.encoder_w,
-        encoder_b=state.encoder_b,
-        experts_w=state.experts_w,
-        gates={mapping[c]: GatePair(weight=g.weight, noise=g.noise)
-               for c, g in state.gates.items()},
+    renamed = replace(
+        state,
+        rows={mapping[c]: row for c, row in state.rows.items()},
         rng=np.random.default_rng(0),
     )
     return renamed

@@ -9,7 +9,6 @@ import pytest
 
 from fedgame.aggregator import (
     AggregatorConfig,
-    GatePair,
     aggregate_game,
     aggregate_mean,
     aggregate_single_attention,
@@ -27,7 +26,6 @@ from fedgame.aggregator import (
     _encode,
     _forward,
     _masked_softmax,
-    _parameters,
     _sorted_rows,
 )
 from fedgame.errors import ConfigError, StructuralError, UsageError
@@ -44,6 +42,11 @@ def make_state(head_dim=6, clients=("a", "b", "c"), seed=0, **cfg_kw):
 def random_deltas(state, clients, seed=1):
     rng = np.random.default_rng(seed)
     return {c: rng.normal(size=state.head_dim) for c in clients}
+
+
+def gate(state, cid):
+    """The client's gate row, a writable view: [0] is the weight, [1] the noise."""
+    return state.gates[state.rows[cid]]
 
 
 def attention_rows(state, deltas):
@@ -138,8 +141,8 @@ def test_gate_logits_clean_when_not_training():
             math.fsum(delta[i] * state.encoder_w[i, j] for i in range(6)) + state.encoder_b[j]
             for j in range(4)
         ]
-        gate = state.gates[cid].weight
-        clean = [math.fsum(e[d] * gate[d, k] for d in range(4)) for k in range(4)]
+        weight = gate(state, cid)[0]
+        clean = [math.fsum(e[d] * weight[d, k] for d in range(4)) for k in range(4)]
         np.testing.assert_allclose(rows[cid].logits, clean, rtol=0, atol=1e-12)
 
 
@@ -147,13 +150,13 @@ def test_gate_logits_noise_vanishes_with_negative_noise_projection():
     state = make_state(seed=10)
     state.encoder_w[...] = 0.0
     state.encoder_b[...] = 1.0
-    state.gates["a"].noise[...] = -50.0
+    gate(state, "a")[1] = -50.0
     deltas = random_deltas(state, ("a", "b", "c"), seed=11)
     noisy = noisy_logits(state, deltas, fixed_draws(state, deltas, seed=12))
     # every embedding is all ones, so the clean logits are the gate's column sums
-    clean = state.gates["a"].weight.sum(axis=0)
+    clean = gate(state, "a")[0].sum(axis=0)
     np.testing.assert_allclose(noisy["a"], clean, rtol=0, atol=1e-12)
-    assert np.max(np.abs(noisy["b"] - state.gates["b"].weight.sum(axis=0))) > 1e-3
+    assert np.max(np.abs(noisy["b"] - gate(state, "b")[0].sum(axis=0))) > 1e-3
 
 
 def test_gate_logits_zero_embedding_noise_scale_is_log2():
@@ -236,8 +239,8 @@ def hand_state():
     state.experts_w[...] = np.array([[1.0]])
     for cid in ("a", "b", "c"):
         register_client(state, cid)
-        state.gates[cid].weight[...] = 1.0
-        state.gates[cid].noise[...] = 0.0
+        gate(state, cid)[0] = 1.0
+        gate(state, cid)[1] = 0.0
     return state
 
 
@@ -284,7 +287,7 @@ def test_attention_rows_match_formula_transcription_oracle():
     for row in rows:
         i = row.client_id
         e_i = deltas[i] @ state.encoder_w + state.encoder_b
-        logits = e_i @ state.gates[i].weight
+        logits = e_i @ gate(state, i)[0]
         kept = np.sort(np.argsort(-logits, kind="stable")[: state.config.top_k])
         ez = np.exp(logits[kept] - logits[kept].max())
         mix = np.zeros_like(logits)
@@ -403,8 +406,7 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
     logits = np.stack([row.logits for row in aggregate_game(state, deltas)[1]])
     masks = top_k_mask(logits, top_k)
     marker = copy.deepcopy(state)
-    for gate in marker.gates.values():
-        gate.noise[...] = np.nan
+    marker.gates[:, 1] = np.nan
     noise_entries = np.isnan(flatten_parameters(marker))
     # fixed gate noise draws exercise the softplus noise-scale term
     draws = np.random.default_rng(32).standard_normal((3, num_experts))
@@ -472,6 +474,29 @@ def test_train_step_deterministic_with_noise():
     np.testing.assert_array_equal(run(7), run(7))
 
 
+def parameter_arrays(state):
+    """Name -> writable view of every learnable array, in flattening order."""
+    arrays = {"encoder.w": state.encoder_w, "encoder.b": state.encoder_b,
+              "experts.w": state.experts_w}
+    for cid in sorted(state.rows):
+        arrays[f"gate:{cid}.w"], arrays[f"gate:{cid}.noise"] = gate(state, cid)
+    return arrays
+
+
+def adam_slots(state, slot):
+    """Name -> Adam moment ``slot`` ("m" or "v") of each array of parameter_arrays."""
+    flat, gates = getattr(state, f"adam_{slot}"), getattr(state, f"gate_{slot}")
+    slots, start = {}, 0
+    for name, arr in parameter_arrays(state).items():
+        if name.startswith("gate:"):
+            cid, part = name[len("gate:"):].rsplit(".", 1)
+            slots[name] = gates[state.rows[cid], 0 if part == "w" else 1]
+        else:
+            slots[name] = flat[start : start + arr.size].reshape(arr.shape)
+            start += arr.size
+    return slots
+
+
 def test_flat_adam_matches_a_per_array_update_bit_for_bit():
     clients = tuple("abcd")
     state = make_state(head_dim=7, clients=clients, seed=70, noise_enabled=True)
@@ -487,7 +512,7 @@ def test_flat_adam_matches_a_per_array_update_bit_for_bit():
         grad = meta_gradient(oracle, deltas, None, noise)
         assert train_step(state, deltas) == loss
         start = 0
-        for name, arr in _parameters(oracle).items():
+        for name, arr in parameter_arrays(oracle).items():
             g = grad[start : start + arr.size].reshape(arr.shape)
             start += arr.size
             m[name] = 0.9 * m.get(name, np.zeros_like(g)) + (1 - 0.9) * g
@@ -497,17 +522,16 @@ def test_flat_adam_matches_a_per_array_update_bit_for_bit():
             arr -= state.config.server_lr * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert flatten_parameters(state).tobytes() == flatten_parameters(oracle).tobytes()
         for name in m:
-            assert state.adam_m[name].tobytes() == m[name].tobytes(), name
-            assert state.adam_v[name].tobytes() == v[name].tobytes(), name
+            assert adam_slots(state, "m")[name].tobytes() == m[name].tobytes(), name
+            assert adam_slots(state, "v")[name].tobytes() == v[name].tobytes(), name
     assert state.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
 def gate_and_slots(state, cid):
     return {
-        "weight": state.gates[cid].weight, "noise": state.gates[cid].noise,
-        **{f"adam_{slot}:{part}": store[f"gate:{cid}.{part}"]
-           for slot, store in (("m", state.adam_m), ("v", state.adam_v))
-           for part in ("w", "noise")},
+        "weight": gate(state, cid)[0], "noise": gate(state, cid)[1],
+        **{f"adam_{slot}:{part}": adam_slots(state, slot)[f"gate:{cid}.{part}"]
+           for slot in ("m", "v") for part in ("w", "noise")},
     }
 
 
@@ -517,14 +541,14 @@ def test_absent_clients_keep_their_gates_and_adam_slots():
     state = make_state(head_dim=6, clients=tuple("abcd"), seed=72, noise_enabled=True)
     train_step(state, random_deltas(state, tuple("abcd"), seed=73))
     before = {name: arr.tobytes() for name, arr in gate_and_slots(state, "d").items()}
-    assert np.any(state.adam_m["gate:d.w"] != 0.0)
-    moved = state.gates["a"].weight.copy(), state.encoder_w.copy()
+    assert np.any(adam_slots(state, "m")["gate:d.w"] != 0.0)
+    moved = gate(state, "a")[0].copy(), state.encoder_w.copy()
 
     train_step(state, random_deltas(state, tuple("abc"), seed=74))
     for name, arr in gate_and_slots(state, "d").items():
         assert arr.tobytes() == before[name], name
     assert state.adam_t == 2
-    assert not np.array_equal(state.gates["a"].weight, moved[0])
+    assert not np.array_equal(gate(state, "a")[0], moved[0])
     assert not np.array_equal(state.encoder_w, moved[1])
 
 
@@ -600,9 +624,7 @@ def test_relabeling_clients_permutes_outputs_exactly():
     state = make_state(clients=clients, seed=43, noise_enabled=False)
     renamed = make_state(clients=mapping.values(), seed=43, noise_enabled=False)
     for old, new in mapping.items():
-        renamed.gates[new] = GatePair(
-            weight=state.gates[old].weight.copy(), noise=state.gates[old].noise.copy()
-        )
+        gate(renamed, new)[...] = gate(state, old)
     deltas = random_deltas(state, clients, seed=44)
     renamed_deltas = {mapping[i]: deltas[i] for i in clients}
 
@@ -622,20 +644,15 @@ def test_relabeling_clients_permutes_outputs_exactly():
 
 def test_register_client_is_idempotent():
     state = make_state(clients=("a",), seed=45)
-    before = state.gates["a"].weight.copy()
+    before = gate(state, "a")[0].copy()
     register_client(state, "a")
-    np.testing.assert_array_equal(state.gates["a"].weight, before)
+    np.testing.assert_array_equal(gate(state, "a")[0], before)
 
 
 def renamed_state(state, mapping):
     """A deep copy of ``state`` with every client-keyed entry renamed."""
     renamed = copy.deepcopy(state)
-    renamed.gates = {mapping[c]: gate for c, gate in renamed.gates.items()}
-    for slots in (renamed.adam_m, renamed.adam_v):
-        for c in mapping:
-            for part in ("w", "noise"):
-                if f"gate:{c}.{part}" in slots:
-                    slots[f"gate:{mapping[c]}.{part}"] = slots.pop(f"gate:{c}.{part}")
+    renamed.rows = {mapping[c]: row for c, row in renamed.rows.items()}
     return renamed
 
 
@@ -644,11 +661,11 @@ def assert_renamed_exactly(state, renamed, deltas, mapping):
     for name in ("encoder_w", "encoder_b", "experts_w"):
         np.testing.assert_array_equal(getattr(state, name), getattr(renamed, name))
     for c, new in mapping.items():
-        np.testing.assert_array_equal(state.gates[c].weight, renamed.gates[new].weight)
-        np.testing.assert_array_equal(state.gates[c].noise, renamed.gates[new].noise)
+        np.testing.assert_array_equal(gate(state, c)[0], gate(renamed, new)[0])
+        np.testing.assert_array_equal(gate(state, c)[1], gate(renamed, new)[1])
     as_renamed = renamed_state(state, mapping)
-    for slots, renamed_slots in ((as_renamed.adam_m, renamed.adam_m),
-                                 (as_renamed.adam_v, renamed.adam_v)):
+    for slots, renamed_slots in ((adam_slots(as_renamed, "m"), adam_slots(renamed, "m")),
+                                 (adam_slots(as_renamed, "v"), adam_slots(renamed, "v"))):
         assert slots.keys() == renamed_slots.keys()
         for name in slots:
             np.testing.assert_array_equal(slots[name], renamed_slots[name])
@@ -689,7 +706,7 @@ def test_relabeling_with_tied_clients(noise_enabled):
     their ids only decide which of the two tied rows each one takes."""
     clients = ("a", "b", "c", "d", "e")
     state = make_state(clients=clients, seed=63, noise_enabled=noise_enabled)
-    state.gates["d"] = copy.deepcopy(state.gates["b"])
+    gate(state, "d")[...] = gate(state, "b")
     deltas = random_deltas(state, clients, seed=64)
     deltas["d"] = deltas["b"].copy()
     pers, _ = aggregate_game(state, deltas)

@@ -125,7 +125,7 @@ def ref_mlp_gradient(cfg, values, batch, targets):
 
 
 def ref_lstm_recompute_gradient(cfg, values, batch, targets):
-    """Flat gradients (N, P) of a stack of LSTM clients by the BPTT that
+    """Losses (N,) and flat gradients (N, P) of a stack of LSTM clients by the BPTT that
     keeps only h and c and recomputes each step's gates in the backward,
     with the input product as a matmul.  It performs the same float
     operations in the same order as task_loss_and_gradient, so its bytes
@@ -154,7 +154,8 @@ def ref_lstm_recompute_gradient(cfg, values, batch, targets):
         states.append((seq, hs, cs))
         seq = hs[1:]
     diff = seq[-1] @ w["out.w"] + w["out.b"] - np.repeat(targets, len(cfg.quantiles), axis=2)
-    d_pred = (1.0 / diff[0].size) * np.where(diff > 0, 1.0 - q, -q)
+    weights, scale = np.where(diff > 0, 1.0 - q, -q), 1.0 / diff[0].size
+    d_pred = scale * weights
     g["out.w"] += mT(seq[-1]) @ d_pred
     g["out.b"] += d_pred.sum(axis=1, keepdims=True)
     d_out = [0.0] * (cfg.history_len - 1) + [d_pred @ mT(w["out.w"])]
@@ -174,7 +175,7 @@ def ref_lstm_recompute_gradient(cfg, values, batch, targets):
             d_in[t] = d_pre @ mT(w[f"lstm{i}.wx"])
             dh = d_pre @ mT(w[f"lstm{i}.wh"])
         d_out = d_in
-    return grad
+    return (diff * weights).reshape(n, -1).sum(axis=1) * scale, grad
 
 
 def test_config_validation():
@@ -553,7 +554,7 @@ def test_cached_gate_gradients_equal_the_recomputing_bptt_bit_for_bit():
             batch = rng.normal(size=(n, size, cfg.history_len, cfg.features))
             targets = rng.normal(size=(n, size, cfg.horizon))
             _, grads = task_loss_and_gradient(cfg, values, batch, targets)
-            expected = ref_lstm_recompute_gradient(cfg, values, batch, targets)
+            _, expected = ref_lstm_recompute_gradient(cfg, values, batch, targets)
             assert grads.tobytes() == expected.tobytes(), (overrides, n, size)
 
 
@@ -633,9 +634,9 @@ def test_local_train_stacks_are_bit_identical_to_one_client_at_a_time(monkeypatc
         stack_sizes = []
         stacked = fedgame.forecaster.task_loss_and_gradient
 
-        def spy(cfg, values, batch, targets):
+        def spy(cfg, values, batch, targets, **kwargs):
             stack_sizes.append(len(values))
-            return stacked(cfg, values, batch, targets)
+            return stacked(cfg, values, batch, targets, **kwargs)
 
         monkeypatch.setattr(fedgame.forecaster, "task_loss_and_gradient", spy)
         together_rngs = streams()
@@ -652,6 +653,87 @@ def test_local_train_stacks_are_bit_identical_to_one_client_at_a_time(monkeypatc
             assert together[cid][1] == loss
             assert (together_rngs[cid].bit_generator.state
                     == alone_rngs[cid].bit_generator.state)
+
+
+def reference_local_train(models, data, anchor, rngs):
+    """local_train as plain SGD, one client at a time: a fancy gather of
+    each step's windows, the targets repeated per quantile by the
+    plain-expression gradients above, and ``values = values - lr * grad``."""
+    cfg = anchor.config
+    gradient = ref_mlp_gradient if cfg.arch == "mlp" else ref_lstm_recompute_gradient
+    out = {}
+    for cid in sorted(models):
+        inputs = np.asarray(data[cid].inputs).reshape(-1, cfg.history_len, cfg.features)
+        targets = np.asarray(data[cid].targets)
+        values, losses = models[cid].values[np.newaxis], []
+        for _ in range(cfg.local_epochs):
+            order = rngs[cid].permutation(len(inputs))
+            for start in range(0, len(inputs), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, grad = gradient(cfg, values, inputs[idx][np.newaxis],
+                                      targets[idx][np.newaxis])
+                losses.append(loss[0])
+                grad = grad + cfg.prox_mu * (values - anchor.values)
+                values = values - cfg.local_lr * grad
+        out[cid] = values[0], float(np.mean(losses))
+    return out
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(hidden_sizes=(5,)),
+    dict(arch="lstm", hidden_sizes=(4, 3), features=2),
+])
+def test_local_train_equals_a_plain_sgd_loop_bit_for_bit(overrides):
+    # 11 windows in batches of 4 end on a batch of 3, and 6 on a batch of 2;
+    # the clients form a stack of three and a stack of two
+    sizes = {"a": 11, "b": 6, "c": 11, "d": 6, "e": 11}
+    cfg = small_config(local_epochs=2, batch_size=4, local_lr=0.05, prox_mu=0.3, **overrides)
+    anchor = init_forecaster(cfg, np.random.default_rng(90))
+    models = {c: init_forecaster(cfg, np.random.default_rng(91 + i)) for i, c in enumerate(sizes)}
+    rng = np.random.default_rng(92)
+    data = {c: Batch(rng.normal(size=(n, cfg.history_len, cfg.features)),
+                     rng.normal(size=(n, cfg.horizon))) for c, n in sizes.items()}
+
+    def streams():
+        return {c: np.random.default_rng(93 + i) for i, c in enumerate(sizes)}
+
+    trained = local_train(models, data, anchor, streams())
+    expected = reference_local_train(models, data, anchor, streams())
+    assert sorted(trained) == sorted(expected)
+    for cid, (values, loss) in expected.items():
+        assert trained[cid][0].tobytes() == values.tobytes(), cid
+        assert trained[cid][1] == loss, cid
+
+
+def test_local_train_writes_none_of_its_inputs():
+    cfg = small_config(local_epochs=2, batch_size=3)
+    anchor = init_forecaster(cfg, np.random.default_rng(94))
+    models = {c: init_forecaster(cfg, np.random.default_rng(95 + i)) for i, c in enumerate("abc")}
+    rng = np.random.default_rng(98)
+    data = {c: Batch(rng.normal(size=(n, cfg.history_len)), rng.normal(size=(n, cfg.horizon)))
+            for c, n in zip("abc", (7, 7, 4))}
+    arrays = [anchor.values] + [m.values for m in models.values()]
+    arrays += [a for d in data.values() for a in (d.inputs, d.targets)]
+    before = [a.tobytes() for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False  # a write in place raises
+    trained = local_train(models, data, anchor, {c: np.random.default_rng(99) for c in data})
+    assert [a.tobytes() for a in arrays] == before
+    assert all(not np.shares_memory(values, a) for values, _ in trained.values() for a in arrays)
+
+
+def test_local_train_names_a_client_without_data_or_rng_stream():
+    cfg = small_config()
+    model = init_forecaster(cfg, np.random.default_rng(100))
+    data = Batch(np.zeros((2, cfg.history_len)), np.zeros((2, cfg.horizon)))
+    rngs = {c: np.random.default_rng(101) for c in "ab"}
+    untouched = rngs["a"].bit_generator.state
+    with pytest.raises(UsageError, match=r"client 'b': .*no training data"):
+        local_train({"a": model, "b": model}, {"a": data}, model, rngs)
+    with pytest.raises(UsageError, match=r"client 'b': .*no rng stream"):
+        local_train({"a": model, "b": model}, {"a": data, "b": data}, model, {"a": rngs["a"]})
+    # both are found before any training
+    assert rngs["a"].bit_generator.state == untouched
 
 
 def test_non_finite_loss_names_the_client():

@@ -314,6 +314,28 @@ def test_stacked_evaluate_is_bit_identical_to_scoring_each_client_alone(fleet):
     assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+def test_stack_reductions_equal_each_clients_own_means_on_random_shapes():
+    """evaluate reduces each quantity once over the stack; every score
+    keeps the bits of np.mean over the client's own array, including
+    clients with more than 8,192 entries, numpy's iterator buffer size."""
+    rng = np.random.default_rng(23)
+    # (windows per client, horizon, quantile levels); the last three
+    # exceed 8,192 loss entries, and the last 8,192 interval entries too
+    cases = [(1, 1, 1), (7, 2, 3), (50, 3, 2), (333, 4, 4), (1400, 3, 3), (2100, 4, 1),
+             (4500, 2, 3)]
+    for size, horizon, levels in cases:
+        quantiles = np.sort(rng.choice(np.arange(1, 100), size=levels, replace=False)) / 100
+        cfg = ForecasterConfig(history_len=3, horizon=horizon, quantiles=tuple(quantiles),
+                               hidden_sizes=(4,))
+        ids = [f"c{k}" for k in range(int(rng.integers(1, 5)))]
+        models = {cid: init_forecaster(cfg, rng) for cid in ids}
+        data = {cid: random_dataset(rng, size, cfg) for cid in ids}
+        report = evaluate(models, data).to_dict()
+        expected = [score_alone(cid, models[cid], data[cid]) for cid in ids]
+        assert (json.dumps(report["clients"], sort_keys=True)
+                == json.dumps(expected, sort_keys=True)), (size, horizon, levels)
+
+
 def test_evaluate_names_the_clients_with_non_finite_forecasts():
     rng = np.random.default_rng(22)
     models = {cid: init_forecaster(EVAL_MLP, rng) for cid in ("a", "b", "c")}

@@ -20,6 +20,7 @@ from fedgame.protocol import (
     ExperimentConfig,
     HyperParams,
     RoundReport,
+    _copy_rng,
     attention_diagnostics,
     init_round_state,
     run_experiment,
@@ -65,6 +66,21 @@ def test_seed_stream_is_deterministic_and_name_separated():
     c = seed_stream(5, "client:b").standard_normal(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_copied_rng_draws_as_the_original_and_leaves_it_alone():
+    rng = seed_stream(5, "client:a")
+    rng.standard_normal(7)
+    state = rng.bit_generator.state
+    copied = _copy_rng(rng)
+    assert type(copied.bit_generator) is type(rng.bit_generator)
+    assert copied.bit_generator.state == state
+    drawn = copied.standard_normal(50), copied.permutation(20), copied.uniform(size=5)
+    assert rng.bit_generator.state == state
+    expected = rng.standard_normal(50), rng.permutation(20), rng.uniform(size=5)
+    for a, b in zip(drawn, expected):
+        assert a.tobytes() == b.tobytes()
+    assert copied.bit_generator.state == rng.bit_generator.state
 
 
 def test_hyper_params_validation():
@@ -241,7 +257,7 @@ def test_failed_round_leaves_state_untouched(monkeypatch):
         run_round(state, HyperParams(rounds=1, aggregator_kind="game"), agg, data)
     assert_same_round_state(state, snapshot)
     assert agg.adam_t == agg_snapshot.adam_t == 0
-    assert agg.adam_m == {} and agg.adam_v == {}
+    assert not any(slot.any() for slot in (agg.adam_m, agg.adam_v, agg.gate_m, agg.gate_v))
     np.testing.assert_array_equal(flatten_parameters(agg), flatten_parameters(agg_snapshot))
     assert agg.rng.bit_generator.state == agg_snapshot.rng.bit_generator.state
 
@@ -254,13 +270,9 @@ def test_failed_round_leaves_state_untouched(monkeypatch):
 
 def aggregator_arrays(agg):
     """Every array the aggregator holds: parameters, gates and Adam slots."""
-    arrays = {"encoder_w": agg.encoder_w, "encoder_b": agg.encoder_b,
-              "experts_w": agg.experts_w}
-    for cid, gate in agg.gates.items():
-        arrays[f"{cid}.weight"], arrays[f"{cid}.noise"] = gate.weight, gate.noise
-    for slot, store in (("m", agg.adam_m), ("v", agg.adam_v)):
-        arrays.update({f"adam_{slot}:{name}": arr for name, arr in store.items()})
-    return arrays
+    names = ("encoder_w", "encoder_b", "experts_w", "gates",
+             "adam_m", "adam_v", "gate_m", "gate_v")
+    return {name: getattr(agg, name) for name in names}
 
 
 def test_successful_game_round_rebinds_the_aggregator_without_writing_it():
