@@ -22,7 +22,9 @@ from fedgame.aggregator import expert_scores
 
 rng = np.random.default_rng(3)
 cfg = AggregatorConfig(embed_dim=6, num_experts=4, top_k=2, noise_enabled=False)
-state = init_aggregator(cfg, head_dim=10, rng=np.random.default_rng(42))
+# The state holds no generator: init, registration and training draw from the one given.
+server_rng = np.random.default_rng(42)
+state = init_aggregator(cfg, head_dim=10, rng=server_rng)
 
 # Two clients share a direction, the third points elsewhere.
 shared = rng.normal(size=10)
@@ -32,7 +34,7 @@ deltas = {
     "c": -shared + 0.05 * rng.normal(size=10),
 }
 for cid in sorted(deltas):
-    register_client(state, cid)
+    register_client(state, cid, server_rng)
 
 # Stage 1: a shared affine encoder maps each head delta to an embedding.
 embeddings = {cid: delta @ state.encoder_w + state.encoder_b for cid, delta in deltas.items()}
@@ -68,7 +70,7 @@ for cid in sorted(pers):
 # Training aligns personalized deltas with the clients' raw deltas.
 print("\nmeta-loss over 40 training steps:")
 for step in range(40):
-    loss = train_step(state, deltas)
+    loss = train_step(state, deltas, server_rng)
     if step % 10 == 0:
         print(f"  step {step:2d}: {loss:.6f}")
 print(f"  final  : {mean_meta_loss(state, deltas):.6f}")

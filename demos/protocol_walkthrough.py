@@ -40,13 +40,14 @@ train = {cid: w["train"] for cid, w in windows.items()}
 print(f"\ntraining windows per client: {[len(d) for d in train.values()]}")
 
 # Server side: one consensus model that every client starts from (models
-# are read-only, so they share it), and one rng per role.
+# are read-only, so they share it), and the master seed.  No state holds
+# a generator: each round draws from round_stream(seed, role, round).
 state = init_round_state(cfg, list(train), MASTER_SEED)
+setup_rng = seed_stream(MASTER_SEED, "aggregator")
 aggregator = init_aggregator(AggregatorConfig(embed_dim=8, num_experts=4, top_k=2),
-                             head_length(state.global_model.spec),
-                             seed_stream(MASTER_SEED, "aggregator"))
+                             head_length(state.global_model.spec), setup_rng)
 for cid in sorted(train):
-    register_client(aggregator, cid)
+    register_client(aggregator, cid, setup_rng)
 
 hyper = HyperParams(rounds=5, aggregator_kind="game", gamma=0.1)
 # no copy needed: a round builds a new consensus instead of writing this one

@@ -15,7 +15,8 @@ batched forward over the N x h matrix of head deltas, and the meta-loss
 gradient is a hand-derived backward through the same arrays.  The meta
 step, lazy Adam on the shared arrays and the batch's gate rows, binds
 new arrays and writes none of the old ones, which is what lets a round
-discard a failed step by dropping a shallow copy.
+discard a failed step by dropping a shallow copy.  The state holds no
+generator; every call that draws is given one.
 
 Experts read only the neighbor's embedding, without the encoder bias.
 A term that depends on the scoring client alone is the same for every
@@ -93,7 +94,7 @@ class AttentionRow:
 
 @dataclass
 class AggregatorState:
-    """All learnable server parameters plus optimizer slots and RNG.
+    """All learnable server parameters plus optimizer slots.
 
     ``experts_w`` holds one row per expert; expert k scores a
     neighbor embedding e_j as ``experts_w[k] . e_j``.  ``gates`` holds
@@ -109,7 +110,6 @@ class AggregatorState:
     encoder_w: np.ndarray
     encoder_b: np.ndarray
     experts_w: np.ndarray
-    rng: np.random.Generator
     gates: np.ndarray
     rows: dict[str, int]
     adam_m: np.ndarray
@@ -135,7 +135,6 @@ def init_aggregator(
         encoder_w=rng.uniform(-s_enc, s_enc, size=(head_dim, d)),
         encoder_b=rng.uniform(-s_enc, s_enc, size=d),
         experts_w=rng.uniform(-s_exp, s_exp, size=(cfg.num_experts, d)),
-        rng=rng,
         gates=no_gates,
         rows={},
         adam_m=np.zeros(shared),
@@ -145,19 +144,18 @@ def init_aggregator(
     )
 
 
-def register_client(state: AggregatorState, client_id: str) -> None:
-    """Append the client's gate row, with zero Adam moments; a second
-    call is a no-op.  New arrays are bound, none is written.
-
-    Registration draws from the aggregator RNG, so callers should
-    register clients in a fixed (sorted) order for reproducibility.
+def register_client(state: AggregatorState, client_id: str, rng: np.random.Generator) -> None:
+    """Append the client's gate row, drawn from ``rng``, with zero Adam
+    moments; a second call is a no-op.  New arrays are bound, none is
+    written.  For reproducibility, pass the generator
+    :func:`init_aggregator` drew from and register in sorted order.
     """
     if client_id in state.rows:
         return
     cfg = state.config
     s = 1.0 / math.sqrt(cfg.embed_dim)
     # the gate weight's draws, then the noise projection's
-    gate = state.rng.uniform(-s, s, size=(1, 2, cfg.embed_dim, cfg.num_experts))
+    gate = rng.uniform(-s, s, size=(1, 2, cfg.embed_dim, cfg.num_experts))
     state.rows = {**state.rows, client_id: len(state.rows)}
     state.gates = np.concatenate([state.gates, gate])
     zeros = np.zeros(gate.shape)
@@ -493,12 +491,12 @@ def _adam(cfg: AggregatorConfig, t: int, params, grad, m, v):
     return params - cfg.server_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
-def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> float:
+def train_step(state: AggregatorState, head_deltas: dict, rng: np.random.Generator) -> float:
     """One lazy Adam step on the mean meta-loss; returns the pre-step loss.
 
     Exploration noise (when enabled) perturbs the gate logits for both
-    expert selection and the surviving softmax; the noise draw and the
-    selected top-k mask are constants within the step.
+    expert selection and the surviving softmax; the noise, one N x K
+    draw from ``rng``, and the top-k mask are constants within the step.
 
     The shared arrays and the gate rows of the batch's clients step,
     with the bias correction of the global step count; the gates and
@@ -514,7 +512,7 @@ def train_step(state: AggregatorState, head_deltas: dict[str, np.ndarray]) -> fl
     noise = None
     if cfg.noise_enabled:
         # the one draw of gate noise: row r goes to canonical client r
-        noise = state.rng.standard_normal((len(ids), cfg.num_experts))
+        noise = rng.standard_normal((len(ids), cfg.num_experts))
     fw = _forward(state, ids, deltas, noise)
     loss = _mean_loss(state, fw)
     d_shared, d_gates = _backward(state, fw)

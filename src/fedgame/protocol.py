@@ -22,16 +22,20 @@ a ``fedavg`` participant ends its round holding the new consensus.
 
 Rounds are atomic: the caller's state is never mutated, and a round
 that raises leaves it and the caller's aggregator untouched.  The meta
-step runs on a shallow copy of the aggregator (its own rng) and
-rebinds arrays instead of writing them; a round that succeeds
-commits it by rebinding the caller's aggregator to the copy's arrays.
-All randomness flows from one master seed through named streams, so
-client scheduling order cannot affect results.
+step runs on a shallow copy of the aggregator and rebinds arrays
+instead of writing them; a round that succeeds commits it by rebinding
+the caller's aggregator to the copy's arrays.  No state holds a
+generator: batch orders (``client:<id>``), participation (``server``)
+and gate noise (``gate_noise``) come from :func:`round_stream`, a pure
+function of (master seed, role, round), so neither scheduling order
+nor participation history changes what a client draws.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -76,6 +80,31 @@ def seed_stream(master_seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed] + list(name.encode())))
 
 
+class _Unseeded(np.random.bit_generator.ISeedSequence):
+    """Zeros, to seed a bit generator whose state is overwritten at once."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_UNSEEDED = _Unseeded()
+
+
+@functools.lru_cache(maxsize=1024)  # bounded for long sweeps over many seeds
+def _role_state(master_seed: int, role: str) -> dict:
+    return seed_stream(master_seed, role).bit_generator.state
+
+
+def round_stream(master_seed: int, role: str, round_index: int) -> np.random.Generator:
+    """``seed_stream(master_seed, role)`` advanced by round_index * 2**64
+    draws, more than a round takes, so rounds never overlap.  Round 0 is
+    that stream itself: a set-up role must not also be a round role."""
+    bit_generator = np.random.PCG64(_UNSEEDED)
+    bit_generator.state = _role_state(master_seed, role)
+    bit_generator.advance(round_index << 64)
+    return np.random.Generator(bit_generator)
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Protocol-level knobs for one experiment."""
@@ -106,8 +135,7 @@ class RoundState:
     round_index: int
     global_model: ForecasterModel
     client_models: dict[str, ForecasterModel]
-    client_rngs: dict[str, np.random.Generator]
-    server_rng: np.random.Generator
+    master_seed: int
 
 
 @dataclass
@@ -144,10 +172,11 @@ class RoundReport:
         }
 
 
-def init_round_state(
-    cfg: ForecasterConfig, client_ids, master_seed: int
-) -> RoundState:
-    """Consensus model, shared by every client, and named RNG streams."""
+def init_round_state(cfg: ForecasterConfig, client_ids, master_seed: int) -> RoundState:
+    """Consensus model, shared by every client, and the master seed."""
+    seed_ok = isinstance(master_seed, numbers.Integral) and not isinstance(master_seed, bool)
+    if not (seed_ok and master_seed >= 0):
+        raise ConfigError(f"master_seed must be an integer >= 0, got {master_seed!r}")
     ids = sorted(str(c) for c in client_ids)
     if not ids:
         raise ConfigError("need at least one client")
@@ -158,8 +187,7 @@ def init_round_state(
         round_index=0,
         global_model=global_model,
         client_models={c: global_model for c in ids},
-        client_rngs={c: seed_stream(master_seed, f"client:{c}") for c in ids},
-        server_rng=seed_stream(master_seed, "server"),
+        master_seed=master_seed,
     )
 
 
@@ -185,27 +213,13 @@ def round_traffic(n_clients: int, total: int, head: int, aggregator_kind: str) -
     return {"upstream": n_clients * total, "downstream": n_clients * total, "ratio": 1.0}
 
 
-class _Unseeded(np.random.bit_generator.ISeedSequence):
-    """Zeros, to seed a bit generator whose state is overwritten at once."""
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype=dtype)
-
-
-def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
-    """An independent generator in the same state."""
-    bit_generator = type(rng.bit_generator)(_Unseeded())
-    bit_generator.state = rng.bit_generator.state
-    return np.random.Generator(bit_generator)
-
-
 def _select_participants(state: RoundState, hyper: HyperParams) -> list[str]:
     ids = sorted(state.client_models)
     if hyper.participation >= 1.0 or len(ids) == 1:
         return ids
     count = max(1, int(round(hyper.participation * len(ids))))
-    chosen = state.server_rng.choice(len(ids), size=count, replace=False)
-    return sorted(ids[i] for i in chosen)
+    rng = round_stream(state.master_seed, "server", state.round_index)
+    return sorted(ids[i] for i in rng.choice(len(ids), size=count, replace=False))
 
 
 def run_round(
@@ -229,22 +243,12 @@ def run_round(
         if cid not in train_data or len(train_data[cid]) == 0:
             raise UsageError(f"client {cid!r} has no training data")
 
-    # the new state is built from the parts a round changes, so the
-    # caller's state is never written: models are read-only and are
-    # shared, while the rngs advance in place and are copied
-    new_state = RoundState(
-        round_index=state.round_index,
-        global_model=state.global_model,
-        client_models=dict(state.client_models),
-        client_rngs={cid: _copy_rng(rng) for cid, rng in state.client_rngs.items()},
-        server_rng=_copy_rng(state.server_rng),
-    )
-    server = aggregator
-    if kind in ("game", "single_attention"):
-        # the meta step rebinds arrays and never writes them, so it runs
-        # on a shallow copy with its own rng until the round can no
-        # longer fail
-        server = replace(aggregator, rng=_copy_rng(aggregator.rng))
+    seed, r = state.master_seed, state.round_index
+    # models are read-only and shared, so the caller's state stays unwritten
+    new_state = RoundState(r, state.global_model, dict(state.client_models), seed)
+    # the meta step rebinds arrays and never writes them, so it runs on a
+    # shallow copy until the round can no longer fail
+    server = replace(aggregator) if kind in ("game", "single_attention") else aggregator
     spec = new_state.global_model.spec
     participants = _select_participants(new_state, hyper)
 
@@ -252,7 +256,7 @@ def run_round(
         {cid: new_state.client_models[cid] for cid in participants},
         train_data,
         new_state.global_model,
-        new_state.client_rngs,
+        {cid: round_stream(seed, f"client:{cid}", r) for cid in participants},
     )
     train_losses = {cid: trained[cid][1] for cid in participants}
     # one row per participant, in sorted-id order
@@ -271,7 +275,7 @@ def run_round(
     attention = np.zeros((len(participants), len(participants)))
     if kind in ("game", "single_attention"):
         if len(participants) >= 2:
-            meta = train_step(server, head_deltas)
+            meta = train_step(server, head_deltas, round_stream(seed, "gate_noise", r))
         if kind == "game":
             personalized, rows = aggregate_game(server, head_deltas)
         else:
@@ -523,13 +527,11 @@ def run_experiment(config: ExperimentConfig, aggregator_kind: str | None = None)
     state = init_round_state(fcfg, list(train_data), config.master_seed)
     aggregator = None
     if kind in PERSONALIZED_KINDS:
-        aggregator = init_aggregator(
-            config.aggregator_config(kind),
-            head_length(state.global_model.spec),
-            seed_stream(config.master_seed, "aggregator"),
-        )
+        rng = seed_stream(config.master_seed, "aggregator")
+        head = head_length(state.global_model.spec)
+        aggregator = init_aggregator(config.aggregator_config(kind), head, rng)
         for cid in sorted(train_data):
-            register_client(aggregator, cid)
+            register_client(aggregator, cid, rng)
 
     reports = []
     for _ in range(hyper.rounds):

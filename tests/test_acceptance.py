@@ -82,16 +82,17 @@ def reference_fedavg_trajectory(cfg, train_data, master_seed, rounds):
 
     w_global = init_forecaster(cfg, seed_stream(master_seed, "init")).values.copy()
     ids = sorted(train_data)
-    rngs = {cid: seed_stream(master_seed, f"client:{cid}") for cid in ids}
 
     trajectory = []
-    for _ in range(rounds):
+    for r in range(rounds):
         deltas = []
         for cid in ids:
             w = w_global.copy()
             X = np.asarray(train_data[cid].inputs)
             Y = np.asarray(train_data[cid].targets)
-            order = rngs[cid].permutation(X.shape[0])
+            # round r's stream: the client's seed stream advanced by r * 2**64 draws
+            stream = seed_stream(master_seed, f"client:{cid}").bit_generator
+            order = np.random.Generator(stream.advance(r << 64)).permutation(X.shape[0])
             for start in range(0, X.shape[0], cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
                 W1, b1, W2, b2 = unpack(w)
@@ -196,10 +197,11 @@ def test_client_and_server_gradients_match_finite_differences():
     for num_experts, top_k in ((4, 2), (1, 1)):
         agg_cfg = AggregatorConfig(embed_dim=6, num_experts=num_experts, top_k=top_k,
                                    noise_enabled=False)
-        state = init_aggregator(agg_cfg, 8, np.random.default_rng(33))
+        agg_rng = np.random.default_rng(33)
+        state = init_aggregator(agg_cfg, 8, agg_rng)
         ids = ["a", "b", "c"]
         for cid in ids:
-            register_client(state, cid)
+            register_client(state, cid, agg_rng)
         delta_rng = np.random.default_rng(34)
         deltas = {cid: delta_rng.normal(size=8) for cid in ids}
         # the clean logits that made the selection, rows in sorted-id order
@@ -222,7 +224,6 @@ def relabeled_copy(state, mapping):
     renamed = replace(
         state,
         rows={mapping[c]: row for c, row in state.rows.items()},
-        rng=np.random.default_rng(0),
     )
     return renamed
 
@@ -248,7 +249,7 @@ def test_attention_invariants_hold_across_random_states():
         ids = names[:n_clients]
         state = init_aggregator(cfg, head_dim, rng)
         for cid in ids:
-            register_client(state, cid)
+            register_client(state, cid, rng)
         deltas = {cid: rng.normal(size=head_dim) for cid in ids}
 
         pers, rows = aggregate_game(state, deltas)
@@ -259,9 +260,10 @@ def test_attention_invariants_hold_across_random_states():
             assert np.count_nonzero(np.asarray(row.expert_mix)) == cfg.top_k
 
         single_cfg = replace(cfg, num_experts=1, top_k=1)
-        single = init_aggregator(single_cfg, head_dim, np.random.default_rng(trial))
+        single_rng = np.random.default_rng(trial)
+        single = init_aggregator(single_cfg, head_dim, single_rng)
         for cid in ids:
-            register_client(single, cid)
+            register_client(single, cid, single_rng)
         via_game, _ = aggregate_game(single, deltas)
         via_baseline, _ = aggregate_single_attention(single, deltas)
         for cid in ids:
@@ -370,13 +372,14 @@ def test_metrics_match_brute_force_oracles_and_nominal_coverage():
 def descent_state(seed, lr):
     cfg = AggregatorConfig(embed_dim=6, num_experts=4, top_k=2, server_lr=lr,
                            noise_enabled=False)
-    state = init_aggregator(cfg, 10, np.random.default_rng(seed + 500))
+    rng = np.random.default_rng(seed + 500)
+    state = init_aggregator(cfg, 10, rng)
     ids = ["a", "b", "c", "d"]
     for cid in ids:
-        register_client(state, cid)
+        register_client(state, cid, rng)
     deltas = {cid: np.random.default_rng(seed).normal(size=(4, 10))[i]
               for i, cid in enumerate(ids)}
-    return state, deltas
+    return state, deltas, rng
 
 
 def test_meta_loss_descends_on_fixed_batches():
@@ -385,22 +388,22 @@ def test_meta_loss_descends_on_fixed_batches():
     identical deltas give loss < 1e-10 and gradient norm < 1e-8."""
     net_ok = 0
     for seed in range(20):
-        state, deltas = descent_state(seed, lr=1e-3)
-        first = train_step(state, deltas)
+        state, deltas, rng = descent_state(seed, lr=1e-3)
+        first = train_step(state, deltas, rng)
         for _ in range(49):
-            train_step(state, deltas)
+            train_step(state, deltas, rng)
         net_ok += mean_meta_loss(state, deltas) <= first
     assert net_ok >= 19
 
     monotone_ok = 0
     for seed in range(20):
-        state, deltas = descent_state(seed, lr=3e-5)
-        losses = [train_step(state, deltas) for _ in range(50)]
+        state, deltas, rng = descent_state(seed, lr=3e-5)
+        losses = [train_step(state, deltas, rng) for _ in range(50)]
         losses.append(mean_meta_loss(state, deltas))
         monotone_ok += bool(np.all(np.diff(losses) <= 0))
     assert monotone_ok >= 19
 
-    state, _ = descent_state(0, lr=1e-3)
+    state, _, _ = descent_state(0, lr=1e-3)
     same = np.random.default_rng(77).normal(size=10)
     identical = {cid: same.copy() for cid in ["a", "b", "c", "d"]}
     assert mean_meta_loss(state, identical) < 1e-10
@@ -465,15 +468,14 @@ def test_reruns_and_scheduling_orders_are_byte_identical(tmp_path):
     windows = client_windows(cfg, 4, 2, 200, 0.1, master_seed=12)
     train_data = {cid: w["train"] for cid, w in windows.items()}
     state = init_round_state(cfg, list(train_data), 12)
+    agg_rng = seed_stream(12, "server")
     agg = init_aggregator(AggregatorConfig(embed_dim=4, num_experts=2, top_k=1),
-                          head_length(state.global_model.spec),
-                          seed_stream(12, "server"))
+                          head_length(state.global_model.spec), agg_rng)
     for cid in sorted(train_data):
-        register_client(agg, cid)
+        register_client(agg, cid, agg_rng)
 
     shuffled = copy.deepcopy(state)
     shuffled.client_models = dict(reversed(list(shuffled.client_models.items())))
-    shuffled.client_rngs = dict(reversed(list(shuffled.client_rngs.items())))
     hyper = HyperParams(rounds=1, aggregator_kind="game")
     out_a, report_a = run_round(state, hyper, copy.deepcopy(agg), train_data)
     out_b, report_b = run_round(shuffled, hyper, copy.deepcopy(agg),

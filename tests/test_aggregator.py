@@ -31,12 +31,19 @@ from fedgame.aggregator import (
 from fedgame.errors import ConfigError, StructuralError, UsageError
 
 
-def make_state(head_dim=6, clients=("a", "b", "c"), seed=0, **cfg_kw):
+def seeded_state(head_dim=6, clients=("a", "b", "c"), seed=0, **cfg_kw):
+    """An aggregator with ``clients`` registered, and the generator that
+    its init and registration drew from, for later draws to continue."""
     cfg = AggregatorConfig(embed_dim=cfg_kw.pop("embed_dim", 4), **cfg_kw)
-    state = init_aggregator(cfg, head_dim, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    state = init_aggregator(cfg, head_dim, rng)
     for cid in sorted(clients):
-        register_client(state, cid)
-    return state
+        register_client(state, cid, rng)
+    return state, rng
+
+
+def make_state(*args, **kwargs):
+    return seeded_state(*args, **kwargs)[0]
 
 
 def random_deltas(state, clients, seed=1):
@@ -131,10 +138,7 @@ def fixed_draws(state, clients, seed):
 def test_gate_logits_clean_when_not_training():
     state = make_state(seed=8, noise_enabled=True)
     deltas = random_deltas(state, ("a", "b", "c"), seed=9)
-    rng_before = state.rng.bit_generator.state
     rows = attention_rows(state, deltas)
-    # aggregation draws no noise, even with noise enabled
-    assert state.rng.bit_generator.state == rng_before
     for cid, delta in deltas.items():
         # re-derived entry by entry with exactly rounded sums
         e = [
@@ -171,7 +175,7 @@ def test_gate_logits_zero_embedding_noise_scale_is_log2():
 
 
 def test_gate_logits_reproducible_for_fixed_seed():
-    a = make_state(seed=12)
+    a, rng = seeded_state(seed=12)
     b = make_state(seed=12)
     deltas = random_deltas(a, ("a", "b", "c"), seed=13)
     draws = fixed_draws(a, deltas, seed=14)
@@ -179,11 +183,11 @@ def test_gate_logits_reproducible_for_fixed_seed():
     for cid in deltas:
         np.testing.assert_array_equal(logits_a[cid], logits_b[cid])
 
-    # train_step is the one place noise is drawn: one N x K block from the state's RNG
-    expected = copy.deepcopy(a.rng)
+    # train_step draws its noise as one N x K block from the generator it is given
+    expected = copy.deepcopy(rng)
     expected.standard_normal((3, a.config.num_experts))
-    train_step(a, deltas)
-    assert a.rng.bit_generator.state == expected.bit_generator.state
+    train_step(a, deltas, rng)
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_gate_logits_requires_registration():
@@ -233,12 +237,13 @@ def hand_state():
         embed_dim=1, num_experts=1, top_k=1, temperature=1.0, w_self=0.6,
         noise_enabled=False,
     )
-    state = init_aggregator(cfg, 1, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    state = init_aggregator(cfg, 1, rng)
     state.encoder_w[...] = 1.0
     state.encoder_b[...] = 0.0
     state.experts_w[...] = np.array([[1.0]])
     for cid in ("a", "b", "c"):
-        register_client(state, cid)
+        register_client(state, cid, rng)
         gate(state, cid)[0] = 1.0
         gate(state, cid)[1] = 0.0
     return state
@@ -439,10 +444,10 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
 
 
 def test_train_step_identical_deltas_is_stationary():
-    state = make_state(clients=("a", "b"), seed=32, noise_enabled=False)
+    state, rng = seeded_state(clients=("a", "b"), seed=32, noise_enabled=False)
     before = flatten_parameters(state)
     delta = np.random.default_rng(33).normal(size=state.head_dim)
-    loss = train_step(state, {"a": delta.copy(), "b": delta.copy()})
+    loss = train_step(state, {"a": delta.copy(), "b": delta.copy()}, rng)
     assert loss < 1e-12
     moved = np.max(np.abs(flatten_parameters(state) - before))
     assert moved <= state.config.server_lr * 1e-7
@@ -451,12 +456,12 @@ def test_train_step_identical_deltas_is_stationary():
 def test_train_step_descends_on_fixed_batch():
     successes = 0
     for seed in range(20):
-        state = make_state(
+        state, rng = seeded_state(
             head_dim=8, clients=tuple("abcd"), seed=seed, noise_enabled=False,
             server_lr=1e-3,
         )
         deltas = random_deltas(state, tuple("abcd"), seed=100 + seed)
-        losses = [train_step(state, deltas) for _ in range(50)]
+        losses = [train_step(state, deltas, rng) for _ in range(50)]
         losses.append(mean_meta_loss(state, deltas))
         if losses[-1] <= losses[0] + 1e-12:
             successes += 1
@@ -465,10 +470,10 @@ def test_train_step_descends_on_fixed_batch():
 
 def test_train_step_deterministic_with_noise():
     def run(seed):
-        state = make_state(clients=("a", "b", "c"), seed=seed, noise_enabled=True)
+        state, rng = seeded_state(clients=("a", "b", "c"), seed=seed, noise_enabled=True)
         deltas = random_deltas(state, ("a", "b", "c"), seed=50)
         for _ in range(3):
-            train_step(state, deltas)
+            train_step(state, deltas, rng)
         return flatten_parameters(state)
 
     np.testing.assert_array_equal(run(7), run(7))
@@ -499,18 +504,18 @@ def adam_slots(state, slot):
 
 def test_flat_adam_matches_a_per_array_update_bit_for_bit():
     clients = tuple("abcd")
-    state = make_state(head_dim=7, clients=clients, seed=70, noise_enabled=True)
-    oracle = copy.deepcopy(state)
+    state, rng = seeded_state(head_dim=7, clients=clients, seed=70, noise_enabled=True)
+    oracle, oracle_rng = copy.deepcopy(state), copy.deepcopy(rng)
     m, v = {}, {}
     for step in range(1, 4):
         deltas = random_deltas(state, clients, seed=70 + step)
         # the step's one noise draw, in canonical rows, handed over in sorted-id rows
         ids, _ = _batch(oracle, deltas)
-        draws = oracle.rng.standard_normal((len(ids), state.config.num_experts))
+        draws = oracle_rng.standard_normal((len(ids), state.config.num_experts))
         noise = draws[_sorted_rows(ids)]
         loss = mean_meta_loss(oracle, deltas, None, noise)
         grad = meta_gradient(oracle, deltas, None, noise)
-        assert train_step(state, deltas) == loss
+        assert train_step(state, deltas, rng) == loss
         start = 0
         for name, arr in parameter_arrays(oracle).items():
             g = grad[start : start + arr.size].reshape(arr.shape)
@@ -524,7 +529,7 @@ def test_flat_adam_matches_a_per_array_update_bit_for_bit():
         for name in m:
             assert adam_slots(state, "m")[name].tobytes() == m[name].tobytes(), name
             assert adam_slots(state, "v")[name].tobytes() == v[name].tobytes(), name
-    assert state.rng.bit_generator.state == oracle.rng.bit_generator.state
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def gate_and_slots(state, cid):
@@ -538,13 +543,13 @@ def gate_and_slots(state, cid):
 def test_absent_clients_keep_their_gates_and_adam_slots():
     """Lazy Adam: a client outside the batch keeps every byte of its
     gate pair and its Adam slots, even with momentum left over."""
-    state = make_state(head_dim=6, clients=tuple("abcd"), seed=72, noise_enabled=True)
-    train_step(state, random_deltas(state, tuple("abcd"), seed=73))
+    state, rng = seeded_state(head_dim=6, clients=tuple("abcd"), seed=72, noise_enabled=True)
+    train_step(state, random_deltas(state, tuple("abcd"), seed=73), rng)
     before = {name: arr.tobytes() for name, arr in gate_and_slots(state, "d").items()}
     assert np.any(adam_slots(state, "m")["gate:d.w"] != 0.0)
     moved = gate(state, "a")[0].copy(), state.encoder_w.copy()
 
-    train_step(state, random_deltas(state, tuple("abc"), seed=74))
+    train_step(state, random_deltas(state, tuple("abc"), seed=74), rng)
     for name, arr in gate_and_slots(state, "d").items():
         assert arr.tobytes() == before[name], name
     assert state.adam_t == 2
@@ -553,9 +558,9 @@ def test_absent_clients_keep_their_gates_and_adam_slots():
 
 
 def test_train_step_requires_two_clients():
-    state = make_state(clients=("a",))
+    state, rng = seeded_state(clients=("a",))
     with pytest.raises(UsageError):
-        train_step(state, {"a": np.ones(6)})
+        train_step(state, {"a": np.ones(6)}, rng)
 
 
 def test_game_single_attention_equivalence():
@@ -643,9 +648,9 @@ def test_relabeling_clients_permutes_outputs_exactly():
 
 
 def test_register_client_is_idempotent():
-    state = make_state(clients=("a",), seed=45)
+    state, rng = seeded_state(clients=("a",), seed=45)
     before = gate(state, "a")[0].copy()
-    register_client(state, "a")
+    register_client(state, "a", rng)
     np.testing.assert_array_equal(gate(state, "a")[0], before)
 
 
@@ -691,12 +696,13 @@ def test_trained_aggregator_is_exactly_relabeling_equivariant(noise_enabled):
     clients = [f"c{i:03d}" for i in range(120)]
     rng = np.random.default_rng(60)
     mapping = dict(zip(clients, (f"r{i:03d}" for i in rng.permutation(120))))
-    state = make_state(head_dim=8, clients=clients, seed=61, noise_enabled=noise_enabled)
-    renamed = renamed_state(state, mapping)
+    state, rng = seeded_state(head_dim=8, clients=clients, seed=61, noise_enabled=noise_enabled)
+    renamed, renamed_rng = renamed_state(state, mapping), copy.deepcopy(rng)
     for step in range(3):
         deltas = random_deltas(state, clients, seed=62 + step)
-        loss = train_step(state, deltas)
-        assert train_step(renamed, {mapping[c]: d for c, d in deltas.items()}) == loss
+        loss = train_step(state, deltas, rng)
+        renamed_deltas = {mapping[c]: d for c, d in deltas.items()}
+        assert train_step(renamed, renamed_deltas, renamed_rng) == loss
     assert_renamed_exactly(state, renamed, deltas, mapping)
 
 
@@ -705,7 +711,7 @@ def test_relabeling_with_tied_clients(noise_enabled):
     """Two clients with the same delta and gates have identical inputs;
     their ids only decide which of the two tied rows each one takes."""
     clients = ("a", "b", "c", "d", "e")
-    state = make_state(clients=clients, seed=63, noise_enabled=noise_enabled)
+    state, rng = seeded_state(clients=clients, seed=63, noise_enabled=noise_enabled)
     gate(state, "d")[...] = gate(state, "b")
     deltas = random_deltas(state, clients, seed=64)
     deltas["d"] = deltas["b"].copy()
@@ -714,9 +720,9 @@ def test_relabeling_with_tied_clients(noise_enabled):
 
     # the rename puts d's new id before b's, so the two trade rows
     mapping = {"a": "v", "b": "z", "c": "x", "d": "y", "e": "w"}
-    renamed = renamed_state(state, mapping)
+    renamed, renamed_rng = renamed_state(state, mapping), copy.deepcopy(rng)
     for step in range(3):
         step_deltas = {c: d + 0.1 * step for c, d in deltas.items()}
-        train_step(state, step_deltas)
-        train_step(renamed, {mapping[c]: d for c, d in step_deltas.items()})
+        train_step(state, step_deltas, rng)
+        train_step(renamed, {mapping[c]: d for c, d in step_deltas.items()}, renamed_rng)
     assert_renamed_exactly(state, renamed, deltas, {**mapping, "b": "y", "d": "z"})

@@ -257,6 +257,33 @@ def test_rerun_from_effective_config_is_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+# The four rerun paths: CSV ingest, a two-layer LSTM, a two-layer MLP under
+# game, and noisy game where half the clients sit out each round, which
+# draws from all three per-round roles (batch order, participation, gate
+# noise) and steps only the batch's gate rows.
+RERUN_PATHS = {
+    "csv": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4]},
+    "lstm": {"n_clients": 3, "n_clusters": 1, "arch": "lstm", "hidden_sizes": [4, 3]},
+    "mlp": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [8, 5],
+            "aggregator_kind": "game"},
+    "lazy_adam": {"n_clients": 6, "n_clusters": 2, "hidden_sizes": [8], "rounds": 3,
+                  "aggregator_kind": "game", "participation": 0.5, "noise_enabled": True},
+}
+
+
+@pytest.mark.parametrize("path", sorted(RERUN_PATHS))
+def test_csv_fleet_reruns_are_byte_identical(tmp_path, path):
+    """Synthesize a fleet as CSV, run on it twice, require the same bytes."""
+    small = {"series_length": 160, "embed_dim": 4, "rounds": 2, **RERUN_PATHS[path]}
+    assert main(["synth", write_config(tmp_path, small, "synth.json"),
+                 "--output-dir", str(tmp_path)]) == 0
+    run = write_config(tmp_path, {**small, "csv_path": str(tmp_path / "synth.csv")}, "run.json")
+    for name in ("a", "b"):
+        assert main(["run", run, "--output-dir", str(tmp_path / name)]) == 0
+    for name in ("rounds.jsonl", "eval.json", "eval.csv", "attention.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     path = write_config(tmp_path, {**SMALL, "output_dir": str(tmp_path / "a")})
     assert main(["run", path, "--seed", "99", "--output-dir", str(tmp_path / "b")]) == 0

@@ -612,7 +612,7 @@ def test_training_step_takes_no_page_faults_once_warm(arch, n, width):
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     probe = subprocess.run(
         [sys.executable, "-c", FAULT_PROBE, arch, str(n), str(width)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=120, check=True,
     )
     assert float(probe.stdout) == 0, probe.stdout
 

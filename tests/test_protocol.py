@@ -9,10 +9,11 @@ import pytest
 
 from fedgame.aggregator import (
     AggregatorConfig, aggregate_mean, flatten_parameters, init_aggregator, register_client,
+    train_step,
 )
 from fedgame.data import WindowedDataset
 from fedgame.errors import ConfigError, NumericError, UsageError
-from fedgame.forecaster import ForecasterConfig, build_spec
+from fedgame.forecaster import ForecasterConfig, build_spec, local_train
 from fedgame.params import (
     head_length, scatter_head, select_head_values, total_params,
 )
@@ -20,10 +21,10 @@ from fedgame.protocol import (
     ExperimentConfig,
     HyperParams,
     RoundReport,
-    _copy_rng,
     attention_diagnostics,
     init_round_state,
     run_experiment,
+    round_stream,
     round_traffic,
     run_round,
     seed_stream,
@@ -53,10 +54,10 @@ def build_setup(n_clients=3, seed=0):
 def fresh_aggregator(state, seed=0, **overrides):
     settings = {"embed_dim": 4, "num_experts": 2, "top_k": 1, **overrides}
     cfg = AggregatorConfig(**settings)
-    agg = init_aggregator(cfg, head_length(state.global_model.spec),
-                          seed_stream(seed, "server"))
+    rng = seed_stream(seed, "server")
+    agg = init_aggregator(cfg, head_length(state.global_model.spec), rng)
     for cid in sorted(state.client_models):
-        register_client(agg, cid)
+        register_client(agg, cid, rng)
     return agg
 
 
@@ -68,19 +69,85 @@ def test_seed_stream_is_deterministic_and_name_separated():
     assert not np.array_equal(a, c)
 
 
-def test_copied_rng_draws_as_the_original_and_leaves_it_alone():
-    rng = seed_stream(5, "client:a")
-    rng.standard_normal(7)
-    state = rng.bit_generator.state
-    copied = _copy_rng(rng)
-    assert type(copied.bit_generator) is type(rng.bit_generator)
-    assert copied.bit_generator.state == state
-    drawn = copied.standard_normal(50), copied.permutation(20), copied.uniform(size=5)
-    assert rng.bit_generator.state == state
-    expected = rng.standard_normal(50), rng.permutation(20), rng.uniform(size=5)
-    for a, b in zip(drawn, expected):
-        assert a.tobytes() == b.tobytes()
-    assert copied.bit_generator.state == rng.bit_generator.state
+def test_round_streams_are_pure_and_separated():
+    drawn = round_stream(5, "client:a", 3).standard_normal(64)
+    # a stream is rebuilt from its arguments alone: drawing from one moves no other
+    np.testing.assert_array_equal(round_stream(5, "client:a", 3).standard_normal(64), drawn)
+    # round 0 of a role is the role's seed stream
+    np.testing.assert_array_equal(round_stream(5, "client:a", 0).standard_normal(64),
+                                  seed_stream(5, "client:a").standard_normal(64))
+    others = [round_stream(5, "client:a", r) for r in (0, 2, 4)]
+    others += [round_stream(5, role, 3) for role in ("client:b", "server", "gate_noise")]
+    others.append(round_stream(6, "client:a", 3))
+    for other in others:
+        assert not np.array_equal(other.standard_normal(64), drawn)
+
+
+def test_round_zero_gate_noise_is_no_set_up_stream(monkeypatch):
+    given = []
+
+    def spy(state, head_deltas, rng):
+        given.append(copy.deepcopy(rng))
+        return train_step(state, head_deltas, rng)
+
+    monkeypatch.setattr("fedgame.protocol.train_step", spy)
+    config = ExperimentConfig(**{**SMALL, "rounds": 1, "noise_enabled": True})
+    run_experiment(config, "game")
+    (noise,) = given
+    draws = noise.standard_normal(64)
+    # "aggregator" drew the encoder and the gates at set-up; noise must not replay it
+    roles = ["init", "data", "aggregator", "server"]
+    roles += [f"client:{cid}" for cid in ("client00", "client01", "client02")]
+    for role in roles:
+        assert not np.array_equal(draws, seed_stream(config.master_seed, role).standard_normal(64))
+
+
+def generators_copied(obj):
+    memo = {}
+    copy.deepcopy(obj, memo)
+    return [v for v in memo.values() if isinstance(v, (np.random.Generator,
+                                                         np.random.BitGenerator))]
+
+
+def test_no_state_holds_a_generator():
+    state, data = build_setup(4)
+    agg = fresh_aggregator(state, noise_enabled=True)
+    hyper = HyperParams(rounds=1, aggregator_kind="game", participation=0.5)
+    for _ in range(2):
+        state, _ = run_round(state, hyper, agg, data)
+    assert generators_copied(state) == []
+    assert generators_copied(agg) == []
+
+
+def test_batch_order_does_not_depend_on_participation_history():
+    """A client's model is its rounds of solo training, each drawing its
+    batch order from round_stream(seed, "client:<id>", r) of the round
+    r it took part in, whatever happened in the rounds it sat out."""
+    state, data = build_setup(4, seed=3)
+    hyper = HyperParams(rounds=1, aggregator_kind="local_only", participation=0.5)
+    expected = dict(state.client_models)
+    rounds_in = {cid: [] for cid in expected}
+    for r in range(4):
+        state, report = run_round(state, hyper, None, data)
+        for cid in report.client_ids:
+            rounds_in[cid].append(r)
+            stream = {cid: round_stream(3, f"client:{cid}", r)}
+            values, _ = local_train({cid: expected[cid]}, data, state.global_model, stream)[cid]
+            expected[cid] = expected[cid].with_params(values)
+    # some client sat out a round before one it took part in
+    assert any(taken and len(taken) <= taken[-1] for taken in rounds_in.values())
+    for cid, model in expected.items():
+        assert state.client_models[cid].values.tobytes() == model.values.tobytes(), cid
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+def test_master_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match="master_seed"):
+        init_round_state(CFG, ["a"], seed)
+
+
+def test_master_seed_accepts_numpy_integers():
+    assert init_round_state(CFG, ["a"], np.int64(7)).master_seed == 7
 
 
 def test_hyper_params_validation():
@@ -226,8 +293,6 @@ def assert_same_round_state(state, snapshot):
     for cid in state.client_models:
         np.testing.assert_array_equal(state.client_models[cid].values,
                                       snapshot.client_models[cid].values)
-        assert (state.client_rngs[cid].bit_generator.state
-                == snapshot.client_rngs[cid].bit_generator.state)
 
 
 def test_failed_round_leaves_state_untouched(monkeypatch):
@@ -259,7 +324,6 @@ def test_failed_round_leaves_state_untouched(monkeypatch):
     assert agg.adam_t == agg_snapshot.adam_t == 0
     assert not any(slot.any() for slot in (agg.adam_m, agg.adam_v, agg.gate_m, agg.gate_v))
     np.testing.assert_array_equal(flatten_parameters(agg), flatten_parameters(agg_snapshot))
-    assert agg.rng.bit_generator.state == agg_snapshot.rng.bit_generator.state
 
     # the same round without the failure commits the meta step
     monkeypatch.undo()
@@ -282,8 +346,6 @@ def test_successful_game_round_rebinds_the_aggregator_without_writing_it():
     state, _ = run_round(state, hyper, agg, data)  # creates the Adam slots
     held = aggregator_arrays(agg)
     held_bytes = {name: arr.tobytes() for name, arr in held.items()}
-    held_rng = agg.rng
-    rng_state = agg.rng.bit_generator.state
 
     run_round(state, hyper, agg, data)
     assert agg.adam_t == 2
@@ -293,8 +355,6 @@ def test_successful_game_round_rebinds_the_aggregator_without_writing_it():
         assert arr.tobytes() == held_bytes[name], name
         assert now[name] is not arr, name
     assert not np.array_equal(now["encoder_w"], held["encoder_w"])
-    assert held_rng.bit_generator.state == rng_state
-    assert agg.rng.bit_generator.state != rng_state
 
 
 def test_round_is_independent_of_dict_insertion_order():
@@ -302,7 +362,6 @@ def test_round_is_independent_of_dict_insertion_order():
     agg = fresh_aggregator(state, seed=9)
     shuffled = copy.deepcopy(state)
     shuffled.client_models = dict(reversed(list(shuffled.client_models.items())))
-    shuffled.client_rngs = dict(reversed(list(shuffled.client_rngs.items())))
     data_rev = dict(reversed(list(data.items())))
     hyper = HyperParams(rounds=1, aggregator_kind="game")
     out_a, report_a = run_round(state, hyper, copy.deepcopy(agg), data)
