@@ -46,8 +46,7 @@ state = init_round_state(cfg, list(train), MASTER_SEED)
 setup_rng = seed_stream(MASTER_SEED, "aggregator")
 aggregator = init_aggregator(AggregatorConfig(embed_dim=8, num_experts=4, top_k=2),
                              head_length(state.global_model.spec), setup_rng)
-for cid in sorted(train):
-    register_client(aggregator, cid, setup_rng)
+register_client(aggregator, list(train), setup_rng)
 
 hyper = HyperParams(rounds=5, aggregator_kind="game", gamma=0.1)
 # no copy needed: a round builds a new consensus instead of writing this one

@@ -10,7 +10,7 @@ with explicit gradients, one master seed, and exact reproducibility.
 from .aggregator import (
     AggregatorConfig,
     AggregatorState,
-    AttentionRow,
+    Aggregation,
     aggregate_game,
     aggregate_mean,
     aggregate_single_attention,

@@ -23,23 +23,27 @@ A term that depends on the scoring client alone is the same for every
 neighbor and cancels in the softmax over neighbors; the client's own
 embedding, an expert bias and the shared encoder bias are such terms.
 
-Relabeling clients permutes every output bit for bit.  Each batch runs
-in a canonical order set by content: clients sorted by the raw bytes of
-their head delta and gate row.  The forward, the backward and the
-noise draws follow it, so a relabeling changes no input of any numeric
-operation and plain ``@`` and sums, BLAS included, give the same bits.
-Clients whose keys tie have identical inputs.  Outputs are returned in
-sorted-id order.
+A batch is a list of N client ids and the (N, h) matrix of their head
+deltas; row i of every input and output belongs to ``ids[i]``.
+Relabeling or reordering clients permutes every output bit for bit.
+Each batch runs in a canonical order set by content: rows sorted by the
+raw bytes of their head delta and gate row, ties by id.  The forward,
+the backward and the noise draws follow it, so a relabeling changes no
+input of any numeric operation and plain ``@`` and sums, BLAS included,
+give the same bits.  Clients whose keys tie have identical inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, StructuralError, UsageError, too_small
+from .errors import (
+    ConfigError, NumericError, StructuralError, UsageError, not_integers, too_small,
+)
 from .params import NORM_TOLERANCE, cosine_similarity
 
 ADAM_BETA1 = 0.9
@@ -62,7 +66,8 @@ class AggregatorConfig:
     noise_enabled: bool = True
 
     def __post_init__(self) -> None:
-        problems = too_small(self, ("embed_dim", "num_experts"), 1)
+        problems = not_integers(self, ("embed_dim", "num_experts", "top_k"))
+        problems += too_small(self, ("embed_dim", "num_experts"), 1)
         problems += too_small(self, ("alpha", "beta"), 0)
         problems += too_small(self, ("temperature", "server_lr"), 0, strict=True)
         if not 1 <= self.top_k <= self.num_experts:
@@ -76,19 +81,18 @@ class AggregatorConfig:
             raise ConfigError(*problems)
 
 
-@dataclass
-class AttentionRow:
-    """One client's attention over its peers, plus gate diagnostics.
+class Aggregation(NamedTuple):
+    """Noise-free output of one batch; row i belongs to ``ids[i]``.
 
-    ``weights[n]`` belongs to ``neighbor_ids[n]``; ``expert_mix`` has
-    exactly ``top_k`` nonzero entries; ``logits`` are the gate logits
-    that selected them.
+    ``attention[i, j]`` is client i's weight on client j (zero diagonal,
+    all zero for a lone client); ``mix`` is each client's expert mix,
+    with exactly ``top_k`` nonzero entries, and ``logits`` the gate
+    logits that selected them.
     """
 
-    client_id: str
-    neighbor_ids: tuple[str, ...]
-    weights: np.ndarray
-    expert_mix: np.ndarray
+    personalized: np.ndarray
+    attention: np.ndarray
+    mix: np.ndarray
     logits: np.ndarray
 
 
@@ -144,50 +148,42 @@ def init_aggregator(
     )
 
 
-def register_client(state: AggregatorState, client_id: str, rng: np.random.Generator) -> None:
-    """Append the client's gate row, drawn from ``rng``, with zero Adam
-    moments; a second call is a no-op.  New arrays are bound, none is
-    written.  For reproducibility, pass the generator
-    :func:`init_aggregator` drew from and register in sorted order.
+def register_client(state: AggregatorState, client_ids, rng: np.random.Generator) -> None:
+    """Append a gate row, drawn from ``rng``, with zero Adam moments for
+    every id of ``client_ids`` not yet registered: one draw, rows in
+    sorted-id order.  New arrays are bound, none is written.  For
+    reproducibility, pass the generator :func:`init_aggregator` drew from.
     """
-    if client_id in state.rows:
-        return
+    if isinstance(client_ids, str):
+        raise UsageError(f"client_ids must be a sequence of ids, got the string {client_ids!r}")
+    new = sorted(set(client_ids) - state.rows.keys())
     cfg = state.config
     s = 1.0 / math.sqrt(cfg.embed_dim)
-    # the gate weight's draws, then the noise projection's
-    gate = rng.uniform(-s, s, size=(1, 2, cfg.embed_dim, cfg.num_experts))
-    state.rows = {**state.rows, client_id: len(state.rows)}
-    state.gates = np.concatenate([state.gates, gate])
-    zeros = np.zeros(gate.shape)
+    # per client, the gate weight's draws, then the noise projection's
+    gates = rng.uniform(-s, s, size=(len(new), 2, cfg.embed_dim, cfg.num_experts))
+    state.rows = {**state.rows, **{c: len(state.rows) + k for k, c in enumerate(new)}}
+    state.gates = np.concatenate([state.gates, gates])
+    zeros = np.zeros(gates.shape)
     state.gate_m, state.gate_v = (np.concatenate([a, zeros]) for a in (state.gate_m, state.gate_v))
 
 
-def _stack_deltas(
-    head_deltas: dict[str, np.ndarray], head_dim: int | None = None,
-    state: AggregatorState | None = None,
-) -> tuple[list[str], np.ndarray]:
-    """Client ids and their head deltas as the rows of one matrix, in
-    canonical order: by the bytes of each delta, then of the client's
-    gate row in ``state`` if given (bytes tell 0.0 from -0.0); ties by
-    id."""
-    ids = sorted(head_deltas)
-    rows = [np.asarray(head_deltas[i], dtype=np.float64).reshape(-1) for i in ids]
-    head_dim = head_dim or (rows[0].size if rows else 0)
-    for cid, row in zip(ids, rows):
-        if row.size != head_dim:
-            raise StructuralError(
-                f"head delta of client {cid!r} has length {row.size}, expected {head_dim}"
-            )
-    keys = [row.tobytes() for row in rows]
-    if state is not None:
-        keys = [k + state.gates[state.rows[c]].tobytes() for k, c in zip(keys, ids)]
-    order = sorted(range(len(ids)), key=keys.__getitem__)
-    return [ids[r] for r in order], np.array([rows[r] for r in order]).reshape(len(ids), head_dim)
-
-
-def _sorted_rows(ids: list[str]) -> list[int]:
-    """Row of each client of canonical ``ids``, listed in sorted-id order."""
-    return sorted(range(len(ids)), key=ids.__getitem__)
+def _content_order(deltas, ids=None, head_dim=None, gates=None):
+    """``deltas`` as a float matrix of ``len(ids)`` rows of ``head_dim``
+    (any sizes if None), the canonical order of its rows and the order's
+    inverse: row ``order[r]`` runs at canonical row r, and caller row i
+    at ``back[i]``.  Rows sort by the bytes of each delta, then of its
+    gate row if given (bytes tell 0.0 from -0.0); ties by id, else by
+    position."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    want = (None if ids is None else len(ids), head_dim)
+    if deltas.ndim != 2 or any(w not in (None, got) for w, got in zip(want, deltas.shape)):
+        raise StructuralError(f"head deltas have shape {deltas.shape}, expected (N, h) = {want}")
+    keys = [row.tobytes() for row in deltas]
+    if gates is not None:
+        keys = [k + g.tobytes() for k, g in zip(keys, gates)]
+    ties = range(len(keys)) if ids is None else ids
+    order = np.array(sorted(range(len(keys)), key=lambda r: (keys[r], ties[r])), dtype=np.intp)
+    return deltas, order, np.argsort(order)
 
 
 def _encode(state: AggregatorState, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,10 +250,9 @@ def _blend(deltas: np.ndarray, attention: np.ndarray, w_self: float) -> np.ndarr
 
 @dataclass
 class _Forward:
-    """Every array of one batched pass; rows follow canonical ``ids``,
-    whose gates are rows ``rows`` of the state's gates."""
+    """Every array of one batched pass, rows in canonical order; row r
+    reads gate row ``rows[r]`` of the state."""
 
-    ids: list[str]
     rows: list[int]
     deltas: np.ndarray
     gate_w: np.ndarray
@@ -267,24 +262,28 @@ class _Forward:
     noise: np.ndarray | None
     noise_pre: np.ndarray | None
     logits: np.ndarray
-    kept: np.ndarray
     mix: np.ndarray
     scores: np.ndarray
     attention: np.ndarray
     personalized: np.ndarray
 
 
-def _batch(state: AggregatorState, head_deltas: dict) -> tuple[list[str], np.ndarray]:
-    """Canonical ids and stacked deltas of registered clients."""
-    for cid in head_deltas:
+def _batch(state: AggregatorState, ids, deltas):
+    """Gate rows and head deltas of registered clients in canonical
+    order, and that order with its inverse (see :func:`_content_order`)."""
+    if len(set(ids)) != len(ids):
+        raise UsageError("client ids must be unique")
+    for cid in ids:
         if cid not in state.rows:
             raise UsageError(f"client {cid!r} has no registered gate")
-    return _stack_deltas(head_deltas, state.head_dim, state)
+    rows = [state.rows[c] for c in ids]
+    deltas, order, back = _content_order(deltas, ids, state.head_dim, state.gates[rows])
+    return [rows[r] for r in order], deltas[order], order, back
 
 
 def _forward(
     state: AggregatorState,
-    ids: list[str],
+    rows: list[int],
     deltas: np.ndarray,
     noise: np.ndarray | None = None,
     kept: np.ndarray | None = None,
@@ -295,7 +294,6 @@ def _forward(
     top-k selection instead of taking it from the logits.
     """
     cfg = state.config
-    rows = [state.rows[i] for i in ids]
     gate_w, gate_noise = state.gates[rows, 0], state.gates[rows, 1]
     linear, emb = _encode(state, deltas)
     logits, noise_pre = _gate_logits(emb, gate_w, gate_noise, noise)
@@ -305,7 +303,7 @@ def _forward(
     scores = expert_scores(state, linear)
     attention = _attention(mix @ scores.T, cfg.temperature)
     return _Forward(
-        ids, rows, deltas, gate_w, gate_noise, linear, emb, noise, noise_pre, logits, kept, mix,
+        rows, deltas, gate_w, gate_noise, linear, emb, noise, noise_pre, logits, mix,
         scores, attention, _blend(deltas, attention, cfg.w_self),
     )
 
@@ -358,7 +356,7 @@ def _backward(state: AggregatorState, fw: _Forward) -> tuple[np.ndarray, np.ndar
     """
     cfg = state.config
     own, pers = fw.deltas, fw.personalized
-    n = len(fw.ids)
+    n = len(own)
     # d cos / d pers = own / (|p| |u|) - cos * pers / |p|^2; 0 where cos is pinned
     norm_p = np.sqrt(np.sum(pers * pers, axis=1, keepdims=True))
     norm_u = np.sqrt(np.sum(own * own, axis=1, keepdims=True))
@@ -390,29 +388,21 @@ def _backward(state: AggregatorState, fw: _Forward) -> tuple[np.ndarray, np.ndar
     return np.concatenate(d_shared), d_gates
 
 
-def aggregate_game(
-    state: AggregatorState, head_deltas: dict[str, np.ndarray]
-) -> tuple[dict[str, np.ndarray], list[AttentionRow]]:
-    """Noise-free personalized deltas and attention rows, in sorted-id order."""
-    fw = _forward(state, *_batch(state, head_deltas))
-    n, back = len(fw.ids), _sorted_rows(fw.ids)
-    ids = [fw.ids[r] for r in back]
-    attention = fw.attention[np.ix_(back, back)][~np.eye(n, dtype=bool)]
-    weights = attention.reshape(n, max(n - 1, 0))
-    rows = [
-        AttentionRow(cid, tuple(ids[:s] + ids[s + 1:]), weights[s], fw.mix[r], fw.logits[r])
-        for s, (cid, r) in enumerate(zip(ids, back))
-    ]
-    return dict(zip(ids, fw.personalized[back])), rows
+def aggregate_game(state: AggregatorState, ids, deltas) -> Aggregation:
+    """Noise-free personalized deltas, attention and gates of clients
+    ``ids`` with head deltas ``deltas`` (N, h)."""
+    rows, canonical, _, back = _batch(state, ids, deltas)
+    fw = _forward(state, rows, canonical)
+    return Aggregation(
+        fw.personalized[back], fw.attention[np.ix_(back, back)], fw.mix[back], fw.logits[back]
+    )
 
 
-def aggregate_single_attention(
-    state: AggregatorState, head_deltas: dict[str, np.ndarray]
-) -> tuple[dict[str, np.ndarray], list[AttentionRow]]:
+def aggregate_single_attention(state: AggregatorState, ids, deltas) -> Aggregation:
     """Single shared attention score per pair: one expert, trivial gate."""
     if state.config.num_experts != 1 or state.config.top_k != 1:
         raise ConfigError("single-attention baseline needs num_experts = 1 and top_k = 1")
-    return aggregate_game(state, head_deltas)
+    return aggregate_game(state, ids, deltas)
 
 
 def uniform_attention(n: int) -> np.ndarray:
@@ -420,13 +410,11 @@ def uniform_attention(n: int) -> np.ndarray:
     return np.where(np.eye(n, dtype=bool), 0.0, 1.0 / max(n - 1, 1))
 
 
-def aggregate_mean(
-    head_deltas: dict[str, np.ndarray], w_self: float
-) -> dict[str, np.ndarray]:
-    """Fixed uniform neighbor averaging with the same self blend."""
-    ids, deltas = _stack_deltas(head_deltas)
-    personalized = _blend(deltas, uniform_attention(len(ids)), w_self)
-    return {ids[r]: personalized[r] for r in _sorted_rows(ids)}
+def aggregate_mean(deltas, w_self: float) -> np.ndarray:
+    """Fixed uniform neighbor averaging of the rows of ``deltas`` (N, h)
+    with the same self blend, in the same row order."""
+    deltas, order, back = _content_order(deltas)
+    return _blend(deltas[order], uniform_attention(len(deltas)), w_self)[back]
 
 
 def flatten_parameters(state: AggregatorState) -> np.ndarray:
@@ -448,34 +436,35 @@ def load_parameters(state: AggregatorState, values: np.ndarray) -> None:
     state.gates = gates
 
 
-def _pinned_forward(state, head_deltas, masks, noise) -> _Forward:
-    """Forward pass with ``masks`` and ``noise`` rows in sorted-id order."""
-    ids, deltas = _batch(state, head_deltas)
-    canonical = np.argsort(_sorted_rows(ids))
-    noise, masks = (None if a is None else np.asarray(a)[canonical] for a in (noise, masks))
-    return _forward(state, ids, deltas, noise, masks)
+def _pinned_forward(state, ids, deltas, masks, noise) -> _Forward:
+    """Forward pass with ``masks`` and ``noise`` rows in the order of ``ids``."""
+    rows, canonical, order, _ = _batch(state, ids, deltas)
+    noise, masks = (None if a is None else np.asarray(a)[order] for a in (noise, masks))
+    return _forward(state, rows, canonical, noise, masks)
 
 
 def mean_meta_loss(
     state: AggregatorState,
-    head_deltas: dict[str, np.ndarray],
+    ids,
+    deltas,
     masks: np.ndarray | None = None,
     noise: np.ndarray | None = None,
 ) -> float:
     """Mean meta-loss; ``masks`` pins top-k selection, ``noise`` (N x K)
     fixes the gate noise draws (none by default)."""
-    return _mean_loss(state, _pinned_forward(state, head_deltas, masks, noise))
+    return _mean_loss(state, _pinned_forward(state, ids, deltas, masks, noise))
 
 
 def meta_gradient(
     state: AggregatorState,
-    head_deltas: dict[str, np.ndarray],
+    ids,
+    deltas,
     masks: np.ndarray | None = None,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of :func:`mean_meta_loss`, flattened like
     :func:`flatten_parameters`."""
-    fw = _pinned_forward(state, head_deltas, masks, noise)
+    fw = _pinned_forward(state, ids, deltas, masks, noise)
     d_shared, d_gates = _backward(state, fw)
     gates = np.zeros_like(state.gates)
     gates[fw.rows] = d_gates
@@ -491,8 +480,9 @@ def _adam(cfg: AggregatorConfig, t: int, params, grad, m, v):
     return params - cfg.server_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
-def train_step(state: AggregatorState, head_deltas: dict, rng: np.random.Generator) -> float:
-    """One lazy Adam step on the mean meta-loss; returns the pre-step loss.
+def train_step(state: AggregatorState, ids, deltas, rng: np.random.Generator) -> float:
+    """One lazy Adam step on the mean meta-loss of clients ``ids`` with
+    head deltas ``deltas`` (N, h); returns the pre-step loss.
 
     Exploration noise (when enabled) perturbs the gate logits for both
     expert selection and the surviving softmax; the noise, one N x K
@@ -505,19 +495,19 @@ def train_step(state: AggregatorState, head_deltas: dict, rng: np.random.Generat
     place, so arrays held from before the step, or by a shallow copy of
     ``state``, keep the pre-step values.
     """
-    if len(head_deltas) < 2:
+    if len(ids) < 2:
         raise UsageError("train_step needs at least two clients")
     cfg = state.config
-    ids, deltas = _batch(state, head_deltas)
+    rows, canonical, _, back = _batch(state, ids, deltas)
     noise = None
     if cfg.noise_enabled:
         # the one draw of gate noise: row r goes to canonical client r
-        noise = rng.standard_normal((len(ids), cfg.num_experts))
-    fw = _forward(state, ids, deltas, noise)
+        noise = rng.standard_normal((len(rows), cfg.num_experts))
+    fw = _forward(state, rows, canonical, noise)
     loss = _mean_loss(state, fw)
     d_shared, d_gates = _backward(state, fw)
     if not (np.isfinite(d_shared).all() and np.isfinite(d_gates).all()):
-        dump = "; ".join(f"{i}: {np.array2string(row)}" for i, row in zip(ids, fw.logits))
+        dump = "; ".join(f"{i}: {np.array2string(row)}" for i, row in zip(ids, fw.logits[back]))
         raise NumericError(f"non-finite meta-loss gradient; gate logits {dump}")
 
     state.adam_t += 1

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the library, and the range check
-the config classes report their problems with."""
+"""Exception hierarchy shared across the library, and the range and
+integer checks the config classes report their problems with."""
+
+import numbers
 
 
 class FedGameError(Exception):
@@ -43,3 +45,14 @@ def too_small(obj, keys: tuple[str, ...], floor: float, *, strict: bool = False)
         if not (value > floor if strict else value >= floor):
             problems.append(f"{key} must be {'>' if strict else '>='} {floor}, got {value}")
     return problems
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; a bool is not an integer here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def not_integers(obj, keys: tuple[str, ...]) -> list[str]:
+    """One problem for each field of ``obj`` that is not an integer."""
+    return [f"{key} must be an integer, got {getattr(obj, key)!r}"
+            for key in keys if not is_integer(getattr(obj, key))]

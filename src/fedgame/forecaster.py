@@ -66,7 +66,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, StructuralError, UsageError, too_small
+from .errors import (
+    ConfigError, NumericError, StructuralError, UsageError, is_integer, not_integers, too_small,
+)
 from .params import LayerSpec, total_params
 
 ARCHS = ("mlp", "lstm")
@@ -89,10 +91,8 @@ class ForecasterConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "quantiles", tuple(float(q) for q in self.quantiles))
-        object.__setattr__(self, "hidden_sizes", tuple(int(w) for w in self.hidden_sizes))
-        problems = too_small(
-            self, ("history_len", "horizon", "local_epochs", "batch_size", "features"), 1
-        )
+        ints = ("history_len", "horizon", "local_epochs", "batch_size", "features")
+        problems = not_integers(self, ints) + too_small(self, ints, 1)
         problems += too_small(self, ("prox_mu",), 0)
         problems += too_small(self, ("local_lr",), 0, strict=True)
         quantiles = list(self.quantiles)
@@ -102,7 +102,9 @@ class ForecasterConfig:
             problems.append(f"quantiles must lie strictly in (0, 1), got {quantiles}")
         if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
             problems.append(f"quantiles must be strictly increasing, got {quantiles}")
-        if any(w < 1 for w in self.hidden_sizes):
+        if not all(is_integer(w) for w in self.hidden_sizes):
+            problems.append(f"hidden_sizes must be integers, got {list(self.hidden_sizes)}")
+        elif any(w < 1 for w in self.hidden_sizes):
             problems.append(f"hidden_sizes must be positive, got {list(self.hidden_sizes)}")
         if self.arch not in ARCHS:
             problems.append(f"arch must be one of {list(ARCHS)}, got {self.arch!r}")
@@ -110,6 +112,7 @@ class ForecasterConfig:
             problems.append("hidden_sizes must not be empty for arch 'lstm'")
         if problems:
             raise ConfigError(*problems)
+        object.__setattr__(self, "hidden_sizes", tuple(int(w) for w in self.hidden_sizes))
 
     @property
     def output_dim(self) -> int:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -53,7 +52,7 @@ from .aggregator import (
     uniform_attention,
 )
 from .data import make_windows, load_csv, synth_generate
-from .errors import ConfigError, FedGameError, UsageError, too_small
+from .errors import ConfigError, FedGameError, UsageError, is_integer, not_integers, too_small
 from .forecaster import ForecasterConfig, ForecasterModel, build_spec, init_forecaster, local_train
 from .metrics import EvalReport, evaluate
 from .params import (
@@ -116,7 +115,7 @@ class HyperParams:
     participation: float = 1.0
 
     def __post_init__(self) -> None:
-        problems = too_small(self, ("rounds", "eta", "gamma"), 0)
+        problems = not_integers(self, ("rounds",)) + too_small(self, ("rounds", "eta", "gamma"), 0)
         if self.aggregator_kind not in AGGREGATOR_KINDS:
             problems.append(
                 f"aggregator_kind must be one of {list(AGGREGATOR_KINDS)}, "
@@ -174,8 +173,7 @@ class RoundReport:
 
 def init_round_state(cfg: ForecasterConfig, client_ids, master_seed: int) -> RoundState:
     """Consensus model, shared by every client, and the master seed."""
-    seed_ok = isinstance(master_seed, numbers.Integral) and not isinstance(master_seed, bool)
-    if not (seed_ok and master_seed >= 0):
+    if not (is_integer(master_seed) and master_seed >= 0):
         raise ConfigError(f"master_seed must be an integer >= 0, got {master_seed!r}")
     ids = sorted(str(c) for c in client_ids)
     if not ids:
@@ -268,28 +266,22 @@ def run_round(
             add_scaled(new_state.global_model.values, mean_deltas(deltas), hyper.eta)
         )
 
-    head_deltas = dict(zip(participants, select_head_values(deltas, spec)))
+    heads = select_head_values(deltas, spec)
     meta = 0.0
     gate_mixes: dict[str, tuple[float, ...]] = {}
-    personalized: dict[str, np.ndarray] = {}
     attention = np.zeros((len(participants), len(participants)))
     if kind in ("game", "single_attention"):
         if len(participants) >= 2:
-            meta = train_step(server, head_deltas, round_stream(seed, "gate_noise", r))
-        if kind == "game":
-            personalized, rows = aggregate_game(server, head_deltas)
-        else:
-            personalized, rows = aggregate_single_attention(server, head_deltas)
-        # rows and their neighbors follow the sorted participants
-        attention[~np.eye(len(rows), dtype=bool)] = np.concatenate([r.weights for r in rows])
-        gate_mixes = {r.client_id: tuple(r.expert_mix.tolist()) for r in rows}
+            meta = train_step(server, participants, heads, round_stream(seed, "gate_noise", r))
+        aggregate = aggregate_game if kind == "game" else aggregate_single_attention
+        personalized, attention, mix, _ = aggregate(server, participants, heads)
+        gate_mixes = {cid: tuple(row) for cid, row in zip(participants, mix.tolist())}
     elif kind == "mean":
-        personalized = aggregate_mean(head_deltas, aggregator.config.w_self)
+        personalized = aggregate_mean(heads, aggregator.config.w_self)
         attention = uniform_attention(len(participants))
 
     if kind in PERSONALIZED_KINDS:
-        update = scatter_head(spec, np.stack([personalized[cid] for cid in participants]))
-        private = add_scaled(private, update, hyper.gamma)
+        private = add_scaled(private, scatter_head(spec, personalized), hyper.gamma)
     # each participant's new model is built once, from its final row;
     # a fedavg participant holds the new consensus itself
     for k, cid in enumerate(participants):
@@ -369,7 +361,8 @@ class ExperimentConfig:
     published_head_params: int | None = None
 
     def __post_init__(self) -> None:
-        problems = too_small(self, ("n_clients", "n_clusters", "series_length"), 1)
+        problems = not_integers(self, ("n_clients", "n_clusters", "series_length", "master_seed"))
+        problems += too_small(self, ("n_clients", "n_clusters", "series_length"), 1)
         problems += too_small(self, ("noise_sd", "master_seed"), 0)
         fracs = self.splits()
         if any(f < 0 for f in fracs):
@@ -392,7 +385,7 @@ class ExperimentConfig:
             problems.append(f"baselines contains unknown kinds {unknown}")
         published = tuple(k for k in ("published_total_params", "published_head_params")
                           if getattr(self, k) is not None)
-        small = too_small(self, published, 1)
+        small = not_integers(self, published) + too_small(self, published, 1)
         problems += small
         counts = None
         try:
@@ -530,8 +523,7 @@ def run_experiment(config: ExperimentConfig, aggregator_kind: str | None = None)
         rng = seed_stream(config.master_seed, "aggregator")
         head = head_length(state.global_model.spec)
         aggregator = init_aggregator(config.aggregator_config(kind), head, rng)
-        for cid in sorted(train_data):
-            register_client(aggregator, cid, rng)
+        register_client(aggregator, list(train_data), rng)
 
     reports = []
     for _ in range(hyper.rounds):

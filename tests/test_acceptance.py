@@ -200,20 +200,18 @@ def test_client_and_server_gradients_match_finite_differences():
         agg_rng = np.random.default_rng(33)
         state = init_aggregator(agg_cfg, 8, agg_rng)
         ids = ["a", "b", "c"]
-        for cid in ids:
-            register_client(state, cid, agg_rng)
+        register_client(state, ids, agg_rng)
         delta_rng = np.random.default_rng(34)
-        deltas = {cid: delta_rng.normal(size=8) for cid in ids}
-        # the clean logits that made the selection, rows in sorted-id order
-        rows = aggregate_game(state, deltas)[1]
-        masks = top_k_mask(np.stack([row.logits for row in rows]), top_k)
+        deltas = delta_rng.normal(size=(len(ids), 8))
+        # the clean logits that made the selection, rows in the order of ids
+        masks = top_k_mask(aggregate_game(state, ids, deltas).logits, top_k)
 
         def meta_objective(flat):
             probe = copy.deepcopy(state)
             load_parameters(probe, flat)
-            return mean_meta_loss(probe, deltas, masks)
+            return mean_meta_loss(probe, ids, deltas, masks)
 
-        analytic = meta_gradient(state, deltas, masks)
+        analytic = meta_gradient(state, ids, deltas, masks)
         numeric = central_difference(meta_objective, flatten_parameters(state))
         assert_gradients_close(analytic, numeric)
 
@@ -248,39 +246,34 @@ def test_attention_invariants_hold_across_random_states():
         n_clients = int(rng.integers(2, 6))
         ids = names[:n_clients]
         state = init_aggregator(cfg, head_dim, rng)
-        for cid in ids:
-            register_client(state, cid, rng)
-        deltas = {cid: rng.normal(size=head_dim) for cid in ids}
+        register_client(state, ids, rng)
+        deltas = rng.normal(size=(n_clients, head_dim))
 
-        pers, rows = aggregate_game(state, deltas)
-        for row in rows:
-            weights = np.asarray(row.weights)
+        out = aggregate_game(state, ids, deltas)
+        for i in range(n_clients):
+            weights = np.delete(out.attention[i], i)
             assert (weights >= 0.0).all()
             assert abs(weights.sum() - 1.0) <= 1e-9
-            assert np.count_nonzero(np.asarray(row.expert_mix)) == cfg.top_k
+            assert np.count_nonzero(out.mix[i]) == cfg.top_k
 
         single_cfg = replace(cfg, num_experts=1, top_k=1)
         single_rng = np.random.default_rng(trial)
         single = init_aggregator(single_cfg, head_dim, single_rng)
-        for cid in ids:
-            register_client(single, cid, single_rng)
-        via_game, _ = aggregate_game(single, deltas)
-        via_baseline, _ = aggregate_single_attention(single, deltas)
-        for cid in ids:
-            assert np.max(np.abs(via_game[cid] - via_baseline[cid])) < 1e-12
+        register_client(single, ids, single_rng)
+        via_game = aggregate_game(single, ids, deltas).personalized
+        via_baseline = aggregate_single_attention(single, ids, deltas).personalized
+        for i in range(n_clients):
+            assert np.max(np.abs(via_game[i] - via_baseline[i])) < 1e-12
 
         mapping = dict(zip(ids, renames))
         renamed = relabeled_copy(state, mapping)
-        pers2, rows2 = aggregate_game(renamed, {mapping[c]: deltas[c] for c in ids})
-        rows_by_id = {r.client_id: r for r in rows}
-        rows2_by_id = {r.client_id: r for r in rows2}
-        for cid in ids:
-            assert np.array_equal(pers[cid], pers2[mapping[cid]])
-            old = dict(zip(rows_by_id[cid].neighbor_ids, rows_by_id[cid].weights))
-            new = dict(zip(rows2_by_id[mapping[cid]].neighbor_ids,
-                           rows2_by_id[mapping[cid]].weights))
-            for j, weight in old.items():
-                assert new[mapping[j]] == weight
+        # row i of both outputs belongs to ids[i] under its two names
+        out2 = aggregate_game(renamed, [mapping[c] for c in ids], deltas)
+        for i in range(n_clients):
+            assert np.array_equal(out.personalized[i], out2.personalized[i])
+            for j in range(n_clients):
+                if j != i:
+                    assert out2.attention[i, j] == out.attention[i, j]
 
 
 def test_communication_accounting_reproduces_published_numbers():
@@ -369,16 +362,16 @@ def test_metrics_match_brute_force_oracles_and_nominal_coverage():
     assert abs(report.macro_icp - 0.8) <= 0.05
 
 
+DESCENT_IDS = ["a", "b", "c", "d"]
+
+
 def descent_state(seed, lr):
     cfg = AggregatorConfig(embed_dim=6, num_experts=4, top_k=2, server_lr=lr,
                            noise_enabled=False)
     rng = np.random.default_rng(seed + 500)
     state = init_aggregator(cfg, 10, rng)
-    ids = ["a", "b", "c", "d"]
-    for cid in ids:
-        register_client(state, cid, rng)
-    deltas = {cid: np.random.default_rng(seed).normal(size=(4, 10))[i]
-              for i, cid in enumerate(ids)}
+    register_client(state, DESCENT_IDS, rng)
+    deltas = np.random.default_rng(seed).normal(size=(4, 10))
     return state, deltas, rng
 
 
@@ -389,25 +382,25 @@ def test_meta_loss_descends_on_fixed_batches():
     net_ok = 0
     for seed in range(20):
         state, deltas, rng = descent_state(seed, lr=1e-3)
-        first = train_step(state, deltas, rng)
+        first = train_step(state, DESCENT_IDS, deltas, rng)
         for _ in range(49):
-            train_step(state, deltas, rng)
-        net_ok += mean_meta_loss(state, deltas) <= first
+            train_step(state, DESCENT_IDS, deltas, rng)
+        net_ok += mean_meta_loss(state, DESCENT_IDS, deltas) <= first
     assert net_ok >= 19
 
     monotone_ok = 0
     for seed in range(20):
         state, deltas, rng = descent_state(seed, lr=3e-5)
-        losses = [train_step(state, deltas, rng) for _ in range(50)]
-        losses.append(mean_meta_loss(state, deltas))
+        losses = [train_step(state, DESCENT_IDS, deltas, rng) for _ in range(50)]
+        losses.append(mean_meta_loss(state, DESCENT_IDS, deltas))
         monotone_ok += bool(np.all(np.diff(losses) <= 0))
     assert monotone_ok >= 19
 
     state, _, _ = descent_state(0, lr=1e-3)
     same = np.random.default_rng(77).normal(size=10)
-    identical = {cid: same.copy() for cid in ["a", "b", "c", "d"]}
-    assert mean_meta_loss(state, identical) < 1e-10
-    assert np.linalg.norm(meta_gradient(state, identical)) < 1e-8
+    identical = np.tile(same, (4, 1))
+    assert mean_meta_loss(state, DESCENT_IDS, identical) < 1e-10
+    assert np.linalg.norm(meta_gradient(state, DESCENT_IDS, identical)) < 1e-8
 
 
 E2E = dict(
@@ -471,8 +464,7 @@ def test_reruns_and_scheduling_orders_are_byte_identical(tmp_path):
     agg_rng = seed_stream(12, "server")
     agg = init_aggregator(AggregatorConfig(embed_dim=4, num_experts=2, top_k=1),
                           head_length(state.global_model.spec), agg_rng)
-    for cid in sorted(train_data):
-        register_client(agg, cid, agg_rng)
+    register_client(agg, list(train_data), agg_rng)
 
     shuffled = copy.deepcopy(state)
     shuffled.client_models = dict(reversed(list(shuffled.client_models.items())))

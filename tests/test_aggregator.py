@@ -26,7 +26,6 @@ from fedgame.aggregator import (
     _encode,
     _forward,
     _masked_softmax,
-    _sorted_rows,
 )
 from fedgame.errors import ConfigError, StructuralError, UsageError
 
@@ -37,8 +36,7 @@ def seeded_state(head_dim=6, clients=("a", "b", "c"), seed=0, **cfg_kw):
     cfg = AggregatorConfig(embed_dim=cfg_kw.pop("embed_dim", 4), **cfg_kw)
     rng = np.random.default_rng(seed)
     state = init_aggregator(cfg, head_dim, rng)
-    for cid in sorted(clients):
-        register_client(state, cid, rng)
+    register_client(state, clients, rng)
     return state, rng
 
 
@@ -47,18 +45,14 @@ def make_state(*args, **kwargs):
 
 
 def random_deltas(state, clients, seed=1):
+    """One head delta per client, rows in the order of ``clients``."""
     rng = np.random.default_rng(seed)
-    return {c: rng.normal(size=state.head_dim) for c in clients}
+    return rng.normal(size=(len(clients), state.head_dim))
 
 
 def gate(state, cid):
     """The client's gate row, a writable view: [0] is the weight, [1] the noise."""
     return state.gates[state.rows[cid]]
-
-
-def attention_rows(state, deltas):
-    """Attention rows of aggregate_game, keyed by client id."""
-    return {row.client_id: row for row in aggregate_game(state, deltas)[1]}
 
 
 def test_config_validation():
@@ -102,7 +96,7 @@ def test_encode_matches_matvec_oracle():
 def test_encode_rejects_wrong_length():
     state = make_state()
     with pytest.raises(StructuralError):
-        aggregate_game(state, {"a": np.ones(7)})
+        aggregate_game(state, ["a"], np.ones((1, 7)))
 
 
 def test_expert_scores_zero_and_sum_expert():
@@ -119,27 +113,28 @@ def test_expert_scores_zero_and_sum_expert():
     assert score[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
-def noisy_logits(state, deltas, draws):
+def noisy_logits(state, ids, deltas, draws):
     """Gate logits of the batched forward under fixed noise draws.
 
-    ``draws`` maps each client to its row of N(0, 1) draws, so the
-    result does not depend on the order the batch runs in.
+    Row i of ``draws`` (N(0, 1) draws) and of the result belong to
+    ``ids[i]``, so the result does not depend on the order the batch
+    runs in.
     """
-    ids, stacked = _batch(state, deltas)
-    fw = _forward(state, ids, stacked, np.array([draws[c] for c in ids]))
-    return dict(zip(fw.ids, fw.logits))
+    rows, canonical, order, back = _batch(state, ids, deltas)
+    return _forward(state, rows, canonical, draws[order]).logits[back]
 
 
-def fixed_draws(state, clients, seed):
+def fixed_draws(state, n, seed):
     rng = np.random.default_rng(seed)
-    return {c: rng.standard_normal(state.config.num_experts) for c in clients}
+    return rng.standard_normal((n, state.config.num_experts))
 
 
 def test_gate_logits_clean_when_not_training():
     state = make_state(seed=8, noise_enabled=True)
-    deltas = random_deltas(state, ("a", "b", "c"), seed=9)
-    rows = attention_rows(state, deltas)
-    for cid, delta in deltas.items():
+    ids = ["a", "b", "c"]
+    deltas = random_deltas(state, ids, seed=9)
+    logits = aggregate_game(state, ids, deltas).logits
+    for k, (cid, delta) in enumerate(zip(ids, deltas)):
         # re-derived entry by entry with exactly rounded sums
         e = [
             math.fsum(delta[i] * state.encoder_w[i, j] for i in range(6)) + state.encoder_b[j]
@@ -147,7 +142,7 @@ def test_gate_logits_clean_when_not_training():
         ]
         weight = gate(state, cid)[0]
         clean = [math.fsum(e[d] * weight[d, k] for d in range(4)) for k in range(4)]
-        np.testing.assert_allclose(rows[cid].logits, clean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logits[k], clean, rtol=0, atol=1e-12)
 
 
 def test_gate_logits_noise_vanishes_with_negative_noise_projection():
@@ -155,45 +150,47 @@ def test_gate_logits_noise_vanishes_with_negative_noise_projection():
     state.encoder_w[...] = 0.0
     state.encoder_b[...] = 1.0
     gate(state, "a")[1] = -50.0
-    deltas = random_deltas(state, ("a", "b", "c"), seed=11)
-    noisy = noisy_logits(state, deltas, fixed_draws(state, deltas, seed=12))
+    ids = ["a", "b", "c"]
+    deltas = random_deltas(state, ids, seed=11)
+    noisy = noisy_logits(state, ids, deltas, fixed_draws(state, 3, seed=12))
     # every embedding is all ones, so the clean logits are the gate's column sums
     clean = gate(state, "a")[0].sum(axis=0)
-    np.testing.assert_allclose(noisy["a"], clean, rtol=0, atol=1e-12)
-    assert np.max(np.abs(noisy["b"] - gate(state, "b")[0].sum(axis=0))) > 1e-3
+    np.testing.assert_allclose(noisy[0], clean, rtol=0, atol=1e-12)
+    assert np.max(np.abs(noisy[1] - gate(state, "b")[0].sum(axis=0))) > 1e-3
 
 
 def test_gate_logits_zero_embedding_noise_scale_is_log2():
     state = make_state(seed=11)
     state.encoder_w[...] = 0.0
     state.encoder_b[...] = 0.0
-    deltas = random_deltas(state, ("a", "b", "c"), seed=12)
-    draws = fixed_draws(state, deltas, seed=99)
-    noisy = noisy_logits(state, deltas, draws)
-    for cid in deltas:
-        np.testing.assert_allclose(noisy[cid], draws[cid] * math.log(2.0), rtol=0, atol=1e-12)
+    ids = ["a", "b", "c"]
+    deltas = random_deltas(state, ids, seed=12)
+    draws = fixed_draws(state, 3, seed=99)
+    noisy = noisy_logits(state, ids, deltas, draws)
+    for k in range(3):
+        np.testing.assert_allclose(noisy[k], draws[k] * math.log(2.0), rtol=0, atol=1e-12)
 
 
 def test_gate_logits_reproducible_for_fixed_seed():
     a, rng = seeded_state(seed=12)
     b = make_state(seed=12)
-    deltas = random_deltas(a, ("a", "b", "c"), seed=13)
-    draws = fixed_draws(a, deltas, seed=14)
-    logits_a, logits_b = noisy_logits(a, deltas, draws), noisy_logits(b, deltas, draws)
-    for cid in deltas:
-        np.testing.assert_array_equal(logits_a[cid], logits_b[cid])
+    ids = ["a", "b", "c"]
+    deltas = random_deltas(a, ids, seed=13)
+    draws = fixed_draws(a, 3, seed=14)
+    logits_a, logits_b = noisy_logits(a, ids, deltas, draws), noisy_logits(b, ids, deltas, draws)
+    np.testing.assert_array_equal(logits_a, logits_b)
 
     # train_step draws its noise as one N x K block from the generator it is given
     expected = copy.deepcopy(rng)
     expected.standard_normal((3, a.config.num_experts))
-    train_step(a, deltas, rng)
+    train_step(a, ids, deltas, rng)
     assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_gate_logits_requires_registration():
     state = make_state()
     with pytest.raises(UsageError):
-        aggregate_game(state, {"a": np.zeros(6), "ghost": np.zeros(6)})
+        aggregate_game(state, ["a", "ghost"], np.zeros((2, 6)))
 
 
 def test_gate_weights_uniform_onehot_and_hand_softmax():
@@ -242,126 +239,128 @@ def hand_state():
     state.encoder_w[...] = 1.0
     state.encoder_b[...] = 0.0
     state.experts_w[...] = np.array([[1.0]])
-    for cid in ("a", "b", "c"):
-        register_client(state, cid, rng)
-        gate(state, cid)[0] = 1.0
-        gate(state, cid)[1] = 0.0
+    register_client(state, ("a", "b", "c"), rng)
+    state.gates[:, 0] = 1.0
+    state.gates[:, 1] = 0.0
     return state
+
+
+HAND_IDS, HAND_DELTAS = ["a", "b", "c"], np.array([[1.0], [2.0], [3.0]])
 
 
 def test_attention_row_hand_case():
     # embeddings equal the deltas; the single expert reads the neighbor
     # embedding, so v_aj = delta_j and the row is softmax(2, 3)
     state = hand_state()
-    deltas = {"a": np.array([1.0]), "b": np.array([2.0]), "c": np.array([3.0])}
-    row = attention_rows(state, deltas)["a"]
-    assert row.neighbor_ids == ("b", "c")
+    out = aggregate_game(state, HAND_IDS, HAND_DELTAS)
+    assert out.attention[0, 0] == 0.0
     expected = np.exp([2.0, 3.0] - np.array(3.0))
     expected = expected / expected.sum()
-    np.testing.assert_allclose(row.weights, expected, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(row.expert_mix, np.array([1.0]))
+    np.testing.assert_allclose(out.attention[0, 1:], expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(out.mix[0], np.array([1.0]))
 
 
 def test_attention_row_single_neighbor_gets_weight_one():
     state = make_state(clients=("a", "b"), seed=15)
     deltas = random_deltas(state, ("a", "b"), seed=16)
-    row = attention_rows(state, deltas)["a"]
-    np.testing.assert_array_equal(row.weights, np.array([1.0]))
+    attention = aggregate_game(state, ["a", "b"], deltas).attention
+    np.testing.assert_array_equal(attention[0], np.array([0.0, 1.0]))
 
 
 def test_attention_row_uniform_when_scores_equal():
     state = make_state(clients=("a", "b", "c", "d"), seed=17)
     state.experts_w[...] = 0.0
     deltas = random_deltas(state, ("a", "b", "c", "d"), seed=18)
-    row = attention_rows(state, deltas)["b"]
-    np.testing.assert_allclose(row.weights, np.full(3, 1.0 / 3.0), rtol=0, atol=1e-12)
+    attention = aggregate_game(state, ["a", "b", "c", "d"], deltas).attention
+    np.testing.assert_allclose(np.delete(attention[1], 1), np.full(3, 1.0 / 3.0),
+                               rtol=0, atol=1e-12)
 
 
 def test_attention_row_empty_for_lone_client():
     state = make_state(clients=("a",))
-    row = attention_rows(state, {"a": np.ones(6)})["a"]
-    assert row.neighbor_ids == ()
-    assert row.weights.size == 0
+    out = aggregate_game(state, ["a"], np.ones((1, 6)))
+    # the only entry is the diagonal: no neighbor, no weight
+    np.testing.assert_array_equal(out.attention, np.zeros((1, 1)))
+    np.testing.assert_array_equal(out.personalized, np.ones((1, 6)))
 
 
 def test_attention_rows_match_formula_transcription_oracle():
-    state = make_state(clients=("a", "b", "c"), seed=19, num_experts=4, top_k=2)
-    deltas = random_deltas(state, ("a", "b", "c"), seed=20)
-    pers, rows = aggregate_game(state, deltas)
+    ids = ["a", "b", "c"]
+    state = make_state(clients=ids, seed=19, num_experts=4, top_k=2)
+    deltas = random_deltas(state, ids, seed=20)
+    out = aggregate_game(state, ids, deltas)
 
-    for row in rows:
-        i = row.client_id
+    for i, cid in enumerate(ids):
+        neighbors = [j for j in range(len(ids)) if j != i]
         e_i = deltas[i] @ state.encoder_w + state.encoder_b
-        logits = e_i @ gate(state, i)[0]
+        logits = e_i @ gate(state, cid)[0]
         kept = np.sort(np.argsort(-logits, kind="stable")[: state.config.top_k])
         ez = np.exp(logits[kept] - logits[kept].max())
         mix = np.zeros_like(logits)
         mix[kept] = ez / ez.sum()
-        np.testing.assert_allclose(row.expert_mix, mix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.mix[i], mix, rtol=0, atol=1e-12)
 
         vs = []
-        for j in row.neighbor_ids:
+        for j in neighbors:
             e_j = deltas[j] @ state.encoder_w + state.encoder_b
             s = state.experts_w @ e_j
             vs.append(mix @ s)
         vs = np.array(vs)
         ref = np.exp((vs - vs.max()) / state.config.temperature)
         ref = ref / ref.sum()
-        np.testing.assert_allclose(row.weights, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.attention[i, neighbors], ref, rtol=0, atol=1e-12)
 
         blend = 0.6 * deltas[i] + 0.4 * sum(
-            w * deltas[j] for w, j in zip(ref, row.neighbor_ids)
+            w * deltas[j] for w, j in zip(ref, neighbors)
         )
-        np.testing.assert_allclose(pers[i], blend, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.personalized[i], blend, rtol=0, atol=1e-12)
 
 
 def test_attention_row_properties_random():
     state = make_state(clients=tuple("abcdef"), seed=21)
     deltas = random_deltas(state, tuple("abcdef"), seed=22)
-    _, rows = aggregate_game(state, deltas)
-    for row in rows:
-        assert abs(math.fsum(row.weights) - 1.0) < 1e-9
-        assert np.all(row.weights >= 0.0)
-        assert np.count_nonzero(row.expert_mix) == state.config.top_k
-        assert abs(math.fsum(row.expert_mix) - 1.0) < 1e-9
+    out = aggregate_game(state, list("abcdef"), deltas)
+    for i, (weights, mix) in enumerate(zip(out.attention, out.mix)):
+        assert weights[i] == 0.0
+        assert abs(math.fsum(weights) - 1.0) < 1e-9
+        assert np.all(weights >= 0.0)
+        assert np.count_nonzero(mix) == state.config.top_k
+        assert abs(math.fsum(mix) - 1.0) < 1e-9
 
 
 def test_lower_temperature_sharpens_attention():
-    deltas = {"a": np.array([1.0]), "b": np.array([2.0]), "c": np.array([3.0])}
     maxima = []
     for temp in (2.0, 1.0, 0.5):
         state = hand_state()
         state.config = replace(state.config, temperature=temp)
-        maxima.append(attention_rows(state, deltas)["a"].weights.max())
+        maxima.append(aggregate_game(state, HAND_IDS, HAND_DELTAS).attention[0].max())
     assert maxima[0] < maxima[1] < maxima[2]
 
     state = hand_state()
     state.config = replace(state.config, temperature=1e6)
-    row = attention_rows(state, deltas)["a"]
-    np.testing.assert_allclose(row.weights, np.full(2, 0.5), rtol=0, atol=1e-6)
+    attention = aggregate_game(state, HAND_IDS, HAND_DELTAS).attention
+    np.testing.assert_allclose(attention[0, 1:], np.full(2, 0.5), rtol=0, atol=1e-6)
 
 
 def test_personalized_delta_self_only_and_convexity():
-    state = make_state(clients=("a", "b", "c"), seed=23, w_self=1.0)
-    deltas = random_deltas(state, ("a", "b", "c"), seed=24)
-    pers, _ = aggregate_game(state, deltas)
-    for i in deltas:
-        np.testing.assert_allclose(pers[i], deltas[i], rtol=0, atol=1e-15)
+    ids = ["a", "b", "c"]
+    state = make_state(clients=ids, seed=23, w_self=1.0)
+    deltas = random_deltas(state, ids, seed=24)
+    pers = aggregate_game(state, ids, deltas).personalized
+    np.testing.assert_allclose(pers, deltas, rtol=0, atol=1e-15)
 
-    state = make_state(clients=("a", "b", "c"), seed=25)
-    same = {i: np.full(state.head_dim, 1.5) for i in ("a", "b", "c")}
-    pers, _ = aggregate_game(state, same)
-    for i in same:
-        np.testing.assert_allclose(pers[i], same[i], rtol=0, atol=1e-12)
+    state = make_state(clients=ids, seed=25)
+    same = np.full((3, state.head_dim), 1.5)
+    pers = aggregate_game(state, ids, same).personalized
+    np.testing.assert_allclose(pers, same, rtol=0, atol=1e-12)
 
 
 def test_personalized_delta_hand_weights():
     state = hand_state()
-    deltas = {"a": np.array([1.0]), "b": np.array([2.0]), "c": np.array([3.0])}
-    row = attention_rows(state, deltas)["a"]
-    out = aggregate_game(state, deltas)[0]["a"]
-    expected = 0.6 * 1.0 + 0.4 * (row.weights[0] * 2.0 + row.weights[1] * 3.0)
-    np.testing.assert_allclose(out, [expected], rtol=0, atol=1e-12)
+    out = aggregate_game(state, HAND_IDS, HAND_DELTAS)
+    weights = out.attention[0, 1:]
+    expected = 0.6 * 1.0 + 0.4 * (weights[0] * 2.0 + weights[1] * 3.0)
+    np.testing.assert_allclose(out.personalized[0], [expected], rtol=0, atol=1e-12)
 
 
 def test_meta_loss_reference_values():
@@ -376,12 +375,13 @@ def test_meta_loss_reference_values():
 
 def test_mean_meta_loss_matches_numpy_pipeline():
     state = make_state(clients=tuple("abcd"), seed=26, noise_enabled=False)
-    deltas = random_deltas(state, tuple("abcd"), seed=27)
-    pers, _ = aggregate_game(state, deltas)
+    ids = list("abcd")
+    deltas = random_deltas(state, ids, seed=27)
+    pers = aggregate_game(state, ids, deltas).personalized
     expected = np.mean(
-        [meta_loss(pers[i], deltas[i], 0.5, 0.5) for i in sorted(deltas)]
+        [meta_loss(pers[i], deltas[i], 0.5, 0.5) for i in range(len(ids))]
     )
-    assert mean_meta_loss(state, deltas) == pytest.approx(expected, abs=1e-12)
+    assert mean_meta_loss(state, ids, deltas) == pytest.approx(expected, abs=1e-12)
 
 
 def test_flatten_load_roundtrip():
@@ -406,17 +406,17 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
         embed_dim=5,
         noise_enabled=False,
     )
-    deltas = random_deltas(state, ("a", "b", "c"), seed=31)
-    # the clean logits that made the selection, rows in sorted-id order
-    logits = np.stack([row.logits for row in aggregate_game(state, deltas)[1]])
-    masks = top_k_mask(logits, top_k)
+    ids = ["a", "b", "c"]
+    deltas = random_deltas(state, ids, seed=31)
+    # the clean logits that made the selection, rows in the order of ids
+    masks = top_k_mask(aggregate_game(state, ids, deltas).logits, top_k)
     marker = copy.deepcopy(state)
     marker.gates[:, 1] = np.nan
     noise_entries = np.isnan(flatten_parameters(marker))
     # fixed gate noise draws exercise the softplus noise-scale term
     draws = np.random.default_rng(32).standard_normal((3, num_experts))
     for noise in (None, draws):
-        analytic = meta_gradient(state, deltas, masks, noise)
+        analytic = meta_gradient(state, ids, deltas, masks, noise)
 
         flat = flatten_parameters(state)
         numeric = np.zeros_like(flat)
@@ -424,10 +424,10 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
         for i in range(flat.size):
             flat[i] += eps
             load_parameters(state, flat)
-            hi = mean_meta_loss(state, deltas, masks, noise)
+            hi = mean_meta_loss(state, ids, deltas, masks, noise)
             flat[i] -= 2 * eps
             load_parameters(state, flat)
-            lo = mean_meta_loss(state, deltas, masks, noise)
+            lo = mean_meta_loss(state, ids, deltas, masks, noise)
             flat[i] += eps
             load_parameters(state, flat)
             numeric[i] = (hi - lo) / (2 * eps)
@@ -447,7 +447,7 @@ def test_train_step_identical_deltas_is_stationary():
     state, rng = seeded_state(clients=("a", "b"), seed=32, noise_enabled=False)
     before = flatten_parameters(state)
     delta = np.random.default_rng(33).normal(size=state.head_dim)
-    loss = train_step(state, {"a": delta.copy(), "b": delta.copy()}, rng)
+    loss = train_step(state, ["a", "b"], np.stack([delta, delta]), rng)
     assert loss < 1e-12
     moved = np.max(np.abs(flatten_parameters(state) - before))
     assert moved <= state.config.server_lr * 1e-7
@@ -461,8 +461,8 @@ def test_train_step_descends_on_fixed_batch():
             server_lr=1e-3,
         )
         deltas = random_deltas(state, tuple("abcd"), seed=100 + seed)
-        losses = [train_step(state, deltas, rng) for _ in range(50)]
-        losses.append(mean_meta_loss(state, deltas))
+        losses = [train_step(state, list("abcd"), deltas, rng) for _ in range(50)]
+        losses.append(mean_meta_loss(state, list("abcd"), deltas))
         if losses[-1] <= losses[0] + 1e-12:
             successes += 1
     assert successes >= 19
@@ -473,7 +473,7 @@ def test_train_step_deterministic_with_noise():
         state, rng = seeded_state(clients=("a", "b", "c"), seed=seed, noise_enabled=True)
         deltas = random_deltas(state, ("a", "b", "c"), seed=50)
         for _ in range(3):
-            train_step(state, deltas, rng)
+            train_step(state, ["a", "b", "c"], deltas, rng)
         return flatten_parameters(state)
 
     np.testing.assert_array_equal(run(7), run(7))
@@ -509,13 +509,13 @@ def test_flat_adam_matches_a_per_array_update_bit_for_bit():
     m, v = {}, {}
     for step in range(1, 4):
         deltas = random_deltas(state, clients, seed=70 + step)
-        # the step's one noise draw, in canonical rows, handed over in sorted-id rows
-        ids, _ = _batch(oracle, deltas)
-        draws = oracle_rng.standard_normal((len(ids), state.config.num_experts))
-        noise = draws[_sorted_rows(ids)]
-        loss = mean_meta_loss(oracle, deltas, None, noise)
-        grad = meta_gradient(oracle, deltas, None, noise)
-        assert train_step(state, deltas, rng) == loss
+        # the step's one noise draw, in canonical rows, handed over in the rows of clients
+        back = _batch(oracle, clients, deltas)[3]
+        draws = oracle_rng.standard_normal((len(clients), state.config.num_experts))
+        noise = draws[back]
+        loss = mean_meta_loss(oracle, clients, deltas, None, noise)
+        grad = meta_gradient(oracle, clients, deltas, None, noise)
+        assert train_step(state, clients, deltas, rng) == loss
         start = 0
         for name, arr in parameter_arrays(oracle).items():
             g = grad[start : start + arr.size].reshape(arr.shape)
@@ -544,12 +544,12 @@ def test_absent_clients_keep_their_gates_and_adam_slots():
     """Lazy Adam: a client outside the batch keeps every byte of its
     gate pair and its Adam slots, even with momentum left over."""
     state, rng = seeded_state(head_dim=6, clients=tuple("abcd"), seed=72, noise_enabled=True)
-    train_step(state, random_deltas(state, tuple("abcd"), seed=73), rng)
+    train_step(state, tuple("abcd"), random_deltas(state, tuple("abcd"), seed=73), rng)
     before = {name: arr.tobytes() for name, arr in gate_and_slots(state, "d").items()}
     assert np.any(adam_slots(state, "m")["gate:d.w"] != 0.0)
     moved = gate(state, "a")[0].copy(), state.encoder_w.copy()
 
-    train_step(state, random_deltas(state, tuple("abc"), seed=74), rng)
+    train_step(state, tuple("abc"), random_deltas(state, tuple("abc"), seed=74), rng)
     for name, arr in gate_and_slots(state, "d").items():
         assert arr.tobytes() == before[name], name
     assert state.adam_t == 2
@@ -560,7 +560,7 @@ def test_absent_clients_keep_their_gates_and_adam_slots():
 def test_train_step_requires_two_clients():
     state, rng = seeded_state(clients=("a",))
     with pytest.raises(UsageError):
-        train_step(state, {"a": np.ones(6)}, rng)
+        train_step(state, ["a"], np.ones((1, 6)), rng)
 
 
 def test_game_single_attention_equivalence():
@@ -568,16 +568,14 @@ def test_game_single_attention_equivalence():
         clients=("a", "b", "c"), seed=34, num_experts=1, top_k=1, noise_enabled=False
     )
     deltas = random_deltas(state, ("a", "b", "c"), seed=35)
-    game_pers, game_rows = aggregate_game(state, deltas)
-    single_pers, single_rows = aggregate_single_attention(state, deltas)
-    for i in deltas:
-        np.testing.assert_array_equal(game_pers[i], single_pers[i])
-    for ga, si in zip(game_rows, single_rows):
-        np.testing.assert_array_equal(ga.weights, si.weights)
+    game = aggregate_game(state, ["a", "b", "c"], deltas)
+    single = aggregate_single_attention(state, ["a", "b", "c"], deltas)
+    np.testing.assert_array_equal(game.personalized, single.personalized)
+    np.testing.assert_array_equal(game.attention, single.attention)
 
     wide = make_state(clients=("a", "b"), seed=36)
     with pytest.raises(ConfigError):
-        aggregate_single_attention(wide, random_deltas(wide, ("a", "b"), seed=37))
+        aggregate_single_attention(wide, ["a", "b"], random_deltas(wide, ("a", "b"), seed=37))
 
 
 def test_zero_expert_single_attention_equals_mean():
@@ -587,71 +585,123 @@ def test_zero_expert_single_attention_equals_mean():
     )
     state.experts_w[...] = 0.0
     deltas = random_deltas(state, ("a", "b", "c", "d"), seed=39)
-    pers, _ = aggregate_single_attention(state, deltas)
+    pers = aggregate_single_attention(state, list("abcd"), deltas).personalized
     base = aggregate_mean(deltas, state.config.w_self)
-    for i in deltas:
-        np.testing.assert_allclose(pers[i], base[i], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pers, base, rtol=0, atol=1e-12)
 
 
 def test_aggregate_mean_cases():
-    deltas = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
+    deltas = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = aggregate_mean(deltas, 0.6)
-    np.testing.assert_allclose(out["a"], 0.6 * deltas["a"] + 0.4 * deltas["b"], atol=1e-12)
+    np.testing.assert_allclose(out[0], 0.6 * deltas[0] + 0.4 * deltas[1], atol=1e-12)
 
-    same = {i: np.array([2.0, -1.0]) for i in "abc"}
+    same = np.tile([2.0, -1.0], (3, 1))
     out = aggregate_mean(same, 0.6)
-    for i in same:
-        np.testing.assert_allclose(out[i], same[i], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, same, rtol=0, atol=1e-12)
 
-    solo = aggregate_mean({"a": np.array([5.0])}, 0.6)
-    np.testing.assert_array_equal(solo["a"], np.array([5.0]))
+    solo = aggregate_mean(np.array([[5.0]]), 0.6)
+    np.testing.assert_array_equal(solo, np.array([[5.0]]))
 
     rng = np.random.default_rng(40)
-    four = {i: rng.normal(size=3) for i in "abcd"}
+    four = rng.normal(size=(4, 3))
     out = aggregate_mean(four, 0.6)
-    for i in four:
-        others = np.mean([four[j] for j in four if j != i], axis=0)
+    for i in range(4):
+        others = np.mean(np.delete(four, i, axis=0), axis=0)
         np.testing.assert_allclose(out[i], 0.6 * four[i] + 0.4 * others, atol=1e-12)
+
+    with pytest.raises(StructuralError):
+        aggregate_mean(np.ones(3), 0.6)
 
 
 def test_game_n2_equals_mean_n2():
     state = make_state(clients=("a", "b"), seed=41)
     deltas = random_deltas(state, ("a", "b"), seed=42)
-    pers, _ = aggregate_game(state, deltas)
-    base = aggregate_mean(deltas, state.config.w_self)
-    for i in deltas:
-        np.testing.assert_array_equal(pers[i], base[i])
+    pers = aggregate_game(state, ["a", "b"], deltas).personalized
+    np.testing.assert_array_equal(pers, aggregate_mean(deltas, state.config.w_self))
+
+
+def assert_same_aggregation(out, other):
+    for name, arr in out._asdict().items():
+        np.testing.assert_array_equal(arr, getattr(other, name), err_msg=name)
 
 
 def test_relabeling_clients_permutes_outputs_exactly():
-    clients = ("a", "b", "c", "d")
+    clients = ["a", "b", "c", "d"]
     mapping = {"a": "w", "b": "q", "c": "z", "d": "m"}
     state = make_state(clients=clients, seed=43, noise_enabled=False)
     renamed = make_state(clients=mapping.values(), seed=43, noise_enabled=False)
     for old, new in mapping.items():
         gate(renamed, new)[...] = gate(state, old)
     deltas = random_deltas(state, clients, seed=44)
-    renamed_deltas = {mapping[i]: deltas[i] for i in clients}
 
-    pers, rows = aggregate_game(state, deltas)
-    pers2, rows2 = aggregate_game(renamed, renamed_deltas)
-    row_by_id = {r.client_id: r for r in rows}
-    row2_by_id = {r.client_id: r for r in rows2}
-    for i in clients:
-        np.testing.assert_array_equal(pers[i], pers2[mapping[i]])
-        row = row_by_id[i]
-        row2 = row2_by_id[mapping[i]]
-        w1 = dict(zip(row.neighbor_ids, row.weights))
-        w2 = dict(zip(row2.neighbor_ids, row2.weights))
-        for j in row.neighbor_ids:
-            assert w1[j] == w2[mapping[j]]
+    # row i of both outputs belongs to clients[i] under its two names
+    out = aggregate_game(state, clients, deltas)
+    out2 = aggregate_game(renamed, [mapping[c] for c in clients], deltas)
+    assert_same_aggregation(out, out2)
 
 
 def test_register_client_is_idempotent():
     state, rng = seeded_state(clients=("a",), seed=45)
-    before = gate(state, "a")[0].copy()
-    register_client(state, "a", rng)
+    before, drawn = gate(state, "a")[0].copy(), rng.bit_generator.state
+    register_client(state, ["a"], rng)
     np.testing.assert_array_equal(gate(state, "a")[0], before)
+    assert rng.bit_generator.state == drawn
+
+
+def test_register_client_draws_a_fleet_as_one_by_one():
+    """One call draws the new gates in sorted-id order, the same bytes
+    and generator state as one call per client in that order."""
+    fleet, fleet_rng = seeded_state(clients=("a",), seed=46)
+    single, single_rng = seeded_state(clients=("a",), seed=46)
+    register_client(fleet, ["d", "a", "b", "c"], fleet_rng)
+    for cid in ("b", "c", "d"):
+        register_client(single, [cid], single_rng)
+    assert fleet.rows == single.rows == {"a": 0, "b": 1, "c": 2, "d": 3}
+    for name in ("gates", "gate_m", "gate_v"):
+        assert getattr(fleet, name).tobytes() == getattr(single, name).tobytes(), name
+    assert fleet_rng.bit_generator.state == single_rng.bit_generator.state
+    with pytest.raises(UsageError):
+        register_client(fleet, "e", fleet_rng)
+
+
+def test_caller_order_permutes_outputs_exactly():
+    """The same clients in two orders: outputs are the same rows
+    permuted bit for bit, and training leaves the same bytes."""
+    clients = list("abcdef")
+    state, rng = seeded_state(clients=clients, seed=47, noise_enabled=True)
+    deltas = random_deltas(state, clients, seed=48)
+    # a tie: equal deltas and gates, which ids alone order
+    gate(state, "e")[...] = gate(state, "b")
+    deltas[4] = deltas[1]
+    perm = np.random.default_rng(49).permutation(len(clients))
+    shuffled = [clients[k] for k in perm]
+
+    out, out2 = aggregate_game(state, clients, deltas), aggregate_game(state, shuffled, deltas[perm])
+    for name, arr in out._asdict().items():
+        rows = arr[perm][:, perm] if name == "attention" else arr[perm]
+        assert rows.tobytes() == getattr(out2, name).tobytes(), name
+    mean = aggregate_mean(deltas, state.config.w_self)
+    assert mean[perm].tobytes() == aggregate_mean(deltas[perm], state.config.w_self).tobytes()
+
+    other, other_rng = copy.deepcopy(state), copy.deepcopy(rng)
+    for step in range(3):
+        step_deltas = deltas + 0.1 * step
+        loss = train_step(state, clients, step_deltas, rng)
+        assert train_step(other, shuffled, step_deltas[perm], other_rng) == loss
+    for name in ("encoder_w", "encoder_b", "experts_w", "gates", "adam_m", "adam_v",
+                 "gate_m", "gate_v"):
+        assert getattr(state, name).tobytes() == getattr(other, name).tobytes(), name
+    assert state.rows == other.rows
+
+
+def test_batch_shape_and_ids_are_checked():
+    state = make_state()
+    for ids, deltas in ((["a", "b"], np.ones((3, 6))), (["a", "b"], np.ones(12)),
+                        (["a", "b"], np.ones((2, 5)))):
+        with pytest.raises(StructuralError):
+            aggregate_game(state, ids, deltas)
+    with pytest.raises(UsageError):
+        aggregate_game(state, ["a", "a"], np.ones((2, 6)))
 
 
 def renamed_state(state, mapping):
@@ -661,7 +711,7 @@ def renamed_state(state, mapping):
     return renamed
 
 
-def assert_renamed_exactly(state, renamed, deltas, mapping):
+def assert_renamed_exactly(state, renamed, ids, deltas, mapping):
     """Parameters, Adam slots and the next aggregations agree bit for bit."""
     for name in ("encoder_w", "encoder_b", "experts_w"):
         np.testing.assert_array_equal(getattr(state, name), getattr(renamed, name))
@@ -675,20 +725,9 @@ def assert_renamed_exactly(state, renamed, deltas, mapping):
         for name in slots:
             np.testing.assert_array_equal(slots[name], renamed_slots[name])
 
-    renamed_deltas = {mapping[c]: d for c, d in deltas.items()}
-    mean = aggregate_mean(deltas, state.config.w_self)
-    mean2 = aggregate_mean(renamed_deltas, state.config.w_self)
-    pers, rows = aggregate_game(state, deltas)
-    pers2, rows2 = aggregate_game(renamed, renamed_deltas)
-    rows2 = {r.client_id: r for r in rows2}
-    for row in rows:
-        new = rows2[mapping[row.client_id]]
-        np.testing.assert_array_equal(pers[row.client_id], pers2[new.client_id])
-        np.testing.assert_array_equal(mean[row.client_id], mean2[new.client_id])
-        np.testing.assert_array_equal(row.logits, new.logits)
-        np.testing.assert_array_equal(row.expert_mix, new.expert_mix)
-        weights = dict(zip(new.neighbor_ids, new.weights))
-        np.testing.assert_array_equal(row.weights, [weights[mapping[j]] for j in row.neighbor_ids])
+    renamed_ids = [mapping[c] for c in ids]
+    assert_same_aggregation(aggregate_game(state, ids, deltas),
+                            aggregate_game(renamed, renamed_ids, deltas))
 
 
 @pytest.mark.parametrize("noise_enabled", [True, False])
@@ -698,31 +737,31 @@ def test_trained_aggregator_is_exactly_relabeling_equivariant(noise_enabled):
     mapping = dict(zip(clients, (f"r{i:03d}" for i in rng.permutation(120))))
     state, rng = seeded_state(head_dim=8, clients=clients, seed=61, noise_enabled=noise_enabled)
     renamed, renamed_rng = renamed_state(state, mapping), copy.deepcopy(rng)
+    renamed_ids = [mapping[c] for c in clients]
     for step in range(3):
         deltas = random_deltas(state, clients, seed=62 + step)
-        loss = train_step(state, deltas, rng)
-        renamed_deltas = {mapping[c]: d for c, d in deltas.items()}
-        assert train_step(renamed, renamed_deltas, renamed_rng) == loss
-    assert_renamed_exactly(state, renamed, deltas, mapping)
+        loss = train_step(state, clients, deltas, rng)
+        assert train_step(renamed, renamed_ids, deltas, renamed_rng) == loss
+    assert_renamed_exactly(state, renamed, clients, deltas, mapping)
 
 
 @pytest.mark.parametrize("noise_enabled", [True, False])
 def test_relabeling_with_tied_clients(noise_enabled):
     """Two clients with the same delta and gates have identical inputs;
     their ids only decide which of the two tied rows each one takes."""
-    clients = ("a", "b", "c", "d", "e")
+    clients = ["a", "b", "c", "d", "e"]
     state, rng = seeded_state(clients=clients, seed=63, noise_enabled=noise_enabled)
     gate(state, "d")[...] = gate(state, "b")
     deltas = random_deltas(state, clients, seed=64)
-    deltas["d"] = deltas["b"].copy()
-    pers, _ = aggregate_game(state, deltas)
-    np.testing.assert_allclose(pers["b"], pers["d"], rtol=1e-14, atol=0)
+    deltas[3] = deltas[1]
+    pers = aggregate_game(state, clients, deltas).personalized
+    np.testing.assert_allclose(pers[1], pers[3], rtol=1e-14, atol=0)
 
     # the rename puts d's new id before b's, so the two trade rows
     mapping = {"a": "v", "b": "z", "c": "x", "d": "y", "e": "w"}
     renamed, renamed_rng = renamed_state(state, mapping), copy.deepcopy(rng)
     for step in range(3):
-        step_deltas = {c: d + 0.1 * step for c, d in deltas.items()}
-        train_step(state, step_deltas, rng)
-        train_step(renamed, {mapping[c]: d for c, d in step_deltas.items()}, renamed_rng)
-    assert_renamed_exactly(state, renamed, deltas, {**mapping, "b": "y", "d": "z"})
+        step_deltas = deltas + 0.1 * step
+        train_step(state, clients, step_deltas, rng)
+        train_step(renamed, [mapping[c] for c in clients], step_deltas, renamed_rng)
+    assert_renamed_exactly(state, renamed, clients, deltas, {**mapping, "b": "y", "d": "z"})

@@ -19,6 +19,7 @@ from fedgame.cli import (
 from fedgame.data import load_csv, shards_to_csv, synth_generate
 from fedgame.errors import ConfigError, NumericError
 from fedgame.protocol import ExperimentConfig, run_experiment
+from tools.compare_artifacts import ARTIFACTS, MATRIX, cli_steps, first_difference
 
 SMALL = {
     "n_clients": 3,
@@ -257,31 +258,30 @@ def test_rerun_from_effective_config_is_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-# The four rerun paths: CSV ingest, a two-layer LSTM, a two-layer MLP under
-# game, and noisy game where half the clients sit out each round, which
-# draws from all three per-round roles (batch order, participation, gate
-# noise) and steps only the batch's gate rows.
-RERUN_PATHS = {
-    "csv": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4]},
-    "lstm": {"n_clients": 3, "n_clusters": 1, "arch": "lstm", "hidden_sizes": [4, 3]},
-    "mlp": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [8, 5],
-            "aggregator_kind": "game"},
-    "lazy_adam": {"n_clients": 6, "n_clusters": 2, "hidden_sizes": [8], "rounds": 3,
-                  "aggregator_kind": "game", "participation": 0.5, "noise_enabled": True},
-}
-
-
-@pytest.mark.parametrize("path", sorted(RERUN_PATHS))
+@pytest.mark.parametrize("path", sorted(MATRIX))
 def test_csv_fleet_reruns_are_byte_identical(tmp_path, path):
-    """Synthesize a fleet as CSV, run on it twice, require the same bytes."""
-    small = {"series_length": 160, "embed_dim": 4, "rounds": 2, **RERUN_PATHS[path]}
-    assert main(["synth", write_config(tmp_path, small, "synth.json"),
-                 "--output-dir", str(tmp_path)]) == 0
-    run = write_config(tmp_path, {**small, "csv_path": str(tmp_path / "synth.csv")}, "run.json")
+    """Synthesize a fleet as CSV and run on it, twice (the config matrix
+    that tools/compare_artifacts.py compares across commits), and
+    require the same bytes."""
     for name in ("a", "b"):
-        assert main(["run", run, "--output-dir", str(tmp_path / name)]) == 0
-    for name in ("rounds.jsonl", "eval.json", "eval.csv", "attention.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        for args in cli_steps(path, tmp_path / name):
+            assert main(args) == 0
+    for name in ARTIFACTS:
+        first, second = (tmp_path / side / "out" / name for side in ("a", "b"))
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_compare_artifacts_names_the_first_differing_file(tmp_path):
+    same, flipped = tmp_path / "same", tmp_path / "flipped"
+    for directory in (same, flipped):
+        directory.mkdir()
+        for k, name in enumerate(ARTIFACTS):
+            (directory / name).write_bytes(bytes([k, 1, 2, 3]))
+    assert first_difference(same, flipped) is None
+    (flipped / ARTIFACTS[2]).write_bytes(bytes([2, 1, 2, 2]))
+    assert first_difference(same, flipped) == ARTIFACTS[2]
+    (flipped / ARTIFACTS[1]).unlink()
+    assert first_difference(same, flipped) == ARTIFACTS[1]
 
 
 def test_seed_flag_overrides_config(tmp_path):

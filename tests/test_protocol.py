@@ -56,8 +56,7 @@ def fresh_aggregator(state, seed=0, **overrides):
     cfg = AggregatorConfig(**settings)
     rng = seed_stream(seed, "server")
     agg = init_aggregator(cfg, head_length(state.global_model.spec), rng)
-    for cid in sorted(state.client_models):
-        register_client(agg, cid, rng)
+    register_client(agg, list(state.client_models), rng)
     return agg
 
 
@@ -86,9 +85,9 @@ def test_round_streams_are_pure_and_separated():
 def test_round_zero_gate_noise_is_no_set_up_stream(monkeypatch):
     given = []
 
-    def spy(state, head_deltas, rng):
+    def spy(state, ids, deltas, rng):
         given.append(copy.deepcopy(rng))
-        return train_step(state, head_deltas, rng)
+        return train_step(state, ids, deltas, rng)
 
     monkeypatch.setattr("fedgame.protocol.train_step", spy)
     config = ExperimentConfig(**{**SMALL, "rounds": 1, "noise_enabled": True})
@@ -148,6 +147,43 @@ def test_master_seed_must_be_a_non_negative_integer(seed):
 
 def test_master_seed_accepts_numpy_integers():
     assert init_round_state(CFG, ["a"], np.int64(7)).master_seed == 7
+
+
+# Every integer field of the four config classes, hidden_sizes element-wise,
+# with the fields a valid instance needs besides its defaults.
+CONFIG_BASES = {
+    ExperimentConfig: {"published_total_params": 1000, "published_head_params": 10},
+    ForecasterConfig: {"history_len": 4, "horizon": 2},
+    AggregatorConfig: {},
+    HyperParams: {"rounds": 1},
+}
+INTEGER_FIELDS = [
+    *((ExperimentConfig, key) for key in (
+        "n_clients", "n_clusters", "series_length", "history_len", "horizon", "hidden_sizes",
+        "local_epochs", "batch_size", "embed_dim", "num_experts", "top_k", "rounds",
+        "master_seed", "published_total_params", "published_head_params")),
+    *((ForecasterConfig, key) for key in (
+        "history_len", "horizon", "hidden_sizes", "local_epochs", "batch_size", "features")),
+    *((AggregatorConfig, key) for key in ("embed_dim", "num_experts", "top_k")),
+    (HyperParams, "rounds"),
+]
+
+
+@pytest.mark.parametrize("cls,key", INTEGER_FIELDS,
+                         ids=[f"{cls.__name__}.{key}" for cls, key in INTEGER_FIELDS])
+def test_integer_config_fields_reject_bools_and_fractions(cls, key):
+    base = CONFIG_BASES[cls]
+    good = getattr(cls(**base), key)
+    element = key == "hidden_sizes"
+
+    def build(value):
+        return cls(**{**base, key: (value,) if element else value})
+
+    value = good[0] if element else good
+    for bad in (value + 0.5, True):
+        with pytest.raises(ConfigError, match=f"{key} must be (an )?integer"):
+            build(bad)
+    assert getattr(build(np.int64(value)), key) == good
 
 
 def test_hyper_params_validation():
@@ -216,10 +252,11 @@ def test_mean_round_applies_hand_reconstructed_update():
     prox_state, _ = run_round(state, HyperParams(rounds=1, aggregator_kind="fedprox_only"),
                               None, data)
     trained = {c: m.values for c, m in prox_state.client_models.items()}
-    heads = {c: select_head_values(v - before.values, before.spec) for c, v in trained.items()}
+    heads = np.stack([select_head_values(v - before.values, before.spec)
+                      for v in trained.values()])
     pers = aggregate_mean(heads, agg.config.w_self)
-    for cid in trained:
-        expected = trained[cid] + gamma * scatter_head(before.spec, pers[cid])
+    for k, cid in enumerate(trained):
+        expected = trained[cid] + gamma * scatter_head(before.spec, pers[k])
         np.testing.assert_allclose(
             new_state.client_models[cid].values, expected, rtol=0, atol=1e-12
         )
