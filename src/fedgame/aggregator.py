@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ConfigError, NumericError, StructuralError, UsageError, not_integers, too_small,
+    ConfigError, NumericError, StructuralError, UsageError, too_small, typed_fields,
 )
 from .params import NORM_TOLERANCE, cosine_similarity
 
@@ -66,16 +66,16 @@ class AggregatorConfig:
     noise_enabled: bool = True
 
     def __post_init__(self) -> None:
-        problems = not_integers(self, ("embed_dim", "num_experts", "top_k"))
-        problems += too_small(self, ("embed_dim", "num_experts"), 1)
-        problems += too_small(self, ("alpha", "beta"), 0)
-        problems += too_small(self, ("temperature", "server_lr"), 0, strict=True)
-        if not 1 <= self.top_k <= self.num_experts:
+        problems, bad = typed_fields(self)
+        problems += too_small(self, ("embed_dim", "num_experts"), 1, bad)
+        problems += too_small(self, ("alpha", "beta"), 0, bad)
+        problems += too_small(self, ("temperature", "server_lr"), 0, bad, strict=True)
+        if bad.isdisjoint(("top_k", "num_experts")) and not 1 <= self.top_k <= self.num_experts:
             problems.append(
                 f"top_k must satisfy 1 <= top_k <= num_experts "
                 f"(top_k={self.top_k}, num_experts={self.num_experts})"
             )
-        if not 0.0 <= self.w_self <= 1.0:
+        if "w_self" not in bad and not 0.0 <= self.w_self <= 1.0:
             problems.append(f"w_self must lie in [0, 1], got {self.w_self}")
         if problems:
             raise ConfigError(*problems)

@@ -1,8 +1,8 @@
 """Command-line entry point: config parsing, commands, report files.
 
 Configs are flat JSON objects.  Validation is exhaustive: every
-problem is reported at once and unknown keys are rejected, so a typo
-cannot silently fall back to a default.  All output files are written
+problem is reported at once and unknown or repeated keys are rejected,
+so a typo cannot silently fall back to a default.  All output files are written
 deterministically; re-running an emitted effective config reproduces
 them byte for byte.
 """
@@ -15,8 +15,7 @@ import io
 import json
 import os
 import sys
-import typing
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 
 from .data import shards_to_csv, synth_generate
@@ -32,92 +31,51 @@ from .protocol import (
 
 OUTPUT_DIR_ENV = "FEDGAME_OUTPUT_DIR"
 
-_HINTS = typing.get_type_hints(ExperimentConfig)
-# JSON type each annotated Python type accepts: (singular, plural) names
-_TYPE_NAMES = {
-    int: ("an integer", "integers"),
-    float: ("a number", "numbers"),
-    str: ("a string", "strings"),
-    bool: ("true or false", None),
-}
-
-
-def _fits(kind: type, value) -> bool:
-    """JSON ``value`` can stand for ``kind``; an int is a number, a bool is not."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _typed(raw: dict, errors: list[str]) -> dict:
-    """Coerce values to the field types of ExperimentConfig, recording
-    every mismatch; values are left for the config itself to check."""
-    out = {}
-    for key, value in raw.items():
-        if key not in _HINTS:
-            errors.append(f"unknown key {key!r}")
-            continue
-        hint = _HINTS[key]
-        args = typing.get_args(hint)
-        if value is None and type(None) in args:
-            out[key] = None
-        elif typing.get_origin(hint) is tuple:
-            kind = args[0]
-            if isinstance(value, list) and all(_fits(kind, v) for v in value):
-                out[key] = tuple(kind(v) for v in value)
-            else:
-                errors.append(f"{key} must be a list of {_TYPE_NAMES[kind][1]}, got {value!r}")
-        else:
-            kind = args[0] if args else hint
-            if _fits(kind, value):
-                out[key] = kind(value)
-            else:
-                errors.append(f"{key} must be {_TYPE_NAMES[kind][0]}, got {value!r}")
-    return out
-
-
 def config_from_dict(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     """Validate a parsed JSON object; returns (config, errors).
 
-    Type errors come first, then every problem the config reports for
-    the keys that did type-check.
+    Unknown keys come first, then every problem the config reports.
     """
     if not isinstance(raw, dict):
         return None, ["config must be a JSON object"]
-    errors: list[str] = []
-    cfg = _typed(raw, errors)
+    known = ExperimentConfig.__dataclass_fields__
+    errors = [f"unknown key {key!r}" for key in raw if key not in known]
     try:
-        config = ExperimentConfig(**cfg)
+        config = ExperimentConfig(**{k: v for k, v in raw.items() if k in known})
     except ConfigError as exc:
-        errors.extend(exc.problems)
-    if errors:
-        return None, errors
-    return config, []
+        return None, errors + exc.problems
+    return (None, errors) if errors else (config, [])
 
 
 def load_config(
     path: str, overrides: dict | None = None
 ) -> tuple[ExperimentConfig | None, list[str]]:
     """Read and validate a config file; ``overrides`` replace file keys
-    before validation, so they are checked like file values."""
+    before validation, so they are checked like file values.  A key
+    given twice in the file is an error, reported with the others."""
+    repeated: list[str] = []
+
+    def unique_keys(pairs):
+        keys = [key for key, _ in pairs]
+        repeated.extend(f"key {key!r} appears more than once"
+                        for key in dict.fromkeys(keys) if keys.count(key) > 1)
+        return dict(pairs)
+
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         return None, [f"cannot read config file: {exc}"]
     except json.JSONDecodeError as exc:
         return None, [f"config is not valid JSON: {exc}"]
     if isinstance(raw, dict) and overrides:
         raw = {**raw, **overrides}
-    return config_from_dict(raw)
+    config, errors = config_from_dict(raw)
+    return (None, repeated + errors) if repeated else (config, errors)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {}
-    for field in fields(config):
-        value = getattr(config, field.name)
-        out[field.name] = list(value) if isinstance(value, tuple) else value
-    return out
+# every field by name; JSON writes the tuples as lists
+config_to_dict = asdict
 
 
 def _json_dump(obj, path: Path) -> None:

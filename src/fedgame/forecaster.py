@@ -67,7 +67,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    ConfigError, NumericError, StructuralError, UsageError, is_integer, not_integers, too_small,
+    ConfigError, NumericError, StructuralError, UsageError, too_small, typed_fields,
 )
 from .params import LayerSpec, total_params
 
@@ -90,29 +90,28 @@ class ForecasterConfig:
     features: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "quantiles", tuple(float(q) for q in self.quantiles))
-        ints = ("history_len", "horizon", "local_epochs", "batch_size", "features")
-        problems = not_integers(self, ints) + too_small(self, ints, 1)
-        problems += too_small(self, ("prox_mu",), 0)
-        problems += too_small(self, ("local_lr",), 0, strict=True)
-        quantiles = list(self.quantiles)
-        if not quantiles:
-            problems.append("quantiles must not be empty")
-        if any(not 0.0 < q < 1.0 for q in quantiles):
-            problems.append(f"quantiles must lie strictly in (0, 1), got {quantiles}")
-        if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
-            problems.append(f"quantiles must be strictly increasing, got {quantiles}")
-        if not all(is_integer(w) for w in self.hidden_sizes):
-            problems.append(f"hidden_sizes must be integers, got {list(self.hidden_sizes)}")
-        elif any(w < 1 for w in self.hidden_sizes):
+        problems, bad = typed_fields(self)
+        problems += too_small(
+            self, ("history_len", "horizon", "local_epochs", "batch_size", "features"), 1, bad
+        )
+        problems += too_small(self, ("prox_mu",), 0, bad)
+        problems += too_small(self, ("local_lr",), 0, bad, strict=True)
+        if "quantiles" not in bad:
+            quantiles = list(self.quantiles)
+            if not quantiles:
+                problems.append("quantiles must not be empty")
+            if any(not 0.0 < q < 1.0 for q in quantiles):
+                problems.append(f"quantiles must lie strictly in (0, 1), got {quantiles}")
+            if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
+                problems.append(f"quantiles must be strictly increasing, got {quantiles}")
+        if "hidden_sizes" not in bad and any(w < 1 for w in self.hidden_sizes):
             problems.append(f"hidden_sizes must be positive, got {list(self.hidden_sizes)}")
-        if self.arch not in ARCHS:
+        if "arch" not in bad and self.arch not in ARCHS:
             problems.append(f"arch must be one of {list(ARCHS)}, got {self.arch!r}")
-        elif self.arch == "lstm" and not self.hidden_sizes:
+        elif self.arch == "lstm" and "hidden_sizes" not in bad and not self.hidden_sizes:
             problems.append("hidden_sizes must not be empty for arch 'lstm'")
         if problems:
             raise ConfigError(*problems)
-        object.__setattr__(self, "hidden_sizes", tuple(int(w) for w in self.hidden_sizes))
 
     @property
     def output_dim(self) -> int:

@@ -52,7 +52,7 @@ from .aggregator import (
     uniform_attention,
 )
 from .data import make_windows, load_csv, synth_generate
-from .errors import ConfigError, FedGameError, UsageError, is_integer, not_integers, too_small
+from .errors import ConfigError, FedGameError, UsageError, as_type, too_small, typed_fields
 from .forecaster import ForecasterConfig, ForecasterModel, build_spec, init_forecaster, local_train
 from .metrics import EvalReport, evaluate
 from .params import (
@@ -115,13 +115,14 @@ class HyperParams:
     participation: float = 1.0
 
     def __post_init__(self) -> None:
-        problems = not_integers(self, ("rounds",)) + too_small(self, ("rounds", "eta", "gamma"), 0)
-        if self.aggregator_kind not in AGGREGATOR_KINDS:
+        problems, bad = typed_fields(self)
+        problems += too_small(self, ("rounds", "eta", "gamma"), 0, bad)
+        if "aggregator_kind" not in bad and self.aggregator_kind not in AGGREGATOR_KINDS:
             problems.append(
                 f"aggregator_kind must be one of {list(AGGREGATOR_KINDS)}, "
                 f"got {self.aggregator_kind!r}"
             )
-        if not 0.0 < self.participation <= 1.0:
+        if "participation" not in bad and not 0.0 < self.participation <= 1.0:
             problems.append(f"participation must lie in (0, 1], got {self.participation}")
         if problems:
             raise ConfigError(*problems)
@@ -173,8 +174,9 @@ class RoundReport:
 
 def init_round_state(cfg: ForecasterConfig, client_ids, master_seed: int) -> RoundState:
     """Consensus model, shared by every client, and the master seed."""
-    if not (is_integer(master_seed) and master_seed >= 0):
-        raise ConfigError(f"master_seed must be an integer >= 0, got {master_seed!r}")
+    master_seed = as_type("master_seed", int, master_seed)
+    if master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     ids = sorted(str(c) for c in client_ids)
     if not ids:
         raise ConfigError("need at least one client")
@@ -317,10 +319,10 @@ class ExperimentConfig:
     ``csv_path = None`` selects the synthetic generator.  The split
     fractions apply per client series, chronologically.
 
-    Construction validates every field: this class checks its own and
-    cross-field rules and builds the forecaster, aggregator and protocol
-    configs, which check theirs, so one :class:`ConfigError` lists
-    every problem.
+    Construction checks and normalizes every value by its annotation,
+    then this class checks its own and cross-field rules and builds the
+    forecaster, aggregator and protocol configs, which check theirs, so
+    one :class:`ConfigError` lists every problem.
     """
 
     csv_path: str | None = None
@@ -361,31 +363,33 @@ class ExperimentConfig:
     published_head_params: int | None = None
 
     def __post_init__(self) -> None:
-        problems = not_integers(self, ("n_clients", "n_clusters", "series_length", "master_seed"))
-        problems += too_small(self, ("n_clients", "n_clusters", "series_length"), 1)
-        problems += too_small(self, ("noise_sd", "master_seed"), 0)
-        fracs = self.splits()
-        if any(f < 0 for f in fracs):
-            problems.append("train_frac, val_frac, test_frac must be >= 0")
-        elif not abs(sum(fracs) - 1.0) <= 1e-9:
-            problems.append(f"train_frac, val_frac, test_frac must sum to 1, got {sum(fracs)}")
-        if self.n_clusters > self.n_clients:
+        problems, bad = typed_fields(self)
+        problems += too_small(self, ("n_clients", "n_clusters", "series_length"), 1, bad)
+        problems += too_small(self, ("noise_sd", "master_seed"), 0, bad)
+        if bad.isdisjoint(("train_frac", "val_frac", "test_frac")):
+            fracs = self.splits()
+            if any(f < 0 for f in fracs):
+                problems.append("train_frac, val_frac, test_frac must be >= 0")
+            elif not abs(sum(fracs) - 1.0) <= 1e-9:
+                problems.append(f"train_frac, val_frac, test_frac must sum to 1, got {sum(fracs)}")
+        if bad.isdisjoint(("n_clusters", "n_clients")) and self.n_clusters > self.n_clients:
             problems.append(
                 f"n_clusters must not exceed n_clients "
                 f"(n_clusters={self.n_clusters}, n_clients={self.n_clients})"
             )
-        if self.arch == "mlp" and not self.hidden_sizes:
+        if self.arch == "mlp" and "hidden_sizes" not in bad and not self.hidden_sizes:
             # a layerless MLP is all output head and leaves no shared body;
             # ForecasterConfig rejects a layerless LSTM itself
             problems.append("hidden_sizes must not be empty")
-        if not self.baselines:
-            problems.append("baselines must not be empty")
-        unknown = [b for b in self.baselines if b not in AGGREGATOR_KINDS]
-        if unknown:
-            problems.append(f"baselines contains unknown kinds {unknown}")
+        if "baselines" not in bad:
+            if not self.baselines:
+                problems.append("baselines must not be empty")
+            unknown = [b for b in self.baselines if b not in AGGREGATOR_KINDS]
+            if unknown:
+                problems.append(f"baselines contains unknown kinds {unknown}")
         published = tuple(k for k in ("published_total_params", "published_head_params")
                           if getattr(self, k) is not None)
-        small = not_integers(self, published) + too_small(self, published, 1)
+        small = too_small(self, published, 1, bad)
         problems += small
         counts = None
         try:
@@ -398,13 +402,15 @@ class ExperimentConfig:
             except ConfigError as exc:
                 problems.extend(exc.problems)
         # a published count must leave a shared body: 0 < head < total
-        if published and not small and counts and counts[1] >= counts[0]:
+        if (published and not small and bad.isdisjoint(published)
+                and counts and counts[1] >= counts[0]):
             problems.append(
                 f"{' and '.join(published)}: the head count {counts[1]} must be smaller "
                 f"than the total count {counts[0]}"
             )
         if problems:
-            raise ConfigError(*problems)
+            # a type problem of a field the sub-configs share is found twice
+            raise ConfigError(*dict.fromkeys(problems))
 
     def param_counts(self) -> tuple[int, int]:
         """(total, head) parameter counts of the configured model.
@@ -416,49 +422,29 @@ class ExperimentConfig:
         return (self.published_total_params or total_params(spec),
                 self.published_head_params or head_length(spec))
 
+    def _sub_config(self, cls, **changes):
+        """A ``cls`` of this config's values for the fields it shares by
+        name, with ``changes`` on top."""
+        values = {key: getattr(self, key) for key in cls.__dataclass_fields__
+                  if key in self.__dataclass_fields__}
+        return cls(**{**values, **changes})
+
     def forecaster_config(self, kind: str | None = None) -> ForecasterConfig:
         """Client settings; consensus-only kinds drop the proximal pull."""
-        cfg = ForecasterConfig(
-            history_len=self.history_len,
-            horizon=self.horizon,
-            quantiles=tuple(self.quantiles),
-            hidden_sizes=tuple(self.hidden_sizes),
-            arch=self.arch,
-            local_lr=self.local_lr,
-            local_epochs=self.local_epochs,
-            prox_mu=self.prox_mu,
-            batch_size=self.batch_size,
-        )
+        cfg = self._sub_config(ForecasterConfig)
         if (kind or self.aggregator_kind) in ("fedavg", "local_only"):
             cfg = replace(cfg, prox_mu=0.0)
         return cfg
 
     def aggregator_config(self, kind: str | None = None) -> AggregatorConfig:
         """Server settings; the single-attention baseline degenerates."""
-        kind = kind or self.aggregator_kind
-        cfg = AggregatorConfig(
-            embed_dim=self.embed_dim,
-            num_experts=self.num_experts,
-            top_k=self.top_k,
-            temperature=self.temperature,
-            w_self=self.w_self,
-            alpha=self.alpha,
-            beta=self.beta,
-            server_lr=self.server_lr,
-            noise_enabled=self.noise_enabled,
-        )
-        if kind == "single_attention":
+        cfg = self._sub_config(AggregatorConfig)
+        if (kind or self.aggregator_kind) == "single_attention":
             cfg = replace(cfg, num_experts=1, top_k=1, noise_enabled=False)
         return cfg
 
     def hyper_params(self, kind: str | None = None) -> HyperParams:
-        return HyperParams(
-            rounds=self.rounds,
-            eta=self.eta,
-            gamma=self.gamma,
-            aggregator_kind=kind or self.aggregator_kind,
-            participation=self.participation,
-        )
+        return self._sub_config(HyperParams, aggregator_kind=kind or self.aggregator_kind)
 
     def splits(self) -> tuple[float, float, float]:
         return (self.train_frac, self.val_frac, self.test_frac)

@@ -116,6 +116,21 @@ def test_nan_values_are_config_errors():
     assert any("local_lr" in e for e in errors) and any("sum to 1" in e for e in errors)
 
 
+def test_duplicate_keys_are_reported_with_the_other_problems(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"rounds": 3, "rounds": 5, "n_clients": 2, "arch": "gru"}',
+                    encoding="utf-8")
+    config, errors = load_config(str(path))
+    assert config is None
+    assert errors == ["key 'rounds' appears more than once",
+                      "arch must be one of ['mlp', 'lstm'], got 'gru'"]
+    assert main(["comm", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "2 error(s)" in err and "key 'rounds' appears more than once" in err
+    path.write_text('{"rounds": 3, "rounds": 5, "rounds": 7}', encoding="utf-8")
+    assert load_config(str(path)) == (None, ["key 'rounds' appears more than once"])
+
+
 def test_load_config_reports_unreadable_and_bad_json(tmp_path):
     _, errors = load_config(str(tmp_path / "missing.json"))
     assert errors and "cannot read" in errors[0]
@@ -272,12 +287,19 @@ def test_csv_fleet_reruns_are_byte_identical(tmp_path, path):
 
 
 def test_compare_artifacts_names_the_first_differing_file(tmp_path):
-    same, flipped = tmp_path / "same", tmp_path / "flipped"
+    same, flipped = tmp_path / "same" / "out", tmp_path / "flipped" / "out"
     for directory in (same, flipped):
-        directory.mkdir()
+        directory.mkdir(parents=True)
         for k, name in enumerate(ARTIFACTS):
             (directory / name).write_bytes(bytes([k, 1, 2, 3]))
+        # config.json names its own run directory, the parent of the output
+        # directory; only the rest of the file is compared
+        run = {"csv_path": str(directory.parent / "synth.csv"), "output_dir": str(directory)}
+        (directory / "config.json").write_text(json.dumps(run), encoding="utf-8")
     assert first_difference(same, flipped) is None
+    moved = {"csv_path": str(tmp_path / "synth.csv"), "output_dir": str(flipped)}
+    (flipped / "config.json").write_text(json.dumps(moved), encoding="utf-8")
+    assert first_difference(same, flipped) == "config.json"
     (flipped / ARTIFACTS[2]).write_bytes(bytes([2, 1, 2, 2]))
     assert first_difference(same, flipped) == ARTIFACTS[2]
     (flipped / ARTIFACTS[1]).unlink()

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fedgame.aggregator import (
     AggregatorConfig, aggregate_mean, flatten_parameters, init_aggregator, register_client,
     train_step,
 )
+from fedgame.cli import config_from_dict, config_to_dict
 from fedgame.data import WindowedDataset
 from fedgame.errors import ConfigError, NumericError, UsageError
 from fedgame.forecaster import ForecasterConfig, build_spec, local_train
@@ -184,6 +186,65 @@ def test_integer_config_fields_reject_bools_and_fractions(cls, key):
         with pytest.raises(ConfigError, match=f"{key} must be (an )?integer"):
             build(bad)
     assert getattr(build(np.int64(value)), key) == good
+
+
+# Every annotated field of the four config classes, read from the
+# annotations, so a new field is covered without editing the test.
+ANNOTATED_FIELDS = [(cls, key, hint) for cls in CONFIG_BASES
+                    for key, hint in typing.get_type_hints(cls).items()]
+# a value of the wrong JSON type for each element type
+WRONG_JSON = {int: "x", float: "x", str: 5, bool: 1}
+NUMPY = {int: np.int64, float: np.float64, bool: np.bool_}
+
+
+def element_type(hint):
+    """int for ``int``, ``int | None`` and ``tuple[int, ...]``."""
+    args = typing.get_args(hint)
+    return args[0] if args else hint
+
+
+@pytest.mark.parametrize("cls,key,hint", ANNOTATED_FIELDS,
+                         ids=[f"{cls.__name__}.{key}" for cls, key, _ in ANNOTATED_FIELDS])
+def test_every_annotated_field_is_typed_and_normalized_by_its_class(cls, key, hint):
+    base = CONFIG_BASES[cls]
+    kind, many = element_type(hint), typing.get_origin(hint) is tuple
+
+    def build(value):
+        return getattr(cls(**{**base, key: value}), key)
+
+    wrong = [WRONG_JSON[kind]] if many else WRONG_JSON[kind]
+    with pytest.raises(ConfigError) as info:
+        build(wrong)
+    (problem,) = info.value.problems
+    assert problem.startswith(f"{key} must be ") and problem.endswith(f", got {wrong!r}")
+    if key in ExperimentConfig.__dataclass_fields__:
+        assert config_from_dict({key: wrong})[1] == [problem]
+
+    good = getattr(cls(**base), key)
+    if many:
+        assert type(build(list(good))) is tuple and build(list(good)) == good
+        if kind in NUMPY:
+            typed = build([NUMPY[kind](v) for v in good])
+            assert typed == good and all(type(v) is kind for v in typed)
+    elif kind in NUMPY:
+        typed = build(NUMPY[kind](good))
+        assert type(typed) is kind and typed == good
+        if kind is float and good.is_integer():
+            assert type(build(int(good))) is float
+
+
+def test_a_config_of_numpy_scalars_writes_the_same_json():
+    plain = ExperimentConfig(**CONFIG_BASES[ExperimentConfig])
+    numpy_values = {}
+    for key, hint in typing.get_type_hints(ExperimentConfig).items():
+        convert, value = NUMPY.get(element_type(hint)), getattr(plain, key)
+        if convert and value is not None:
+            numpy_values[key] = (tuple(map(convert, value)) if isinstance(value, tuple)
+                                 else convert(value))
+    config = ExperimentConfig(**numpy_values)
+    assert json.dumps(config_to_dict(config)) == json.dumps(config_to_dict(plain))
+    json.dumps(config_to_dict(ExperimentConfig(n_clients=np.int64(3),
+                                               hidden_sizes=(np.int64(4),))))
 
 
 def test_hyper_params_validation():

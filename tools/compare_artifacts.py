@@ -8,13 +8,17 @@ with ``python -m fedgame.cli synth`` and runs ``python -m fedgame.cli
 run`` on it, once on the ``src`` tree of REF (exported with ``git
 archive`` into a temporary directory, so the repository gains no
 worktree) and once on this checkout's ``src``.  It then compares
-``ARTIFACTS`` byte for byte, prints one line per config, and exits 1
-naming the first file that differs, 0 when every file matches.  A run
-that fails ends the script with its error.
+``ARTIFACTS`` and ``config.json`` byte for byte, prints one line per
+config, and exits 1 naming the first file that differs, 0 when every
+file matches.  ``config.json`` holds the run's own directory (in
+``csv_path`` and ``output_dir``), the one part that differs between
+the two sides, so each side's directory reads as a placeholder there.
+A run that fails ends the script with its error.
 
 The matrix covers all six aggregator kinds, noisy gates, half
-participation, a two-layer LSTM and the CSV ingest path; the byte-
-identical rerun test in ``tests/test_cli.py`` runs the same matrix.
+participation, a two-layer LSTM, the CSV ingest path and whole numbers
+given for float fields; the byte-identical rerun test in
+``tests/test_cli.py`` runs the same matrix.
 """
 
 from __future__ import annotations
@@ -28,11 +32,14 @@ import tempfile
 from pathlib import Path
 
 ARTIFACTS = ("rounds.jsonl", "eval.json", "eval.csv", "attention.csv")
+COMPARED = (*ARTIFACTS, "config.json")
 BASE = {"series_length": 160, "embed_dim": 4, "rounds": 2}
 # The game rows: CSV ingest, a two-layer LSTM, a two-layer MLP, and noisy
 # gates where half the clients sit out each round, which draws from all
 # three per-round roles (batch order, participation, gate noise) and
-# steps only the batch's gate rows.  Then one row per other kind.
+# steps only the batch's gate rows.  Then one row per other kind, and
+# one whose float fields are given as JSON integers, which the config
+# stores, and config.json writes, as floats.
 MATRIX = {
     "csv": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4]},
     "lstm": {"n_clients": 3, "n_clusters": 1, "arch": "lstm", "hidden_sizes": [4, 3]},
@@ -42,6 +49,8 @@ MATRIX = {
                   "aggregator_kind": "game", "participation": 0.5, "noise_enabled": True},
     **{kind: {"n_clients": 4, "n_clusters": 2, "hidden_sizes": [4], "aggregator_kind": kind}
        for kind in ("mean", "single_attention", "fedavg", "fedprox_only", "local_only")},
+    "whole_floats": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4], "eta": 1,
+                     "gamma": 1, "temperature": 2, "alpha": 1, "participation": 1},
 }
 
 
@@ -59,12 +68,22 @@ def cli_steps(name: str, workdir: Path) -> list[list[str]]:
             ["run", str(run), "--output-dir", str(workdir / "out")]]
 
 
+def pinned_bytes(out: Path, name: str) -> bytes:
+    """File ``name`` of the output directory ``out``; in ``config.json``
+    the run directory, ``out``'s parent, reads as ``<run>``."""
+    data = (out / name).read_bytes()
+    if name == "config.json":
+        data = data.replace(json.dumps(str(out.parent))[1:-1].encode(), b"<run>")
+    return data
+
+
 def first_difference(a: Path, b: Path) -> str | None:
-    """The first of ``ARTIFACTS`` whose bytes differ between directories
-    ``a`` and ``b`` (a missing file differs), else None."""
-    for name in ARTIFACTS:
-        left, right = a / name, b / name
-        if not (left.is_file() and right.is_file()) or left.read_bytes() != right.read_bytes():
+    """The first of ``COMPARED`` whose bytes differ between the output
+    directories ``a`` and ``b`` (a missing file differs), else None."""
+    for name in COMPARED:
+        if not ((a / name).is_file() and (b / name).is_file()):
+            return name
+        if pinned_bytes(a, name) != pinned_bytes(b, name):
             return name
     return None
 
@@ -103,7 +122,7 @@ def main(argv=None) -> int:
             if differs:
                 print(f"{name}: {differs} differs from {args.ref}")
                 return 1
-            print(f"{name}: {', '.join(ARTIFACTS)} byte-identical to {args.ref}")
+            print(f"{name}: {', '.join(COMPARED)} byte-identical to {args.ref}")
     return 0
 
 
