@@ -16,12 +16,13 @@ autodiff tape and no external ML framework is involved.
 
 Every client shares one architecture, so the forward and the backward
 carry a leading client axis: N flat parameter vectors (N, P) and their
-batches (N, B, history_len, features) give N losses and N gradients in
-one pass, with ``np.matmul`` over the stacked matrices.  No operation
-mixes two clients, and each client's slice sees the same operand
-shapes and strides as a stack of that client alone, so a client's
-bytes do not depend on who it is stacked with.  A single client is a
-stack of one; there is no separate per-client path.
+batches (N, B, history_len) give N losses and N gradients in one pass,
+with ``np.matmul`` over the stacked matrices.  No operation mixes two
+clients, and each client's slice sees the same operand shapes and
+strides as a stack of that client alone, so a client's bytes do not
+depend on who it is stacked with.  A single client is a stack of one;
+there is no separate per-client path.  Which clients share a stack is
+decided here alone (:func:`stack_groups`), for training and scoring.
 
 The LSTM forward caches every timestep's gates i, f, g, o and tanh(c)
 next to h and c, and the backward reads them instead of re-running the
@@ -33,21 +34,18 @@ a strided view, and the cell's gate ufuncs ran 1.8x slower.  It is one
 allocation because glibc's malloc raises its trim threshold to twice
 the size of the largest mmapped chunk freed so far: one 2.8 MB block
 lifts it above a training step's working set, so the heap keeps the
-step's pages.  As ~86 arrays of 32 KB the cache was trimmed and faulted
-in again on every step, ~650 minor faults a step on ``lstm_fedavg``
-(none now), and its median round fell from ~42 to ~32 ms (2-CPU Xeon,
-numpy 2.4).
+step's pages.  As many small arrays the cache is trimmed and faulted in
+again on every step.
 
 The MLP forward does the same with one float64 block per step of
 N*B*(sum(hidden_sizes) + 3*max(hidden_sizes)): every hidden activation
 as a contiguous (N, B, W) slice, then three scratch slots of the widest
 layer, into which the backward writes each layer's delta and its
 1 - a**2 term with ``out=``.  At N=32, B=32, W=32 each activation or
-delta is 256 KB, above glibc's default mmap threshold; as separate
-arrays the step faulted them in again every time, ~220 minor faults a
-step on ``wide_server``, and with the scratch in a second block ~25.
-One ~1 MB block takes none once warm.  Other allocators compute the
-same bytes, perhaps no faster.
+delta is 256 KB, above glibc's default mmap threshold, so as separate
+arrays, or with the scratch in a second block, the step faults them in
+again every time.  Other allocators compute the same bytes, perhaps no
+faster.
 
 Local training runs each stack of clients with equally many windows
 through one loop: every epoch gathers the windows in the drawn orders
@@ -62,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,12 +85,11 @@ class ForecasterConfig:
     local_epochs: int = 1
     prox_mu: float = 0.2
     batch_size: int = 32
-    features: int = 1
 
     def __post_init__(self) -> None:
         problems, bad = typed_fields(self)
         problems += too_small(
-            self, ("history_len", "horizon", "local_epochs", "batch_size", "features"), 1, bad
+            self, ("history_len", "horizon", "local_epochs", "batch_size"), 1, bad
         )
         problems += too_small(self, ("prox_mu",), 0, bad)
         problems += too_small(self, ("local_lr",), 0, bad, strict=True)
@@ -106,10 +103,11 @@ class ForecasterConfig:
                 problems.append(f"quantiles must be strictly increasing, got {quantiles}")
         if "hidden_sizes" not in bad and any(w < 1 for w in self.hidden_sizes):
             problems.append(f"hidden_sizes must be positive, got {list(self.hidden_sizes)}")
-        if "arch" not in bad and self.arch not in ARCHS:
-            problems.append(f"arch must be one of {list(ARCHS)}, got {self.arch!r}")
-        elif self.arch == "lstm" and "hidden_sizes" not in bad and not self.hidden_sizes:
-            problems.append("hidden_sizes must not be empty for arch 'lstm'")
+        if "arch" not in bad:
+            if self.arch not in ARCHS:
+                problems.append(f"arch must be one of {list(ARCHS)}, got {self.arch!r}")
+            elif self.arch == "lstm" and "hidden_sizes" not in bad and not self.hidden_sizes:
+                problems.append("hidden_sizes must not be empty for arch 'lstm'")
         if problems:
             raise ConfigError(*problems)
 
@@ -135,13 +133,13 @@ def build_spec(cfg: ForecasterConfig) -> tuple[LayerSpec, ...]:
         spec.append(LayerSpec(name, shape, kind, offset, math.prod(shape), fan_in))
 
     if cfg.arch == "mlp":
-        in_dim = cfg.history_len * cfg.features
+        in_dim = cfg.history_len
         for i, width in enumerate(cfg.hidden_sizes):
             add(f"hidden{i}.w", (in_dim, width), "dense", in_dim)
             add(f"hidden{i}.b", (width,), "dense", in_dim)
             in_dim = width
     else:
-        in_dim = cfg.features
+        in_dim = 1
         for i, width in enumerate(cfg.hidden_sizes):
             add(f"lstm{i}.wx", (in_dim, 4 * width), "recurrent", width)
             add(f"lstm{i}.wh", (width, 4 * width), "recurrent", width)
@@ -230,20 +228,18 @@ def _mT(a: np.ndarray) -> np.ndarray:
 
 
 def _as_batch(cfg: ForecasterConfig, windows: np.ndarray) -> np.ndarray:
-    """Windows as (batch, history_len, features); 2-D input is a univariate batch."""
+    """Windows as a float64 (batch, history_len) array."""
     w = np.asarray(windows, dtype=np.float64)
-    if w.ndim == 2 and cfg.features == 1:
-        w = w[:, :, np.newaxis]
-    if w.ndim != 3 or w.shape[1:] != (cfg.history_len, cfg.features):
-        raise StructuralError(
-            f"window batch has shape {w.shape}, expected (*, {cfg.history_len}, {cfg.features})"
-        )
+    if w.ndim != 2 or w.shape[1] != cfg.history_len:
+        raise StructuralError(f"window batch has shape {w.shape}, expected (*, {cfg.history_len})")
     return w
 
 
-def _checked_batch(
+def checked_batch(
     cfg: ForecasterConfig, windows: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """One client's windows (B, history_len) and targets (B, horizon) as
+    float64 arrays; a :class:`StructuralError` if either shape is off."""
     batch = _as_batch(cfg, windows)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (batch.shape[0], cfg.horizon):
@@ -290,10 +286,10 @@ def _lstm_cell_backward(gates, c_prev, dh, dc):
 
 def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray):
     """Predictions (N, B, output_dim) of a stack of N clients on their
-    (N, B, history_len, features) batches, the output layer's input, and
+    (N, B, history_len) batches, the output layer's input, and
     the activations the backward pass reads.
 
-    MLP: the flattened input and every hidden activation, then three
+    MLP: the input and every hidden activation, then three
     scratch slots of the widest layer for the backward, all views of one
     block (see the module docstring).  LSTM: per layer, the input
     sequence and three views of the layer's one cache block: every
@@ -305,7 +301,7 @@ def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray)
     if cfg.arch == "mlp":
         widths = cfg.hidden_sizes
         blk = np.empty(n * size * (sum(widths) + 3 * max(widths, default=0)))
-        acts, start = [batch.reshape(n, size, cfg.history_len * cfg.features)], 0
+        acts, start = [batch], 0
         for i, width in enumerate(widths):
             a = blk[start : start + n * size * width].reshape(n, size, width)
             start += a.size
@@ -316,7 +312,8 @@ def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray)
         return acts[-1] @ w["out.w"] + w["out.b"], acts[-1], (acts, blk[start:].reshape(3, -1))
 
     steps = cfg.history_len
-    seq = [batch[:, :, t, :] for t in range(steps)]
+    # each step's input as an (N, B, 1) view
+    seq = [batch[:, :, t : t + 1] for t in range(steps)]
     cache = []
     for i, width in enumerate(cfg.hidden_sizes):
         wx, wh, b = w[f"lstm{i}.wx"], w[f"lstm{i}.wh"], w[f"lstm{i}.b"]
@@ -389,22 +386,28 @@ def _backward(
         d_out = d_in
 
 
-def forward_batch(model: ForecasterModel, windows: np.ndarray) -> np.ndarray:
-    """Predictions for a batch of windows, shaped (n, horizon, n_quantiles).
+def predict(
+    cfg: ForecasterConfig, ids: Sequence[str], values: np.ndarray, batch: np.ndarray
+) -> np.ndarray:
+    """Predictions (N, B, output_dim) of a stack of N clients: row k of
+    ``values`` (N, P) on row k of ``batch`` (N, B, history_len), with the
+    bits of a stack of that client alone.  A non-finite forecast raises
+    :class:`NumericError` naming its clients, ``ids[k]`` for row k."""
+    pred = _forward(cfg, _blocks(build_spec(cfg), values), batch)[0]
+    _require_finite(ids, np.isfinite(pred).all(axis=(1, 2)), "non-finite predictions")
+    return pred
 
-    ``windows`` is (n, history_len, features), or (n, history_len) for a
-    univariate model.  Deterministic in (values, windows).
-    """
+
+def forward_batch(model: ForecasterModel, windows: np.ndarray) -> np.ndarray:
+    """Predictions for a batch of windows (n, history_len), shaped (n,
+    horizon, n_quantiles).  Deterministic in (values, windows)."""
     cfg = model.config
     batch = _as_batch(cfg, windows)
-    w = _blocks(build_spec(cfg), model.values[np.newaxis])
-    pred = _forward(cfg, w, batch[np.newaxis])[0][0]
-    if not np.all(np.isfinite(pred)):
-        raise NumericError("forward produced non-finite predictions")
-    return pred.reshape(batch.shape[0], cfg.horizon, len(cfg.quantiles))
+    pred = predict(cfg, ["model"], model.values[np.newaxis], batch[np.newaxis])[0]
+    return pred.reshape(len(batch), cfg.horizon, len(cfg.quantiles))
 
 
-def _pinball_weights(diff: np.ndarray, q_flat: np.ndarray) -> np.ndarray:
+def pinball_weights(diff: np.ndarray, q_flat: np.ndarray) -> np.ndarray:
     """Piecewise slope of the pinball loss w.r.t. the prediction.
 
     diff = pred - target.  Where diff > 0 (over-prediction) the slope is
@@ -427,7 +430,7 @@ def pinball_loss(pred: np.ndarray, target: np.ndarray, quantiles: Sequence[float
     if not pred.size:
         raise UsageError("pinball_loss needs at least one target and one quantile level")
     diff = pred - target[:, np.newaxis]
-    return float(np.mean(_pinball_weights(diff, q[np.newaxis, :]) * diff))
+    return float(np.mean(pinball_weights(diff, q[np.newaxis, :]) * diff))
 
 
 def task_loss_and_gradient(
@@ -437,8 +440,8 @@ def task_loss_and_gradient(
     """Mean pinball losses (N,) and flat gradients (N, P) of a stack of N clients.
 
     Row k of ``values`` (N, P) is client k's flat parameters, scored on
-    its own checked batch: row k of ``batch`` (N, B, history_len,
-    features) and ``targets`` (N, B, horizon).  No operation mixes two
+    its own checked batch: row k of ``batch`` (N, B, history_len) and
+    ``targets`` (N, B, horizon).  No operation mixes two
     rows, so each row is bit-identical to a stack of that client alone.
     ``out``, if given, is a zeroed (N, P) buffer that receives the gradients.
     """
@@ -449,7 +452,7 @@ def task_loss_and_gradient(
     pred, head_in, cache = _forward(cfg, w, batch)
     # each target broadcasts over its quantile columns
     diff = (pred.reshape(targets.shape + (-1,)) - targets[..., np.newaxis]).reshape(pred.shape)
-    weights = _pinball_weights(diff, _quantile_row(cfg))
+    weights = pinball_weights(diff, _quantile_row(cfg))
     scale = 1.0 / diff[0].size
     _backward(cfg, w, _blocks(spec, grad), head_in, cache, scale * weights)
     return (diff * weights).reshape(len(values), -1).sum(axis=1) * scale, grad
@@ -457,7 +460,7 @@ def task_loss_and_gradient(
 
 def _one_client(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray):
     """Loss and gradient of one model on one batch, as a stack of one."""
-    batch, targets = _checked_batch(model.config, windows, targets)
+    batch, targets = checked_batch(model.config, windows, targets)
     if not len(batch):
         raise UsageError("task_loss and task_gradient need a non-empty batch")
     losses, grads = task_loss_and_gradient(
@@ -476,24 +479,35 @@ def task_gradient(model: ForecasterModel, windows: np.ndarray, targets: np.ndarr
     return _one_client(model, windows, targets)[1]
 
 
-def _require_finite(ids: list[str], ok: np.ndarray, what: str) -> None:
+def _require_finite(ids: Sequence[str], ok: np.ndarray, what: str) -> None:
     if not ok.all():
         raise NumericError(f"{what} for clients {[c for c, fine in zip(ids, ok) if not fine]}")
 
 
+def stack_groups(keys: Sequence) -> list[list[int]]:
+    """The positions of equal ``keys``, one list per key in first-seen
+    order: the clients that share a stacked pass.  Training keys a client
+    by its window count, scoring by its (config, window count)."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
 def _train_stack(
-    cfg: ForecasterConfig, ids: list[str], batch: np.ndarray, targets: np.ndarray,
+    cfg: ForecasterConfig, ids: list[str], sets: list[tuple[np.ndarray, np.ndarray]],
     values: np.ndarray, anchor: np.ndarray, rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """SGD for clients with equally many windows: trains the (N, P)
-    ``values`` in place and returns the (N, steps) mini-batch losses."""
-    n = batch.shape[1]
-    rows = np.arange(len(ids))[:, np.newaxis]
+    """SGD for clients with equally many (windows, targets) ``sets``: trains
+    the (N, P) ``values`` in place and returns the (N, steps) losses."""
+    n = len(sets[0][0])
     pull, grad = np.empty_like(values), np.empty_like(values)
     losses = []
     for _ in range(cfg.local_epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        epoch_batch, epoch_targets = batch[rows, order], targets[rows, order]
+        # each client's windows in its drawn order, gathered into one stack
+        orders = [rng.permutation(n) for rng in rngs]
+        epoch_batch = np.stack([batch[o] for (batch, _), o in zip(sets, orders)])
+        epoch_targets = np.stack([targets[o] for (_, targets), o in zip(sets, orders)])
         for start in range(0, n, cfg.batch_size):
             step = slice(start, start + cfg.batch_size)
             grad.fill(0.0)
@@ -514,49 +528,39 @@ def _train_stack(
 
 
 def local_train(
-    models: Mapping[str, ForecasterModel],
-    data: Mapping[str, object],
-    global_model: ForecasterModel,
-    rngs: Mapping[str, np.random.Generator],
-) -> dict[str, tuple[np.ndarray, float]]:
+    cfg: ForecasterConfig, ids: Sequence[str], values: np.ndarray, data: Sequence,
+    anchor: np.ndarray, rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
     """Mini-batch SGD on the proximally regularized objective, for every
     client at once.
 
-    ``models``, ``data`` and ``rngs`` are keyed by client id, and every
-    model must use ``cfg``, the config of the consensus ``global_model``.
-    Each ``data[cid]`` exposes ``inputs`` (n, history_len[, features])
-    and ``targets`` (n, horizon).  Each client runs ``cfg.local_epochs``
-    passes whose batch order is drawn from its own rng stream, and the
-    proximal pull mu * (w - w_global) is added to every mini-batch
-    gradient exactly.  Clients with equally many windows train as one
-    stacked pass; every client's result is bit-identical to training it
-    alone.  No input is written.  Returns client id -> (trained
-    parameter row (P,), mean mini-batch task loss).
+    Row k of the (N, P) ``values`` is client ``ids[k]``'s flat parameters
+    in ``cfg``'s layout, ``data[k]`` its training set (``inputs`` (n,
+    history_len), ``targets`` (n, horizon)) and ``rngs[k]`` the stream its
+    batch orders are drawn from.  Each client runs ``cfg.local_epochs``
+    passes, and the proximal pull mu * (w - anchor) toward the consensus
+    ``anchor`` (P,) is added to every mini-batch gradient exactly.
+    Clients with equally many windows train as one stack, each
+    bit-identical to training alone.  No input is written.  Returns the
+    trained (N, P) matrix and the (N,) mean mini-batch task losses.
     """
-    cfg = global_model.config
-    sets: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for cid in sorted(models):
-        # a model's layout follows from its config, so this also checks the layout
-        if models[cid].config != cfg:
-            raise StructuralError(
-                f"client {cid!r}: model config differs from the consensus model's"
-            )
-        for name, given in (("training data", data), ("rng stream", rngs)):
-            if cid not in given:
-                raise UsageError(f"client {cid!r}: local_train was given no {name}")
-        sets[cid] = _checked_batch(cfg, data[cid].inputs, data[cid].targets)
-        if not len(sets[cid][0]):
-            raise UsageError(f"client {cid!r}: local_train called with an empty dataset")
-
-    stacks: dict[int, list[str]] = {}
-    for cid, (batch, _) in sets.items():
-        stacks.setdefault(len(batch), []).append(cid)
-    out = {}
-    for ids in stacks.values():
-        values = np.stack([models[c].values for c in ids])
-        losses = _train_stack(
-            cfg, ids, np.stack([sets[c][0] for c in ids]), np.stack([sets[c][1] for c in ids]),
-            values, global_model.values, [rngs[c] for c in ids],
+    n, total = len(ids), total_params(build_spec(cfg))
+    values, anchor = np.asarray(values, dtype=np.float64), np.asarray(anchor, dtype=np.float64)
+    if (values.shape, anchor.shape, len(data), len(rngs)) != ((n, total), (total,), n, n):
+        raise StructuralError(
+            f"local_train got {n} ids, a {values.shape} matrix, a {anchor.shape} anchor, "
+            f"{len(data)} training sets and {len(rngs)} rng streams for a layout of {total}"
         )
-        out.update(zip(ids, zip(values, losses.mean(axis=1).tolist())))
-    return out
+    sets = [checked_batch(cfg, d.inputs, d.targets) for d in data]
+    for cid, (batch, _) in zip(ids, sets):
+        if not len(batch):
+            raise UsageError(f"client {cid!r}: local_train called with an empty dataset")
+    trained, losses = values.copy(), np.empty(n)
+    for group in stack_groups([len(batch) for batch, _ in sets]):
+        # a stack of all N trains in place: one more (N, P) block can cost page faults
+        stack = trained if len(group) == n else trained[group]
+        losses[group] = _train_stack(cfg, [ids[k] for k in group], [sets[k] for k in group],
+                                     stack, anchor, [rngs[k] for k in group]).mean(axis=1)
+        if stack is not trained:
+            trained[group] = stack
+    return trained, losses

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import denormalize
-from .errors import StructuralError, UsageError
-from .forecaster import (
-    ForecasterConfig, ForecasterModel, _blocks, _checked_batch, _forward, _pinball_weights,
-    _require_finite, build_spec,
-)
+from .errors import NumericError, StructuralError, UsageError
+from .forecaster import ForecasterModel, checked_batch, pinball_weights, predict, stack_groups
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ def quantile_score(y: np.ndarray, yhat: np.ndarray, q: float) -> float:
     if not 0.0 < q < 1.0:
         raise UsageError(f"quantile level must lie in (0, 1), got {q}")
     diff = yhat - y
-    return float(np.mean(_pinball_weights(diff, q) * diff))
+    return float(np.mean(pinball_weights(diff, q) * diff))
 
 
 def icp(y: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
@@ -127,18 +124,19 @@ def mil(lower: np.ndarray, upper: np.ndarray) -> float:
     return float(np.mean(np.abs(upper - lower)))
 
 
-def _score_stack(
-    cfg: ForecasterConfig, ids: list[str], models: dict, test_data: dict
-) -> list[ClientScore]:
-    """Scores of clients ``ids``, which share ``cfg`` and a test-set size,
+def _score_stack(ids: list[str], models: dict, test_data: dict) -> list[ClientScore]:
+    """Scores of clients ``ids``, which share a config and a test-set size,
     from one stacked forward.  Each quantity is one mean over the last
     axis of contiguous rows, a row per client (and level): the bits of
     ``np.mean`` of the client's own array, as if it were scored alone."""
+    cfg = models[ids[0]].config
     sets = [test_data[c] for c in ids]
-    checked = [_checked_batch(cfg, d.inputs, d.targets) for d in sets]
+    checked = [checked_batch(cfg, d.inputs, d.targets) for d in sets]
     values = np.stack([models[c].values for c in ids])
-    pred = _forward(cfg, _blocks(build_spec(cfg), values), np.stack([b for b, _ in checked]))[0]
-    _require_finite(ids, np.isfinite(pred).all(axis=(1, 2)), "evaluate: non-finite predictions")
+    try:
+        pred = predict(cfg, ids, values, np.stack([b for b, _ in checked]))
+    except NumericError as exc:
+        raise NumericError(f"evaluate: {exc}") from exc
     q = np.asarray(cfg.quantiles, dtype=np.float64)
     mean = np.array([d.mean for d in sets])[:, np.newaxis, np.newaxis]
     std = np.array([d.std for d in sets])[:, np.newaxis, np.newaxis]
@@ -146,7 +144,7 @@ def _score_stack(
     preds = denormalize(pred, mean, std).reshape(n, size, cfg.horizon, q.size)
     targets = denormalize(np.stack([t for _, t in checked]), mean, std)
     diff = preds - targets[..., np.newaxis]
-    loss = _pinball_weights(diff, q) * diff
+    loss = pinball_weights(diff, q) * diff
     # (N, n_quantiles, size * horizon): one contiguous row per client and level
     by_level = np.ascontiguousarray(np.moveaxis(loss, 3, 1)).reshape(n, q.size, -1)
     lo = preds[..., int(np.argmin(q))]
@@ -176,20 +174,15 @@ def evaluate(models: dict[str, ForecasterModel], test_data: dict) -> EvalReport:
         raise StructuralError(f"models disagree on their quantile levels: {sorted(levels)}")
     (quantiles,) = levels
 
-    stacks: dict[tuple[ForecasterConfig, int], list[str]] = {}
-    excluded = []
-    for client_id in sorted(models):
-        data = test_data.get(client_id)
-        if data is None or not len(data):
-            excluded.append(client_id)
-            continue
-        stacks.setdefault((models[client_id].config, len(data)), []).append(client_id)
-    if not stacks:
+    excluded = [c for c in sorted(models) if test_data.get(c) is None or not len(test_data[c])]
+    ids = [c for c in sorted(models) if c not in excluded]
+    if not ids:
         raise UsageError("every client was excluded: no test windows at all")
     scored = {}
-    for (cfg, _), ids in stacks.items():
-        scored.update(zip(ids, _score_stack(cfg, ids, models, test_data)))
-    scores = [scored[c] for c in sorted(scored)]
+    for group in stack_groups([(models[c].config, len(test_data[c])) for c in ids]):
+        stack = [ids[k] for k in group]
+        scored.update(zip(stack, _score_stack(stack, models, test_data)))
+    scores = [scored[c] for c in ids]
 
     ns = np.array([c.n for c in scores], dtype=np.float64)
 

@@ -252,15 +252,13 @@ def run_round(
     spec = new_state.global_model.spec
     participants = _select_participants(new_state, hyper)
 
-    trained = local_train(
-        {cid: new_state.client_models[cid] for cid in participants},
-        train_data,
-        new_state.global_model,
-        {cid: round_stream(seed, f"client:{cid}", r) for cid in participants},
-    )
-    train_losses = {cid: trained[cid][1] for cid in participants}
     # one row per participant, in sorted-id order
-    private = np.stack([trained[cid][0] for cid in participants])
+    private, losses = local_train(
+        new_state.global_model.config, participants,
+        np.stack([new_state.client_models[cid].values for cid in participants]),
+        [train_data[cid] for cid in participants], new_state.global_model.values,
+        [round_stream(seed, f"client:{cid}", r) for cid in participants],
+    )
     deltas = compute_delta(private, new_state.global_model.values, spec)
 
     if kind != "local_only":
@@ -296,7 +294,7 @@ def run_round(
     report = RoundReport(
         round_index=new_state.round_index,
         client_ids=tuple(participants),
-        train_losses=train_losses,
+        train_losses=dict(zip(participants, losses.tolist())),
         meta_loss=meta,
         attention=attention,
         gate_mixes=gate_mixes,
@@ -377,7 +375,8 @@ class ExperimentConfig:
                 f"n_clusters must not exceed n_clients "
                 f"(n_clusters={self.n_clusters}, n_clients={self.n_clients})"
             )
-        if self.arch == "mlp" and "hidden_sizes" not in bad and not self.hidden_sizes:
+        if (bad.isdisjoint(("arch", "hidden_sizes")) and self.arch == "mlp"
+                and not self.hidden_sizes):
             # a layerless MLP is all output head and leaves no shared body;
             # ForecasterConfig rejects a layerless LSTM itself
             problems.append("hidden_sizes must not be empty")
@@ -391,23 +390,21 @@ class ExperimentConfig:
                           if getattr(self, k) is not None)
         small = too_small(self, published, 1, bad)
         problems += small
-        counts = None
-        try:
-            counts = self.param_counts()
-        except ConfigError as exc:
-            problems.extend(exc.problems)
-        for build in (self.aggregator_config, self.hyper_params):
+        built = {}
+        # by shared fields alone: the kind builders compare aggregator_kind, maybe ill-typed
+        for cls in (ForecasterConfig, AggregatorConfig, HyperParams):
             try:
-                build()
+                built[cls] = self._sub_config(cls)
             except ConfigError as exc:
                 problems.extend(exc.problems)
         # a published count must leave a shared body: 0 < head < total
-        if (published and not small and bad.isdisjoint(published)
-                and counts and counts[1] >= counts[0]):
-            problems.append(
-                f"{' and '.join(published)}: the head count {counts[1]} must be smaller "
-                f"than the total count {counts[0]}"
-            )
+        if published and not small and bad.isdisjoint(published) and ForecasterConfig in built:
+            total, head = self.param_counts()
+            if head >= total:
+                problems.append(
+                    f"{' and '.join(published)}: the head count {head} must be smaller "
+                    f"than the total count {total}"
+                )
         if problems:
             # a type problem of a field the sub-configs share is found twice
             raise ConfigError(*dict.fromkeys(problems))
@@ -418,7 +415,7 @@ class ExperimentConfig:
         Published counts, when set, replace the counts derived from the
         layer layout.
         """
-        spec = build_spec(self.forecaster_config())
+        spec = build_spec(self._sub_config(ForecasterConfig))
         return (self.published_total_params or total_params(spec),
                 self.published_head_params or head_length(spec))
 

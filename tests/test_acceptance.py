@@ -188,8 +188,8 @@ def test_client_and_server_gradients_match_finite_differences():
     # the gradient training applies: one full-batch SGD step w' = w - lr * g
     assert cfg.batch_size >= len(windows) and cfg.local_epochs == 1
     batch = WindowedDataset(windows, targets, mean=0.0, std=1.0)
-    stepped, _ = local_train({"c": model}, {"c": batch}, anchor,
-                             {"c": np.random.default_rng(0)})["c"]
+    (stepped,), _ = local_train(cfg, ["c"], model.values[np.newaxis], [batch], anchor.values,
+                                [np.random.default_rng(0)])
     analytic = (model.values - stepped) / cfg.local_lr
     numeric = central_difference(prox_objective, model.values.copy())
     assert_gradients_close(analytic, numeric)

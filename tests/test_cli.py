@@ -131,6 +131,17 @@ def test_duplicate_keys_are_reported_with_the_other_problems(tmp_path, capsys):
     assert load_config(str(path)) == (None, ["key 'rounds' appears more than once"])
 
 
+def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"eta": 1' + "0" * 400 + ', "arch": "gru"}', encoding="utf-8")
+    config, errors = load_config(str(path))
+    assert config is None
+    assert errors == ["eta must be a number, got an integer too large for a float",
+                      "arch must be one of ['mlp', 'lstm'], got 'gru'"]
+    assert main(["comm", str(path)]) == 2
+    assert "2 error(s)" in capsys.readouterr().err
+
+
 def test_load_config_reports_unreadable_and_bad_json(tmp_path):
     _, errors = load_config(str(tmp_path / "missing.json"))
     assert errors and "cannot read" in errors[0]

@@ -69,7 +69,7 @@ def ref_mlp_forward(model, window):
 def ref_lstm_forward(model, window):
     cfg = model.config
     arrays = layer_arrays(model)
-    seq = np.asarray(window, dtype=np.float64).reshape(cfg.history_len, cfg.features)
+    seq = np.asarray(window, dtype=np.float64).reshape(cfg.history_len, 1)
     for i, width in enumerate(cfg.hidden_sizes):
         wx, wh, b = arrays[f"lstm{i}.wx"], arrays[f"lstm{i}.wh"], arrays[f"lstm{i}.b"]
         h = np.zeros(width)
@@ -145,7 +145,7 @@ def ref_lstm_recompute_gradient(cfg, values, batch, targets):
 
     w, grad = stack_views(cfg, values), np.zeros_like(values)
     g = stack_views(cfg, grad)
-    seq, states = [batch[:, :, t, :] for t in range(cfg.history_len)], []
+    seq, states = [batch[:, :, t : t + 1] for t in range(cfg.history_len)], []
     for i, width in enumerate(cfg.hidden_sizes):
         hs = cs = [np.zeros((n, batch.shape[1], width))]
         for x in seq:
@@ -387,18 +387,16 @@ def assert_grad_close(model, windows, targets, rtol=1e-4):
 
 
 # (config overrides, init seed, batch size); the data seed is init + 1.
-# Stacked layers, a linear model and features=2 reach the inter-layer
-# and input-feature paths of the backward.
+# Stacked layers and a linear model reach the inter-layer paths of the
+# backward, and an upper LSTM layer the input matmul.
 MLP_GRADIENT_CASES = [
     (dict(hidden_sizes=(8,)), 7, 6),
     (dict(hidden_sizes=(5, 4)), 26, 6),
     (dict(hidden_sizes=()), 28, 6),
-    (dict(hidden_sizes=(8,), features=2), 30, 6),
 ]
 LSTM_GRADIENT_CASES = [
     (dict(arch="lstm", hidden_sizes=(6,)), 9, 4),
     (dict(arch="lstm", hidden_sizes=(4, 3)), 32, 4),
-    (dict(arch="lstm", hidden_sizes=(6,), features=2), 34, 4),
     (dict(arch="lstm", hidden_sizes=(1, 3)), 36, 4),
 ]
 
@@ -407,7 +405,7 @@ def check_task_gradient(overrides, seed, n):
     cfg = small_config(**overrides)
     model = init_forecaster(cfg, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
-    windows = rng.normal(size=(n, cfg.history_len, cfg.features))
+    windows = rng.normal(size=(n, cfg.history_len))
     targets = rng.normal(size=(n, cfg.horizon)) + 5.0
     # keep every residual far from the pinball kink so the finite
     # difference never crosses it
@@ -426,10 +424,22 @@ def test_task_gradient_matches_finite_differences_lstm():
         check_task_gradient(*case)
 
 
+def train_by_id(models, data, anchor, rngs):
+    """local_train on the clients of ``models`` in sorted-id order, under
+    the consensus model ``anchor``'s config, as client id -> (trained row,
+    mean loss); ``data`` and ``rngs`` are keyed by client id."""
+    ids = sorted(models)
+    trained, losses = local_train(
+        anchor.config, ids, np.stack([models[c].values for c in ids]), [data[c] for c in ids],
+        anchor.values, [rngs[c] for c in ids],
+    )
+    return dict(zip(ids, zip(trained, losses.tolist())))
+
+
 def one_full_batch_step(cfg, model, anchor, windows, targets):
     """Parameters after local_train's single SGD step over the whole batch."""
     assert cfg.local_epochs == 1 and cfg.batch_size >= len(windows)
-    return local_train({"c": model}, {"c": Batch(windows, targets)}, anchor,
+    return train_by_id({"c": model}, {"c": Batch(windows, targets)}, anchor,
                        {"c": np.random.default_rng(0)})["c"]
 
 
@@ -475,9 +485,9 @@ def test_local_train_is_deterministic_in_the_rng():
     windows = rng.normal(size=(7, cfg.history_len))
     targets = rng.normal(size=(7, cfg.horizon))
     data = Batch(windows, targets)
-    a, loss_a = local_train({"c": model}, {"c": data}, anchor,
+    a, loss_a = train_by_id({"c": model}, {"c": data}, anchor,
                             {"c": np.random.default_rng(42)})["c"]
-    b, loss_b = local_train({"c": model}, {"c": data}, anchor,
+    b, loss_b = train_by_id({"c": model}, {"c": data}, anchor,
                             {"c": np.random.default_rng(42)})["c"]
     np.testing.assert_array_equal(a, b)
     assert loss_a == loss_b
@@ -490,7 +500,7 @@ def test_large_mu_contracts_toward_anchor():
     rng = np.random.default_rng(21)
     data = Batch(rng.normal(size=(4, cfg.history_len)), rng.normal(size=(4, cfg.horizon)))
     start = np.linalg.norm(model.values - anchor.values)
-    trained, _ = local_train({"c": model}, {"c": data}, anchor,
+    trained, _ = train_by_id({"c": model}, {"c": data}, anchor,
                              {"c": np.random.default_rng(1)})["c"]
     end = np.linalg.norm(trained - anchor.values)
     assert end < start
@@ -500,24 +510,22 @@ def test_local_train_rejects_empty_dataset():
     cfg = small_config()
     model = init_forecaster(cfg, np.random.default_rng(22))
     empty = Batch(np.zeros((0, cfg.history_len)), np.zeros((0, cfg.horizon)))
-    with pytest.raises(UsageError):
-        local_train({"c": model}, {"c": empty}, model, {"c": np.random.default_rng(0)})
+    with pytest.raises(UsageError, match="client 'c'"):
+        train_by_id({"c": model}, {"c": empty}, model, {"c": np.random.default_rng(0)})
 
 
 # Architectures for the stacked pass; each runs every stack size with
-# every batch size below.  features=2 reaches the input-feature matmul,
+# every batch size below.  An upper LSTM layer reaches the input matmul,
 # and hidden_sizes=(1, 3) the broadcast input product on an upper layer.
 # (5, 3, 7) stacks three layers whose widths are not multiples of the
 # SIMD width, so many slots of a cache block start off a vector boundary;
 # the MLP's () has no hidden layer and an empty activation block.
 STACK_CASES = [
     dict(hidden_sizes=(32,)),
-    dict(hidden_sizes=(8, 5), features=2),
     dict(hidden_sizes=(3,)),
     dict(hidden_sizes=(5, 3, 7)),
     dict(hidden_sizes=()),
     dict(arch="lstm", hidden_sizes=(16,)),
-    dict(arch="lstm", hidden_sizes=(6, 4), features=2),
     dict(arch="lstm", hidden_sizes=(2,)),
     dict(arch="lstm", hidden_sizes=(1, 3)),
     dict(arch="lstm", hidden_sizes=(5, 3, 7)),
@@ -531,7 +539,7 @@ def test_stacked_loss_and_gradient_equal_each_client_alone():
         total = total_params(build_spec(cfg))
         for n, size in itertools.product((1, 3, 8, 32), (1, 7, 32)):
             values = rng.uniform(-0.5, 0.5, size=(n, total))
-            batch = rng.normal(size=(n, size, cfg.history_len, cfg.features))
+            batch = rng.normal(size=(n, size, cfg.history_len))
             targets = rng.normal(size=(n, size, cfg.horizon))
             losses, grads = task_loss_and_gradient(cfg, values, batch, targets)
             assert losses.shape == (n,) and grads.shape == values.shape
@@ -551,7 +559,7 @@ def test_cached_gate_gradients_equal_the_recomputing_bptt_bit_for_bit():
             continue
         for n, size in ((1, 1), (3, 7), (8, 32)):
             values = rng.uniform(-0.5, 0.5, size=(n, total_params(build_spec(cfg))))
-            batch = rng.normal(size=(n, size, cfg.history_len, cfg.features))
+            batch = rng.normal(size=(n, size, cfg.history_len))
             targets = rng.normal(size=(n, size, cfg.horizon))
             _, grads = task_loss_and_gradient(cfg, values, batch, targets)
             _, expected = ref_lstm_recompute_gradient(cfg, values, batch, targets)
@@ -566,7 +574,7 @@ def test_mlp_gradients_equal_the_plain_expression_backprop_bit_for_bit():
             continue
         for n, size in ((1, 1), (3, 7), (8, 32), (32, 32)):
             values = rng.uniform(-0.5, 0.5, size=(n, total_params(build_spec(cfg))))
-            batch = rng.normal(size=(n, size, cfg.history_len, cfg.features))
+            batch = rng.normal(size=(n, size, cfg.history_len))
             targets = rng.normal(size=(n, size, cfg.horizon))
             losses, grads = task_loss_and_gradient(cfg, values, batch, targets)
             ref_losses, expected = ref_mlp_gradient(cfg, values, batch, targets)
@@ -587,7 +595,7 @@ arch, n, width = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 cfg = ForecasterConfig(history_len=12, horizon=2, hidden_sizes=(width,), arch=arch)
 rng = np.random.default_rng(0)
 values = rng.uniform(-0.5, 0.5, size=(n, total_params(build_spec(cfg))))
-batch = rng.normal(size=(n, 32, cfg.history_len, cfg.features))
+batch = rng.normal(size=(n, 32, cfg.history_len))
 targets = rng.normal(size=(n, 32, cfg.horizon))
 faults = []
 for _ in range(3 + 20):
@@ -640,14 +648,14 @@ def test_local_train_stacks_are_bit_identical_to_one_client_at_a_time(monkeypatc
 
         monkeypatch.setattr(fedgame.forecaster, "task_loss_and_gradient", spy)
         together_rngs = streams()
-        together = local_train(models, data, anchor, together_rngs)
+        together = train_by_id(models, data, anchor, together_rngs)
         monkeypatch.undo()
         # 11 windows in batches of 4 is 3 steps an epoch, 6 windows 2 steps
         assert sorted(stack_sizes) == [2] * 4 + [3] * 6
         assert sorted(together) == sorted(sizes)
         alone_rngs = streams()
         for cid in sizes:
-            values, loss = local_train({cid: models[cid]}, {cid: data[cid]}, anchor,
+            values, loss = train_by_id({cid: models[cid]}, {cid: data[cid]}, anchor,
                                        {cid: alone_rngs[cid]})[cid]
             assert together[cid][0].tobytes() == values.tobytes()
             assert together[cid][1] == loss
@@ -663,7 +671,7 @@ def reference_local_train(models, data, anchor, rngs):
     gradient = ref_mlp_gradient if cfg.arch == "mlp" else ref_lstm_recompute_gradient
     out = {}
     for cid in sorted(models):
-        inputs = np.asarray(data[cid].inputs).reshape(-1, cfg.history_len, cfg.features)
+        inputs = np.asarray(data[cid].inputs)
         targets = np.asarray(data[cid].targets)
         values, losses = models[cid].values[np.newaxis], []
         for _ in range(cfg.local_epochs):
@@ -681,7 +689,7 @@ def reference_local_train(models, data, anchor, rngs):
 
 @pytest.mark.parametrize("overrides", [
     dict(hidden_sizes=(5,)),
-    dict(arch="lstm", hidden_sizes=(4, 3), features=2),
+    dict(arch="lstm", hidden_sizes=(4, 3)),
 ])
 def test_local_train_equals_a_plain_sgd_loop_bit_for_bit(overrides):
     # 11 windows in batches of 4 end on a batch of 3, and 6 on a batch of 2;
@@ -691,13 +699,13 @@ def test_local_train_equals_a_plain_sgd_loop_bit_for_bit(overrides):
     anchor = init_forecaster(cfg, np.random.default_rng(90))
     models = {c: init_forecaster(cfg, np.random.default_rng(91 + i)) for i, c in enumerate(sizes)}
     rng = np.random.default_rng(92)
-    data = {c: Batch(rng.normal(size=(n, cfg.history_len, cfg.features)),
+    data = {c: Batch(rng.normal(size=(n, cfg.history_len)),
                      rng.normal(size=(n, cfg.horizon))) for c, n in sizes.items()}
 
     def streams():
         return {c: np.random.default_rng(93 + i) for i, c in enumerate(sizes)}
 
-    trained = local_train(models, data, anchor, streams())
+    trained = train_by_id(models, data, anchor, streams())
     expected = reference_local_train(models, data, anchor, streams())
     assert sorted(trained) == sorted(expected)
     for cid, (values, loss) in expected.items():
@@ -708,32 +716,35 @@ def test_local_train_equals_a_plain_sgd_loop_bit_for_bit(overrides):
 def test_local_train_writes_none_of_its_inputs():
     cfg = small_config(local_epochs=2, batch_size=3)
     anchor = init_forecaster(cfg, np.random.default_rng(94))
-    models = {c: init_forecaster(cfg, np.random.default_rng(95 + i)) for i, c in enumerate("abc")}
+    values = np.stack([init_forecaster(cfg, np.random.default_rng(95 + i)).values
+                       for i in range(3)])
     rng = np.random.default_rng(98)
-    data = {c: Batch(rng.normal(size=(n, cfg.history_len)), rng.normal(size=(n, cfg.horizon)))
-            for c, n in zip("abc", (7, 7, 4))}
-    arrays = [anchor.values] + [m.values for m in models.values()]
-    arrays += [a for d in data.values() for a in (d.inputs, d.targets)]
+    data = [Batch(rng.normal(size=(n, cfg.history_len)), rng.normal(size=(n, cfg.horizon)))
+            for n in (7, 7, 4)]
+    arrays = [anchor.values, values] + [a for d in data for a in (d.inputs, d.targets)]
     before = [a.tobytes() for a in arrays]
     for a in arrays:
         a.flags.writeable = False  # a write in place raises
-    trained = local_train(models, data, anchor, {c: np.random.default_rng(99) for c in data})
+    trained, losses = local_train(cfg, list("abc"), values, data, anchor.values,
+                                  [np.random.default_rng(99) for _ in data])
     assert [a.tobytes() for a in arrays] == before
-    assert all(not np.shares_memory(values, a) for values, _ in trained.values() for a in arrays)
+    assert trained.shape == values.shape and losses.shape == (3,)
+    assert not any(np.shares_memory(out, a) for out in (trained, losses) for a in arrays)
 
 
-def test_local_train_names_a_client_without_data_or_rng_stream():
+def test_local_train_needs_one_training_set_and_stream_per_client():
     cfg = small_config()
     model = init_forecaster(cfg, np.random.default_rng(100))
+    values = np.stack([model.values, model.values])
     data = Batch(np.zeros((2, cfg.history_len)), np.zeros((2, cfg.horizon)))
-    rngs = {c: np.random.default_rng(101) for c in "ab"}
-    untouched = rngs["a"].bit_generator.state
-    with pytest.raises(UsageError, match=r"client 'b': .*no training data"):
-        local_train({"a": model, "b": model}, {"a": data}, model, rngs)
-    with pytest.raises(UsageError, match=r"client 'b': .*no rng stream"):
-        local_train({"a": model, "b": model}, {"a": data, "b": data}, model, {"a": rngs["a"]})
+    rngs = [np.random.default_rng(101) for _ in range(2)]
+    untouched = rngs[0].bit_generator.state
+    with pytest.raises(StructuralError, match="anchor, 1 training sets and 2 rng streams"):
+        local_train(cfg, ["a", "b"], values, [data], model.values, rngs)
+    with pytest.raises(StructuralError, match="anchor, 2 training sets and 1 rng streams"):
+        local_train(cfg, ["a", "b"], values, [data, data], model.values, rngs[:1])
     # both are found before any training
-    assert rngs["a"].bit_generator.state == untouched
+    assert rngs[0].bit_generator.state == untouched
 
 
 def test_non_finite_loss_names_the_client():
@@ -745,21 +756,25 @@ def test_non_finite_loss_names_the_client():
     data["b"].targets[2, 0] = np.inf
     models = {c: init_forecaster(cfg, np.random.default_rng(82)) for c in data}
     with pytest.raises(NumericError, match=r"non-finite training loss for clients \['b'\]$"):
-        local_train(models, data, anchor, {c: np.random.default_rng(83) for c in data})
+        train_by_id(models, data, anchor, {c: np.random.default_rng(83) for c in data})
 
 
-def test_local_train_rejects_mismatched_configs():
+def test_local_train_rejects_a_matrix_off_the_ids_or_the_layout():
     cfg = small_config()
+    total = total_params(build_spec(cfg))
     model = init_forecaster(cfg, np.random.default_rng(85))
-    other = init_forecaster(small_config(local_lr=0.1), np.random.default_rng(84))
     wider = init_forecaster(small_config(hidden_sizes=(7,)), np.random.default_rng(87))
     data = Batch(np.zeros((2, cfg.history_len)), np.zeros((2, cfg.horizon)))
-    rngs = {c: np.random.default_rng(86) for c in "ab"}
-    with pytest.raises(StructuralError, match="'b'"):
-        local_train({"a": model, "b": other}, {"a": data, "b": data}, model, rngs)
-    # the consensus's config is the training config
-    with pytest.raises(StructuralError, match="'a'"):
-        local_train({"a": model}, {"a": data}, wider, rngs)
+    rngs = [np.random.default_rng(86) for _ in range(2)]
+    # a row count other than the number of ids
+    with pytest.raises(StructuralError, match=rf"2 ids, a \(1, {total}\) matrix"):
+        local_train(cfg, ["a", "b"], model.values[np.newaxis], [data, data], model.values, rngs)
+    # a width other than cfg's layout, in the matrix or in the anchor
+    wide = wider.values.size
+    with pytest.raises(StructuralError, match=rf"a \(1, {wide}\) matrix.* layout of {total}$"):
+        local_train(cfg, ["a"], wider.values[np.newaxis], [data], model.values, rngs[:1])
+    with pytest.raises(StructuralError, match=rf"a \({wide},\) anchor"):
+        local_train(cfg, ["a"], model.values[np.newaxis], [data], wider.values, rngs[:1])
 
 
 def test_mismatched_specs_are_rejected():
@@ -769,7 +784,7 @@ def test_mismatched_specs_are_rejected():
     anchor = init_forecaster(other, np.random.default_rng(24))
     data = Batch(np.zeros((2, cfg.history_len)), np.zeros((2, cfg.horizon)))
     with pytest.raises(StructuralError):
-        local_train({"c": model}, {"c": data}, anchor, {"c": np.random.default_rng(0)})
+        train_by_id({"c": model}, {"c": data}, anchor, {"c": np.random.default_rng(0)})
     with pytest.raises(StructuralError):
         ForecasterModel(anchor.values, cfg)
 

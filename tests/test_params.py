@@ -30,13 +30,9 @@ def make_vector(seed=0):
 LAYOUT_CASES = [
     (dict(hidden_sizes=(5,)), [6, 5]),
     (dict(hidden_sizes=(5, 4)), [6, 5, 4]),
-    (dict(hidden_sizes=(5,), features=2), [12, 5]),
-    (dict(hidden_sizes=(5, 4), features=2), [12, 5, 4]),
     (dict(hidden_sizes=()), [6]),
     (dict(arch="lstm", hidden_sizes=(4,)), [1, 4]),
     (dict(arch="lstm", hidden_sizes=(4, 3)), [1, 4, 3]),
-    (dict(arch="lstm", hidden_sizes=(4,), features=2), [2, 4]),
-    (dict(arch="lstm", hidden_sizes=(4, 3), features=2), [2, 4, 3]),
 ]
 
 

@@ -132,8 +132,9 @@ def test_batch_order_does_not_depend_on_participation_history():
         state, report = run_round(state, hyper, None, data)
         for cid in report.client_ids:
             rounds_in[cid].append(r)
-            stream = {cid: round_stream(3, f"client:{cid}", r)}
-            values, _ = local_train({cid: expected[cid]}, data, state.global_model, stream)[cid]
+            stream = round_stream(3, f"client:{cid}", r)
+            (values,), _ = local_train(CFG, [cid], expected[cid].values[np.newaxis], [data[cid]],
+                                       state.global_model.values, [stream])
             expected[cid] = expected[cid].with_params(values)
     # some client sat out a round before one it took part in
     assert any(taken and len(taken) <= taken[-1] for taken in rounds_in.values())
@@ -165,7 +166,7 @@ INTEGER_FIELDS = [
         "local_epochs", "batch_size", "embed_dim", "num_experts", "top_k", "rounds",
         "master_seed", "published_total_params", "published_head_params")),
     *((ForecasterConfig, key) for key in (
-        "history_len", "horizon", "hidden_sizes", "local_epochs", "batch_size", "features")),
+        "history_len", "horizon", "hidden_sizes", "local_epochs", "batch_size")),
     *((AggregatorConfig, key) for key in ("embed_dim", "num_experts", "top_k")),
     (HyperParams, "rounds"),
 ]
@@ -219,6 +220,19 @@ def test_every_annotated_field_is_typed_and_normalized_by_its_class(cls, key, hi
     assert problem.startswith(f"{key} must be ") and problem.endswith(f", got {wrong!r}")
     if key in ExperimentConfig.__dataclass_fields__:
         assert config_from_dict({key: wrong})[1] == [problem]
+    # an array is named once too, and no sub-config or kind rule compares it
+    array = np.array(["game", "mean"])
+    with pytest.raises(ConfigError) as info:
+        build(array)
+    (problem,) = info.value.problems
+    assert problem.startswith(f"{key} must be ") and problem.endswith(f", got {array!r}")
+    if kind is float:
+        with pytest.raises(ConfigError) as info:
+            build([10**400] if many else 10**400)
+        assert info.value.problems == [
+            f"{key} must be {'numbers' if many else 'a number'}, "
+            "got an integer too large for a float"
+        ]
 
     good = getattr(cls(**base), key)
     if many:
@@ -231,6 +245,14 @@ def test_every_annotated_field_is_typed_and_normalized_by_its_class(cls, key, hi
         assert type(typed) is kind and typed == good
         if kind is float and good.is_integer():
             assert type(build(int(good))) is float
+
+
+def test_an_ill_typed_kind_is_named_once_with_the_other_problems():
+    kind = np.array(["game", "mean"])
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(aggregator_kind=kind, horizon=0)
+    assert info.value.problems == [f"aggregator_kind must be a string, got {kind!r}",
+                                   "horizon must be >= 1, got 0"]
 
 
 def test_a_config_of_numpy_scalars_writes_the_same_json():

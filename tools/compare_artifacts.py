@@ -16,19 +16,21 @@ the two sides, so each side's directory reads as a placeholder there.
 A run that fails ends the script with its error.
 
 The matrix covers all six aggregator kinds, noisy gates, half
-participation, a two-layer LSTM, the CSV ingest path and whole numbers
-given for float fields; the byte-identical rerun test in
-``tests/test_cli.py`` runs the same matrix.
+participation, a two-layer LSTM, the CSV ingest path, stations of
+uneven length and whole numbers given for float fields; the
+byte-identical rerun test in ``tests/test_cli.py`` runs the same matrix.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timedelta
 from pathlib import Path
 
 ARTIFACTS = ("rounds.jsonl", "eval.json", "eval.csv", "attention.csv")
@@ -39,7 +41,9 @@ BASE = {"series_length": 160, "embed_dim": 4, "rounds": 2}
 # three per-round roles (batch order, participation, gate noise) and
 # steps only the batch's gate rows.  Then one row per other kind, and
 # one whose float fields are given as JSON integers, which the config
-# stores, and config.json writes, as floats.
+# stores, and config.json writes, as floats.  The uneven row's stations
+# have different lengths (``station_lengths``, written as CSV here, not
+# synthesized), so local training and evaluation each run several stacks.
 MATRIX = {
     "csv": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4]},
     "lstm": {"n_clients": 3, "n_clusters": 1, "arch": "lstm", "hidden_sizes": [4, 3]},
@@ -51,21 +55,38 @@ MATRIX = {
        for kind in ("mean", "single_attention", "fedavg", "fedprox_only", "local_only")},
     "whole_floats": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4], "eta": 1,
                      "gamma": 1, "temperature": 2, "alpha": 1, "participation": 1},
+    "uneven": {"hidden_sizes": [4], "station_lengths": [160, 148, 160, 136]},
 }
+
+
+def write_uneven_csv(path: Path, lengths: list[int]) -> None:
+    """A fleet whose station k has ``lengths[k]`` hourly points: a daily
+    cycle and a faster ripple, each with a phase of its own."""
+    rows, start = ["timestamp,station_id,demand_kwh"], datetime(2024, 1, 1)
+    for k, n in enumerate(lengths):
+        for t in range(n):
+            value = 10 + 5 * math.sin(2 * math.pi * t / 24 + k) + math.sin(1.7 * t + 3 * k)
+            rows.append(f"{(start + timedelta(hours=t)).isoformat()},station{k},{value!r}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def cli_steps(name: str, workdir: Path) -> list[list[str]]:
     """``fedgame.cli`` argument lists that run config ``name`` in
-    ``workdir``: synthesize its fleet as CSV, then run on that file,
-    writing the artifacts to ``workdir / "out"``."""
+    ``workdir``: synthesize its fleet as CSV (or write it, for a row with
+    ``station_lengths``), then run on that file, writing the artifacts to
+    ``workdir / "out"``."""
     config = {**BASE, **MATRIX[name]}
+    lengths = config.pop("station_lengths", None)
     workdir.mkdir(parents=True, exist_ok=True)
     synth, run = workdir / "synth.json", workdir / "run.json"
-    synth.write_text(json.dumps(config), encoding="utf-8")
     run.write_text(json.dumps({**config, "csv_path": str(workdir / "synth.csv")}),
                    encoding="utf-8")
-    return [["synth", str(synth), "--output-dir", str(workdir)],
-            ["run", str(run), "--output-dir", str(workdir / "out")]]
+    steps = [["run", str(run), "--output-dir", str(workdir / "out")]]
+    if lengths:
+        write_uneven_csv(workdir / "synth.csv", lengths)
+        return steps
+    synth.write_text(json.dumps(config), encoding="utf-8")
+    return [["synth", str(synth), "--output-dir", str(workdir)], *steps]
 
 
 def pinned_bytes(out: Path, name: str) -> bytes:
