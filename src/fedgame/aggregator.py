@@ -11,17 +11,25 @@ the attention-weighted neighbor deltas.
 The state is plain arrays: one (C, 2, d, K) gate array with a row per
 registered client, and Adam's moments as a flat vector for the shared
 arrays plus an array shaped like the gates.  All clients go through one
-batched forward over the N x h matrix of head deltas, and the meta-loss
-gradient is a hand-derived backward through the same arrays.  The meta
-step, lazy Adam on the shared arrays and the batch's gate rows, binds
-new arrays and writes none of the old ones, which is what lets a round
-discard a failed step by dropping a shallow copy.  The state holds no
-generator; every call that draws is given one.
+batched forward over the N x h matrix of head deltas.  The meta-loss
+gradient is derived by hand in two parts: the objective's gradient in
+each personalized row, then one chain back through the same arrays.
+The meta step, lazy Adam on the shared arrays and the batch's gate rows,
+binds new arrays and writes none of the old ones, which is what lets a
+round discard a failed step by dropping a shallow copy.  The state holds
+no generator; every call that draws is given one.
 
 Experts read only the neighbor's embedding, without the encoder bias.
 A term that depends on the scoring client alone is the same for every
 neighbor and cancels in the softmax over neighbors; the client's own
 embedding, an expert bias and the shared encoder bias are such terms.
+
+The logit matrix ``mix @ scores.T`` has rank at most K, the number of
+experts: every client's logits over its neighbors mix the same K expert
+rankings.  With ``top_k: 1`` a client follows one of K neighbor
+rankings; with one expert every client ranks its neighbors alike, the
+"static attention" of Brody, Alon and Yahav ("How Attentive are Graph
+Attention Networks?", ICLR 2022).
 
 A batch is a list of N client ids and the (N, h) matrix of their head
 deltas; row i of every input and output belongs to ``ids[i]``.
@@ -44,7 +52,7 @@ import numpy as np
 from .errors import (
     ConfigError, NumericError, StructuralError, UsageError, too_small, typed_fields,
 )
-from .params import NORM_TOLERANCE, cosine_similarity
+from .params import NORM_TOLERANCE
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -222,9 +230,10 @@ def top_k_mask(logits: np.ndarray, k: int) -> np.ndarray:
     return kept
 
 
-def _masked_softmax(logits: np.ndarray, kept: np.ndarray) -> np.ndarray:
+def _masked_softmax(logits, kept, temperature=1.0):
+    """Softmax of each row's ``logits / temperature`` over its ``kept`` entries."""
     z = np.where(kept, logits, -np.inf)
-    ez = np.exp(z - z.max(axis=-1, keepdims=True))
+    ez = np.exp((z - z.max(axis=-1, keepdims=True)) / temperature)
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
@@ -233,9 +242,7 @@ def _attention(scores: np.ndarray, temperature: float) -> np.ndarray:
     n = len(scores)
     if n < 2:
         return np.zeros((n, n))
-    z = np.where(np.eye(n, dtype=bool), -np.inf, scores)
-    ez = np.exp((z - z.max(axis=1, keepdims=True)) / temperature)
-    return ez / ez.sum(axis=1, keepdims=True)
+    return _masked_softmax(scores, ~np.eye(n, dtype=bool), temperature)
 
 
 def _blend(deltas: np.ndarray, attention: np.ndarray, w_self: float) -> np.ndarray:
@@ -308,22 +315,34 @@ def _forward(
     )
 
 
-def _meta_losses(pers: np.ndarray, own: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Squared-distance plus cosine-dissimilarity alignment loss per row."""
-    cos = cosine_similarity(pers, own)
-    return alpha * np.sum((pers - own) ** 2, axis=1) + beta * (1.0 - cos)
+def _objective(pers: np.ndarray, own: np.ndarray, alpha: float, beta: float):
+    """Meta-loss of each row of ``pers`` against that of ``own`` (N,), and its gradient
+    in ``pers`` (N, h); the cosine is 0, with no gradient, where a norm is below tolerance."""
+    norm_p = np.sqrt(np.sum(pers * pers, axis=1))
+    norm_u = np.sqrt(np.sum(own * own, axis=1))
+    live = (norm_p >= NORM_TOLERANCE) & (norm_u >= NORM_TOLERANCE)
+    cos = np.where(live, np.sum(pers * own, axis=1) / np.where(live, norm_p * norm_u, 1.0), 0.0)
+    losses = alpha * np.sum((pers - own) ** 2, axis=1) + beta * (1.0 - cos)
+    # d cos / d pers = own / (|p| |u|) - cos * pers / |p|^2
+    norm_p, norm_u = (np.maximum(a, NORM_TOLERANCE)[:, np.newaxis] for a in (norm_p, norm_u))
+    cos, live = cos[:, np.newaxis], live[:, np.newaxis]
+    dcos = np.where(live, own / (norm_p * norm_u) - cos * pers / norm_p**2, 0.0)
+    return losses, 2.0 * alpha * (pers - own) - beta * dcos
 
 
-def _mean_loss(state: AggregatorState, fw: _Forward) -> float:
-    """Mean meta-loss of a forward pass over its clients."""
+def _mean_loss(state: AggregatorState, fw: _Forward) -> tuple[float, np.ndarray]:
+    """Mean meta-loss of a forward pass, and its gradient in each personalized row."""
     cfg = state.config
-    return float(np.mean(_meta_losses(fw.personalized, fw.deltas, cfg.alpha, cfg.beta)))
+    losses, d_pers = _objective(fw.personalized, fw.deltas, cfg.alpha, cfg.beta)
+    return float(np.mean(losses)), d_pers / len(losses)
 
 
 def meta_loss(delta_pers: np.ndarray, delta_u: np.ndarray, alpha: float, beta: float) -> float:
     """Squared-distance plus cosine-dissimilarity alignment loss."""
     rows = [np.asarray(d, dtype=np.float64).reshape(1, -1) for d in (delta_pers, delta_u)]
-    return float(_meta_losses(*rows, alpha, beta)[0])
+    if rows[0].shape != rows[1].shape:
+        raise StructuralError(f"vectors have different lengths {rows[0].size} and {rows[1].size}")
+    return float(_objective(*rows, alpha, beta)[0][0])
 
 
 def _shared(state: AggregatorState) -> np.ndarray:
@@ -347,28 +366,17 @@ def _sorted_gate_rows(state: AggregatorState) -> list[int]:
     return [state.rows[c] for c in sorted(state.rows)]
 
 
-def _backward(state: AggregatorState, fw: _Forward) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the mean meta-loss of ``fw``: for the shared arrays,
-    flat as :func:`_shared`, and for the gate rows of its clients
-    (N, 2, embed_dim, num_experts), in its canonical order.
+def _backward(state: AggregatorState, fw: _Forward, d_pers: np.ndarray):
+    """Carry ``d_pers`` (N, h), a gradient in each row of ``fw.personalized``,
+    back to the shared arrays, flat as :func:`_shared`, and to the gate rows
+    of its clients (N, 2, embed_dim, num_experts), in its canonical order.
 
     Top-k selection, noise draws and head deltas are constants.
     """
     cfg = state.config
-    own, pers = fw.deltas, fw.personalized
-    n = len(own)
-    # d cos / d pers = own / (|p| |u|) - cos * pers / |p|^2; 0 where cos is pinned
-    norm_p = np.sqrt(np.sum(pers * pers, axis=1, keepdims=True))
-    norm_u = np.sqrt(np.sum(own * own, axis=1, keepdims=True))
-    live = (norm_p >= NORM_TOLERANCE) & (norm_u >= NORM_TOLERANCE)
-    norm_p, norm_u = np.maximum(norm_p, NORM_TOLERANCE), np.maximum(norm_u, NORM_TOLERANCE)
-    cos = cosine_similarity(pers, own)[:, np.newaxis]
-    dcos = np.where(live, own / (norm_p * norm_u) - cos * pers / norm_p**2, 0.0)
-    d_pers = (2.0 * cfg.alpha * (pers - own) - cfg.beta * dcos) / n
-
     # a lone client has an all-zero attention row, so nothing flows back
     att = fw.attention
-    d_att = (1.0 - cfg.w_self) * (d_pers @ own.T)
+    d_att = (1.0 - cfg.w_self) * (d_pers @ fw.deltas.T)
     d_s = att * (d_att - np.sum(att * d_att, axis=1, keepdims=True)) / cfg.temperature
     d_mix = d_s @ fw.scores
     d_scores = d_s.T @ fw.mix
@@ -376,14 +384,14 @@ def _backward(state: AggregatorState, fw: _Forward) -> tuple[np.ndarray, np.ndar
 
     emb = fw.embeddings[:, :, np.newaxis]
     d_emb = (fw.gate_w @ d_logits[:, :, np.newaxis])[:, :, 0]
-    d_gates = np.zeros((n, 2) + fw.gate_w.shape[1:])
+    d_gates = np.zeros((len(d_pers), 2) + fw.gate_w.shape[1:])
     np.multiply(emb, d_logits[:, np.newaxis], out=d_gates[:, 0])
     if fw.noise is not None:
         # d softplus(x) / dx = sigmoid(x) = exp(x - softplus(x))
         d_pre = d_logits * fw.noise * np.exp(fw.noise_pre - np.logaddexp(0.0, fw.noise_pre))
         d_emb += (fw.gate_noise @ d_pre[:, :, np.newaxis])[:, :, 0]
         np.multiply(emb, d_pre[:, np.newaxis], out=d_gates[:, 1])
-    d_encoder_w = own.T @ (d_scores @ state.experts_w + d_emb)
+    d_encoder_w = fw.deltas.T @ (d_scores @ state.experts_w + d_emb)
     d_shared = [d_encoder_w.reshape(-1), d_emb.sum(axis=0), (d_scores.T @ fw.linear).reshape(-1)]
     return np.concatenate(d_shared), d_gates
 
@@ -452,7 +460,7 @@ def mean_meta_loss(
 ) -> float:
     """Mean meta-loss; ``masks`` pins top-k selection, ``noise`` (N x K)
     fixes the gate noise draws (none by default)."""
-    return _mean_loss(state, _pinned_forward(state, ids, deltas, masks, noise))
+    return _mean_loss(state, _pinned_forward(state, ids, deltas, masks, noise))[0]
 
 
 def meta_gradient(
@@ -465,7 +473,7 @@ def meta_gradient(
     """Gradient of :func:`mean_meta_loss`, flattened like
     :func:`flatten_parameters`."""
     fw = _pinned_forward(state, ids, deltas, masks, noise)
-    d_shared, d_gates = _backward(state, fw)
+    d_shared, d_gates = _backward(state, fw, _mean_loss(state, fw)[1])
     gates = np.zeros_like(state.gates)
     gates[fw.rows] = d_gates
     return np.concatenate([d_shared, gates[_sorted_gate_rows(state)].reshape(-1)])
@@ -504,8 +512,8 @@ def train_step(state: AggregatorState, ids, deltas, rng: np.random.Generator) ->
         # the one draw of gate noise: row r goes to canonical client r
         noise = rng.standard_normal((len(rows), cfg.num_experts))
     fw = _forward(state, rows, canonical, noise)
-    loss = _mean_loss(state, fw)
-    d_shared, d_gates = _backward(state, fw)
+    loss, d_pers = _mean_loss(state, fw)
+    d_shared, d_gates = _backward(state, fw, d_pers)
     if not (np.isfinite(d_shared).all() and np.isfinite(d_gates).all()):
         dump = "; ".join(f"{i}: {np.array2string(row)}" for i, row in zip(ids, fw.logits[back]))
         raise NumericError(f"non-finite meta-loss gradient; gate logits {dump}")

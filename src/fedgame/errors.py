@@ -2,6 +2,7 @@
 range checks the config classes report their problems with."""
 
 import functools
+import math
 import numbers
 import typing
 
@@ -83,25 +84,24 @@ def _fits(kind: type, value) -> bool:
 def as_type(key: str, kind: type, value, many: bool = False, optional: bool = False):
     """``value`` as a ``kind``, a tuple of them when ``many`` (or None when
     ``optional``); a :class:`ConfigError` naming ``key`` if it does not fit,
-    also for an integer too large for a float."""
+    also for an integer too large for a float and for an infinite float."""
+    if value is None and optional:
+        return value
+    listed = isinstance(value, (list, tuple))
+    if many and not (listed and all(_fits(kind, v) for v in value)):
+        what = _KINDS[kind][2] if listed else f"a list of {_KINDS[kind][2]}"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    if not (many or _fits(kind, value)):
+        raise ConfigError(f"{key} must be {_KINDS[kind][1]}, got {value!r}")
     try:
-        if many:
-            if type(value) is tuple and set(map(type, value)) <= {kind}:
-                return value
-            listed = isinstance(value, (list, tuple))
-            if listed and all(_fits(kind, v) for v in value):
-                return tuple(map(kind, value))
-            what = _KINDS[kind][2] if listed else f"a list of {_KINDS[kind][2]}"
-            raise ConfigError(f"{key} must be {what}, got {value!r}")
-        if type(value) is kind or (value is None and optional):
-            return value
-        if _fits(kind, value):
-            return kind(value)
+        out = tuple(map(kind, value)) if many else kind(value)
     except OverflowError:
         # the integer is not printed: its repr alone can exceed int's digit limit
         raise ConfigError(f"{key} must be {_KINDS[kind][2 if many else 1]}, "
                           "got an integer too large for a float") from None
-    raise ConfigError(f"{key} must be {_KINDS[kind][1]}, got {value!r}")
+    if kind is float and any(map(math.isinf, out if many else (out,))):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return out
 
 
 def typed_fields(obj) -> tuple[list[str], set[str]]:

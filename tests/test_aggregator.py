@@ -22,10 +22,12 @@ from fedgame.aggregator import (
     register_client,
     top_k_mask,
     train_step,
+    _backward,
     _batch,
     _encode,
     _forward,
     _masked_softmax,
+    _objective,
 )
 from fedgame.errors import ConfigError, StructuralError, UsageError
 
@@ -373,6 +375,13 @@ def test_meta_loss_reference_values():
     assert zero == pytest.approx(0.5 * float(d @ d) + 0.5, abs=1e-12)
 
 
+def test_meta_loss_rejects_vectors_of_different_lengths():
+    # a length-1 vector would broadcast against the other without the check
+    for other in (np.ones(4), np.ones(1)):
+        with pytest.raises(StructuralError, match="different lengths"):
+            meta_loss(np.ones(3), other, 0.5, 0.5)
+
+
 def test_mean_meta_loss_matches_numpy_pipeline():
     state = make_state(clients=tuple("abcd"), seed=26, noise_enabled=False)
     ids = list("abcd")
@@ -441,6 +450,69 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
         live = ~zero
         scale = np.maximum(np.abs(numeric[live]), 1e-6)
         assert np.max(np.abs(analytic[live] - numeric[live]) / scale) < 1e-4
+
+
+def test_objective_gradient_matches_finite_differences():
+    rng = np.random.default_rng(40)
+    pers, own = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    own[1] = 0.0  # a zero-norm row: its cosine is pinned to 0 whatever pers is
+    alpha, beta = 0.3, 0.7
+    losses, grad = _objective(pers, own, alpha, beta)
+    assert [losses[i] for i in range(4)] == [meta_loss(p, u, alpha, beta)
+                                             for p, u in zip(pers, own)]
+    numeric, eps = np.zeros_like(pers), 1e-6
+    for idx in np.ndindex(pers.shape):
+        hi, lo = pers.copy(), pers.copy()
+        hi[idx] += eps
+        lo[idx] -= eps
+        hi_sum, lo_sum = (_objective(side, own, alpha, beta)[0].sum() for side in (hi, lo))
+        numeric[idx] = (hi_sum - lo_sum) / (2 * eps)
+    np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
+    # the pinned cosine gets no gradient: only the squared distance's is left
+    np.testing.assert_array_equal(grad[1], 2 * alpha * pers[1])
+    pers[2] = 0.0
+    losses, grad = _objective(pers, own, alpha, beta)
+    assert losses[2] == alpha * np.sum(own[2] ** 2) + beta
+    np.testing.assert_array_equal(grad[2], -2 * alpha * own[2])
+
+
+def test_backward_is_the_gradient_of_any_upstream_pairing():
+    """The chain alone: ``_backward(state, fw, D)`` is the gradient of
+    <personalized, D> for a fixed D, on a batch with noisy top-k gates."""
+    state = make_state(head_dim=7, clients=tuple("abcde"), seed=41, num_experts=4, top_k=2,
+                       embed_dim=5)
+    ids = list("dbac")  # e sits out: its gate row must get no gradient
+    rows, canonical, order, _ = _batch(state, ids, random_deltas(state, ids, seed=42))
+    rng = np.random.default_rng(43)
+    noise = rng.standard_normal((len(ids), 4))[order]
+    fw = _forward(state, rows, canonical, noise)
+    kept = top_k_mask(fw.logits, 2)  # the noisy selection, held fixed
+    upstream = rng.normal(size=canonical.shape)
+
+    d_shared, d_gates = _backward(state, fw, upstream)
+    gates = np.zeros_like(state.gates)
+    gates[rows] = d_gates
+    analytic = np.concatenate([d_shared, gates[[state.rows[c] for c in "abcde"]].reshape(-1)])
+
+    flat = flatten_parameters(state)
+    numeric, eps = np.zeros_like(flat), 1e-6
+    for i in range(flat.size):
+        sides = []
+        for step in (eps, -eps):
+            flat[i] += step
+            load_parameters(state, flat)
+            sides.append(np.sum(_forward(state, rows, canonical, noise, kept).personalized
+                                * upstream))
+            flat[i] -= step
+        numeric[i] = (sides[0] - sides[1]) / (2 * eps)
+    load_parameters(state, flat)
+
+    zero = numeric == 0.0
+    np.testing.assert_array_equal(analytic == 0.0, zero)
+    assert zero[-state.gates[0].size:].all()  # client e, last in sorted-id order
+    assert np.any(d_gates[:, 1] != 0.0)  # the noise scale carries gradient
+    scale = np.maximum(np.abs(numeric[~zero]), 1e-6)
+    assert np.max(np.abs(analytic[~zero] - numeric[~zero]) / scale) < 1e-4
 
 
 def test_train_step_identical_deltas_is_stationary():

@@ -142,6 +142,19 @@ def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
     assert "2 error(s)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["comm", "run"])
+def test_an_infinite_float_exits_two_before_training(tmp_path, capsys, command):
+    path = tmp_path / "inf.json"
+    # JSON reads 1e400 as an infinite float
+    path.write_text(json.dumps(SMALL)[:-1] + ', "eta": 1e400}', encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(path), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err and "eta must be finite, got inf" in err
+    assert load_config(str(path)) == (None, ["eta must be finite, got inf"])
+    assert not out.exists()
+
+
 def test_load_config_reports_unreadable_and_bad_json(tmp_path):
     _, errors = load_config(str(tmp_path / "missing.json"))
     assert errors and "cannot read" in errors[0]

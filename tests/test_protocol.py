@@ -233,6 +233,13 @@ def test_every_annotated_field_is_typed_and_normalized_by_its_class(cls, key, hi
             f"{key} must be {'numbers' if many else 'a number'}, "
             "got an integer too large for a float"
         ]
+        for infinite in (math.inf, -math.inf):
+            value = [infinite] if many else infinite
+            with pytest.raises(ConfigError) as info:
+                build(value)
+            assert info.value.problems == [f"{key} must be finite, got {value!r}"]
+            if key in ExperimentConfig.__dataclass_fields__:
+                assert config_from_dict({key: value})[1] == info.value.problems
 
     good = getattr(cls(**base), key)
     if many:

@@ -16,7 +16,7 @@ the two sides, so each side's directory reads as a placeholder there.
 A run that fails ends the script with its error.
 
 The matrix covers all six aggregator kinds, noisy gates, half
-participation, a two-layer LSTM, the CSV ingest path, stations of
+participation, one participant a round, a two-layer LSTM, the CSV ingest path, stations of
 uneven length and whole numbers given for float fields; the
 byte-identical rerun test in ``tests/test_cli.py`` runs the same matrix.
 """
@@ -44,6 +44,9 @@ BASE = {"series_length": 160, "embed_dim": 4, "rounds": 2}
 # stores, and config.json writes, as floats.  The uneven row's stations
 # have different lengths (``station_lengths``, written as CSV here, not
 # synthesized), so local training and evaluation each run several stacks.
+# The lone row has one participant a round: the attention and the blend
+# take their lone-client rules, no meta step runs, and attention.csv holds
+# only its header; its top_k = num_experts leaves no gate logit masked.
 MATRIX = {
     "csv": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4]},
     "lstm": {"n_clients": 3, "n_clusters": 1, "arch": "lstm", "hidden_sizes": [4, 3]},
@@ -56,6 +59,9 @@ MATRIX = {
     "whole_floats": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4], "eta": 1,
                      "gamma": 1, "temperature": 2, "alpha": 1, "participation": 1},
     "uneven": {"hidden_sizes": [4], "station_lengths": [160, 148, 160, 136]},
+    "lone": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4], "rounds": 3,
+             "aggregator_kind": "game", "participation": 0.34, "num_experts": 4, "top_k": 4,
+             "noise_enabled": True},
 }
 
 
