@@ -24,6 +24,11 @@ def test_ab_time_summarizes_pairs_of_identical_trees():
     assert 0 <= out["b_wins"] <= 4 and 0 < out["sign_p"] <= 1
 
 
+def test_ab_time_runs_a_benchmark_workload_on_identical_trees():
+    # the reports' wall times differ from run to run and are left out
+    assert ab_time(SRC, SRC, "wide_server", pairs=2)["same_output"]
+
+
 def test_ab_time_times_nothing_when_the_outputs_differ(tmp_path):
     changed = tmp_path / "src"
     shutil.copytree(SRC / "fedgame", changed / "fedgame",

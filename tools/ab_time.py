@@ -126,18 +126,25 @@ def experiment(workload: str):
     return build
 
 
+# each target's builder, and its calls per timed sample: about 50 ms of
+# work on 2 CPUs, as shorter samples spread too widely to compare
 TARGETS = {
-    "train_step": (train_step, 10),
-    "aggregate_game": (aggregate_game, 20),
-    "local_train": (local_train, 3),
+    "train_step": (train_step, 40),
+    "aggregate_game": (aggregate_game, 150),
+    "local_train": (local_train, 8),
     **{name: (experiment(name), 1) for name in ("clustered_mlp", "wide_server", "lstm_fedavg")},
 }
 
 
+# dataclass fields that hold a clock reading, which no two runs share
+MEASURED = {"wall_time"}
+
+
 def digest(value, h=None) -> str:
     """sha256 of what ``value`` holds: arrays by dtype, shape and bytes,
-    dataclasses field by field, containers item by item, anything else by
-    ``repr``.  Equal results of two copies of the package digest alike."""
+    dataclasses field by field (except ``MEASURED``), containers item by
+    item, anything else by ``repr``.  Equal results of two copies of the
+    package digest alike."""
     top = h is None
     h = hashlib.sha256() if top else h
     if isinstance(value, np.ndarray):
@@ -145,6 +152,8 @@ def digest(value, h=None) -> str:
         h.update(np.ascontiguousarray(value).tobytes())
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         for field in dataclasses.fields(value):
+            if field.name in MEASURED:
+                continue
             h.update(field.name.encode())
             digest(getattr(value, field.name), h)
     elif isinstance(value, dict):
@@ -187,8 +196,10 @@ def ab_time(src_a: Path, src_b: Path, target: str, pairs: int = 40,
     build, default_repeat = TARGETS[target]
     repeat = repeat or default_repeat
     with tempfile.TemporaryDirectory(prefix="ab-time-") as tmp:
-        calls = [build(load_package(src, f"_ab_{side}_fedgame"), Path(tmp) / side)
-                 for side, src in (("a", src_a), ("b", src_b))]
+        calls = []
+        for side, src in (("a", src_a), ("b", src_b)):
+            (Path(tmp) / side).mkdir()
+            calls.append(build(load_package(src, f"_ab_{side}_fedgame"), Path(tmp) / side))
         if digest(calls[0]()) != digest(calls[1]()):
             raise RuntimeError(f"{target}: the two trees return different bytes; nothing timed")
         ratios = []
