@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tools.ab_time import ab_time, sign_test
+from tools.ab_time import TARGETS, ab_time, digest, load_package, sign_test
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -24,9 +24,26 @@ def test_ab_time_summarizes_pairs_of_identical_trees():
     assert 0 <= out["b_wins"] <= 4 and 0 < out["sign_p"] <= 1
 
 
-def test_ab_time_runs_a_benchmark_workload_on_identical_trees():
+@pytest.mark.parametrize("target", ["local_train", "clustered_mlp", "wide_server"])
+def test_ab_time_runs_each_heavier_target_on_identical_trees(target):
     # the reports' wall times differ from run to run and are left out
-    assert ab_time(SRC, SRC, "wide_server", pairs=2)["same_output"]
+    assert ab_time(SRC, SRC, target, pairs=2, repeat=1)["same_output"]
+
+
+def test_lstm_fedavg_digests_alike_from_two_work_directories(tmp_path):
+    # timing it would take over 2 s; the output check alone is one run a side
+    build, _ = TARGETS["lstm_fedavg"]
+    digests = []
+    for side in "ab":
+        (tmp_path / side).mkdir()
+        digests.append(digest(build(load_package(SRC, f"_test_{side}_fedgame"), tmp_path / side)()))
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("pairs", [0, 1])
+def test_ab_time_rejects_fewer_than_two_pairs_before_timing(pairs):
+    with pytest.raises(ValueError, match="pairs must be at least 2"):
+        ab_time(SRC, SRC, "lstm_fedavg", pairs=pairs)
 
 
 def test_ab_time_times_nothing_when_the_outputs_differ(tmp_path):

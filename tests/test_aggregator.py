@@ -30,6 +30,7 @@ from fedgame.aggregator import (
     _objective,
 )
 from fedgame.errors import ConfigError, StructuralError, UsageError
+from fedgame.params import cosine_similarity
 
 
 def seeded_state(head_dim=6, clients=("a", "b", "c"), seed=0, **cfg_kw):
@@ -474,6 +475,10 @@ def test_objective_gradient_matches_finite_differences():
     losses, grad = _objective(pers, own, alpha, beta)
     assert losses[2] == alpha * np.sum(own[2] ** 2) + beta
     np.testing.assert_array_equal(grad[2], -2 * alpha * own[2])
+    # with alpha = 0 and beta = 1 each loss is 1 - cos exactly: the cosine is
+    # params.cosine_similarity's, bit for bit, on the zero-norm rows too
+    np.testing.assert_array_equal(_objective(pers, own, 0.0, 1.0)[0],
+                                  1.0 - cosine_similarity(pers, own))
 
 
 def test_backward_is_the_gradient_of_any_upstream_pairing():

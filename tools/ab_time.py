@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time one fedgame call on a git ref against this checkout, in one process.
 
-    python tools/ab_time.py REF --target train_step [--pairs 40] [--repeat 10]
+    python tools/ab_time.py REF --target train_step
 
 The ``src`` tree of REF is exported with ``git archive`` (see
 ``compare_artifacts.export_src``), and both trees' ``fedgame`` are
@@ -193,6 +193,8 @@ def ab_time(src_a: Path, src_b: Path, target: str, pairs: int = 40,
     calls a side, the first side alternating between pairs; ``ratio_*``
     summarize B/A per pair.
     """
+    if pairs < 2:
+        raise ValueError(f"pairs must be at least 2 for quartiles, got {pairs}")
     build, default_repeat = TARGETS[target]
     repeat = repeat or default_repeat
     with tempfile.TemporaryDirectory(prefix="ab-time-") as tmp:
@@ -224,13 +226,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git commit, tag or branch to time against (side A)")
     parser.add_argument("--target", required=True, choices=sorted(TARGETS))
-    parser.add_argument("--pairs", type=int, default=40)
-    parser.add_argument("--repeat", type=int, default=None,
-                        help="calls per side and pair (default: the target's own)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab-time-ref-") as tmp:
         ref = export_src(ROOT, args.ref, Path(tmp) / "ref")
-        out = ab_time(ref, ROOT / "src", args.target, args.pairs, args.repeat)
+        out = ab_time(ref, ROOT / "src", args.target)
     print(f"{out['target']}: B/A median {out['ratio_median']:.4f} "
           f"(quartiles {out['ratio_q1']:.4f}-{out['ratio_q3']:.4f}), "
           f"B faster on {out['b_wins']} of {out['pairs']} pairs, "
