@@ -29,7 +29,10 @@ experts: every client's logits over its neighbors mix the same K expert
 rankings.  With ``top_k: 1`` a client follows one of K neighbor
 rankings; with one expert every client ranks its neighbors alike, the
 "static attention" of Brody, Alon and Yahav ("How Attentive are Graph
-Attention Networks?", ICLR 2022).
+Attention Networks?", ICLR 2022).  With ``top_k: 1``, as in every
+``single_attention`` run, the mix is a softmax over one kept logit,
+constant 1: the gate rows get an exactly zero gradient and keep their
+registration draw.
 
 A batch is a list of N client ids and the (N, h) matrix of their head
 deltas; row i of every input and output belongs to ``ids[i]``.

@@ -234,6 +234,14 @@ def _config_errors(errors: list[str]) -> int:
     return 2
 
 
+def _output_dir_problem(out_dir: Path) -> str | None:
+    """Why ``out_dir`` cannot be made: its nearest existing path is not a directory."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            return None if path.is_dir() else f"output_dir: {path} is not a directory"
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {}
@@ -246,6 +254,9 @@ def main(argv=None) -> int:
     if errors:
         return _config_errors(errors)
     out_dir = Path(config.output_dir)
+    problem = None if args.command == "comm" else _output_dir_problem(out_dir)
+    if problem:
+        return _config_errors([problem])
 
     try:
         if args.command == "run":
@@ -258,7 +269,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         # a fact known only from the data, such as a series too short to window
         return _config_errors(exc.problems)
-    except FedGameError as exc:
+    except (FedGameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

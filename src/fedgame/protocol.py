@@ -311,8 +311,9 @@ def run_round(
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Flat bundle of every knob an experiment needs.
+class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
+    """Flat bundle of every knob an experiment needs: the forecaster,
+    aggregator and protocol fields it inherits, plus its own.
 
     ``csv_path = None`` selects the synthetic generator.  The split
     fractions apply per client series, chronologically.
@@ -323,6 +324,10 @@ class ExperimentConfig:
     one :class:`ConfigError` lists every problem.
     """
 
+    # required by the sub-configs, defaulted for an experiment
+    history_len: int = 12
+    horizon: int = 2
+    rounds: int = 10
     csv_path: str | None = None
     n_clients: int = 4
     n_clusters: int = 2
@@ -331,29 +336,6 @@ class ExperimentConfig:
     train_frac: float = 0.7
     val_frac: float = 0.1
     test_frac: float = 0.2
-    history_len: int = 12
-    horizon: int = 2
-    quantiles: tuple[float, ...] = (0.1, 0.5, 0.9)
-    hidden_sizes: tuple[int, ...] = (32,)
-    arch: str = "mlp"
-    local_lr: float = 0.0005
-    local_epochs: int = 1
-    prox_mu: float = 0.2
-    batch_size: int = 32
-    embed_dim: int = 64
-    num_experts: int = 4
-    top_k: int = 2
-    temperature: float = 1.0
-    w_self: float = 0.6
-    alpha: float = 0.5
-    beta: float = 0.5
-    server_lr: float = 1e-3
-    noise_enabled: bool = True
-    rounds: int = 10
-    eta: float = 1.0
-    gamma: float = 1.0
-    aggregator_kind: str = "game"
-    participation: float = 1.0
     master_seed: int = 0
     output_dir: str = "out"
     baselines: tuple[str, ...] = ("game", "mean", "single_attention", "fedavg", "local_only")
@@ -364,6 +346,8 @@ class ExperimentConfig:
         problems, bad = typed_fields(self)
         problems += too_small(self, ("n_clients", "n_clusters", "series_length"), 1, bad)
         problems += too_small(self, ("noise_sd", "master_seed"), 0, bad)
+        if "csv_path" not in bad and self.csv_path == "":
+            problems.append("csv_path must not be empty; null selects the synthetic generator")
         if bad.isdisjoint(("train_frac", "val_frac", "test_frac")):
             fracs = self.splits()
             if any(f < 0 for f in fracs):
@@ -391,7 +375,7 @@ class ExperimentConfig:
         small = too_small(self, published, 1, bad)
         problems += small
         built = {}
-        # by shared fields alone: the kind builders compare aggregator_kind, maybe ill-typed
+        # not the kind builders: they compare aggregator_kind, maybe ill-typed
         for cls in (ForecasterConfig, AggregatorConfig, HyperParams):
             try:
                 built[cls] = self._sub_config(cls)
@@ -420,11 +404,10 @@ class ExperimentConfig:
                 self.published_head_params or head_length(spec))
 
     def _sub_config(self, cls, **changes):
-        """A ``cls`` of this config's values for the fields it shares by
-        name, with ``changes`` on top."""
-        values = {key: getattr(self, key) for key in cls.__dataclass_fields__
-                  if key in self.__dataclass_fields__}
-        return cls(**{**values, **changes})
+        """A plain ``cls`` of this config's values for its fields, with
+        ``changes`` on top."""
+        return cls(**{**{key: getattr(self, key) for key in cls.__dataclass_fields__},
+                      **changes})
 
     def forecaster_config(self, kind: str | None = None) -> ForecasterConfig:
         """Client settings; consensus-only kinds drop the proximal pull."""
@@ -460,7 +443,7 @@ class RunResult:
 
 
 def _load_shards(config: ExperimentConfig):
-    if config.csv_path:
+    if config.csv_path is not None:
         try:
             return load_csv(config.csv_path)
         except OSError as exc:

@@ -415,6 +415,46 @@ def test_unreadable_csv_exits_two_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_empty_csv_path_is_a_config_error(tmp_path, capsys):
+    # null asks for synthetic data; an empty path is not a file to read
+    assert config_from_dict({"csv_path": ""})[1] == [
+        "csv_path must not be empty; null selects the synthetic generator"]
+    path = write_config(tmp_path, {**SMALL, "csv_path": "", "output_dir": str(tmp_path / "out")})
+    assert main(["run", path]) == 2
+    assert "1 error(s)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,below", [("run", ""), ("ablate", "sub"), ("synth", "sub")])
+def test_an_output_dir_under_a_file_exits_two_before_training(tmp_path, capsys, monkeypatch,
+                                                              command, below):
+    def train(*args):
+        raise AssertionError("trained with an unusable output_dir")
+
+    monkeypatch.setattr("fedgame.cli.run_experiment", train)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    path = write_config(tmp_path, SMALL)
+    assert main([command, path, "--output-dir", str(afile / below)]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err and f"output_dir: {afile} is not a directory" in err
+    assert afile.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+    # comm writes nothing, so it does not check
+    assert main(["comm", path, "--output-dir", str(afile / below)]) == 0
+
+
+@pytest.mark.parametrize("command,blocked", [("run", "rounds.jsonl"),
+                                             ("ablate", "ablation.csv")])
+def test_an_output_file_that_cannot_be_written_exits_one(tmp_path, capsys, command, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    path = write_config(tmp_path, {**SMALL, "output_dir": str(out), "baselines": ["fedavg"]})
+    assert main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and blocked in err and "Traceback" not in err
+
+
 def test_series_too_short_for_a_test_window_exits_two(tmp_path, capsys):
     # 40 points at 0.7/0.1/0.2 leave 8 test points, fewer than 12 + 2
     path = write_config(tmp_path, {

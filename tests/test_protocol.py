@@ -254,6 +254,19 @@ def test_every_annotated_field_is_typed_and_normalized_by_its_class(cls, key, hi
             assert type(build(int(good))) is float
 
 
+def test_default_experiment_builds_each_sub_config_with_its_own_defaults():
+    # the three fields the sub-configs require are the only ones the experiment restates
+    inherited = {key for cls in (ForecasterConfig, AggregatorConfig, HyperParams)
+                 for key in cls.__dataclass_fields__}
+    assert inherited & set(ExperimentConfig.__annotations__) == {
+        "history_len", "horizon", "rounds"}
+    config = ExperimentConfig()
+    assert config.forecaster_config() == ForecasterConfig(history_len=12, horizon=2)
+    assert config.aggregator_config() == AggregatorConfig()
+    assert config.hyper_params() == HyperParams(rounds=10)
+    assert type(config.forecaster_config()) is ForecasterConfig
+
+
 def test_an_ill_typed_kind_is_named_once_with_the_other_problems():
     kind = np.array(["game", "mean"])
     with pytest.raises(ConfigError) as info:

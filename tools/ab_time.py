@@ -65,16 +65,16 @@ def load_package(src: Path, name: str):
     return package
 
 
-def _wide_server(fg, workdir: Path):
+def _wide_server(fg, workdir: Path, split: str = "train"):
     """The ``wide_server`` workload's first config, its client ids, their
-    training windows and its initial round state, built on package ``fg``."""
+    ``split`` windows and its initial round state, built on package ``fg``."""
     config = build_configs(fg, "wide_server", DEV_SEED, workdir)[0]
     fcfg = config.forecaster_config()
     stream = fg.protocol.seed_stream(config.master_seed, "data")
     shards = fg.data.synth_generate(config.n_clients, config.n_clusters, config.series_length,
                                     config.noise_sd, stream)
     ids = [s.client_id for s in shards]
-    data = [fg.data.make_windows(s, fcfg.history_len, fcfg.horizon, config.splits())["train"]
+    data = [fg.data.make_windows(s, fcfg.history_len, fcfg.horizon, config.splits())[split]
             for s in shards]
     return config, ids, data, fg.protocol.init_round_state(fcfg, ids, config.master_seed)
 
@@ -118,6 +118,13 @@ def local_train(fg, workdir: Path):
     return call
 
 
+def evaluate(fg, workdir: Path):
+    """Score the ``wide_server`` fleet's test windows with its initial models."""
+    _, ids, data, state = _wide_server(fg, workdir, "test")
+    test_data = dict(zip(ids, data))
+    return lambda: fg.metrics.evaluate(state.client_models, test_data)
+
+
 def experiment(workload: str):
     """One ``run_experiment`` on the first config of a benchmark workload."""
     def build(fg, workdir: Path):
@@ -132,6 +139,7 @@ TARGETS = {
     "train_step": (train_step, 40),
     "aggregate_game": (aggregate_game, 150),
     "local_train": (local_train, 8),
+    "evaluate": (evaluate, 50),
     **{name: (experiment(name), 1) for name in ("clustered_mlp", "wide_server", "lstm_fedavg")},
 }
 
