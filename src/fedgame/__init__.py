@@ -17,7 +17,6 @@ from .aggregator import (
     init_aggregator,
     mean_meta_loss,
     meta_gradient,
-    meta_loss,
     register_client,
     train_step,
 )
@@ -43,8 +42,6 @@ from .forecaster import (
     build_spec,
     init_forecaster,
     local_train,
-    pinball_loss,
-    task_gradient,
     task_loss,
 )
 from .metrics import ClientScore, EvalReport, evaluate, icp, mil, quantile_score
@@ -52,7 +49,6 @@ from .params import (
     LayerSpec,
     add_scaled,
     compute_delta,
-    cosine_similarity,
     head_indices,
     head_length,
     mean_deltas,

@@ -55,11 +55,12 @@ import numpy as np
 from .errors import (
     ConfigError, NumericError, StructuralError, UsageError, too_small, typed_fields,
 )
-from .params import NORM_TOLERANCE
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Norms below this are treated as zero when computing cosine similarity.
+NORM_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -338,14 +339,6 @@ def _mean_loss(state: AggregatorState, fw: _Forward) -> tuple[float, np.ndarray]
     cfg = state.config
     losses, d_pers = _objective(fw.personalized, fw.deltas, cfg.alpha, cfg.beta)
     return float(np.mean(losses)), d_pers / len(losses)
-
-
-def meta_loss(delta_pers: np.ndarray, delta_u: np.ndarray, alpha: float, beta: float) -> float:
-    """Squared-distance plus cosine-dissimilarity alignment loss."""
-    rows = [np.asarray(d, dtype=np.float64).reshape(1, -1) for d in (delta_pers, delta_u)]
-    if rows[0].shape != rows[1].shape:
-        raise StructuralError(f"vectors have different lengths {rows[0].size} and {rows[1].size}")
-    return float(_objective(*rows, alpha, beta)[0][0])
 
 
 def _shared(state: AggregatorState) -> np.ndarray:

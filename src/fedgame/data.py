@@ -69,9 +69,6 @@ class WindowedDataset:
     def __len__(self) -> int:
         return int(self.inputs.shape[0])
 
-    def denormalize(self, values: np.ndarray) -> np.ndarray:
-        return denormalize(values, self.mean, self.std)
-
 
 def denormalize(values: np.ndarray, mean, std) -> np.ndarray:
     """Undo the z-scoring; ``mean`` and ``std`` broadcast against ``values``,

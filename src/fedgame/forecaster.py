@@ -227,20 +227,16 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(1, 2)
 
 
-def _as_batch(cfg: ForecasterConfig, windows: np.ndarray) -> np.ndarray:
-    """Windows as a float64 (batch, history_len) array."""
-    w = np.asarray(windows, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != cfg.history_len:
-        raise StructuralError(f"window batch has shape {w.shape}, expected (*, {cfg.history_len})")
-    return w
-
-
 def checked_batch(
     cfg: ForecasterConfig, windows: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One client's windows (B, history_len) and targets (B, horizon) as
     float64 arrays; a :class:`StructuralError` if either shape is off."""
-    batch = _as_batch(cfg, windows)
+    batch = np.asarray(windows, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != cfg.history_len:
+        raise StructuralError(
+            f"window batch has shape {batch.shape}, expected (*, {cfg.history_len})"
+        )
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (batch.shape[0], cfg.horizon):
         raise StructuralError(
@@ -398,15 +394,6 @@ def predict(
     return pred
 
 
-def forward_batch(model: ForecasterModel, windows: np.ndarray) -> np.ndarray:
-    """Predictions for a batch of windows (n, history_len), shaped (n,
-    horizon, n_quantiles).  Deterministic in (values, windows)."""
-    cfg = model.config
-    batch = _as_batch(cfg, windows)
-    pred = predict(cfg, ["model"], model.values[np.newaxis], batch[np.newaxis])[0]
-    return pred.reshape(len(batch), cfg.horizon, len(cfg.quantiles))
-
-
 def pinball_weights(diff: np.ndarray, q_flat: np.ndarray) -> np.ndarray:
     """Piecewise slope of the pinball loss w.r.t. the prediction.
 
@@ -416,21 +403,6 @@ def pinball_weights(diff: np.ndarray, q_flat: np.ndarray) -> np.ndarray:
     weigh residuals with it.
     """
     return np.where(diff > 0, 1.0 - q_flat, -q_flat)
-
-
-def pinball_loss(pred: np.ndarray, target: np.ndarray, quantiles: Sequence[float]) -> float:
-    """Mean asymmetric deviation over steps and quantiles; >= 0."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64).reshape(-1)
-    q = np.asarray(quantiles, dtype=np.float64)
-    if pred.shape != (target.size, q.size):
-        raise StructuralError(
-            f"pred has shape {pred.shape}, expected ({target.size}, {q.size})"
-        )
-    if not pred.size:
-        raise UsageError("pinball_loss needs at least one target and one quantile level")
-    diff = pred - target[:, np.newaxis]
-    return float(np.mean(pinball_weights(diff, q[np.newaxis, :]) * diff))
 
 
 def task_loss_and_gradient(
@@ -458,25 +430,15 @@ def task_loss_and_gradient(
     return (diff * weights).reshape(len(values), -1).sum(axis=1) * scale, grad
 
 
-def _one_client(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray):
-    """Loss and gradient of one model on one batch, as a stack of one."""
+def task_loss(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray) -> float:
+    """Mean pinball loss of the model on one non-empty batch, as a stack of one."""
     batch, targets = checked_batch(model.config, windows, targets)
     if not len(batch):
-        raise UsageError("task_loss and task_gradient need a non-empty batch")
-    losses, grads = task_loss_and_gradient(
+        raise UsageError("task_loss needs a non-empty batch")
+    losses, _ = task_loss_and_gradient(
         model.config, model.values[np.newaxis], batch[np.newaxis], targets[np.newaxis]
     )
-    return float(losses[0]), grads[0]
-
-
-def task_loss(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray) -> float:
-    """Mean pinball loss of the model on a batch."""
-    return _one_client(model, windows, targets)[0]
-
-
-def task_gradient(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Gradient of the mean pinball loss w.r.t. all parameters, flat."""
-    return _one_client(model, windows, targets)[1]
+    return float(losses[0])
 
 
 def _require_finite(ids: Sequence[str], ok: np.ndarray, what: str) -> None:

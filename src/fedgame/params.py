@@ -6,8 +6,8 @@ that the forecaster config plans (``forecaster.build_spec``): blocks
 tile [0, P) in storage order and end with the output head.  Keeping the
 storage flat makes the exchange protocol trivial: a round's clients
 form one matrix, a row per client, and parameter differences, consensus
-averaging, norms and output-head slicing are plain row and column
-operations on it.
+averaging and output-head slicing are plain row and column operations
+on it.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericError, StructuralError, UsageError
-
-# Norms below this are treated as zero when computing cosine similarity.
-NORM_TOLERANCE = 1e-12
 
 
 class LayerSpec(NamedTuple):
@@ -137,21 +134,3 @@ def add_scaled(base: np.ndarray, delta: np.ndarray, step: float) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericError("add_scaled produced non-finite entries")
     return out
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray):
-    """a.b / (|a||b|) along the last axis, 0 where a norm is below tolerance.
-
-    Returning 0 (maximum dissimilarity, 1 - cos = 1) instead of raising
-    lets the server meta-loss penalize degenerate zero updates, which do
-    occur in round 0.  Vectors give a float, stacks of rows an array.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise StructuralError(f"vectors have different shapes {a.shape} and {b.shape}")
-    na = np.sqrt(np.sum(a * a, axis=-1))
-    nb = np.sqrt(np.sum(b * b, axis=-1))
-    live = (na >= NORM_TOLERANCE) & (nb >= NORM_TOLERANCE)
-    cos = np.where(live, np.sum(a * b, axis=-1) / np.where(live, na * nb, 1.0), 0.0)
-    return float(cos) if cos.ndim == 0 else cos

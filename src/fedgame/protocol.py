@@ -348,13 +348,17 @@ class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
         problems += too_small(self, ("noise_sd", "master_seed"), 0, bad)
         if "csv_path" not in bad and self.csv_path == "":
             problems.append("csv_path must not be empty; null selects the synthetic generator")
+        if "output_dir" not in bad and self.output_dir == "":
+            problems.append("output_dir must not be empty")
         if bad.isdisjoint(("train_frac", "val_frac", "test_frac")):
             fracs = self.splits()
             if any(f < 0 for f in fracs):
                 problems.append("train_frac, val_frac, test_frac must be >= 0")
             elif not abs(sum(fracs) - 1.0) <= 1e-9:
                 problems.append(f"train_frac, val_frac, test_frac must sum to 1, got {sum(fracs)}")
-        if bad.isdisjoint(("n_clusters", "n_clients")) and self.n_clusters > self.n_clients:
+        # the synthetic generator's rule: a CSV fleet takes its clients from its stations
+        if (bad.isdisjoint(("n_clusters", "n_clients", "csv_path")) and self.csv_path is None
+                and self.n_clusters > self.n_clients):
             problems.append(
                 f"n_clusters must not exceed n_clients "
                 f"(n_clusters={self.n_clusters}, n_clients={self.n_clients})"
@@ -370,6 +374,9 @@ class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
             unknown = [b for b in self.baselines if b not in AGGREGATOR_KINDS]
             if unknown:
                 problems.append(f"baselines contains unknown kinds {unknown}")
+            repeated = [b for b in dict.fromkeys(self.baselines) if self.baselines.count(b) > 1]
+            if repeated:
+                problems.append(f"baselines repeats kinds {repeated}")
         published = tuple(k for k in ("published_total_params", "published_head_params")
                           if getattr(self, k) is not None)
         small = too_small(self, published, 1, bad)

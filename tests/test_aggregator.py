@@ -18,7 +18,6 @@ from fedgame.aggregator import (
     load_parameters,
     mean_meta_loss,
     meta_gradient,
-    meta_loss,
     register_client,
     top_k_mask,
     train_step,
@@ -30,7 +29,6 @@ from fedgame.aggregator import (
     _objective,
 )
 from fedgame.errors import ConfigError, StructuralError, UsageError
-from fedgame.params import cosine_similarity
 
 
 def seeded_state(head_dim=6, clients=("a", "b", "c"), seed=0, **cfg_kw):
@@ -366,21 +364,37 @@ def test_personalized_delta_hand_weights():
     np.testing.assert_allclose(out.personalized[0], [expected], rtol=0, atol=1e-12)
 
 
+def reference_cosine(a, b):
+    """cos(a, b) of two vectors in plain numpy, 0 where a norm is below 1e-12."""
+    norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    return 0.0 if min(norm_a, norm_b) < 1e-12 else float(a @ b) / (norm_a * norm_b)
+
+
+def reference_meta_loss(pers, own, alpha, beta):
+    """alpha |pers - own|^2 + beta (1 - cos(pers, own)) of two vectors."""
+    return alpha * float(np.sum((pers - own) ** 2)) + beta * (1.0 - reference_cosine(pers, own))
+
+
+def pair_objective(pers, own, alpha, beta):
+    """The server objective of one pair of vectors, as a batch of one row."""
+    return _objective(pers[np.newaxis], own[np.newaxis], alpha, beta)[0][0]
+
+
 def test_meta_loss_reference_values():
     d = np.array([1.0, -2.0, 0.5])
-    assert meta_loss(d, d, 0.5, 0.5) == pytest.approx(0.0, abs=1e-12)
-    assert meta_loss(2 * d, d, 0.0, 0.5) == pytest.approx(0.0, abs=1e-12)
-    val = meta_loss(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5, 0.5)
+    assert pair_objective(d, d, 0.5, 0.5) == pytest.approx(0.0, abs=1e-12)
+    assert pair_objective(2 * d, d, 0.0, 0.5) == pytest.approx(0.0, abs=1e-12)
+    val = pair_objective(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5, 0.5)
     assert val == pytest.approx(1.5, abs=1e-12)
-    zero = meta_loss(np.zeros(3), d, 0.5, 0.5)
+    zero = pair_objective(np.zeros(3), d, 0.5, 0.5)
     assert zero == pytest.approx(0.5 * float(d @ d) + 0.5, abs=1e-12)
-
-
-def test_meta_loss_rejects_vectors_of_different_lengths():
-    # a length-1 vector would broadcast against the other without the check
-    for other in (np.ones(4), np.ones(1)):
-        with pytest.raises(StructuralError, match="different lengths"):
-            meta_loss(np.ones(3), other, 0.5, 0.5)
+    # with alpha = 0 and beta = 1 the loss is 1 - cos: 0 for parallel
+    # vectors, 2 for opposite ones, and 1 where a norm is zero
+    a = np.array([1.0, 2.0, 3.0])
+    assert pair_objective(a, 2.5 * a, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert pair_objective(a, -a, 0.0, 1.0) == pytest.approx(2.0, abs=1e-12)
+    for pers, own in ((np.zeros(3), a), (a, np.zeros(3)), (np.zeros(3), np.zeros(3))):
+        assert pair_objective(pers, own, 0.0, 1.0) == 1.0
 
 
 def test_mean_meta_loss_matches_numpy_pipeline():
@@ -389,7 +403,7 @@ def test_mean_meta_loss_matches_numpy_pipeline():
     deltas = random_deltas(state, ids, seed=27)
     pers = aggregate_game(state, ids, deltas).personalized
     expected = np.mean(
-        [meta_loss(pers[i], deltas[i], 0.5, 0.5) for i in range(len(ids))]
+        [reference_meta_loss(pers[i], deltas[i], 0.5, 0.5) for i in range(len(ids))]
     )
     assert mean_meta_loss(state, ids, deltas) == pytest.approx(expected, abs=1e-12)
 
@@ -459,8 +473,8 @@ def test_objective_gradient_matches_finite_differences():
     own[1] = 0.0  # a zero-norm row: its cosine is pinned to 0 whatever pers is
     alpha, beta = 0.3, 0.7
     losses, grad = _objective(pers, own, alpha, beta)
-    assert [losses[i] for i in range(4)] == [meta_loss(p, u, alpha, beta)
-                                             for p, u in zip(pers, own)]
+    expected = [reference_meta_loss(p, u, alpha, beta) for p, u in zip(pers, own)]
+    np.testing.assert_allclose(losses, expected, rtol=0, atol=1e-12)
     numeric, eps = np.zeros_like(pers), 1e-6
     for idx in np.ndindex(pers.shape):
         hi, lo = pers.copy(), pers.copy()
@@ -475,10 +489,11 @@ def test_objective_gradient_matches_finite_differences():
     losses, grad = _objective(pers, own, alpha, beta)
     assert losses[2] == alpha * np.sum(own[2] ** 2) + beta
     np.testing.assert_array_equal(grad[2], -2 * alpha * own[2])
-    # with alpha = 0 and beta = 1 each loss is 1 - cos exactly: the cosine is
-    # params.cosine_similarity's, bit for bit, on the zero-norm rows too
-    np.testing.assert_array_equal(_objective(pers, own, 0.0, 1.0)[0],
-                                  1.0 - cosine_similarity(pers, own))
+    # with alpha = 0 and beta = 1 each loss is 1 - cos, exactly 1 on the zero-norm rows
+    cos = [reference_cosine(p, u) for p, u in zip(pers, own)]
+    losses = _objective(pers, own, 0.0, 1.0)[0]
+    np.testing.assert_allclose(losses, 1.0 - np.array(cos), rtol=0, atol=1e-15)
+    assert losses[1] == losses[2] == 1.0
 
 
 def test_backward_is_the_gradient_of_any_upstream_pairing():

@@ -395,6 +395,22 @@ def test_more_clusters_than_clients_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_more_clusters_than_clients_is_allowed_with_a_csv_fleet(tmp_path, capsys):
+    # a CSV run reads neither count; synth still refuses them, before writing
+    csv_path = tmp_path / "fleet.csv"
+    shards_to_csv(synth_generate(3, 1, 160, 0.1, 0), csv_path)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {
+        **SMALL, "n_clusters": 5, "csv_path": str(csv_path), "output_dir": str(out),
+    })
+    assert main(["run", path]) == 0
+    assert (out / "eval.json").exists()
+    synth_out = tmp_path / "synth_out"
+    assert main(["synth", path, "--output-dir", str(synth_out)]) == 2
+    assert "n_clusters" in capsys.readouterr().err
+    assert not synth_out.exists()
+
+
 def test_runtime_failure_exits_one_with_round_context(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise NumericError("injected in local training")
@@ -423,6 +439,22 @@ def test_an_empty_csv_path_is_a_config_error(tmp_path, capsys):
     assert main(["run", path]) == 2
     assert "1 error(s)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_output_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # an empty directory name would write into the working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FEDGAME_OUTPUT_DIR", raising=False)
+    assert config_from_dict({"output_dir": ""})[1] == ["output_dir must not be empty"]
+    path = write_config(tmp_path, {**SMALL, "output_dir": ""})
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", path]) == 2
+    assert "output_dir must not be empty" in capsys.readouterr().err
+    # an empty flag or environment value falls back to the config's value
+    assert main(["run", path, "--output-dir", ""]) == 2
+    monkeypatch.setenv("FEDGAME_OUTPUT_DIR", "")
+    assert main(["run", path]) == 2
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command,below", [("run", ""), ("ablate", "sub"), ("synth", "sub")])
@@ -479,6 +511,17 @@ def test_ablate_writes_one_row_per_method(tmp_path):
         rows = list(csv.DictReader(handle))
     assert [r["method"] for r in rows] == ["game", "mean", "fedavg", "local_only"]
     assert set(rows[0]) == {"method", "qs", "mil", "icp"}
+
+
+def test_a_repeated_baseline_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {
+        **SMALL, "output_dir": str(out), "baselines": ["fedavg", "game", "fedavg"],
+    })
+    assert main(["ablate", path]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err and "baselines repeats kinds ['fedavg']" in err
+    assert not out.exists()
 
 
 def test_ablate_two_clients_game_equals_mean(tmp_path):

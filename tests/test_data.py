@@ -11,6 +11,7 @@ import pytest
 from fedgame.data import (
     CHUNK_ROWS,
     SeriesShard,
+    denormalize,
     load_csv,
     make_windows,
     shards_to_csv,
@@ -513,11 +514,11 @@ def test_make_windows_hand_enumeration():
     splits = make_windows(shard, 3, 2, (1.0, 0.0, 0.0))
     train = splits["train"]
     assert len(train) == 6
-    np.testing.assert_allclose(train.denormalize(train.inputs[0]), [1.0, 2.0, 3.0],
+    np.testing.assert_allclose(denormalize(train.inputs[0], train.mean, train.std), [1.0, 2.0, 3.0],
                                atol=1e-12)
-    np.testing.assert_allclose(train.denormalize(train.targets[0]), [4.0, 5.0],
+    np.testing.assert_allclose(denormalize(train.targets[0], train.mean, train.std), [4.0, 5.0],
                                atol=1e-12)
-    np.testing.assert_allclose(train.denormalize(train.inputs[5]), [6.0, 7.0, 8.0],
+    np.testing.assert_allclose(denormalize(train.inputs[5], train.mean, train.std), [6.0, 7.0, 8.0],
                                atol=1e-12)
     assert len(splits["val"]) == 0 and len(splits["test"]) == 0
 
@@ -567,14 +568,14 @@ def test_windows_never_leak_future_values():
     shard = SeriesShard("a", np.arange(40.0))
     splits = make_windows(shard, 3, 1, (0.7, 0.1, 0.2))
     train, val, test = splits["train"], splits["val"], splits["test"]
-    max_train = train.denormalize(train.inputs).max()
-    max_train_target = train.denormalize(train.targets).max()
-    min_val = val.denormalize(val.inputs).min()
-    min_test = test.denormalize(test.inputs).min()
+    max_train = denormalize(train.inputs, train.mean, train.std).max()
+    max_train_target = denormalize(train.targets, train.mean, train.std).max()
+    min_val = denormalize(val.inputs, val.mean, val.std).min()
+    min_test = denormalize(test.inputs, test.mean, test.std).min()
     assert max(max_train, max_train_target) < min_val < min_test
     for dataset in (train, val, test):
-        raw_in = dataset.denormalize(dataset.inputs)
-        raw_tg = dataset.denormalize(dataset.targets)
+        raw_in = denormalize(dataset.inputs, dataset.mean, dataset.std)
+        raw_tg = denormalize(dataset.targets, dataset.mean, dataset.std)
         for window, target in zip(raw_in, raw_tg):
             assert window.max() < target.min()
 
@@ -599,14 +600,14 @@ def test_constant_series_normalizes_to_zero():
     splits = make_windows(shard, 3, 1, (1.0, 0.0, 0.0))
     train = splits["train"]
     np.testing.assert_array_equal(train.inputs, np.zeros_like(train.inputs))
-    np.testing.assert_allclose(train.denormalize(train.inputs), 7.0, atol=1e-12)
+    np.testing.assert_allclose(denormalize(train.inputs, train.mean, train.std), 7.0, atol=1e-12)
 
 
 def test_normalization_round_trip():
     shard = SeriesShard("a", np.random.default_rng(3).normal(5.0, 2.0, size=60))
     train = make_windows(shard, 4, 2, (1.0, 0.0, 0.0))["train"]
     raw = np.array([shard.values[i : i + 4] for i in range(len(train))])
-    np.testing.assert_allclose(train.denormalize(train.inputs), raw, atol=1e-12)
+    np.testing.assert_allclose(denormalize(train.inputs, train.mean, train.std), raw, atol=1e-12)
 
 
 def test_make_windows_validates_fractions():

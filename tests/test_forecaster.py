@@ -19,11 +19,10 @@ from fedgame.forecaster import (
     ForecasterModel,
     _quantile_row,
     build_spec,
-    forward_batch,
+    checked_batch,
     init_forecaster,
     local_train,
-    pinball_loss,
-    task_gradient,
+    predict,
     task_loss,
     task_loss_and_gradient,
 )
@@ -40,6 +39,20 @@ def small_config(**kw):
     defaults = dict(history_len=6, horizon=2, quantiles=(0.1, 0.5, 0.9), hidden_sizes=(5,))
     defaults.update(kw)
     return ForecasterConfig(**defaults)
+
+
+def forecast(model, windows):
+    """One model's predictions (n, horizon, n_quantiles) on windows
+    (n, history_len), through the stacked forward as a stack of one."""
+    cfg = model.config
+    pred = predict(cfg, ["model"], model.values[np.newaxis], windows[np.newaxis])[0]
+    return pred.reshape(len(windows), cfg.horizon, len(cfg.quantiles))
+
+
+def task_gradient(model, windows, targets):
+    """One model's flat task-loss gradient, as a stack of one."""
+    stack = (a[np.newaxis] for a in (model.values, windows, targets))
+    return task_loss_and_gradient(model.config, *stack)[1][0]
 
 
 def layer_arrays(model):
@@ -261,7 +274,7 @@ def test_forward_matches_reference_mlp():
     for _ in range(5):
         window = rng.normal(size=cfg.history_len)
         np.testing.assert_allclose(
-            forward_batch(model, window[np.newaxis])[0], ref_mlp_forward(model, window),
+            forecast(model, window[np.newaxis])[0], ref_mlp_forward(model, window),
             rtol=0, atol=1e-10,
         )
 
@@ -273,18 +286,18 @@ def test_forward_matches_reference_lstm():
     for _ in range(3):
         window = rng.normal(size=cfg.history_len)
         np.testing.assert_allclose(
-            forward_batch(model, window[np.newaxis])[0], ref_lstm_forward(model, window),
+            forecast(model, window[np.newaxis])[0], ref_lstm_forward(model, window),
             rtol=0, atol=1e-10,
         )
 
 
-def test_forward_batch_agrees_with_single_forward():
+def test_forward_on_a_batch_agrees_with_single_windows():
     cfg = small_config(arch="lstm", hidden_sizes=(3,))
     model = init_forecaster(cfg, np.random.default_rng(4))
     windows = np.random.default_rng(5).normal(size=(4, cfg.history_len))
-    batched = forward_batch(model, windows)
+    batched = forecast(model, windows)
     for i in range(4):
-        single = forward_batch(model, windows[i : i + 1])[0]
+        single = forecast(model, windows[i : i + 1])[0]
         np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
@@ -295,7 +308,7 @@ def test_zero_weights_mlp_outputs_bias():
     values = model.values.copy()
     values[-cfg.output_dim :] = bias
     model = model.with_params(values)
-    pred = forward_batch(model, np.random.default_rng(0).normal(size=(1, cfg.history_len)))[0]
+    pred = forecast(model, np.random.default_rng(0).normal(size=(1, cfg.history_len)))[0]
     np.testing.assert_array_equal(pred.reshape(-1), bias)
 
 
@@ -303,48 +316,24 @@ def test_identity_linear_model_is_constant_on_constant_window():
     cfg = ForecasterConfig(history_len=6, horizon=2, quantiles=(0.1, 0.5, 0.9), hidden_sizes=())
     values = np.concatenate([np.eye(6).reshape(-1), np.zeros(6)])
     model = ForecasterModel(values, cfg)
-    pred = forward_batch(model, np.full((1, 6), 3.25))[0]
+    pred = forecast(model, np.full((1, 6), 3.25))[0]
     np.testing.assert_array_equal(pred, np.full((2, 3), 3.25))
 
 
-def test_forward_batch_rejects_non_finite_predictions():
+def test_predict_rejects_non_finite_predictions():
     cfg = small_config(hidden_sizes=())
-    model = ForecasterModel(np.full(total_params(build_spec(cfg)), 1e308), cfg)
-    with pytest.raises(NumericError), np.errstate(over="ignore"):
-        forward_batch(model, np.ones((1, cfg.history_len)))
-
-
-def test_pinball_loss_hand_example():
-    # one step, quantiles 0.1 and 0.9, pred (2.0, 4.0), target 3.0:
-    # under-prediction at q=0.1 costs 0.1*1, over-prediction at q=0.9
-    # costs 0.1*1, mean = 0.1
-    loss = pinball_loss(np.array([[2.0, 4.0]]), np.array([3.0]), (0.1, 0.9))
-    assert loss == pytest.approx(0.1, abs=1e-12)
-
-
-def test_pinball_loss_nonnegative_and_zero_at_target():
-    rng = np.random.default_rng(6)
-    q = (0.1, 0.5, 0.9)
-    for _ in range(20):
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=4)
-        assert pinball_loss(pred, target, q) >= 0.0
-    target = rng.normal(size=4)
-    exact = np.repeat(target[:, None], 3, axis=1)
-    assert pinball_loss(exact, target, q) == 0.0
+    values = np.full((1, total_params(build_spec(cfg))), 1e308)
+    match = r"non-finite predictions for clients \['a'\]$"
+    with pytest.raises(NumericError, match=match), np.errstate(over="ignore"):
+        predict(cfg, ["a"], values, np.ones((1, 1, cfg.history_len)))
 
 
 def test_empty_batches_are_usage_errors():
     cfg = small_config()
     model = init_forecaster(cfg, np.random.default_rng(26))
     windows, targets = np.zeros((0, cfg.history_len)), np.zeros((0, cfg.horizon))
-    for call in (task_loss, task_gradient):
-        with pytest.raises(UsageError, match="non-empty batch"):
-            call(model, windows, targets)
-    with pytest.raises(UsageError, match="at least one target"):
-        pinball_loss(np.zeros((0, 3)), np.zeros(0), cfg.quantiles)
-    with pytest.raises(UsageError, match="one quantile level"):
-        pinball_loss(np.zeros((2, 0)), np.zeros(2), ())
+    with pytest.raises(UsageError, match="non-empty batch"):
+        task_loss(model, windows, targets)
 
 
 def test_quantile_row_is_built_once_per_config_and_read_only():
@@ -354,15 +343,6 @@ def test_quantile_row_is_built_once_per_config_and_read_only():
     assert _quantile_row(small_config(horizon=3, quantiles=(0.2, 0.7))) is row
     with pytest.raises(ValueError):
         row[0] = 0.5
-
-
-def test_pinball_penalizes_the_correct_side_more():
-    q = (0.9,)
-    target = np.array([0.0])
-    under = pinball_loss(np.array([[-1.0]]), target, q)
-    over = pinball_loss(np.array([[1.0]]), target, q)
-    assert under == pytest.approx(0.9, abs=1e-12)
-    assert over == pytest.approx(0.1, abs=1e-12)
 
 
 def fd_task_gradient(model, windows, targets, eps=1e-5):
@@ -409,7 +389,7 @@ def check_task_gradient(overrides, seed, n):
     targets = rng.normal(size=(n, cfg.horizon)) + 5.0
     # keep every residual far from the pinball kink so the finite
     # difference never crosses it
-    pred = forward_batch(model, windows)
+    pred = forecast(model, windows)
     assert np.min(np.abs(pred - targets[:, :, None])) > 1e-2, overrides
     assert_grad_close(model, windows, targets)
 
@@ -791,6 +771,7 @@ def test_mismatched_specs_are_rejected():
 
 def test_forward_rejects_wrong_window_shape():
     cfg = small_config()
-    model = init_forecaster(cfg, np.random.default_rng(25))
-    with pytest.raises(StructuralError):
-        forward_batch(model, np.zeros((1, cfg.history_len + 1)))
+    targets = np.zeros((1, cfg.horizon))
+    for windows in (np.zeros((1, cfg.history_len + 1)), np.zeros(cfg.history_len)):
+        with pytest.raises(StructuralError, match="window batch has shape"):
+            checked_batch(cfg, windows, targets)

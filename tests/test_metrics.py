@@ -5,15 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from fedgame.data import WindowedDataset
+from fedgame.data import WindowedDataset, denormalize
 from fedgame.errors import NumericError, StructuralError, UsageError
 from fedgame.forecaster import (
     ForecasterConfig,
     ForecasterModel,
     build_spec,
-    forward_batch,
     init_forecaster,
-    pinball_loss,
+    predict,
+    task_loss,
 )
 from fedgame.metrics import evaluate, icp, mil, quantile_score
 
@@ -47,14 +47,37 @@ def test_quantile_score_matches_loop_oracle():
         )
 
 
-def test_quantile_score_is_byte_consistent_with_pinball_loss():
+def test_quantile_score_hand_example_at_two_levels():
+    # target 3.0: under-prediction 2.0 at q=0.1 costs 0.1*1, over-prediction
+    # 4.0 at q=0.9 costs 0.1*1
+    assert quantile_score([3.0], [2.0], 0.1) == pytest.approx(0.1, abs=1e-12)
+    assert quantile_score([3.0], [4.0], 0.9) == pytest.approx(0.1, abs=1e-12)
+
+
+def test_quantile_score_penalizes_the_correct_side_more():
+    assert quantile_score([0.0], [-1.0], 0.9) == pytest.approx(0.9, abs=1e-12)
+    assert quantile_score([0.0], [1.0], 0.9) == pytest.approx(0.1, abs=1e-12)
+
+
+def test_quantile_score_nonnegative_and_zero_at_target():
     rng = np.random.default_rng(6)
-    y = rng.normal(size=64)
-    yhat = rng.normal(size=64)
-    q = 0.25
-    assert quantile_score(y, yhat, q) == pinball_loss(
-        yhat.reshape(-1, 1), y.reshape(-1, 1), (q,)
-    )
+    for _ in range(20):
+        y, yhat = rng.normal(size=4), rng.normal(size=4)
+        for q in (0.1, 0.5, 0.9):
+            assert quantile_score(y, yhat, q) >= 0.0
+            assert quantile_score(y, y, q) == 0.0
+
+
+def test_task_loss_is_the_mean_quantile_score_over_levels():
+    # the loss the clients train on is the metric the evaluation reports
+    cfg = ForecasterConfig(history_len=4, horizon=3, quantiles=(0.1, 0.5, 0.9), hidden_sizes=(5,))
+    model = init_forecaster(cfg, np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    windows, targets = rng.normal(size=(9, 4)), rng.normal(size=(9, 3))
+    pred = predict(cfg, ["a"], model.values[np.newaxis], windows[np.newaxis])[0]
+    pred = pred.reshape(9, 3, len(cfg.quantiles))
+    scores = [quantile_score(targets, pred[..., k], q) for k, q in enumerate(cfg.quantiles)]
+    assert abs(task_loss(model, windows, targets) - np.mean(scores)) <= 1e-12
 
 
 def test_quantile_score_rejects_empty_and_bad_q():
@@ -255,10 +278,12 @@ def test_report_serialization_shapes():
 
 
 def score_alone(client_id, model, data) -> dict:
-    """One client's to_dict() entry from its own forward_batch call."""
-    q = np.asarray(model.config.quantiles)
-    preds = data.denormalize(forward_batch(model, data.inputs))
-    targets = data.denormalize(data.targets)
+    """One client's to_dict() entry from a stacked forward of it alone."""
+    cfg = model.config
+    q = np.asarray(cfg.quantiles)
+    pred = predict(cfg, [client_id], model.values[np.newaxis], data.inputs[np.newaxis])[0]
+    preds = denormalize(pred.reshape(len(data), cfg.horizon, q.size), data.mean, data.std)
+    targets = denormalize(data.targets, data.mean, data.std)
     diff = preds - targets[:, :, np.newaxis]
     weights = np.where(diff > 0, 1.0 - q, -q)
     lo = preds[:, :, np.argmin(q)].reshape(-1)

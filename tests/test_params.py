@@ -8,7 +8,6 @@ from fedgame.forecaster import ForecasterConfig, build_spec
 from fedgame.params import (
     add_scaled,
     compute_delta,
-    cosine_similarity,
     head_indices,
     head_length,
     mean_deltas,
@@ -159,17 +158,3 @@ def test_head_indices_are_read_only_and_shared():
     heads[0] = 1.0
     np.testing.assert_array_equal(head_indices(SPEC), np.arange(9, 17))
 
-
-def test_cosine_similarity_reference_values():
-    a = np.array([1.0, 2.0, 3.0])
-    assert cosine_similarity(a, 2.5 * a) == pytest.approx(1.0, abs=1e-12)
-    assert cosine_similarity(a, -a) == pytest.approx(-1.0, abs=1e-12)
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_cosine_similarity_zero_norm_is_zero():
-    a = np.zeros(4)
-    b = np.ones(4)
-    assert cosine_similarity(a, b) == 0.0
-    assert cosine_similarity(b, a) == 0.0
-    assert cosine_similarity(a, a) == 0.0
