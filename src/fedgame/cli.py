@@ -24,6 +24,7 @@ from .protocol import (
     PERSONALIZED_KINDS,
     ExperimentConfig,
     RunResult,
+    load_shards,
     round_traffic,
     run_experiment,
     seed_stream,
@@ -167,18 +168,20 @@ def comm_summary(config: ExperimentConfig) -> dict:
 
     Published parameter counts, when provided, replace the counts
     derived from the layer layout, so externally reported model sizes
-    can be checked without rebuilding the exact architecture.
+    can be checked without rebuilding the exact architecture.  A CSV
+    config's client count is its file's station count.
     """
+    n_clients = len(load_shards(config)) if config.csv_path is not None else config.n_clients
     total, head = config.param_counts()
     kind = config.aggregator_kind
-    traffic = round_traffic(config.n_clients, total, head, kind)
+    traffic = round_traffic(n_clients, total, head, kind)
     percent = 0.0
     if kind in PERSONALIZED_KINDS:
         # the published overhead: head share rounded to 4 places, halved
         percent = round(round(head / total, 4) / 2.0 * 100.0, 6)
     return {
         "aggregator_kind": kind,
-        "n_clients": config.n_clients,
+        "n_clients": n_clients,
         "total_params": int(total),
         "head_params": int(head),
         "upstream_params": int(traffic["upstream"]),

@@ -4,6 +4,9 @@ CSV input uses the fixed schema ``timestamp,station_id,demand_kwh``.
 Gaps in a station's timeline are filled with zero demand: an absent
 charging record means nobody charged, not a broken sensor.
 
+Windowing normalizes a series once and takes every stride-1 window
+with one strided view; each split copies its row range of that view.
+
 The synthetic generator produces clustered clients so experiments have
 ground-truth neighborhoods: each cluster follows its own two-sinusoid
 archetype and clients deviate from it in proportion to ``noise_sd``.
@@ -273,19 +276,6 @@ def load_csv(path) -> list[SeriesShard]:
     return shards
 
 
-def _window_segment(segment: np.ndarray, h: int, p: int, mean: float, std: float):
-    n = max(segment.size - h - p + 1, 0)
-    normalized = (segment - mean) / std
-    # window i is normalized[i : i + h + p]; filling one column (offset)
-    # at a time takes h + p vectorized copies instead of one per window
-    inputs, targets = np.empty((n, h)), np.empty((n, p))
-    for k in range(h):
-        inputs[:, k] = normalized[k : k + n]
-    for k in range(p):
-        targets[:, k] = normalized[h + k : h + k + n]
-    return inputs, targets
-
-
 def make_windows(
     shard: SeriesShard,
     history_len: int,
@@ -296,10 +286,12 @@ def make_windows(
 
     Splits cut the series by index, windows never straddle a boundary,
     and the z-score stats come from the train segment alone (std floored
-    at 1e-8 so constant series normalize to zeros).  A segment too short
-    for a single window yields an empty dataset, without a warning:
-    ``run_experiment`` reads only ``train`` and ``test`` and rejects an
-    empty one with a ``ConfigError`` that names the clients.
+    at 1e-8 so constant series normalize to zeros).  The series is
+    normalized once and viewed as all its stride-1 windows; each split
+    copies out the rows of the windows that lie inside it.  A segment
+    too short for a single window yields an empty dataset, without a
+    warning: ``run_experiment`` reads only ``train`` and ``test`` and
+    rejects an empty one with a ``ConfigError`` that names the clients.
     """
     if history_len < 1 or horizon < 1:
         raise ConfigError("history_len and horizon must be >= 1")
@@ -308,22 +300,27 @@ def make_windows(
     if abs(sum(splits) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {sum(splits)}")
 
-    n = shard.values.size
+    n, width = shard.values.size, history_len + horizon
     n_train = int(math.floor(splits[0] * n))
     n_val = int(math.floor(splits[1] * n))
-    segments = {
-        "train": shard.values[:n_train],
-        "val": shard.values[n_train : n_train + n_val],
-        "test": shard.values[n_train + n_val :],
-    }
-    train_seg = segments["train"]
-    mean = float(train_seg.mean()) if train_seg.size else 0.0
-    std = max(float(train_seg.std()), STD_FLOOR) if train_seg.size else 1.0
+    mean, std = 0.0, 1.0
+    if n_train:
+        # np.mean's and np.std's arithmetic, bit for bit, minus their call overhead
+        train_seg = shard.values[:n_train]
+        mean = float(train_seg.sum() / n_train)
+        deviation = train_seg - mean
+        std = max(math.sqrt(float((deviation * deviation).sum()) / n_train), STD_FLOOR)
 
+    # row i is normalized[i : i + width], a view: no element is copied here
+    normalized = (shard.values - mean) / std
+    step = normalized.strides[0]
+    windows = np.ndarray((max(n - width + 1, 0), width), buffer=normalized, strides=(step, step))
     out = {}
-    for name in SPLIT_NAMES:
-        inputs, targets = _window_segment(segments[name], history_len, horizon, mean, std)
-        out[name] = WindowedDataset(inputs=inputs, targets=targets, mean=mean, std=std)
+    for name, start, stop in zip(SPLIT_NAMES, (0, n_train, n_train + n_val),
+                                 (n_train, n_train + n_val, n)):
+        rows = windows[start : max(stop - width + 1, start)]
+        out[name] = WindowedDataset(inputs=rows[:, :history_len].copy(),
+                                    targets=rows[:, history_len:].copy(), mean=mean, std=std)
     return out
 
 
@@ -363,22 +360,18 @@ def synth_generate(
         raise ConfigError("noise_sd must be >= 0")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    shards = []
+    # each client draws its jitter, then its noise, in client order
+    labels = np.arange(n_clients) % n_clusters
+    uniforms, draws = np.empty(n_clients), np.empty((n_clients, length))
     for i in range(n_clients):
-        cluster = i % n_clusters
-        base = _archetype(cluster, length, n_clusters)
-        jitter = 1.0 + noise_sd * rng.uniform(-0.5, 0.5)
-        noise = noise_sd * rng.standard_normal(length)
-        values = np.maximum(jitter * base + noise, 0.0)
-        shards.append(
-            SeriesShard(
-                client_id=f"client{i:02d}",
-                values=values,
-                interval_minutes=5.0,
-                cluster_label=cluster,
-            )
-        )
-    return shards
+        uniforms[i] = rng.uniform(-0.5, 0.5)
+        rng.standard_normal(length, out=draws[i])
+    bases = np.stack([_archetype(c, length, n_clusters) for c in range(n_clusters)])
+    jitter = 1.0 + noise_sd * uniforms
+    values = np.maximum(jitter[:, None] * bases[labels] + noise_sd * draws, 0.0)
+    return [SeriesShard(client_id=f"client{i:02d}", values=values[i], interval_minutes=5.0,
+                        cluster_label=i % n_clusters)
+            for i in range(n_clients)]
 
 
 def shards_to_csv(shards: list[SeriesShard], path, start: datetime | None = None) -> None:

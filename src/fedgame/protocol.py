@@ -449,12 +449,16 @@ class RunResult:
     aggregator: AggregatorState | None
 
 
-def _load_shards(config: ExperimentConfig):
+def load_shards(config: ExperimentConfig):
+    """The fleet a run trains: the CSV file's stations, or the synthetic clients."""
     if config.csv_path is not None:
         try:
-            return load_csv(config.csv_path)
+            shards = load_csv(config.csv_path)
         except OSError as exc:
             raise ConfigError(f"csv_path: cannot read CSV file: {exc}") from exc
+        if not shards:
+            raise ConfigError("csv_path: the CSV file has no data rows")
+        return shards
     return synth_generate(
         config.n_clients,
         config.n_clusters,
@@ -474,7 +478,7 @@ def run_experiment(config: ExperimentConfig, aggregator_kind: str | None = None)
     hyper = config.hyper_params(kind)
     fcfg = config.forecaster_config(kind)
 
-    shards = _load_shards(config)
+    shards = load_shards(config)
     labels = None
     if all(s.cluster_label is not None for s in shards):
         labels = {s.client_id: int(s.cluster_label) for s in shards}

@@ -18,7 +18,7 @@ from fedgame.cli import (
 )
 from fedgame.data import load_csv, shards_to_csv, synth_generate
 from fedgame.errors import ConfigError, NumericError
-from fedgame.protocol import ExperimentConfig, run_experiment
+from fedgame.protocol import ExperimentConfig, round_traffic, run_experiment
 from tools.compare_artifacts import ARTIFACTS, MATRIX, cli_steps, first_difference
 
 SMALL = {
@@ -409,6 +409,39 @@ def test_more_clusters_than_clients_is_allowed_with_a_csv_fleet(tmp_path, capsys
     assert main(["synth", path, "--output-dir", str(synth_out)]) == 2
     assert "n_clusters" in capsys.readouterr().err
     assert not synth_out.exists()
+
+
+def test_comm_counts_a_csv_fleet_by_its_stations(tmp_path, capsys):
+    # the default n_clients is 4; the file holds 3 stations, as many as a run trains
+    csv_path = tmp_path / "fleet.csv"
+    shards_to_csv(synth_generate(3, 1, 160, 0.1, 0), csv_path)
+    path = write_config(tmp_path, {"csv_path": str(csv_path)})
+    assert main(["comm", path]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    config, _ = load_config(path)
+    assert config.n_clients == 4 and summary == comm_summary(config)
+    total, head = config.param_counts()
+    traffic = round_traffic(3, total, head, config.aggregator_kind)
+    assert (summary["n_clients"], summary["upstream_params"],
+            summary["downstream_params"]) == (3, traffic["upstream"], traffic["downstream"])
+    # an unreadable or empty file exits 2 and a malformed one exits 1, as for run
+    absent = write_config(tmp_path, {"csv_path": str(tmp_path / "absent.csv")}, name="absent.json")
+    assert main(["comm", absent]) == 2
+    assert "csv_path: cannot read" in capsys.readouterr().err
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("timestamp,station_id,demand_kwh\n", encoding="utf-8")
+    empty = write_config(tmp_path, {"csv_path": str(header_only)}, name="empty.json")
+    for command in ("comm", "run"):
+        assert main([command, empty, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "csv_path: the CSV file has no data rows" in capsys.readouterr().err
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("timestamp,station_id,demand_kwh\n2024-01-01T00:00:00,a,x\n",
+                       encoding="utf-8")
+    bad = write_config(tmp_path, {"csv_path": str(bad_csv)}, name="bad.json")
+    for command in ("comm", "run"):
+        assert main([command, bad, "--output-dir", str(tmp_path / "out")]) == 1
+        assert "line 2: unparseable demand_kwh 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_runtime_failure_exits_one_with_round_context(tmp_path, capsys, monkeypatch):

@@ -536,20 +536,26 @@ def brute_force_windows(segment, h, p, mean, std):
     return inputs, targets
 
 
-@pytest.mark.parametrize("length", [8, 31, 50, 480])
+@pytest.mark.parametrize("length", [4, 5, 8, 31, 50, 480])
 def test_make_windows_matches_brute_force_oracle(length):
-    # with h + p = 5: 8 points give the 5-point train split exactly one
-    # window and leave val and test empty, 31 points leave the 3-point
-    # val split empty, and 50 points give the 5-point val split one window
+    # with h + p = 5: 4 points are shorter than one window and 5 points are
+    # exactly one, yet no split holds a whole window in either; 8 points give
+    # the 5-point train split exactly one window and leave val and test
+    # empty, 31 points leave the 3-point val split empty, and 50 points give
+    # the 5-point val split one window
     values = np.random.default_rng(length).normal(size=length) * 3.0 + 1.0
     h, p = 3, 2
     splits = make_windows(SeriesShard("a", values), h, p, (0.7, 0.1, 0.2))
     n_train, n_val = int(np.floor(0.7 * length)), int(np.floor(0.1 * length))
     segments = {"train": values[:n_train], "val": values[n_train:n_train + n_val],
                 "test": values[n_train + n_val:]}
+    # the stats are numpy's mean and population std of the train segment, bit for bit
+    train = segments["train"]
+    assert (splits["train"].mean, splits["train"].std) == (float(train.mean()), float(train.std()))
     sizes = {}
     for name, segment in segments.items():
         data = splits[name]
+        assert (data.mean, data.std) == (splits["train"].mean, splits["train"].std)
         inputs, targets = brute_force_windows(segment, h, p, data.mean, data.std)
         assert data.inputs.shape == inputs.shape and data.targets.shape == targets.shape
         np.testing.assert_array_equal(data.inputs, inputs)
@@ -557,10 +563,12 @@ def test_make_windows_matches_brute_force_oracle(length):
         assert data.inputs.flags.c_contiguous and data.inputs.flags.owndata
         assert data.targets.flags.c_contiguous and data.targets.flags.owndata
         sizes[name] = len(data)
-    expected = {8: {"train": 1, "val": 0, "test": 0}, 31: {"train": 17, "val": 0, "test": 3},
-                50: {"train": 31, "val": 1, "test": 6}, 480: {"train": 332, "val": 44, "test": 92}}
+    empty = {"train": 0, "val": 0, "test": 0}
+    expected = {4: empty, 5: empty, 8: {"train": 1, "val": 0, "test": 0},
+                31: {"train": 17, "val": 0, "test": 3}, 50: {"train": 31, "val": 1, "test": 6},
+                480: {"train": 332, "val": 44, "test": 92}}
     assert sizes == expected[length]
-    if length == 8:
+    if length <= 8:
         assert splits["val"].inputs.shape == (0, h) and splits["val"].targets.shape == (0, p)
 
 
@@ -593,6 +601,12 @@ def test_short_split_returns_empty_without_warning():
     splits = make_windows(shard, 3, 2, (0.7, 0.1, 0.2))
     assert [len(splits[name]) for name in ("train", "val", "test")] == [10, 0, 0]
     assert splits["test"].inputs.shape == (0, 3) and splits["test"].targets.shape == (0, 2)
+    # a 2-point train split ends 3 points before its first window would
+    splits = make_windows(shard, 3, 2, (0.1, 0.0, 0.9))
+    assert [len(splits[name]) for name in ("train", "val", "test")] == [0, 0, 14]
+    # a 3-point series is 2 points shorter than one window
+    splits = make_windows(SeriesShard("b", np.arange(3.0)), 3, 2, (1.0, 0.0, 0.0))
+    assert [len(splits[name]) for name in ("train", "val", "test")] == [0, 0, 0]
 
 
 def test_constant_series_normalizes_to_zero():
@@ -658,6 +672,36 @@ def test_synth_labels_and_bounds():
         assert shard.values.min() >= 0.0
     with pytest.raises(ConfigError):
         synth_generate(2, 3, 40, 0.1, 0)
+
+
+def per_client_synth(n_clients, n_clusters, length, noise_sd, seed):
+    """The generator one client at a time, building each client's archetype anew."""
+    rng = np.random.default_rng(seed)
+    series = []
+    for i in range(n_clients):
+        cluster = i % n_clusters
+        t = np.arange(length, dtype=np.float64)
+        period = 48.0 / (2 * cluster + 1)
+        phase = 2.0 * math.pi * cluster / n_clusters
+        amplitude = 1.0 + 0.25 * cluster
+        base = np.maximum(amplitude * np.sin(2.0 * math.pi * t / period + phase)
+                          + 0.5 * amplitude * np.sin(4.0 * math.pi * t / period + 2.0 * phase)
+                          + 1.5 * amplitude, 0.0)
+        jitter = 1.0 + noise_sd * rng.uniform(-0.5, 0.5)
+        noise = noise_sd * rng.standard_normal(length)
+        series.append(np.maximum(jitter * base + noise, 0.0))
+    return series
+
+
+@pytest.mark.parametrize("n_clients,n_clusters,noise_sd",
+                         [(1, 1, 0.2), (5, 3, 0.2), (6, 6, 0.2), (5, 3, 0.0)])
+def test_synth_matches_a_per_client_reference_bit_for_bit(n_clients, n_clusters, noise_sd):
+    shards = synth_generate(n_clients, n_clusters, 97, noise_sd, 31)
+    reference = per_client_synth(n_clients, n_clusters, 97, noise_sd, 31)
+    assert [(s.client_id, s.cluster_label) for s in shards] == [
+        (f"client{i:02d}", i % n_clusters) for i in range(n_clients)]
+    for shard, values in zip(shards, reference, strict=True):
+        assert shard.values.dtype == values.dtype and shard.values.tobytes() == values.tobytes()
 
 
 def test_shard_rejects_non_finite_values():

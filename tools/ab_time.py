@@ -65,18 +65,32 @@ def load_package(src: Path, name: str):
     return package
 
 
-def _wide_server(fg, workdir: Path, split: str = "train"):
-    """The ``wide_server`` workload's first config, its client ids, their
-    ``split`` windows and its initial round state, built on package ``fg``."""
-    config = build_configs(fg, "wide_server", DEV_SEED, workdir)[0]
+def _fleet(fg, config):
+    """``config``'s synthetic shards and each one's windows, built as
+    ``run_experiment`` builds them."""
     fcfg = config.forecaster_config()
     stream = fg.protocol.seed_stream(config.master_seed, "data")
     shards = fg.data.synth_generate(config.n_clients, config.n_clusters, config.series_length,
                                     config.noise_sd, stream)
+    return shards, [fg.data.make_windows(s, fcfg.history_len, fcfg.horizon, config.splits())
+                    for s in shards]
+
+
+def _wide_server(fg, workdir: Path, split: str = "train"):
+    """The ``wide_server`` workload's first config, its client ids, their
+    ``split`` windows and its initial round state, built on package ``fg``."""
+    config = build_configs(fg, "wide_server", DEV_SEED, workdir)[0]
+    shards, windows = _fleet(fg, config)
     ids = [s.client_id for s in shards]
-    data = [fg.data.make_windows(s, fcfg.history_len, fcfg.horizon, config.splits())[split]
-            for s in shards]
-    return config, ids, data, fg.protocol.init_round_state(fcfg, ids, config.master_seed)
+    data = [w[split] for w in windows]
+    state = fg.protocol.init_round_state(config.forecaster_config(), ids, config.master_seed)
+    return config, ids, data, state
+
+
+def setup(fg, workdir: Path):
+    """Generate and window the ``wide_server`` fleet, the data half of its set-up."""
+    config = build_configs(fg, "wide_server", DEV_SEED, workdir)[0]
+    return lambda: _fleet(fg, config)
 
 
 def _server(fg, workdir: Path):
@@ -140,6 +154,7 @@ TARGETS = {
     "aggregate_game": (aggregate_game, 150),
     "local_train": (local_train, 8),
     "evaluate": (evaluate, 50),
+    "setup": (setup, 20),
     **{name: (experiment(name), 1) for name in ("clustered_mlp", "wide_server", "lstm_fedavg")},
 }
 
