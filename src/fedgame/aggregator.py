@@ -8,16 +8,16 @@ temperature-scaled softmax over neighbors turns logits into attention
 weights; and the personalized update blends the client's own delta with
 the attention-weighted neighbor deltas.
 
-The state is plain arrays: one (C, 2, d, K) gate array with a row per
-registered client, and Adam's moments as a flat vector for the shared
-arrays plus an array shaped like the gates.  All clients go through one
-batched forward over the N x h matrix of head deltas.  The meta-loss
-gradient is derived by hand in two parts: the objective's gradient in
-each personalized row, then one chain back through the same arrays.
-The meta step, lazy Adam on the shared arrays and the batch's gate rows,
-binds new arrays and writes none of the old ones, which is what lets a
-round discard a failed step by dropping a shallow copy.  The state holds
-no generator; every call that draws is given one.
+The state is one flat parameter vector, with Adam's two moments shaped
+like it: the shared arrays, then one gate block per registered client.
+The named arrays are views of it.  All clients go through one batched
+forward over the N x h matrix of head deltas.  The meta-loss gradient
+is derived by hand in two parts: the objective's gradient in each
+personalized row, then one chain back to a gradient shaped like the
+parameters.  The meta step, lazy Adam on the shared entries and the
+batch's gate blocks, binds new vectors and writes none of the old ones,
+which is what lets a round discard a failed step by dropping a shallow
+copy.  The state holds no generator; every call that draws is given one.
 
 Experts read only the neighbor's embedding, without the encoder bias.
 A term that depends on the scoring client alone is the same for every
@@ -31,14 +31,14 @@ rankings; with one expert every client ranks its neighbors alike, the
 "static attention" of Brody, Alon and Yahav ("How Attentive are Graph
 Attention Networks?", ICLR 2022).  With ``top_k: 1``, as in every
 ``single_attention`` run, the mix is a softmax over one kept logit,
-constant 1: the gate rows get an exactly zero gradient and keep their
+constant 1: the gate blocks get an exactly zero gradient and keep their
 registration draw.
 
 A batch is a list of N client ids and the (N, h) matrix of their head
 deltas; row i of every input and output belongs to ``ids[i]``.
 Relabeling or reordering clients permutes every output bit for bit.
 Each batch runs in a canonical order set by content: rows sorted by the
-raw bytes of their head delta and gate row, ties by id.  The forward,
+raw bytes of their head delta and gate block, ties by id.  The forward,
 the backward and the noise draws follow it, so a relabeling changes no
 input of any numeric operation and plain ``@`` and sums, BLAS included,
 give the same bits.  Clients whose keys tie have identical inputs.
@@ -110,29 +110,57 @@ class Aggregation(NamedTuple):
 
 @dataclass
 class AggregatorState:
-    """All learnable server parameters plus optimizer slots.
+    """All learnable server parameters plus Adam's moments.
 
-    ``experts_w`` holds one row per expert; expert k scores a
-    neighbor embedding e_j as ``experts_w[k] . e_j``.  ``gates`` holds
-    one (2, embed_dim, num_experts) row per registered client, its gate
-    weight then its noise projection, and ``rows`` maps each client id
-    to its row.  ``adam_m`` and ``adam_v`` are Adam's moments of the
-    shared arrays, flat in the order encoder_w, encoder_b, experts_w;
-    ``gate_m`` and ``gate_v`` are those of the gates, shaped like them.
+    ``params`` is one flat vector: ``encoder_w`` (head_dim, embed_dim),
+    ``encoder_b`` (embed_dim), ``experts_w`` (num_experts, embed_dim), then
+    one (2, embed_dim, num_experts) gate block per registered client in
+    registration order, its gate weight then its noise projection; ``rows``
+    maps each client id to its block.  The four named arrays are properties
+    without setters that return views of ``params``, so a write through one
+    writes ``params``.  Expert k scores a neighbor embedding e_j as
+    ``experts_w[k] . e_j``.  ``adam_m`` and ``adam_v`` are Adam's moments,
+    shaped like ``params``; ``adam_t`` counts the steps taken.
     """
 
     config: AggregatorConfig
     head_dim: int
-    encoder_w: np.ndarray
-    encoder_b: np.ndarray
-    experts_w: np.ndarray
-    gates: np.ndarray
+    params: np.ndarray
     rows: dict[str, int]
     adam_m: np.ndarray
     adam_v: np.ndarray
-    gate_m: np.ndarray
-    gate_v: np.ndarray
     adam_t: int = 0
+
+    @property
+    def encoder_w(self) -> np.ndarray:
+        d = self.config.embed_dim
+        return self.params[: self.head_dim * d].reshape(self.head_dim, d)
+
+    @property
+    def encoder_b(self) -> np.ndarray:
+        d = self.config.embed_dim
+        return self.params[self.head_dim * d : (self.head_dim + 1) * d]
+
+    @property
+    def experts_w(self) -> np.ndarray:
+        d = self.config.embed_dim
+        return self.params[(self.head_dim + 1) * d : _shared_size(self)].reshape(-1, d)
+
+    @property
+    def gates(self) -> np.ndarray:
+        return _gate_blocks(self, self.params)
+
+
+def _shared_size(state: AggregatorState) -> int:
+    """Entries of the shared arrays, which lead ``params``."""
+    return (state.head_dim + 1 + state.config.num_experts) * state.config.embed_dim
+
+
+def _gate_blocks(state: AggregatorState, flat: np.ndarray) -> np.ndarray:
+    """The (C, 2, embed_dim, num_experts) gate blocks of ``flat``, laid
+    out as ``state.params``, as a view."""
+    cfg = state.config
+    return flat[_shared_size(state) :].reshape(-1, 2, cfg.embed_dim, cfg.num_experts)
 
 
 def init_aggregator(
@@ -142,28 +170,18 @@ def init_aggregator(
     if head_dim < 1:
         raise ConfigError("head_dim must be >= 1")
     d = cfg.embed_dim
-    s_enc = 1.0 / math.sqrt(head_dim)
-    s_exp = 1.0 / math.sqrt(d)
-    shared, no_gates = (head_dim + 1 + cfg.num_experts) * d, np.zeros((0, 2, d, cfg.num_experts))
-    return AggregatorState(
-        config=cfg,
-        head_dim=head_dim,
-        encoder_w=rng.uniform(-s_enc, s_enc, size=(head_dim, d)),
-        encoder_b=rng.uniform(-s_enc, s_enc, size=d),
-        experts_w=rng.uniform(-s_exp, s_exp, size=(cfg.num_experts, d)),
-        gates=no_gates,
-        rows={},
-        adam_m=np.zeros(shared),
-        adam_v=np.zeros(shared),
-        gate_m=no_gates,
-        gate_v=no_gates,
-    )
+    s_enc, s_exp = 1.0 / math.sqrt(head_dim), 1.0 / math.sqrt(d)
+    # encoder_w's draws, then encoder_b's, then experts_w's
+    params = np.concatenate([rng.uniform(-s_enc, s_enc, size=(head_dim + 1) * d),
+                             rng.uniform(-s_exp, s_exp, size=cfg.num_experts * d)])
+    return AggregatorState(cfg, head_dim, params, rows={},
+                           adam_m=np.zeros(params.size), adam_v=np.zeros(params.size))
 
 
 def register_client(state: AggregatorState, client_ids, rng: np.random.Generator) -> None:
-    """Append a gate row, drawn from ``rng``, with zero Adam moments for
-    every id of ``client_ids`` not yet registered: one draw, rows in
-    sorted-id order.  New arrays are bound, none is written.  For
+    """Append a gate block, drawn from ``rng``, with zero Adam moments for
+    every id of ``client_ids`` not yet registered: one draw, blocks in
+    sorted-id order.  New vectors are bound, none is written.  For
     reproducibility, pass the generator :func:`init_aggregator` drew from.
     """
     if isinstance(client_ids, str):
@@ -172,11 +190,11 @@ def register_client(state: AggregatorState, client_ids, rng: np.random.Generator
     cfg = state.config
     s = 1.0 / math.sqrt(cfg.embed_dim)
     # per client, the gate weight's draws, then the noise projection's
-    gates = rng.uniform(-s, s, size=(len(new), 2, cfg.embed_dim, cfg.num_experts))
+    gates = rng.uniform(-s, s, size=len(new) * 2 * cfg.embed_dim * cfg.num_experts)
     state.rows = {**state.rows, **{c: len(state.rows) + k for k, c in enumerate(new)}}
-    state.gates = np.concatenate([state.gates, gates])
-    zeros = np.zeros(gates.shape)
-    state.gate_m, state.gate_v = (np.concatenate([a, zeros]) for a in (state.gate_m, state.gate_v))
+    state.params = np.concatenate([state.params, gates])
+    zeros = np.zeros(gates.size)
+    state.adam_m, state.adam_v = (np.concatenate([a, zeros]) for a in (state.adam_m, state.adam_v))
 
 
 def _content_order(deltas, ids=None, head_dim=None, gates=None):
@@ -184,7 +202,7 @@ def _content_order(deltas, ids=None, head_dim=None, gates=None):
     (any sizes if None), the canonical order of its rows and the order's
     inverse: row ``order[r]`` runs at canonical row r, and caller row i
     at ``back[i]``.  Rows sort by the bytes of each delta, then of its
-    gate row if given (bytes tell 0.0 from -0.0); ties by id, else by
+    gate block if given (bytes tell 0.0 from -0.0); ties by id, else by
     position."""
     deltas = np.asarray(deltas, dtype=np.float64)
     want = (None if ids is None else len(ids), head_dim)
@@ -262,7 +280,7 @@ def _blend(deltas: np.ndarray, attention: np.ndarray, w_self: float) -> np.ndarr
 @dataclass
 class _Forward:
     """Every array of one batched pass, rows in canonical order; row r
-    reads gate row ``rows[r]`` of the state."""
+    reads gate block ``rows[r]`` of the state."""
 
     rows: list[int]
     deltas: np.ndarray
@@ -280,7 +298,7 @@ class _Forward:
 
 
 def _batch(state: AggregatorState, ids, deltas):
-    """Gate rows and head deltas of registered clients in canonical
+    """Gate blocks and head deltas of registered clients in canonical
     order, and that order with its inverse (see :func:`_content_order`)."""
     if len(set(ids)) != len(ids):
         raise UsageError("client ids must be unique")
@@ -304,8 +322,8 @@ def _forward(
     ``noise`` (N x K draws) turns on the noisy gate; ``kept`` pins the
     top-k selection instead of taking it from the logits.
     """
-    cfg = state.config
-    gate_w, gate_noise = state.gates[rows, 0], state.gates[rows, 1]
+    cfg, gates = state.config, state.gates
+    gate_w, gate_noise = gates[rows, 0], gates[rows, 1]
     linear, emb = _encode(state, deltas)
     logits, noise_pre = _gate_logits(emb, gate_w, gate_noise, noise)
     if kept is None:
@@ -341,31 +359,11 @@ def _mean_loss(state: AggregatorState, fw: _Forward) -> tuple[float, np.ndarray]
     return float(np.mean(losses)), d_pers / len(losses)
 
 
-def _shared(state: AggregatorState) -> np.ndarray:
-    """The shared arrays as one flat vector: encoder_w, encoder_b, experts_w."""
-    return np.concatenate(
-        [state.encoder_w.reshape(-1), state.encoder_b, state.experts_w.reshape(-1)]
-    )
-
-
-def _bind_shared(state: AggregatorState, flat: np.ndarray) -> None:
-    """Bind views of ``flat``, ordered as :func:`_shared`, to the shared arrays."""
-    d = state.config.embed_dim
-    enc = state.head_dim * d
-    state.encoder_w = flat[:enc].reshape(state.head_dim, d)
-    state.encoder_b = flat[enc : enc + d]
-    state.experts_w = flat[enc + d :].reshape(-1, d)
-
-
-def _sorted_gate_rows(state: AggregatorState) -> list[int]:
-    """Gate row of every registered client, in sorted-id order."""
-    return [state.rows[c] for c in sorted(state.rows)]
-
-
-def _backward(state: AggregatorState, fw: _Forward, d_pers: np.ndarray):
+def _backward(state: AggregatorState, fw: _Forward, d_pers: np.ndarray) -> np.ndarray:
     """Carry ``d_pers`` (N, h), a gradient in each row of ``fw.personalized``,
-    back to the shared arrays, flat as :func:`_shared`, and to the gate rows
-    of its clients (N, 2, embed_dim, num_experts), in its canonical order.
+    back to one gradient shaped like ``state.params``: the shared entries,
+    then each gate block in registration order, zero for clients outside
+    the batch.
 
     Top-k selection, noise draws and head deltas are constants.
     """
@@ -388,8 +386,10 @@ def _backward(state: AggregatorState, fw: _Forward, d_pers: np.ndarray):
         d_emb += (fw.gate_noise @ d_pre[:, :, np.newaxis])[:, :, 0]
         np.multiply(emb, d_pre[:, np.newaxis], out=d_gates[:, 1])
     d_encoder_w = fw.deltas.T @ (d_scores @ state.experts_w + d_emb)
-    d_shared = [d_encoder_w.reshape(-1), d_emb.sum(axis=0), (d_scores.T @ fw.linear).reshape(-1)]
-    return np.concatenate(d_shared), d_gates
+    grad = np.concatenate([d_encoder_w.reshape(-1), d_emb.sum(axis=0),
+                           (d_scores.T @ fw.linear).reshape(-1), np.zeros(state.gates.size)])
+    _gate_blocks(state, grad)[fw.rows] = d_gates
+    return grad
 
 
 def aggregate_game(state: AggregatorState, ids, deltas) -> Aggregation:
@@ -421,25 +421,6 @@ def aggregate_mean(deltas, w_self: float) -> np.ndarray:
     return _blend(deltas[order], uniform_attention(len(deltas)), w_self)[back]
 
 
-def flatten_parameters(state: AggregatorState) -> np.ndarray:
-    """All learnable server parameters as one flat vector: the shared
-    arrays, then every client's gate row in sorted-id order."""
-    return np.concatenate([_shared(state), state.gates[_sorted_gate_rows(state)].reshape(-1)])
-
-
-def load_parameters(state: AggregatorState, values: np.ndarray) -> None:
-    """Inverse of :func:`flatten_parameters`; binds new arrays to ``state``."""
-    values = np.array(values, dtype=np.float64).reshape(-1)
-    shared = state.encoder_w.size + state.encoder_b.size + state.experts_w.size
-    total = shared + state.gates.size
-    if values.size != total:
-        raise StructuralError(f"flat vector has {values.size} entries, parameters need {total}")
-    _bind_shared(state, values[:shared])
-    gates = np.empty_like(state.gates)
-    gates[_sorted_gate_rows(state)] = values[shared:].reshape(gates.shape)
-    state.gates = gates
-
-
 def _pinned_forward(state, ids, deltas, masks, noise) -> _Forward:
     """Forward pass with ``masks`` and ``noise`` rows in the order of ``ids``."""
     rows, canonical, order, _ = _batch(state, ids, deltas)
@@ -466,16 +447,12 @@ def meta_gradient(
     masks: np.ndarray | None = None,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gradient of :func:`mean_meta_loss`, flattened like
-    :func:`flatten_parameters`."""
+    """Gradient of :func:`mean_meta_loss`, shaped like ``state.params``."""
     fw = _pinned_forward(state, ids, deltas, masks, noise)
-    d_shared, d_gates = _backward(state, fw, _mean_loss(state, fw)[1])
-    gates = np.zeros_like(state.gates)
-    gates[fw.rows] = d_gates
-    return np.concatenate([d_shared, gates[_sorted_gate_rows(state)].reshape(-1)])
+    return _backward(state, fw, _mean_loss(state, fw)[1])
 
 
-def _adam(cfg: AggregatorConfig, t: int, params, grad, m, v):
+def _adam(cfg: AggregatorConfig, t: int, grad, params, m, v):
     """New parameters and moments after Adam step ``t``; writes nothing."""
     m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
     v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad**2
@@ -492,10 +469,10 @@ def train_step(state: AggregatorState, ids, deltas, rng: np.random.Generator) ->
     expert selection and the surviving softmax; the noise, one N x K
     draw from ``rng``, and the top-k mask are constants within the step.
 
-    The shared arrays and the gate rows of the batch's clients step,
+    The shared entries and the gate blocks of the batch's clients step,
     with the bias correction of the global step count; the gates and
     Adam moments of registered clients outside the batch keep their
-    bytes.  The step binds new arrays to ``state`` and writes none in
+    bytes.  The step binds new vectors to ``state`` and writes none in
     place, so arrays held from before the step, or by a shallow copy of
     ``state``, keep the pre-step values.
     """
@@ -509,21 +486,17 @@ def train_step(state: AggregatorState, ids, deltas, rng: np.random.Generator) ->
         noise = rng.standard_normal((len(rows), cfg.num_experts))
     fw = _forward(state, rows, canonical, noise)
     loss, d_pers = _mean_loss(state, fw)
-    d_shared, d_gates = _backward(state, fw, d_pers)
-    if not (np.isfinite(d_shared).all() and np.isfinite(d_gates).all()):
+    grad = _backward(state, fw, d_pers)
+    if not np.isfinite(grad).all():
         dump = "; ".join(f"{i}: {np.array2string(row)}" for i, row in zip(ids, fw.logits[back]))
         raise NumericError(f"non-finite meta-loss gradient; gate logits {dump}")
 
     state.adam_t += 1
-    t, rows = state.adam_t, fw.rows
-    shared, state.adam_m, state.adam_v = _adam(
-        cfg, t, _shared(state), d_shared, state.adam_m, state.adam_v
-    )
-    _bind_shared(state, shared)
-    stepped = _adam(cfg, t, state.gates[rows], d_gates, state.gate_m[rows], state.gate_v[rows])
-    for name, new in zip(("gates", "gate_m", "gate_v"), stepped):
-        # the batch's rows go into a copy: the old array keeps its bytes
-        arr = getattr(state, name).copy()
-        arr[rows] = new
-        setattr(state, name, arr)
+    # the shared entries and the batch's gate blocks step; the rest keep their bytes
+    stepped = np.zeros(state.params.size, dtype=bool)
+    stepped[: _shared_size(state)] = True
+    _gate_blocks(state, stepped)[fw.rows] = True
+    old = (state.params, state.adam_m, state.adam_v)
+    new = _adam(cfg, state.adam_t, grad, *old)
+    state.params, state.adam_m, state.adam_v = (np.where(stepped, a, b) for a, b in zip(new, old))
     return loss

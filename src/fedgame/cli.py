@@ -169,12 +169,14 @@ def comm_summary(config: ExperimentConfig) -> dict:
     Published parameter counts, when provided, replace the counts
     derived from the layer layout, so externally reported model sizes
     can be checked without rebuilding the exact architecture.  A CSV
-    config's client count is its file's station count.
+    config's client count is its file's station count; each round's
+    traffic is that of its participants.
     """
     n_clients = len(load_shards(config)) if config.csv_path is not None else config.n_clients
+    participants = config.participant_count(n_clients)
     total, head = config.param_counts()
     kind = config.aggregator_kind
-    traffic = round_traffic(n_clients, total, head, kind)
+    traffic = round_traffic(participants, total, head, kind)
     percent = 0.0
     if kind in PERSONALIZED_KINDS:
         # the published overhead: head share rounded to 4 places, halved
@@ -182,6 +184,7 @@ def comm_summary(config: ExperimentConfig) -> dict:
     return {
         "aggregator_kind": kind,
         "n_clients": n_clients,
+        "participants": participants,
         "total_params": int(total),
         "head_params": int(head),
         "upstream_params": int(traffic["upstream"]),

@@ -127,6 +127,10 @@ class HyperParams:
         if problems:
             raise ConfigError(*problems)
 
+    def participant_count(self, n_clients: int) -> int:
+        """How many of ``n_clients`` clients take part in each round."""
+        return max(1, round(self.participation * n_clients))
+
 
 @dataclass
 class RoundState:
@@ -215,9 +219,9 @@ def round_traffic(n_clients: int, total: int, head: int, aggregator_kind: str) -
 
 def _select_participants(state: RoundState, hyper: HyperParams) -> list[str]:
     ids = sorted(state.client_models)
-    if hyper.participation >= 1.0 or len(ids) == 1:
+    count = hyper.participant_count(len(ids))
+    if count == len(ids):
         return ids
-    count = max(1, int(round(hyper.participation * len(ids))))
     rng = round_stream(state.master_seed, "server", state.round_index)
     return sorted(ids[i] for i in rng.choice(len(ids), size=count, replace=False))
 

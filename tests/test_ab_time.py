@@ -47,6 +47,20 @@ def test_ab_time_rejects_fewer_than_two_pairs_before_timing(pairs):
         ab_time(SRC, SRC, "lstm_fedavg", pairs=pairs)
 
 
+@pytest.mark.parametrize("target", ["train_step", "wide_server"])
+def test_ab_time_compares_results_not_how_the_state_stores_them(tmp_path, target):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "fedgame", changed / "fedgame",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = changed / "fedgame" / "aggregator.py"
+    text = path.read_text(encoding="utf-8")
+    field = "    adam_t: int = 0\n"
+    assert text.count(field) == 1
+    # a field that no computation reads: the results, and so the check, stay the same
+    path.write_text(text.replace(field, field + "    unused: int = 0\n"), encoding="utf-8")
+    assert ab_time(SRC, changed, target, pairs=2, repeat=1)["same_output"]
+
+
 def test_ab_time_times_nothing_when_the_outputs_differ(tmp_path):
     changed = tmp_path / "src"
     shutil.copytree(SRC / "fedgame", changed / "fedgame",

@@ -13,9 +13,7 @@ from fedgame.aggregator import (
     aggregate_mean,
     aggregate_single_attention,
     expert_scores,
-    flatten_parameters,
     init_aggregator,
-    load_parameters,
     mean_meta_loss,
     meta_gradient,
     register_client,
@@ -52,8 +50,13 @@ def random_deltas(state, clients, seed=1):
 
 
 def gate(state, cid):
-    """The client's gate row, a writable view: [0] is the weight, [1] the noise."""
+    """The client's gate block, a writable view: [0] is the weight, [1] the noise."""
     return state.gates[state.rows[cid]]
+
+
+def laid_out(state, flat):
+    """A state whose named arrays are views of ``flat``, laid out as ``state.params``."""
+    return replace(state, params=flat)
 
 
 def test_config_validation():
@@ -408,17 +411,6 @@ def test_mean_meta_loss_matches_numpy_pipeline():
     assert mean_meta_loss(state, ids, deltas) == pytest.approx(expected, abs=1e-12)
 
 
-def test_flatten_load_roundtrip():
-    state = make_state(seed=28)
-    flat = flatten_parameters(state)
-    other = make_state(seed=29)
-    assert not np.allclose(flat, flatten_parameters(other))
-    load_parameters(other, flat)
-    np.testing.assert_array_equal(flatten_parameters(other), flat)
-    with pytest.raises(StructuralError):
-        load_parameters(other, flat[:-1])
-
-
 @pytest.mark.parametrize("num_experts,top_k", [(4, 2), (2, 1), (1, 1)])
 def test_meta_gradient_matches_finite_differences(num_experts, top_k):
     state = make_state(
@@ -436,24 +428,21 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
     masks = top_k_mask(aggregate_game(state, ids, deltas).logits, top_k)
     marker = copy.deepcopy(state)
     marker.gates[:, 1] = np.nan
-    noise_entries = np.isnan(flatten_parameters(marker))
+    noise_entries = np.isnan(marker.params)
     # fixed gate noise draws exercise the softplus noise-scale term
     draws = np.random.default_rng(32).standard_normal((3, num_experts))
     for noise in (None, draws):
         analytic = meta_gradient(state, ids, deltas, masks, noise)
 
-        flat = flatten_parameters(state)
+        flat = state.params
         numeric = np.zeros_like(flat)
         eps = 1e-6
         for i in range(flat.size):
             flat[i] += eps
-            load_parameters(state, flat)
             hi = mean_meta_loss(state, ids, deltas, masks, noise)
             flat[i] -= 2 * eps
-            load_parameters(state, flat)
             lo = mean_meta_loss(state, ids, deltas, masks, noise)
             flat[i] += eps
-            load_parameters(state, flat)
             numeric[i] = (hi - lo) / (2 * eps)
 
         # an entry the loss does not read leaves it bit-identical: both
@@ -501,7 +490,7 @@ def test_backward_is_the_gradient_of_any_upstream_pairing():
     <personalized, D> for a fixed D, on a batch with noisy top-k gates."""
     state = make_state(head_dim=7, clients=tuple("abcde"), seed=41, num_experts=4, top_k=2,
                        embed_dim=5)
-    ids = list("dbac")  # e sits out: its gate row must get no gradient
+    ids = list("dbac")  # e sits out: its gate block must get no gradient
     rows, canonical, order, _ = _batch(state, ids, random_deltas(state, ids, seed=42))
     rng = np.random.default_rng(43)
     noise = rng.standard_normal((len(ids), 4))[order]
@@ -509,39 +498,36 @@ def test_backward_is_the_gradient_of_any_upstream_pairing():
     kept = top_k_mask(fw.logits, 2)  # the noisy selection, held fixed
     upstream = rng.normal(size=canonical.shape)
 
-    d_shared, d_gates = _backward(state, fw, upstream)
-    gates = np.zeros_like(state.gates)
-    gates[rows] = d_gates
-    analytic = np.concatenate([d_shared, gates[[state.rows[c] for c in "abcde"]].reshape(-1)])
+    analytic = _backward(state, fw, upstream)
+    assert analytic.shape == state.params.shape
 
-    flat = flatten_parameters(state)
+    flat = state.params
     numeric, eps = np.zeros_like(flat), 1e-6
     for i in range(flat.size):
         sides = []
         for step in (eps, -eps):
             flat[i] += step
-            load_parameters(state, flat)
             sides.append(np.sum(_forward(state, rows, canonical, noise, kept).personalized
                                 * upstream))
             flat[i] -= step
         numeric[i] = (sides[0] - sides[1]) / (2 * eps)
-    load_parameters(state, flat)
 
     zero = numeric == 0.0
     np.testing.assert_array_equal(analytic == 0.0, zero)
-    assert zero[-state.gates[0].size:].all()  # client e, last in sorted-id order
-    assert np.any(d_gates[:, 1] != 0.0)  # the noise scale carries gradient
+    assert zero[-state.gates[0].size:].all()  # client e, last in registration order
+    # the noise scale carries gradient
+    assert np.any(laid_out(state, analytic).gates[rows, 1] != 0.0)
     scale = np.maximum(np.abs(numeric[~zero]), 1e-6)
     assert np.max(np.abs(analytic[~zero] - numeric[~zero]) / scale) < 1e-4
 
 
 def test_train_step_identical_deltas_is_stationary():
     state, rng = seeded_state(clients=("a", "b"), seed=32, noise_enabled=False)
-    before = flatten_parameters(state)
+    before = state.params.copy()
     delta = np.random.default_rng(33).normal(size=state.head_dim)
     loss = train_step(state, ["a", "b"], np.stack([delta, delta]), rng)
     assert loss < 1e-12
-    moved = np.max(np.abs(flatten_parameters(state) - before))
+    moved = np.max(np.abs(state.params - before))
     assert moved <= state.config.server_lr * 1e-7
 
 
@@ -566,32 +552,23 @@ def test_train_step_deterministic_with_noise():
         deltas = random_deltas(state, ("a", "b", "c"), seed=50)
         for _ in range(3):
             train_step(state, ["a", "b", "c"], deltas, rng)
-        return flatten_parameters(state)
+        return state.params
 
     np.testing.assert_array_equal(run(7), run(7))
 
 
 def parameter_arrays(state):
-    """Name -> writable view of every learnable array, in flattening order."""
+    """Name -> writable view of every learnable array, in ``params`` order."""
     arrays = {"encoder.w": state.encoder_w, "encoder.b": state.encoder_b,
               "experts.w": state.experts_w}
-    for cid in sorted(state.rows):
+    for cid in sorted(state.rows, key=state.rows.get):
         arrays[f"gate:{cid}.w"], arrays[f"gate:{cid}.noise"] = gate(state, cid)
     return arrays
 
 
 def adam_slots(state, slot):
     """Name -> Adam moment ``slot`` ("m" or "v") of each array of parameter_arrays."""
-    flat, gates = getattr(state, f"adam_{slot}"), getattr(state, f"gate_{slot}")
-    slots, start = {}, 0
-    for name, arr in parameter_arrays(state).items():
-        if name.startswith("gate:"):
-            cid, part = name[len("gate:"):].rsplit(".", 1)
-            slots[name] = gates[state.rows[cid], 0 if part == "w" else 1]
-        else:
-            slots[name] = flat[start : start + arr.size].reshape(arr.shape)
-            start += arr.size
-    return slots
+    return parameter_arrays(laid_out(state, getattr(state, f"adam_{slot}")))
 
 
 def test_flat_adam_matches_a_per_array_update_bit_for_bit():
@@ -600,6 +577,18 @@ def test_flat_adam_matches_a_per_array_update_bit_for_bit():
     oracle, oracle_rng = copy.deepcopy(state), copy.deepcopy(rng)
     m, v = {}, {}
     for step in range(1, 4):
+        if step == 2:
+            # "0" sorts first but registers last: its block comes last and
+            # starts with zero moments; every existing entry keeps its bytes
+            size = state.params.size
+            held = {name: getattr(state, name).tobytes() for name in ("params", "adam_m", "adam_v")}
+            for agg, agg_rng in ((state, rng), (oracle, oracle_rng)):
+                register_client(agg, ["0"], agg_rng)
+            assert list(state.rows) == ["a", "b", "c", "d", "0"]
+            for name, before in held.items():
+                assert getattr(state, name)[:size].tobytes() == before, name
+            assert not state.adam_m[size:].any() and not state.adam_v[size:].any()
+            clients += ("0",)
         deltas = random_deltas(state, clients, seed=70 + step)
         # the step's one noise draw, in canonical rows, handed over in the rows of clients
         back = _batch(oracle, clients, deltas)[3]
@@ -617,7 +606,7 @@ def test_flat_adam_matches_a_per_array_update_bit_for_bit():
             m_hat = m[name] / (1 - 0.9**step)
             v_hat = v[name] / (1 - 0.999**step)
             arr -= state.config.server_lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-        assert flatten_parameters(state).tobytes() == flatten_parameters(oracle).tobytes()
+        assert state.params.tobytes() == oracle.params.tobytes()
         for name in m:
             assert adam_slots(state, "m")[name].tobytes() == m[name].tobytes(), name
             assert adam_slots(state, "v")[name].tobytes() == v[name].tobytes(), name
@@ -749,7 +738,7 @@ def test_register_client_draws_a_fleet_as_one_by_one():
     for cid in ("b", "c", "d"):
         register_client(single, [cid], single_rng)
     assert fleet.rows == single.rows == {"a": 0, "b": 1, "c": 2, "d": 3}
-    for name in ("gates", "gate_m", "gate_v"):
+    for name in ("params", "adam_m", "adam_v"):
         assert getattr(fleet, name).tobytes() == getattr(single, name).tobytes(), name
     assert fleet_rng.bit_generator.state == single_rng.bit_generator.state
     with pytest.raises(UsageError):
@@ -780,8 +769,7 @@ def test_caller_order_permutes_outputs_exactly():
         step_deltas = deltas + 0.1 * step
         loss = train_step(state, clients, step_deltas, rng)
         assert train_step(other, shuffled, step_deltas[perm], other_rng) == loss
-    for name in ("encoder_w", "encoder_b", "experts_w", "gates", "adam_m", "adam_v",
-                 "gate_m", "gate_v"):
+    for name in ("params", "adam_m", "adam_v"):
         assert getattr(state, name).tobytes() == getattr(other, name).tobytes(), name
     assert state.rows == other.rows
 

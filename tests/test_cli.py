@@ -18,7 +18,7 @@ from fedgame.cli import (
 )
 from fedgame.data import load_csv, shards_to_csv, synth_generate
 from fedgame.errors import ConfigError, NumericError
-from fedgame.protocol import ExperimentConfig, round_traffic, run_experiment
+from fedgame.protocol import BYTES_PER_PARAM, ExperimentConfig, round_traffic, run_experiment
 from tools.compare_artifacts import ARTIFACTS, MATRIX, cli_steps, first_difference
 
 SMALL = {
@@ -203,6 +203,27 @@ def test_comm_summary_fedavg_ratio_is_one():
     assert summary["ratio"] == 1.0
     assert summary["overhead_percent"] == 0.0
     assert summary["upstream_params"] == summary["downstream_params"]
+
+
+@pytest.mark.parametrize("kind,participation,stations", [
+    ("game", 1.0, None), ("game", 0.5, None), ("game", 0.34, None),  # 0.34: one client a round
+    ("local_only", 0.5, None), ("mean", 0.5, 5),
+])
+def test_comm_counts_the_traffic_of_every_round(tmp_path, kind, participation, stations):
+    payload = {**SMALL, "aggregator_kind": kind, "participation": participation}
+    if stations:
+        csv_path = tmp_path / "fleet.csv"
+        shards_to_csv(synth_generate(stations, 1, 160, 0.1, 0), csv_path)
+        payload["csv_path"] = str(csv_path)
+    config, errors = config_from_dict(payload)
+    assert errors == []
+    summary = comm_summary(config)
+    reports = run_experiment(config).reports
+    assert [len(r.client_ids) for r in reports] == [summary["participants"]] * config.rounds
+    for report in reports:
+        assert (report.upstream_bytes, report.downstream_bytes) == (
+            summary["upstream_params"] * BYTES_PER_PARAM,
+            summary["downstream_params"] * BYTES_PER_PARAM)
 
 
 def test_published_head_must_be_smaller_than_the_total(tmp_path, capsys):

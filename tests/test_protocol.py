@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedgame.aggregator import (
-    AggregatorConfig, aggregate_mean, flatten_parameters, init_aggregator, register_client,
+    AggregatorConfig, aggregate_mean, init_aggregator, register_client,
     train_step,
 )
 from fedgame.cli import config_from_dict, config_to_dict
@@ -462,21 +462,20 @@ def test_failed_round_leaves_state_untouched(monkeypatch):
         run_round(state, HyperParams(rounds=1, aggregator_kind="game"), agg, data)
     assert_same_round_state(state, snapshot)
     assert agg.adam_t == agg_snapshot.adam_t == 0
-    assert not any(slot.any() for slot in (agg.adam_m, agg.adam_v, agg.gate_m, agg.gate_v))
-    np.testing.assert_array_equal(flatten_parameters(agg), flatten_parameters(agg_snapshot))
+    assert not agg.adam_m.any() and not agg.adam_v.any()
+    np.testing.assert_array_equal(agg.params, agg_snapshot.params)
 
     # the same round without the failure commits the meta step
     monkeypatch.undo()
     run_round(state, HyperParams(rounds=1, aggregator_kind="game"), agg, data)
     assert agg.adam_t == 1
-    assert not np.array_equal(flatten_parameters(agg), flatten_parameters(agg_snapshot))
+    assert not np.array_equal(agg.params, agg_snapshot.params)
 
 
 def aggregator_arrays(agg):
-    """Every array the aggregator holds: parameters, gates and Adam slots."""
-    names = ("encoder_w", "encoder_b", "experts_w", "gates",
-             "adam_m", "adam_v", "gate_m", "gate_v")
-    return {name: getattr(agg, name) for name in names}
+    """Every array the aggregator holds: its parameters and Adam's two moments.
+    The named arrays are views of ``params``, new objects on every access."""
+    return {name: getattr(agg, name) for name in ("params", "adam_m", "adam_v")}
 
 
 def test_successful_game_round_rebinds_the_aggregator_without_writing_it():
@@ -494,7 +493,10 @@ def test_successful_game_round_rebinds_the_aggregator_without_writing_it():
     for name, arr in held.items():
         assert arr.tobytes() == held_bytes[name], name
         assert now[name] is not arr, name
-    assert not np.array_equal(now["encoder_w"], held["encoder_w"])
+    assert not np.array_equal(now["params"], held["params"])
+    # the shared entries step too, not only the gate blocks
+    shared = agg.params.size - agg.gates.size
+    assert not np.array_equal(now["params"][:shared], held["params"][:shared])
 
 
 def test_round_is_independent_of_dict_insertion_order():

@@ -8,7 +8,10 @@ The ``src`` tree of REF is exported with ``git archive`` (see
 imported side by side under two package names; the package imports
 itself relatively, so a renamed copy loads as is.  Each side builds the
 same fixed inputs (``TARGETS``), and both must return the same bytes
-before anything is timed.  The script then times the two sides in
+before anything is timed.  A target returns what it computes, read
+through names that REF and the checkout both have, not the records
+that store it, so a change to how the state is stored can be timed
+when the results agree.  The script then times the two sides in
 alternation, swapping which goes first on every pair, and prints the
 median of the per-pair ratios B/A (B is this checkout, A is REF; above 1
 means slower), their quartiles, how many pairs B won and a two-sided
@@ -105,13 +108,17 @@ def _server(fg, workdir: Path):
 
 
 def train_step(fg, workdir: Path):
+    """Two meta steps on a copy of the ``_server`` aggregator, so the
+    second reads the Adam moments the first wrote; returns both losses
+    and the stepped parameters, read by name."""
     server, ids, deltas = _server(fg, workdir)
 
     def call():
         # a shallow copy, as run_round steps one
-        state = copy.copy(server)
-        loss = fg.aggregator.train_step(state, ids, deltas, np.random.default_rng(1))
-        return loss, state
+        state, rng = copy.copy(server), np.random.default_rng(1)
+        losses = [fg.aggregator.train_step(state, ids, deltas, rng) for _ in range(2)]
+        arrays = (state.encoder_w, state.encoder_b, state.experts_w, state.gates)
+        return losses, arrays, state.rows, state.adam_t
     return call
 
 
@@ -140,17 +147,23 @@ def evaluate(fg, workdir: Path):
 
 
 def experiment(workload: str):
-    """One ``run_experiment`` on the first config of a benchmark workload."""
+    """One ``run_experiment`` on the first config of a benchmark workload;
+    returns its round reports, evaluation and final round state: what the
+    run writes, plus the final models."""
     def build(fg, workdir: Path):
         config = build_configs(fg, workload, DEV_SEED, workdir)[0]
-        return lambda: fg.protocol.run_experiment(config)
+
+        def call():
+            result = fg.protocol.run_experiment(config)
+            return result.reports, result.eval_report, result.state
+        return call
     return build
 
 
 # each target's builder, and its calls per timed sample: about 50 ms of
 # work on 2 CPUs, as shorter samples spread too widely to compare
 TARGETS = {
-    "train_step": (train_step, 40),
+    "train_step": (train_step, 20),
     "aggregate_game": (aggregate_game, 150),
     "local_train": (local_train, 8),
     "evaluate": (evaluate, 50),

@@ -39,7 +39,7 @@ BASE = {"series_length": 160, "embed_dim": 4, "rounds": 2}
 # The game rows: CSV ingest, a two-layer LSTM, a two-layer MLP, and noisy
 # gates where half the clients sit out each round, which draws from all
 # three per-round roles (batch order, participation, gate noise) and
-# steps only the batch's gate rows.  Then one row per other kind, and
+# steps only the batch's gate blocks.  Then one row per other kind, and
 # one whose float fields are given as JSON integers, which the config
 # stores, and config.json writes, as floats.  The uneven row's stations
 # have different lengths (``station_lengths``, written as CSV here, not
