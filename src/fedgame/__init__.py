@@ -49,7 +49,6 @@ from .params import (
     LayerSpec,
     add_scaled,
     compute_delta,
-    head_indices,
     head_length,
     mean_deltas,
     scatter_head,

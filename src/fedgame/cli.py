@@ -15,20 +15,12 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
-from .data import shards_to_csv, synth_generate
+from .data import shards_to_csv
 from .errors import ConfigError, FedGameError
-from .protocol import (
-    PERSONALIZED_KINDS,
-    ExperimentConfig,
-    RunResult,
-    load_shards,
-    round_traffic,
-    run_experiment,
-    seed_stream,
-)
+from .protocol import ExperimentConfig, RunResult, load_shards, round_traffic, run_experiment
 
 OUTPUT_DIR_ENV = "FEDGAME_OUTPUT_DIR"
 
@@ -125,13 +117,12 @@ def write_run_outputs(result: RunResult, out_dir: Path, config: ExperimentConfig
     with open(out_dir / "rounds.jsonl", "w", encoding="utf-8") as handle:
         for report in result.reports:
             handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-    _json_dump(result.eval_report.to_dict(), out_dir / "eval.json")
-    rows = result.eval_report.csv_rows()
-    _write_csv(
-        out_dir / "eval.csv",
-        ["client_id", "qs", "mil", "icp", "n"],
-        [[r["client_id"], repr(r["qs"]), repr(r["mil"]), repr(r["icp"]), r["n"]] for r in rows],
-    )
+    report = result.eval_report
+    _json_dump(report.to_dict(), out_dir / "eval.json")
+    rows = [[c.client_id, repr(c.qs), repr(c.mil), repr(c.icp), c.n] for c in report.clients]
+    rows.append(["macro", repr(report.macro_qs), repr(report.macro_mil),
+                 repr(report.macro_icp), sum(c.n for c in report.clients)])
+    _write_csv(out_dir / "eval.csv", ["client_id", "qs", "mil", "icp", "n"], rows)
     _write_attention(out_dir / "attention.csv", result.reports)
     _json_dump(config_to_dict(config), out_dir / "config.json")
 
@@ -178,8 +169,9 @@ def comm_summary(config: ExperimentConfig) -> dict:
     kind = config.aggregator_kind
     traffic = round_traffic(participants, total, head, kind)
     percent = 0.0
-    if kind in PERSONALIZED_KINDS:
-        # the published overhead: head share rounded to 4 places, halved
+    if traffic["downstream"] > traffic["upstream"]:
+        # downstream carries the personalized heads; the published
+        # overhead is the head share rounded to 4 places, halved
         percent = round(round(head / total, 4) / 2.0 * 100.0, 6)
     return {
         "aggregator_kind": kind,
@@ -200,10 +192,8 @@ def cmd_comm(config: ExperimentConfig) -> int:
 
 
 def cmd_synth(config: ExperimentConfig, out_dir: Path) -> int:
-    shards = synth_generate(
-        config.n_clients, config.n_clusters, config.series_length,
-        config.noise_sd, seed_stream(config.master_seed, "data"),
-    )
+    # the fleet that ``run`` trains when no CSV is given
+    shards = load_shards(replace(config, csv_path=None))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "synth.csv"
     shards_to_csv(shards, path)

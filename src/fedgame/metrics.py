@@ -66,23 +66,6 @@ class EvalReport:
             },
         }
 
-    def csv_rows(self) -> list[dict]:
-        """Rows for the fixed-schema CSV: client_id, qs, mil, icp, n."""
-        rows = [
-            {"client_id": c.client_id, "qs": c.qs, "mil": c.mil, "icp": c.icp, "n": c.n}
-            for c in self.clients
-        ]
-        rows.append(
-            {
-                "client_id": "macro",
-                "qs": self.macro_qs,
-                "mil": self.macro_mil,
-                "icp": self.macro_icp,
-                "n": int(sum(c.n for c in self.clients)),
-            }
-        )
-        return rows
-
 
 def _paired(y, other, name: str) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64).reshape(-1)

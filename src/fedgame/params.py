@@ -12,7 +12,6 @@ on it.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,9 +23,10 @@ class LayerSpec(NamedTuple):
     """One contiguous block of a flat parameter vector.
 
     ``kind`` is ``recurrent``, ``dense`` or ``output_head``; the
-    output-head blocks are the slice exchanged for personalized
-    aggregation.  ``fan_in`` is the input width of the layer the block
-    belongs to, which scales its initialization.
+    output-head blocks end the layout, and that tail is the slice
+    exchanged for personalized aggregation.  ``fan_in`` is the input
+    width of the layer the block belongs to, which scales its
+    initialization.
     """
 
     name: str
@@ -49,27 +49,14 @@ def head_length(spec: Sequence[LayerSpec]) -> int:
     return sum(s.length for s in spec if s.kind == "output_head")
 
 
-def head_indices(spec: Sequence[LayerSpec]) -> np.ndarray:
-    """Flat positions of all output-head entries, in spec order; read-only
-    and built once per distinct spec tuple."""
-    return _head_indices(tuple(spec))
-
-
-@functools.cache
-def _head_indices(spec: tuple[LayerSpec, ...]) -> np.ndarray:
-    idx = np.concatenate([np.arange(s.offset, s.stop) for s in spec if s.kind == "output_head"])
-    idx.flags.writeable = False
-    return idx
-
-
 # The delta algebra works on client matrices: one row per client, in the
 # sorted-id order of the round's participants, one column per parameter.
 
 
 def select_head_values(values: np.ndarray, spec: Sequence[LayerSpec]) -> np.ndarray:
-    """Output-head columns of flat ``values`` (P,) or a client matrix (N, P),
-    in spec order."""
-    return np.asarray(values)[..., head_indices(spec)]
+    """A copy of the output-head columns of flat ``values`` (P,) or a client
+    matrix (N, P): the layout's tail, [P - h, P)."""
+    return np.array(np.asarray(values)[..., total_params(spec) - head_length(spec):])
 
 
 def compute_delta(
@@ -103,11 +90,11 @@ def scatter_head(spec: Sequence[LayerSpec], heads: np.ndarray) -> np.ndarray:
     """Inverse of :func:`select_head_values`: ``heads`` (h,) or (N, h)
     written into the head columns of zeros shaped (P,) or (N, P)."""
     heads = np.asarray(heads, dtype=np.float64)
-    idx = head_indices(spec)
-    if heads.ndim not in (1, 2) or heads.shape[-1] != idx.size:
-        raise StructuralError(f"heads have shape {heads.shape}, spec requires (*, {idx.size})")
+    head = head_length(spec)
+    if heads.ndim not in (1, 2) or heads.shape[-1] != head:
+        raise StructuralError(f"heads have shape {heads.shape}, spec requires (*, {head})")
     out = np.zeros(heads.shape[:-1] + (total_params(spec),))
-    out[..., idx] = heads
+    out[..., out.shape[-1] - head:] = heads
     return out
 
 

@@ -413,6 +413,16 @@ def test_mean_meta_loss_matches_numpy_pipeline():
 
 @pytest.mark.parametrize("num_experts,top_k", [(4, 2), (2, 1), (1, 1)])
 def test_meta_gradient_matches_finite_differences(num_experts, top_k):
+    check_meta_gradient(num_experts, top_k, temperature=1.0)
+
+
+@pytest.mark.parametrize("temperature", [0.5, 2.0])
+def test_meta_gradient_matches_finite_differences_off_unit_temperature(temperature):
+    # the attention divides its logits by the temperature, which 1 hides
+    check_meta_gradient(4, 2, temperature)
+
+
+def check_meta_gradient(num_experts, top_k, temperature):
     state = make_state(
         head_dim=9,
         clients=("a", "b", "c"),
@@ -421,6 +431,7 @@ def test_meta_gradient_matches_finite_differences(num_experts, top_k):
         top_k=top_k,
         embed_dim=5,
         noise_enabled=False,
+        temperature=temperature,
     )
     ids = ["a", "b", "c"]
     deltas = random_deltas(state, ids, seed=31)

@@ -18,8 +18,16 @@ from fedgame.cli import (
 )
 from fedgame.data import load_csv, shards_to_csv, synth_generate
 from fedgame.errors import ConfigError, NumericError
-from fedgame.protocol import BYTES_PER_PARAM, ExperimentConfig, round_traffic, run_experiment
-from tools.compare_artifacts import ARTIFACTS, MATRIX, cli_steps, first_difference
+from fedgame.protocol import (
+    AGGREGATOR_KINDS,
+    BYTES_PER_PARAM,
+    ExperimentConfig,
+    round_traffic,
+    run_experiment,
+)
+from tools.compare_artifacts import (
+    ARTIFACTS, MATRIX, cli_steps, first_difference, run_difference,
+)
 
 SMALL = {
     "n_clients": 3,
@@ -205,6 +213,16 @@ def test_comm_summary_fedavg_ratio_is_one():
     assert summary["upstream_params"] == summary["downstream_params"]
 
 
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_comm_overhead_is_the_personalized_heads(kind):
+    # the default model has 614 parameters, 198 of them in the head: the
+    # personalized kinds send a head share of 198 / 614 ~ 0.3225 more
+    # downstream, half of that over both directions
+    config, _ = config_from_dict({"aggregator_kind": kind})
+    expected = 16.125 if kind in ("game", "mean", "single_attention") else 0.0
+    assert comm_summary(config)["overhead_percent"] == expected
+
+
 @pytest.mark.parametrize("kind,participation,stations", [
     ("game", 1.0, None), ("game", 0.5, None), ("game", 0.34, None),  # 0.34: one client a round
     ("local_only", 0.5, None), ("mean", 0.5, 5),
@@ -258,7 +276,14 @@ def test_run_writes_all_report_files(tmp_path):
     assert "macro" in eval_payload
     with open(out / "eval.csv", newline="", encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
-    assert rows[-1]["client_id"] == "macro"
+    # one row per client, then the macro averages over the summed window count
+    clients = eval_payload["clients"]
+    macro = eval_payload["macro"]
+    assert [[r["client_id"], float(r["qs"]), float(r["mil"]), float(r["icp"]), int(r["n"])]
+            for r in rows] == [
+        *([c["client_id"], c["qs"], c["mil"], c["icp"], c["n"]] for c in clients),
+        ["macro", macro["qs"], macro["mil"], macro["icp"], sum(c["n"] for c in clients)],
+    ]
     with open(out / "attention.csv", newline="", encoding="utf-8") as handle:
         attention = list(csv.DictReader(handle))
     assert set(attention[0]) == {"round", "i", "j", "w_ij"}
@@ -349,6 +374,15 @@ def test_compare_artifacts_names_the_first_differing_file(tmp_path):
     assert first_difference(same, flipped) == ARTIFACTS[2]
     (flipped / ARTIFACTS[1]).unlink()
     assert first_difference(same, flipped) == ARTIFACTS[1]
+    # a run directory's fleet comes first: the outputs follow from it
+    for directory in (same, flipped):
+        (directory.parent / "synth.csv").write_bytes(b"t,s,d\n")
+    assert run_difference(same.parent, same.parent) is None
+    assert run_difference(same.parent, flipped.parent) == ARTIFACTS[1]
+    (flipped.parent / "synth.csv").write_bytes(b"t,s,d\r\n")
+    assert run_difference(same.parent, flipped.parent) == "synth.csv"
+    (flipped.parent / "synth.csv").unlink()
+    assert run_difference(same.parent, flipped.parent) == "synth.csv"
 
 
 def test_seed_flag_overrides_config(tmp_path):

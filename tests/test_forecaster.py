@@ -404,6 +404,19 @@ def test_task_gradient_matches_finite_differences_lstm():
         check_task_gradient(*case)
 
 
+def test_exact_forecast_takes_the_under_prediction_slope():
+    # a residual of exactly 0 takes slope -q, the y >= yhat branch
+    cfg = small_config(hidden_sizes=())
+    targets = np.tile([1.5, -0.25], (4, 1))
+    values = np.zeros(total_params(build_spec(cfg)))
+    values[-cfg.output_dim:] = np.repeat(targets[0], len(cfg.quantiles))
+    stack = (a[np.newaxis] for a in (values, np.ones((4, cfg.history_len)), targets))
+    losses, grad = task_loss_and_gradient(cfg, *stack)
+    assert losses[0] == 0.0
+    np.testing.assert_allclose(grad[0, -cfg.output_dim:], -_quantile_row(cfg) / cfg.output_dim,
+                               rtol=1e-15, atol=0)
+
+
 def train_by_id(models, data, anchor, rngs):
     """local_train on the clients of ``models`` in sorted-id order, under
     the consensus model ``anchor``'s config, as client id -> (trained row,

@@ -272,9 +272,19 @@ def test_report_serialization_shapes():
     report = evaluate({"a": model}, {"a": data})
     as_dict = report.to_dict()
     assert set(as_dict) == {"quantiles", "clients", "excluded", "macro", "weighted"}
-    rows = report.csv_rows()
-    assert [r["client_id"] for r in rows] == ["a", "macro"]
-    assert set(rows[0]) == {"client_id", "qs", "mil", "icp", "n"}
+    assert [c["client_id"] for c in as_dict["clients"]] == ["a"]
+    assert set(as_dict["clients"][0]) == {"client_id", "qs", "mil", "icp", "n",
+                                          "qs_per_quantile"}
+
+
+def test_evaluate_counts_targets_on_the_outer_forecasts_as_covered():
+    # the interval [lowest, highest] quantile forecast is closed at both ends
+    cfg = ForecasterConfig(history_len=3, horizon=1, quantiles=(0.1, 0.5, 0.9),
+                           hidden_sizes=(3,))
+    model = constant_output_model(cfg, [-1.25, 0.5, 2.75])
+    targets = [[-1.25], [2.75], [0.0], [-1.5], [3.0], [2.75]]
+    data = raw_dataset(np.zeros((6, 3)), targets)
+    assert evaluate({"a": model}, {"a": data}).clients[0].icp == 4 / 6
 
 
 def score_alone(client_id, model, data) -> dict:

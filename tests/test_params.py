@@ -8,7 +8,6 @@ from fedgame.forecaster import ForecasterConfig, build_spec
 from fedgame.params import (
     add_scaled,
     compute_delta,
-    head_indices,
     head_length,
     mean_deltas,
     scatter_head,
@@ -57,8 +56,11 @@ def test_build_spec_tiles_the_vector_with_the_head_last():
         assert [b.name for b in spec if b.kind == "output_head"] == ["out.w", "out.b"]
         assert [b.kind for b in spec[-2:]] == ["output_head"] * 2
         assert spec[-2].shape == (widths[-1], 6) and spec[-1].shape == (6,)
-        np.testing.assert_array_equal(head_indices(spec),
-                                      np.arange(spec[-2].offset, spec[-1].stop))
+        # the head is the layout's tail, the columns select_head_values reads
+        assert spec[-1].stop == total_params(spec)
+        np.testing.assert_array_equal(
+            select_head_values(np.arange(float(total_params(spec))), spec),
+            np.arange(spec[-2].offset, spec[-1].stop))
         # fan_in: the layer's input width for the MLP and the head, the
         # layer's own width for every LSTM block
         for i, width in enumerate(cfg.hidden_sizes):
@@ -70,7 +72,7 @@ def test_build_spec_tiles_the_vector_with_the_head_last():
 
 def test_head_length_and_indices():
     assert head_length(SPEC) == 8
-    np.testing.assert_array_equal(head_indices(SPEC), np.arange(9, 17))
+    np.testing.assert_array_equal(select_head_values(np.arange(17.0), SPEC), np.arange(9, 17))
 
 
 def make_matrix(seeds):
@@ -148,13 +150,12 @@ def test_add_scaled_exact_and_finite():
         add_scaled(base, np.full(17, 1e308), 1e308)
 
 
-def test_head_indices_are_read_only_and_shared():
-    idx = head_indices(SPEC)
-    assert head_indices(list(SPEC)) is idx
-    with pytest.raises(ValueError):
-        idx[0] = 0
-    # selecting copies, so the result is the caller's to write
-    heads = select_head_values(make_vector(), SPEC)
-    heads[0] = 1.0
-    np.testing.assert_array_equal(head_indices(SPEC), np.arange(9, 17))
+def test_select_head_values_returns_a_writable_copy():
+    # selecting copies, so the result is the caller's to write, even from
+    # read-only model values
+    values = make_matrix((1, 2))
+    values.flags.writeable = False
+    for source in (values[0], values):
+        select_head_values(source, SPEC)[..., 0] = 1.0
+    np.testing.assert_array_equal(values, make_matrix((1, 2)))
 

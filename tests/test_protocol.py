@@ -365,6 +365,17 @@ def test_mean_round_applies_hand_reconstructed_update():
         )
 
 
+def test_consensus_steps_eta_along_the_mean_delta():
+    state, data = build_setup(3, seed=5)
+    old = state.global_model.values
+    new_state, _ = run_round(state, HyperParams(rounds=1, aggregator_kind="fedprox_only",
+                                                eta=0.5), None, data)
+    # a fedprox_only participant keeps its trained model as it is
+    trained = np.stack([new_state.client_models[cid].values for cid in sorted(data)])
+    assert new_state.global_model.values.tobytes() == (
+        old + 0.5 * (trained - old).mean(axis=0)).tobytes()
+
+
 def test_zero_gamma_game_matches_fedprox_only_trajectory():
     state_a, data = build_setup(3, seed=4)
     state_b = copy.deepcopy(state_a)

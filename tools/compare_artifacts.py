@@ -7,10 +7,10 @@ For every config of ``MATRIX`` the script synthesizes a fleet as CSV
 with ``python -m fedgame.cli synth`` and runs ``python -m fedgame.cli
 run`` on it, once on the ``src`` tree of REF (exported with ``git
 archive`` into a temporary directory, so the repository gains no
-worktree) and once on this checkout's ``src``.  It then compares
-``ARTIFACTS`` and ``config.json`` byte for byte, prints one line per
-config, and exits 1 naming the first file that differs, 0 when every
-file matches.  ``config.json`` holds the run's own directory (in
+worktree) and once on this checkout's ``src``.  It then compares the
+fleet ``synth.csv``, ``ARTIFACTS`` and ``config.json`` byte for byte,
+prints one line per config, and exits 1 naming the first file that
+differs, 0 when every file matches.  ``config.json`` holds the run's own directory (in
 ``csv_path`` and ``output_dir``), the one part that differs between
 the two sides, so each side's directory reads as a placeholder there.
 A run that fails ends the script with its error.
@@ -115,6 +115,16 @@ def first_difference(a: Path, b: Path) -> str | None:
     return None
 
 
+def run_difference(a: Path, b: Path) -> str | None:
+    """The first file that differs between the run directories ``a`` and
+    ``b``: the fleet ``synth.csv`` the run read (a missing one differs),
+    then ``first_difference`` of their output directories."""
+    fleets = [run / "synth.csv" for run in (a, b)]
+    if not all(f.is_file() for f in fleets) or fleets[0].read_bytes() != fleets[1].read_bytes():
+        return "synth.csv"
+    return first_difference(a / "out", b / "out")
+
+
 def run_matrix(src: Path, workdir: Path) -> None:
     """Every config of the matrix on the package under ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -144,12 +154,11 @@ def main(argv=None) -> int:
         for side, src in sides.items():
             run_matrix(src, tmp / f"{side}-runs")
         for name in MATRIX:
-            differs = first_difference(tmp / "ref-runs" / name / "out",
-                                       tmp / "checkout-runs" / name / "out")
+            differs = run_difference(tmp / "ref-runs" / name, tmp / "checkout-runs" / name)
             if differs:
                 print(f"{name}: {differs} differs from {args.ref}")
                 return 1
-            print(f"{name}: {', '.join(COMPARED)} byte-identical to {args.ref}")
+            print(f"{name}: synth.csv, {', '.join(COMPARED)} byte-identical to {args.ref}")
     return 0
 
 
