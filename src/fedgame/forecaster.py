@@ -24,18 +24,28 @@ depend on who it is stacked with.  A single client is a stack of one;
 there is no separate per-client path.  Which clients share a stack is
 decided here alone (:func:`stack_groups`), for training and scoring.
 
-The LSTM forward caches every timestep's gates i, f, g, o and tanh(c)
-next to h and c, and the backward reads them instead of re-running the
-forward.  Each layer's cache is one float64 block of (7T + 2, N, B, W):
-h at steps 0..T, c at steps 0..T, then the gates as (T, 5, N, B, W),
-~2.8 MB at N=8, B=32, W=16, T=12.  The gates are gate-major, so each is
-one contiguous (N, B, W) array; in a (T, N, B, 5W) layout every gate is
-a strided view, and the cell's gate ufuncs ran 1.8x slower.  It is one
-allocation because glibc's malloc raises its trim threshold to twice
-the size of the largest mmapped chunk freed so far: one 2.8 MB block
-lifts it above a training step's working set, so the heap keeps the
-step's pages.  As many small arrays the cache is trimmed and faulted in
-again on every step.
+Each LSTM step is one product for all four gates, with the input and
+the bias folded in: the row [x_t, h_t, 1] times the layer's ``wx``,
+``wh`` and ``b``, which ``build_spec`` lays out adjacently, viewed as
+one (N, in + W + 1, 4W) matrix [wx; wh; b].  The backward adds each
+step's weight gradient as one product into the same slice of the
+gradient, and an upper layer's input and h take theirs from one product
+with the [wx; wh] rows.  The forward caches every timestep's gates i,
+f, g, o and tanh(c) next to h and c, and the backward reads them
+instead of re-running the forward.  Each layer's cache is one float64
+block: the rows [x_t, h_t, 1] as (T + 1, N, B, in + W + 1), into which
+the cell writes each h, then c at steps 0..T, the gates as (T, 5, N, B,
+W) and 11 (N, B, W) work slots, ~3.2 MB at N=8, B=32, W=16, T=12.  The
+gates are gate-major, so each is one contiguous (N, B, W)
+array; in a (T, N, B, 5W) layout every gate is a strided view, and the
+cell's gate ufuncs ran 1.8x slower.  It is one allocation because
+glibc's malloc raises its trim threshold to twice the size of the
+largest mmapped chunk freed so far: one 3 MB block lifts it above a
+training step's working set, so the heap keeps the step's pages.  As
+many small arrays the cache is trimmed and faulted in again on every
+step.  The work slots hold each step's pre-activations in the forward;
+in the backward the cell writes each gate's part of d_pre into them
+and reaches d_pre in one transposed copy.
 
 The MLP forward does the same with one float64 block per step of
 N*B*(sum(hidden_sizes) + 3*max(hidden_sizes)): every hidden activation
@@ -216,10 +226,18 @@ def _blocks(spec: tuple[LayerSpec, ...], flat: np.ndarray) -> dict[str, np.ndarr
 
     ``flat`` is (N, P), one client per row.  A matrix block is viewed as
     (N, rows, cols) and a vector block as (N, 1, width), so that it
-    broadcasts over a (N, B, width) batch.  The views write through.
+    broadcasts over a (N, B, width) batch.  An LSTM layer's adjacent
+    ``wx``, ``wh`` and ``b`` are also viewed as one (N, in + W + 1, 4W)
+    matrix [wx; wh; b], named after the layer (``lstm0``).  The views
+    write through.
     """
     n = flat.shape[0]
-    return {b.name: flat[:, b.offset : b.stop].reshape(n, -1, b.shape[-1]) for b in spec}
+    views = {b.name: flat[:, b.offset : b.stop].reshape(n, -1, b.shape[-1]) for b in spec}
+    if spec[0].kind == "recurrent":
+        for wx, b in zip(spec[0:-2:3], spec[2:-2:3]):
+            views[wx.name.removesuffix(".wx")] = (
+                flat[:, wx.offset : b.stop].reshape(n, -1, b.shape[-1]))
+    return views
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -245,39 +263,69 @@ def checked_batch(
     return batch, targets
 
 
-def _lstm_cell(x, h, c, wx, wh, b, gates, h_out, c_out) -> None:
-    """One LSTM step from input x and state (h, c): writes the gates i, f,
-    g, o and tanh(c) into ``gates`` (5, N, B, W) and the new state into
+def _one_block(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Views of the given shapes, one after another in one new float64
+    block (see the module docstring)."""
+    blk, views, start = np.empty(sum(math.prod(shape) for shape in shapes)), [], 0
+    for shape in shapes:
+        views.append(blk[start : start + math.prod(shape)].reshape(shape))
+        start += views[-1].size
+    return views
+
+
+def _lstm_cell(row, wcat, c, pre, gates, h_out, c_out) -> None:
+    """One LSTM step from the input row [x, h, 1] and the cell state c:
+    the pre-activations ``row @ wcat`` go to ``pre`` (N, B, 4W), the gates
+    i, f, g, o and tanh(c) to ``gates`` (5, N, B, W) and the new state to
     ``h_out`` and ``c_out``."""
-    width = h_out.shape[-1]
-    pre = h @ wh
-    # one input feature broadcasts, as the (N, B, 1) @ (N, 1, 4W) matmul skips BLAS; addition
-    # commutes, so only an exact zero's sign can differ, which a nonzero bias erases
-    pre += x * wx if wx.shape[1] == 1 else x @ wx
-    pre += b
+    width = c.shape[-1]
+    np.matmul(row, wcat, out=pre)
     gi, gf, gg, go, tc = gates
     with np.errstate(over="ignore"):
         for k, gate in ((0, gi), (1, gf), (3, go)):
             _sigmoid(pre[..., k * width : (k + 1) * width], out=gate)
     np.tanh(pre[..., 2 * width : 3 * width], out=gg)
     np.multiply(gf, c, out=c_out)
-    c_out += gi * gg
+    # tc holds i * g until tanh(c) overwrites it
+    c_out += np.multiply(gi, gg, out=tc)
     np.multiply(go, np.tanh(c_out, out=tc), out=h_out)
 
 
-def _lstm_cell_backward(gates, c_prev, dh, dc):
-    """Gradients w.r.t. one step's pre-activations and its input cell
-    state, from those w.r.t. its outputs h and c and the step's cached
-    gates i, f, g, o and tanh(c)."""
+def _lstm_cell_backward(gates, c_prev, dh, dc, work):
+    """Gradients w.r.t. one step's pre-activations (N, B, 4W) and its
+    input cell state, from those w.r.t. its outputs h and c and the step's
+    cached gates i, f, g, o and tanh(c).
+
+    ``work`` holds the layer's 11 (N, B, W) slots, reused every step: each
+    gate's part of d_pre, a scratch slot, the step's dc and the dc passed
+    to the step before, then d_pre, which the parts reach in one
+    transposed copy.  Both returned arrays are views of ``work``.
+    """
     gi, gf, gg, go, tc = gates
-    width = gi.shape[-1]
-    dc = dh * go * (1.0 - tc**2) + dc
-    d_pre = np.empty(gi.shape[:-1] + (4 * width,))
-    d_pre[..., 0 * width : 1 * width] = dc * gg * gi * (1.0 - gi)
-    d_pre[..., 1 * width : 2 * width] = dc * c_prev * gf * (1.0 - gf)
-    d_pre[..., 2 * width : 3 * width] = dc * gi * (1.0 - gg**2)
-    d_pre[..., 3 * width : 4 * width] = dh * tc * go * (1.0 - go)
-    return d_pre, dc * gf
+    d_i, d_f, d_g, d_o, tmp, dc_now, dc_prev = work[:7]
+    d_pre = work[7:].reshape(gi.shape[:-1] + (-1,))
+    # dc = dh * go * (1 - tc**2) + dc
+    np.subtract(1.0, np.square(tc, out=tmp), out=tmp)
+    np.multiply(dh, go, out=dc_now)
+    dc_now *= tmp
+    dc_now += dc
+    # d_i = dc * g * i * (1 - i)
+    np.multiply(dc_now, gg, out=d_i)
+    d_i *= gi
+    d_i *= np.subtract(1.0, gi, out=tmp)
+    # d_f = dc * c_prev * f * (1 - f)
+    np.multiply(dc_now, c_prev, out=d_f)
+    d_f *= gf
+    d_f *= np.subtract(1.0, gf, out=tmp)
+    # d_g = dc * i * (1 - g**2)
+    np.multiply(dc_now, gi, out=d_g)
+    d_g *= np.subtract(1.0, np.square(gg, out=tmp), out=tmp)
+    # d_o = dh * tc * o * (1 - o)
+    np.multiply(dh, tc, out=d_o)
+    d_o *= go
+    d_o *= np.subtract(1.0, go, out=tmp)
+    d_pre.reshape(d_pre.shape[:-1] + (4, -1))[...] = np.moveaxis(work[:4], 0, 2)
+    return d_pre, np.multiply(dc_now, gf, out=dc_prev)
 
 
 def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray):
@@ -287,11 +335,13 @@ def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray)
 
     MLP: the input and every hidden activation, then three
     scratch slots of the widest layer for the backward, all views of one
-    block (see the module docstring).  LSTM: per layer, the input
-    sequence and three views of the layer's one cache block: every
-    timestep's hidden and cell states (index 0 holds the zeros) and its
-    gates i, f, g, o and tanh(c).  Writing into views with ``out=`` keeps
-    every float operation and its order, which the bit-for-bit tests pin.
+    block (see the module docstring).  LSTM: per layer, four views of
+    the layer's one cache block: every timestep's row [x_t, h_t, 1] and
+    cell state (index 0 holds the zero state), its gates i, f, g, o and
+    tanh(c), then the work slots the backward reuses.  Each step's
+    pre-activations are the one product ``[x_t, h_t, 1] @ [wx; wh; b]``.
+    Writing into views with ``out=`` keeps every float operation and its
+    order, which the bit-for-bit tests pin.
     """
     n, size = batch.shape[:2]
     if cfg.arch == "mlp":
@@ -308,19 +358,25 @@ def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray)
         return acts[-1] @ w["out.w"] + w["out.b"], acts[-1], (acts, blk[start:].reshape(3, -1))
 
     steps = cfg.history_len
-    # each step's input as an (N, B, 1) view
-    seq = [batch[:, :, t : t + 1] for t in range(steps)]
+    # layer 0's input at step t: column t of the batch, as an (N, B, 1) view
+    seq, in_dim = batch.transpose(2, 0, 1)[..., np.newaxis], 1
     cache = []
     for i, width in enumerate(cfg.hidden_sizes):
-        wx, wh, b = w[f"lstm{i}.wx"], w[f"lstm{i}.wh"], w[f"lstm{i}.b"]
-        blk = np.empty((7 * steps + 2, n, size, width))
-        hs, cs = blk[: steps + 1], blk[steps + 1 : 2 * steps + 2]
-        gates = blk[2 * steps + 2 :].reshape(steps, 5, n, size, width)
+        aug, cs, gates, work = _one_block(
+            (steps + 1, n, size, in_dim + width + 1), (steps + 1, n, size, width),
+            (steps, 5, n, size, width), (11, n, size, width),
+        )
+        # the last four work slots hold each step's pre-activations here, d_pre in the backward
+        pre = work[7:].reshape(n, size, 4 * width)
+        # row t is [x_t, h_t, 1]: inputs and ones are filled here, each h_t+1 by the cell
+        hs = aug[..., in_dim : in_dim + width]
+        aug[:steps, ..., :in_dim] = seq
+        aug[..., -1] = 1.0
         hs[0] = cs[0] = 0.0
-        for t, x in enumerate(seq):
-            _lstm_cell(x, hs[t], cs[t], wx, wh, b, gates[t], hs[t + 1], cs[t + 1])
-        cache.append((seq, hs, cs, gates))
-        seq = hs[1:]
+        for t in range(steps):
+            _lstm_cell(aug[t], w[f"lstm{i}"], cs[t], pre, gates[t], hs[t + 1], cs[t + 1])
+        cache.append((aug, cs, gates, work))
+        seq, in_dim = hs[1:], width
     return seq[-1] @ w["out.w"] + w["out.b"], seq[-1], cache
 
 
@@ -339,8 +395,10 @@ def _backward(
 
     The floating-point order is part of the contract: products run left
     to right, every block accumulates into zeros, and the LSTM blocks
-    accumulate over timesteps from last to first.  Reordering moves the
-    gradients by rounding, and with them every byte of a run's reports.
+    accumulate over timesteps from last to first, each step's weight
+    gradient as the one product ``[x_t, h_t, 1]^T @ d_pre`` into the
+    layer's [wx; wh; b] slice.  Reordering moves the gradients by
+    rounding, and with them every byte of a run's reports.
     """
     g["out.w"] += _mT(head_in) @ d_pred
     g["out.b"] += d_pred.sum(axis=1, keepdims=True)
@@ -365,20 +423,21 @@ def _backward(
     # gradient reaching each output of the layer from above
     d_out = [0.0] * (cfg.history_len - 1) + [d_pred @ _mT(w["out.w"])]
     for i in reversed(range(len(cfg.hidden_sizes))):
-        wx, wh = w[f"lstm{i}.wx"], w[f"lstm{i}.wh"]
-        g_wx, g_wh, g_b = g[f"lstm{i}.wx"], g[f"lstm{i}.wh"], g[f"lstm{i}.b"]
-        seq, hs, cs, gates = cache[i]
+        wcat, g_cat = w[f"lstm{i}"], g[f"lstm{i}"]
+        aug, cs, gates, work = cache[i]
+        width = cs.shape[-1]
+        in_dim = aug.shape[-1] - width - 1
+        # d_pre reaches [x_t, h_t] through those rows of [wx; wh; b]; the
+        # first layer's input takes no gradient, so there it is h's alone
+        w_back = _mT(wcat[:, (0 if i else in_dim) : in_dim + width])
         d_in = [None] * cfg.history_len
         dh = dc = 0.0
         for t in reversed(range(cfg.history_len)):
             dh = d_out[t] + dh
-            d_pre, dc = _lstm_cell_backward(gates[t], cs[t], dh, dc)
-            g_wx += _mT(seq[t]) @ d_pre
-            g_wh += _mT(hs[t]) @ d_pre
-            g_b += d_pre.sum(axis=1, keepdims=True)
-            if i:
-                d_in[t] = d_pre @ _mT(wx)
-            dh = d_pre @ _mT(wh)
+            d_pre, dc = _lstm_cell_backward(gates[t], cs[t], dh, dc, work)
+            g_cat += _mT(aug[t]) @ d_pre
+            d_row = d_pre @ w_back
+            d_in[t], dh = d_row[..., :-width], d_row[..., -width:]
         d_out = d_in
 
 

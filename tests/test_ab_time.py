@@ -24,8 +24,8 @@ def test_ab_time_summarizes_pairs_of_identical_trees():
     assert 0 <= out["b_wins"] <= 4 and 0 < out["sign_p"] <= 1
 
 
-@pytest.mark.parametrize("target", ["local_train", "evaluate", "setup", "clustered_mlp",
-                                    "wide_server"])
+@pytest.mark.parametrize("target", ["local_train", "evaluate", "setup", "mlp_step", "lstm_step",
+                                    "clustered_mlp", "wide_server"])
 def test_ab_time_runs_each_heavier_target_on_identical_trees(target):
     # the reports' wall times differ from run to run and are left out
     assert ab_time(SRC, SRC, target, pairs=2, repeat=1)["same_output"]

@@ -26,7 +26,7 @@ from fedgame.protocol import (
     run_experiment,
 )
 from tools.compare_artifacts import (
-    ARTIFACTS, MATRIX, cli_steps, first_difference, run_difference,
+    ARTIFACTS, COMPARED, MATRIX, cli_steps, first_difference, report, run_difference,
 )
 
 SMALL = {
@@ -383,6 +383,28 @@ def test_compare_artifacts_names_the_first_differing_file(tmp_path):
     assert run_difference(same.parent, flipped.parent) == "synth.csv"
     (flipped.parent / "synth.csv").unlink()
     assert run_difference(same.parent, flipped.parent) == "synth.csv"
+
+
+def test_compare_artifacts_reports_every_config_past_a_difference(tmp_path, capsys):
+    # two prepared trees of run directories, one per config, in place of running the matrix
+    sides = {side: tmp_path / side for side in ("ref", "checkout")}
+    for runs in sides.values():
+        for name in MATRIX:
+            (runs / name / "out").mkdir(parents=True)
+            (runs / name / "synth.csv").write_bytes(b"t,s,d\n")
+            for file in COMPARED:
+                (runs / name / "out" / file).write_bytes(name.encode())
+    assert report(sides["ref"], sides["checkout"], "REF") == 0
+    names = list(MATRIX)
+    # the second config and the last differ; every config still gets its line
+    (sides["checkout"] / names[1] / "out" / ARTIFACTS[1]).write_bytes(b"moved")
+    (sides["checkout"] / names[-1] / "synth.csv").unlink()
+    assert report(sides["ref"], sides["checkout"], "REF") == 1
+    lines = capsys.readouterr().out.splitlines()[len(names):]
+    assert [line.split(":")[0] for line in lines] == names
+    assert lines[1] == f"{names[1]}: {ARTIFACTS[1]} differs from REF"
+    assert lines[-1] == f"{names[-1]}: synth.csv differs from REF"
+    assert all(line.endswith("byte-identical to REF") for line in lines[2:-1] + lines[:1])
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -17,6 +17,7 @@ from fedgame.errors import ConfigError, NumericError, StructuralError, UsageErro
 from fedgame.forecaster import (
     ForecasterConfig,
     ForecasterModel,
+    _blocks,
     _quantile_row,
     build_spec,
     checked_batch,
@@ -139,8 +140,10 @@ def ref_mlp_gradient(cfg, values, batch, targets):
 
 def ref_lstm_recompute_gradient(cfg, values, batch, targets):
     """Losses (N,) and flat gradients (N, P) of a stack of LSTM clients by the BPTT that
-    keeps only h and c and recomputes each step's gates in the backward,
-    with the input product as a matmul.  It performs the same float
+    keeps only h and c and recomputes each step's gates in the backward.
+    Each step's pre-activations are one product of the row [x, h, 1] and
+    the matrix [wx; wh; b], and its weight gradient is one product into
+    that slice of the flat gradient.  It performs the same float
     operations in the same order as task_loss_and_gradient, so its bytes
     pin that order."""
     n, q = len(values), np.tile(cfg.quantiles, cfg.horizon)
@@ -148,9 +151,13 @@ def ref_lstm_recompute_gradient(cfg, values, batch, targets):
     def sigmoid(a):
         return 1.0 / (1.0 + np.exp(-a))
 
+    def row(x, h):
+        return np.concatenate([x, h, np.ones(h.shape[:-1] + (1,))], axis=2)
+
     def cell(x, h, c, i):
         width = w[f"lstm{i}.wh"].shape[1]
-        pre = x @ w[f"lstm{i}.wx"] + h @ w[f"lstm{i}.wh"] + w[f"lstm{i}.b"]
+        wcat = np.concatenate([w[f"lstm{i}.{k}"] for k in ("wx", "wh", "b")], axis=1)
+        pre = row(x, h) @ wcat
         gi, gf, gg, go = (pre[..., k * width : (k + 1) * width] for k in range(4))
         gi, gf, gg, go = sigmoid(gi), sigmoid(gf), np.tanh(gg), sigmoid(go)
         c = gf * c + gi * gg
@@ -174,6 +181,9 @@ def ref_lstm_recompute_gradient(cfg, values, batch, targets):
     d_out = [0.0] * (cfg.history_len - 1) + [d_pred @ mT(w["out.w"])]
     for i in reversed(range(len(cfg.hidden_sizes))):
         seq, hs, cs = states[i]
+        wx, wh = w[f"lstm{i}.wx"], w[f"lstm{i}.wh"]
+        wx_block, _, b_block = build_spec(cfg)[3 * i : 3 * i + 3]
+        g_cat = grad[:, wx_block.offset : b_block.stop].reshape(n, -1, wh.shape[2])
         d_in, dh, dc = [None] * cfg.history_len, 0.0, 0.0
         for t in reversed(range(cfg.history_len)):
             dh = d_out[t] + dh
@@ -182,11 +192,13 @@ def ref_lstm_recompute_gradient(cfg, values, batch, targets):
             d_pre = np.concatenate([dc * gg * gi * (1.0 - gi), dc * cs[t] * gf * (1.0 - gf),
                                     dc * gi * (1.0 - gg**2), dh * tc * go * (1.0 - go)], axis=2)
             dc = dc * gf
-            g[f"lstm{i}.wx"] += mT(seq[t]) @ d_pre
-            g[f"lstm{i}.wh"] += mT(hs[t]) @ d_pre
-            g[f"lstm{i}.b"] += d_pre.sum(axis=1, keepdims=True)
-            d_in[t] = d_pre @ mT(w[f"lstm{i}.wx"])
-            dh = d_pre @ mT(w[f"lstm{i}.wh"])
+            g_cat += mT(row(seq[t], hs[t])) @ d_pre
+            # an upper layer's input and h take their gradients from one product
+            if i:
+                d_row = d_pre @ mT(np.concatenate([wx, wh], axis=1))
+                d_in[t], dh = d_row[..., : wx.shape[1]], d_row[..., wx.shape[1] :]
+            else:
+                dh = d_pre @ mT(wh)
         d_out = d_in
     return (diff * weights).reshape(n, -1).sum(axis=1) * scale, grad
 
@@ -252,6 +264,34 @@ def test_copied_and_unpickled_models_stay_read_only():
         assert twin.values.tobytes() == model.values.tobytes()
         with pytest.raises(ValueError):
             twin.values[0] = 0.0
+
+
+def test_each_lstm_layer_is_one_fused_matrix_that_writes_through():
+    # the LSTM forward and backward view a layer's wx, wh and b as one
+    # matrix [wx; wh; b], which needs the three blocks adjacent, in that order
+    widths = (5, 3, 7)
+    spec = build_spec(small_config(arch="lstm", hidden_sizes=widths))
+    layers = [spec[3 * i : 3 * i + 3] for i in range(len(widths))]
+    for i, (wx, wh, b) in enumerate(layers):
+        assert (wx.name, wh.name, b.name) == (f"lstm{i}.wx", f"lstm{i}.wh", f"lstm{i}.b")
+        assert (wx.stop, wh.stop) == (wh.offset, b.offset)
+    values = np.random.default_rng(43).normal(size=(3, total_params(spec)))
+    # a stack of parameters and a zeroed gradient, as task_loss_and_gradient views both
+    for flat in (values, np.zeros_like(values)):
+        views = _blocks(spec, flat)
+        for i, (in_dim, width) in enumerate(zip((1,) + widths, widths)):
+            fused = views[f"lstm{i}"]
+            assert fused.shape == (3, in_dim + width + 1, 4 * width)
+            parts = [views[f"lstm{i}.{k}"] for k in ("wx", "wh", "b")]
+            assert fused.tobytes() == np.concatenate(parts, axis=1).tobytes()
+            before = flat.copy()
+            fused += 1.0
+            written = np.arange(layers[i][0].offset, layers[i][2].stop)
+            assert np.array_equal(np.flatnonzero((flat != before).any(axis=0)), written)
+    # an MLP's views are its blocks alone, each in its own shape
+    mlp = build_spec(small_config(hidden_sizes=(5, 4)))
+    shapes = {name: v.shape for name, v in _blocks(mlp, np.zeros((1, total_params(mlp)))).items()}
+    assert shapes == {b.name: (1,) * (3 - len(b.shape)) + b.shape for b in mlp}
 
 
 def test_lstm_head_sizes_for_reference_architecture():
@@ -508,8 +548,9 @@ def test_local_train_rejects_empty_dataset():
 
 
 # Architectures for the stacked pass; each runs every stack size with
-# every batch size below.  An upper LSTM layer reaches the input matmul,
-# and hidden_sizes=(1, 3) the broadcast input product on an upper layer.
+# every batch size below.  An upper LSTM layer takes its input's gradient
+# from the fused product, and hidden_sizes=(1, 3) gives an upper layer an
+# input one column wide, as the first layer's is.
 # (5, 3, 7) stacks three layers whose widths are not multiples of the
 # SIMD width, so many slots of a cache block start off a vector boundary;
 # the MLP's () has no hidden layer and an empty activation block.

@@ -146,6 +146,22 @@ def evaluate(fg, workdir: Path):
     return lambda: fg.metrics.evaluate(state.client_models, test_data)
 
 
+def grad_step(workload: str):
+    """One stacked ``task_loss_and_gradient`` at the size of a benchmark
+    workload's first config: each client's model, initialized from a
+    stream of its own, on a seeded batch of ``batch_size`` windows."""
+    def build(fg, workdir: Path):
+        config = build_configs(fg, workload, DEV_SEED, workdir)[0]
+        fcfg, n = config.forecaster_config(), config.n_clients
+        values = np.stack([fg.forecaster.init_forecaster(fcfg, np.random.default_rng(k)).values
+                           for k in range(n)])
+        rng = np.random.default_rng(n)
+        batch = rng.normal(size=(n, fcfg.batch_size, fcfg.history_len))
+        targets = rng.normal(size=(n, fcfg.batch_size, fcfg.horizon))
+        return lambda: fg.forecaster.task_loss_and_gradient(fcfg, values, batch, targets)
+    return build
+
+
 def experiment(workload: str):
     """One ``run_experiment`` on the first config of a benchmark workload;
     returns its round reports, evaluation and final round state: what the
@@ -168,6 +184,8 @@ TARGETS = {
     "local_train": (local_train, 8),
     "evaluate": (evaluate, 50),
     "setup": (setup, 20),
+    "mlp_step": (grad_step("clustered_mlp"), 250),
+    "lstm_step": (grad_step("lstm_fedavg"), 20),
     **{name: (experiment(name), 1) for name in ("clustered_mlp", "wide_server", "lstm_fedavg")},
 }
 

@@ -8,9 +8,10 @@ with ``python -m fedgame.cli synth`` and runs ``python -m fedgame.cli
 run`` on it, once on the ``src`` tree of REF (exported with ``git
 archive`` into a temporary directory, so the repository gains no
 worktree) and once on this checkout's ``src``.  It then compares the
-fleet ``synth.csv``, ``ARTIFACTS`` and ``config.json`` byte for byte,
-prints one line per config, and exits 1 naming the first file that
-differs, 0 when every file matches.  ``config.json`` holds the run's own directory (in
+fleet ``synth.csv``, ``ARTIFACTS`` and ``config.json`` byte for byte
+and prints one line per config: the first of its files that differs,
+or that all match.  It exits 1 if any config differs, 0 when every
+file matches.  ``config.json`` holds the run's own directory (in
 ``csv_path`` and ``output_dir``), the one part that differs between
 the two sides, so each side's directory reads as a placeholder there.
 A run that fails ends the script with its error.
@@ -143,6 +144,20 @@ def export_src(root: Path, ref: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def report(ref_runs: Path, checkout_runs: Path, ref: str) -> int:
+    """Print every config's verdict, comparing its run directory under
+    ``ref_runs`` with the one under ``checkout_runs``; 1 if any differs."""
+    status = 0
+    for name in MATRIX:
+        differs = run_difference(ref_runs / name, checkout_runs / name)
+        if differs:
+            status = 1
+            print(f"{name}: {differs} differs from {ref}")
+        else:
+            print(f"{name}: synth.csv, {', '.join(COMPARED)} byte-identical to {ref}")
+    return status
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git commit, tag or branch to compare against")
@@ -153,13 +168,7 @@ def main(argv=None) -> int:
         sides = {"ref": export_src(root, args.ref, tmp / "ref"), "checkout": root / "src"}
         for side, src in sides.items():
             run_matrix(src, tmp / f"{side}-runs")
-        for name in MATRIX:
-            differs = run_difference(tmp / "ref-runs" / name, tmp / "checkout-runs" / name)
-            if differs:
-                print(f"{name}: {differs} differs from {args.ref}")
-                return 1
-            print(f"{name}: synth.csv, {', '.join(COMPARED)} byte-identical to {args.ref}")
-    return 0
+        return report(tmp / "ref-runs", tmp / "checkout-runs", args.ref)
 
 
 if __name__ == "__main__":
