@@ -47,22 +47,29 @@ step.  The work slots hold each step's pre-activations in the forward;
 in the backward the cell writes each gate's part of d_pre into them
 and reaches d_pre in one transposed copy.
 
-The MLP forward does the same with one float64 block per step of
-N*B*(sum(hidden_sizes) + 3*max(hidden_sizes)): every hidden activation
-as a contiguous (N, B, W) slice, then three scratch slots of the widest
-layer, into which the backward writes each layer's delta and its
-1 - a**2 term with ``out=``.  At N=32, B=32, W=32 each activation or
-delta is 256 KB, above glibc's default mmap threshold, so as separate
-arrays, or with the scratch in a second block, the step faults them in
-again every time.  Other allocators compute the same bytes, perhaps no
-faster.
+Every dense layer takes the same shape: its ``w`` and ``b`` are one
+(N, in + 1, W) matrix [w; b], so its output is the one product [x, 1]
+@ [w; b] and its gradient the one product [x, 1]^T @ d, written over
+the layer's slice of the gradient.  The MLP forward keeps one float64
+block per step of N*B*(sum(in + 1 for each layer and the head) +
+3*max(hidden_sizes)): each layer's input rows [x, 1] as a contiguous
+(N, B, in + 1) slice, into which the layer below writes its activation,
+then three scratch slots of the widest layer, into which the backward
+writes each layer's delta and its 1 - a**2 term with ``out=``.  At
+N=32, B=32, W=32 each activation or delta is about 256 KB, above glibc's
+default mmap threshold, so as separate arrays, or with the scratch in a
+second block, the step faults them in again every time.  Other
+allocators compute the same bytes, perhaps no faster.  The output head
+is one product for both architectures: the top layer's last row [h, 1]
+times [out.w; out.b].
 
 Local training runs each stack of clients with equally many windows
 through one loop: every epoch gathers the windows in the drawn orders
 once, each step slices its mini-batch from them, and the gradient
 (``task_loss_and_gradient(..., out=)``), the proximal pull and the
 update go into buffers allocated once per stack, before any step's
-cache block.
+cache block.  The layer views of the parameters and of the gradient
+buffer are built once per stack too.
 """
 
 from __future__ import annotations
@@ -131,7 +138,9 @@ def build_spec(cfg: ForecasterConfig) -> tuple[LayerSpec, ...]:
     """Every parameter block, in storage order, built once per config.
 
     Blocks tile [0, P) contiguously and end with the output head,
-    ``out.w`` then ``out.b``.  LSTM gate pre-activations are packed as
+    ``out.w`` then ``out.b``.  Every layer's weight blocks are followed
+    directly by its bias, which ends the layer, so :func:`_blocks` can
+    view each layer as one matrix.  LSTM gate pre-activations are packed as
     4*H columns in i, f, g, o order (input, forget, cell, output).
     ``fan_in`` is the input width of the layer a block belongs to; all
     LSTM blocks use the hidden size.
@@ -222,21 +231,21 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _blocks(spec: tuple[LayerSpec, ...], flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Name -> shaped view of each parameter block of the stacked ``flat``.
+    """Layer name -> one (N, rows, cols) view of that layer's blocks of
+    the stacked ``flat`` (N, P), one client per row.
 
-    ``flat`` is (N, P), one client per row.  A matrix block is viewed as
-    (N, rows, cols) and a vector block as (N, 1, width), so that it
-    broadcasts over a (N, B, width) batch.  An LSTM layer's adjacent
-    ``wx``, ``wh`` and ``b`` are also viewed as one (N, in + W + 1, 4W)
-    matrix [wx; wh; b], named after the layer (``lstm0``).  The views
-    write through.
+    ``build_spec`` ends every layer with its bias, directly after the
+    layer's weight blocks, so the blocks of a layer are one matrix whose
+    last row is the bias: [w; b] as (N, in + 1, W) for ``hidden{i}`` and
+    ``out``, and [wx; wh; b] as (N, in + W + 1, 4W) for ``lstm{i}``.  A
+    row [x, 1] times it is x @ w + b in one product.  The views write
+    through, so the views of a gradient buffer receive its blocks.
     """
-    n = flat.shape[0]
-    views = {b.name: flat[:, b.offset : b.stop].reshape(n, -1, b.shape[-1]) for b in spec}
-    if spec[0].kind == "recurrent":
-        for wx, b in zip(spec[0:-2:3], spec[2:-2:3]):
-            views[wx.name.removesuffix(".wx")] = (
-                flat[:, wx.offset : b.stop].reshape(n, -1, b.shape[-1]))
+    n, views, start = flat.shape[0], {}, 0
+    for b in spec:
+        if b.name.endswith(".b"):
+            views[b.name.removesuffix(".b")] = flat[:, start : b.stop].reshape(n, -1, b.shape[-1])
+            start = b.stop
     return views
 
 
@@ -330,32 +339,43 @@ def _lstm_cell_backward(gates, c_prev, dh, dc, work):
 
 def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray):
     """Predictions (N, B, output_dim) of a stack of N clients on their
-    (N, B, history_len) batches, the output layer's input, and
-    the activations the backward pass reads.
+    (N, B, history_len) batches, the output layer's input rows [h, 1],
+    and the activations the backward pass reads.
 
-    MLP: the input and every hidden activation, then three
+    MLP: each layer's input rows [x, 1] as (N, B, in + 1), then three
     scratch slots of the widest layer for the backward, all views of one
-    block (see the module docstring).  LSTM: per layer, four views of
-    the layer's one cache block: every timestep's row [x_t, h_t, 1] and
-    cell state (index 0 holds the zero state), its gates i, f, g, o and
-    tanh(c), then the work slots the backward reuses.  Each step's
-    pre-activations are the one product ``[x_t, h_t, 1] @ [wx; wh; b]``.
-    Writing into views with ``out=`` keeps every float operation and its
-    order, which the bit-for-bit tests pin.
+    block (see the module docstring).  Each layer's activation is the
+    one product ``[x, 1] @ [w; b]``, written into the next layer's rows
+    and squashed there before their ones are written.  LSTM: per layer,
+    four views of the layer's one cache block: every timestep's row
+    [x_t, h_t, 1] and cell state (index 0 holds the zero state), its
+    gates i, f, g, o and tanh(c), then the work slots the backward
+    reuses.  Each step's pre-activations are the one product
+    ``[x_t, h_t, 1] @ [wx; wh; b]``.  For both, the head's input is the
+    top layer's last row ``[h, 1]`` and the prediction is one product
+    with ``out``.
+
+    The ones column is the last term of each product's sum, so ``[x, 1]
+    @ [w; b]`` rounds as ``x @ w + b`` does.  Writing into views with
+    ``out=`` keeps every float operation and its order, which the
+    bit-for-bit tests pin.
     """
     n, size = batch.shape[:2]
     if cfg.arch == "mlp":
         widths = cfg.hidden_sizes
-        blk = np.empty(n * size * (sum(widths) + 3 * max(widths, default=0)))
-        acts, start = [batch], 0
-        for i, width in enumerate(widths):
-            a = blk[start : start + n * size * width].reshape(n, size, width)
-            start += a.size
-            np.matmul(acts[-1], w[f"hidden{i}.w"], out=a)
-            a += w[f"hidden{i}.b"]
-            np.tanh(a, out=a)
-            acts.append(a)
-        return acts[-1] @ w["out.w"] + w["out.b"], acts[-1], (acts, blk[start:].reshape(3, -1))
+        *rows, slots = _one_block(
+            *((n, size, in_dim + 1) for in_dim in (cfg.history_len,) + widths),
+            (3, n * size * max(widths, default=0)),
+        )
+        rows[0][..., :-1] = batch
+        rows[0][..., -1] = 1.0
+        for i, row in enumerate(rows[1:]):
+            np.matmul(rows[i], w[f"hidden{i}"], out=row[..., :-1])
+            # tanh over the whole contiguous rows runs as one ufunc loop, where
+            # the strided activations alone take one loop per row; the ones follow
+            np.tanh(row, out=row)
+            row[..., -1] = 1.0
+        return rows[-1] @ w["out"], rows[-1], (rows, slots)
 
     steps = cfg.history_len
     # layer 0's input at step t: column t of the batch, as an (N, B, 1) view
@@ -377,7 +397,9 @@ def _forward(cfg: ForecasterConfig, w: dict[str, np.ndarray], batch: np.ndarray)
             _lstm_cell(aug[t], w[f"lstm{i}"], cs[t], pre, gates[t], hs[t + 1], cs[t + 1])
         cache.append((aug, cs, gates, work))
         seq, in_dim = hs[1:], width
-    return seq[-1] @ w["out.w"] + w["out.b"], seq[-1], cache
+    # [h_T, 1]: the end of the top layer's last row
+    head_in = aug[steps, ..., -in_dim - 1 :]
+    return head_in @ w["out"], head_in, cache
 
 
 def _backward(
@@ -388,40 +410,43 @@ def _backward(
     cache: tuple | list,
     d_pred: np.ndarray,
 ) -> None:
-    """Add the parameter gradients to the zeroed blocks ``g``, from
+    """Write the parameter gradients into the layer views ``g``, from
     d loss / d predictions: backprop for the MLP, backprop through time
     over the stacked layers for the LSTM.  Every array carries the
     client axis first, and no operation mixes two clients.
 
-    The floating-point order is part of the contract: products run left
-    to right, every block accumulates into zeros, and the LSTM blocks
-    accumulate over timesteps from last to first, each step's weight
-    gradient as the one product ``[x_t, h_t, 1]^T @ d_pre`` into the
-    layer's [wx; wh; b] slice.  Reordering moves the gradients by
-    rounding, and with them every byte of a run's reports.
+    Each dense layer's gradient is the one product ``[x, 1]^T @ d``
+    written over its [w; b] view; its last row, the ones row times d,
+    sums d over the batch in order, as ``d.sum(axis=1)`` does.  The LSTM
+    blocks are zeroed here and accumulate over timesteps from last to
+    first, each step's weight gradient as the one product ``[x_t, h_t,
+    1]^T @ d_pre`` into the layer's [wx; wh; b] view.  So ``g`` need not
+    be zeroed by the caller.  The floating-point order is part of the
+    contract: products run left to right, and reordering moves the
+    gradients by rounding, and with them every byte of a run's reports.
     """
-    g["out.w"] += _mT(head_in) @ d_pred
-    g["out.b"] += d_pred.sum(axis=1, keepdims=True)
+    np.matmul(_mT(head_in), d_pred, out=g["out"])
 
     if cfg.arch == "mlp":
         # each layer's d goes to slot 0 or 2 while the d from the layer
         # above is read from the other one; slot 1 holds 1 - a**2
-        acts, slots = cache
-        d, w_above = d_pred, w["out.w"]
+        rows, slots = cache
+        d, w_above = d_pred, w["out"]
         for i in reversed(range(len(cfg.hidden_sizes))):
-            a = acts[i + 1]
-            d = np.matmul(d, _mT(w_above), out=slots[2 * (i % 2), : a.size].reshape(a.shape))
+            a = rows[i + 1][..., :-1]
+            # d reaches the layer's output through the w rows of [w; b] above
+            d = np.matmul(d, _mT(w_above[:, :-1]),
+                          out=slots[2 * (i % 2), : a.size].reshape(a.shape))
             slope = slots[1, : a.size].reshape(a.shape)
             np.square(a, out=slope)
             np.subtract(1.0, slope, out=slope)
             d *= slope
-            g[f"hidden{i}.w"] += _mT(acts[i]) @ d
-            g[f"hidden{i}.b"] += d.sum(axis=1, keepdims=True)
-            w_above = w[f"hidden{i}.w"]
+            np.matmul(_mT(rows[i]), d, out=g[f"hidden{i}"])
+            w_above = w[f"hidden{i}"]
         return
 
     # gradient reaching each output of the layer from above
-    d_out = [0.0] * (cfg.history_len - 1) + [d_pred @ _mT(w["out.w"])]
+    d_out = [0.0] * (cfg.history_len - 1) + [d_pred @ _mT(w["out"][:, :-1])]
     for i in reversed(range(len(cfg.hidden_sizes))):
         wcat, g_cat = w[f"lstm{i}"], g[f"lstm{i}"]
         aug, cs, gates, work = cache[i]
@@ -432,6 +457,7 @@ def _backward(
         w_back = _mT(wcat[:, (0 if i else in_dim) : in_dim + width])
         d_in = [None] * cfg.history_len
         dh = dc = 0.0
+        g_cat[...] = 0.0
         for t in reversed(range(cfg.history_len)):
             dh = d_out[t] + dh
             d_pre, dc = _lstm_cell_backward(gates[t], cs[t], dh, dc, work)
@@ -459,14 +485,16 @@ def pinball_weights(diff: np.ndarray, q_flat: np.ndarray) -> np.ndarray:
     diff = pred - target.  Where diff > 0 (over-prediction) the slope is
     1 - q; where diff <= 0 it is -q, which makes the tie at diff == 0
     take the y >= yhat branch.  Training and the evaluation metrics both
-    weigh residuals with it.
+    weigh residuals with it.  As one ufunc, (diff > 0) - q: the bits of
+    1 - q and 0 - q, which is -q.
     """
-    return np.where(diff > 0, 1.0 - q_flat, -q_flat)
+    return np.subtract(diff > 0, q_flat)
 
 
 def task_loss_and_gradient(
     cfg: ForecasterConfig, values: np.ndarray, batch: np.ndarray, targets: np.ndarray,
     *, out: np.ndarray | None = None,
+    views: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean pinball losses (N,) and flat gradients (N, P) of a stack of N clients.
 
@@ -474,19 +502,26 @@ def task_loss_and_gradient(
     its own checked batch: row k of ``batch`` (N, B, history_len) and
     ``targets`` (N, B, horizon).  No operation mixes two
     rows, so each row is bit-identical to a stack of that client alone.
-    ``out``, if given, is a zeroed (N, P) buffer that receives the gradients.
+    ``out``, if given, is an (N, P) float64 buffer that receives the
+    gradients; every entry is written, so it need not be zeroed.
+    ``views``, internal plumbing for a caller that steps the same
+    ``values`` and ``out`` many times, is the pair ``(_blocks(spec,
+    values), _blocks(spec, out))``, built once instead of on every call;
+    it needs ``out``.
     """
-    spec = build_spec(cfg)
-    w = _blocks(spec, values)
-    # allocated before the cache block, so that freeing the block returns it to the heap's top
-    grad = np.zeros_like(values) if out is None else out
+    if views is None:
+        spec = build_spec(cfg)
+        # allocated before the cache block, so that freeing the block returns it to the heap's top
+        out = np.empty_like(values) if out is None else out
+        views = _blocks(spec, values), _blocks(spec, out)
+    w, g = views
     pred, head_in, cache = _forward(cfg, w, batch)
     # each target broadcasts over its quantile columns
     diff = (pred.reshape(targets.shape + (-1,)) - targets[..., np.newaxis]).reshape(pred.shape)
     weights = pinball_weights(diff, _quantile_row(cfg))
     scale = 1.0 / diff[0].size
-    _backward(cfg, w, _blocks(spec, grad), head_in, cache, scale * weights)
-    return (diff * weights).reshape(len(values), -1).sum(axis=1) * scale, grad
+    _backward(cfg, w, g, head_in, cache, scale * weights)
+    return (diff * weights).reshape(len(values), -1).sum(axis=1) * scale, out
 
 
 def task_loss(model: ForecasterModel, windows: np.ndarray, targets: np.ndarray) -> float:
@@ -523,7 +558,8 @@ def _train_stack(
     the (N, P) ``values`` in place and returns the (N, steps) losses."""
     n = len(sets[0][0])
     pull, grad = np.empty_like(values), np.empty_like(values)
-    losses = []
+    spec, losses = build_spec(cfg), []
+    views = _blocks(spec, values), _blocks(spec, grad)
     for _ in range(cfg.local_epochs):
         # each client's windows in its drawn order, gathered into one stack
         orders = [rng.permutation(n) for rng in rngs]
@@ -531,9 +567,8 @@ def _train_stack(
         epoch_targets = np.stack([targets[o] for (_, targets), o in zip(sets, orders)])
         for start in range(0, n, cfg.batch_size):
             step = slice(start, start + cfg.batch_size)
-            grad.fill(0.0)
-            loss, grad = task_loss_and_gradient(
-                cfg, values, epoch_batch[:, step], epoch_targets[:, step], out=grad
+            loss, _ = task_loss_and_gradient(
+                cfg, values, epoch_batch[:, step], epoch_targets[:, step], out=grad, views=views
             )
             _require_finite(ids, np.isfinite(loss), "non-finite training loss")
             losses.append(loss)

@@ -1,11 +1,16 @@
 """The in-process A/B timer of tools/ab_time.py, on this checkout only."""
 
+import json
+import platform
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tools.ab_time import TARGETS, ab_time, digest, load_package, sign_test
+from tools.ab_time import (
+    TARGETS, ab_time, bench_path, bench_record, digest, load_package, sign_test, write_record,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -73,3 +78,31 @@ def test_ab_time_times_nothing_when_the_outputs_differ(tmp_path):
         ab_time(SRC, changed, "train_step", pairs=2)
     # the forward does not read ADAM_EPS, so the same two trees agree there
     assert ab_time(SRC, changed, "aggregate_game", pairs=2, repeat=1)["same_output"]
+
+
+def test_record_holds_each_target_the_machine_and_both_trees(tmp_path):
+    out = ab_time(SRC, SRC, "aggregate_game", pairs=2, repeat=1)
+    path = bench_path(tmp_path, "tiny")
+    assert path == tmp_path / "BENCH_tiny.json" and not path.exists()
+    write_record(path, bench_record([out], "a" * 40, "b" * 40, [" M src/fedgame/data.py"]))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert (record["a_sha"], record["b_sha"]) == ("a" * 40, "b" * 40)
+    assert record["b_src_changes"] == [" M src/fedgame/data.py"]
+    assert record["nproc"] >= 1
+    assert (record["python"], record["numpy"]) == (platform.python_version(), np.__version__)
+    assert set(record["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS"}
+    target = record["targets"]["aggregate_game"]
+    assert target == out
+    assert target["a_s_per_call"] > 0 and target["b_s_per_call"] > 0
+    assert (target["pairs"], target["repeat"]) == (2, 1)
+    assert target["ratio_q1"] <= target["ratio_median"] <= target["ratio_q3"]
+    # a record is never overwritten, and the tag is a plain name
+    with pytest.raises(FileExistsError):
+        bench_path(tmp_path, "tiny")
+    with pytest.raises(FileExistsError):
+        write_record(path, {})
+    assert json.loads(path.read_text(encoding="utf-8")) == record
+    for tag in ("", "../tiny", "a/b", ".hidden"):
+        with pytest.raises(ValueError, match="record tag"):
+            bench_path(tmp_path, tag)

@@ -23,6 +23,7 @@ from fedgame.forecaster import (
     checked_batch,
     init_forecaster,
     local_train,
+    pinball_weights,
     predict,
     task_loss,
     task_loss_and_gradient,
@@ -266,32 +267,50 @@ def test_copied_and_unpickled_models_stay_read_only():
             twin.values[0] = 0.0
 
 
-def test_each_lstm_layer_is_one_fused_matrix_that_writes_through():
-    # the LSTM forward and backward view a layer's wx, wh and b as one
-    # matrix [wx; wh; b], which needs the three blocks adjacent, in that order
-    widths = (5, 3, 7)
-    spec = build_spec(small_config(arch="lstm", hidden_sizes=widths))
-    layers = [spec[3 * i : 3 * i + 3] for i in range(len(widths))]
-    for i, (wx, wh, b) in enumerate(layers):
-        assert (wx.name, wh.name, b.name) == (f"lstm{i}.wx", f"lstm{i}.wh", f"lstm{i}.b")
-        assert (wx.stop, wh.stop) == (wh.offset, b.offset)
+def layer_blocks(cfg):
+    """Layer name -> (its block names in storage order, the (rows, cols)
+    of the layer's one fused matrix), as the forward and backward view them."""
+    widths = cfg.hidden_sizes
+    in_dims = (cfg.history_len if cfg.arch == "mlp" else 1,) + widths
+    layers = {}
+    for i, (in_dim, width) in enumerate(zip(in_dims, widths)):
+        if cfg.arch == "mlp":
+            layers[f"hidden{i}"] = ([f"hidden{i}.w", f"hidden{i}.b"], (in_dim + 1, width))
+        else:
+            layers[f"lstm{i}"] = ([f"lstm{i}.{k}" for k in ("wx", "wh", "b")],
+                                  (in_dim + width + 1, 4 * width))
+    layers["out"] = (["out.w", "out.b"], (in_dims[-1] + 1, cfg.output_dim))
+    return layers
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(hidden_sizes=(5, 3, 7)),
+    dict(hidden_sizes=()),
+    dict(arch="lstm", hidden_sizes=(5, 3, 7)),
+])
+def test_each_layer_is_one_fused_matrix_that_writes_through(overrides):
+    # the forward and backward view each layer as one matrix that ends in
+    # its bias, [w; b] or [wx; wh; b], which needs the blocks adjacent, in that order
+    cfg = small_config(**overrides)
+    spec, layers = build_spec(cfg), layer_blocks(cfg)
+    assert [b.name for b in spec] == [name for names, _ in layers.values() for name in names]
+    assert all(a.stop == b.offset for a, b in zip(spec, spec[1:]))
+    blocks = {b.name: b for b in spec}
     values = np.random.default_rng(43).normal(size=(3, total_params(spec)))
-    # a stack of parameters and a zeroed gradient, as task_loss_and_gradient views both
+    # a stack of parameters and a gradient buffer, as task_loss_and_gradient views both
     for flat in (values, np.zeros_like(values)):
         views = _blocks(spec, flat)
-        for i, (in_dim, width) in enumerate(zip((1,) + widths, widths)):
-            fused = views[f"lstm{i}"]
-            assert fused.shape == (3, in_dim + width + 1, 4 * width)
-            parts = [views[f"lstm{i}.{k}"] for k in ("wx", "wh", "b")]
-            assert fused.tobytes() == np.concatenate(parts, axis=1).tobytes()
+        assert sorted(views) == sorted(layers)
+        for layer, (names, shape) in layers.items():
+            fused = views[layer]
+            assert fused.shape == (3,) + shape, layer
+            parts = [flat[:, blocks[k].offset : blocks[k].stop].reshape(3, -1, shape[1])
+                     for k in names]
+            assert fused.tobytes() == np.concatenate(parts, axis=1).tobytes(), layer
             before = flat.copy()
             fused += 1.0
-            written = np.arange(layers[i][0].offset, layers[i][2].stop)
-            assert np.array_equal(np.flatnonzero((flat != before).any(axis=0)), written)
-    # an MLP's views are its blocks alone, each in its own shape
-    mlp = build_spec(small_config(hidden_sizes=(5, 4)))
-    shapes = {name: v.shape for name, v in _blocks(mlp, np.zeros((1, total_params(mlp)))).items()}
-    assert shapes == {b.name: (1,) * (3 - len(b.shape)) + b.shape for b in mlp}
+            written = np.arange(blocks[names[0]].offset, blocks[names[-1]].stop)
+            assert np.array_equal(np.flatnonzero((flat != before).any(axis=0)), written), layer
 
 
 def test_lstm_head_sizes_for_reference_architecture():
@@ -455,6 +474,17 @@ def test_exact_forecast_takes_the_under_prediction_slope():
     assert losses[0] == 0.0
     np.testing.assert_allclose(grad[0, -cfg.output_dim:], -_quantile_row(cfg) / cfg.output_dim,
                                rtol=1e-15, atol=0)
+
+
+def test_pinball_weights_keep_the_bits_of_the_two_branch_form():
+    # exact zeros of either sign take the -q branch, as diff > 0 is false for both
+    diff = np.array([[-1.5, -0.0, 0.0, 2.0 ** -1074, 3.0, -(2.0 ** -1074)]] * 2)
+    q_flat = np.array([0.1, 0.5, 0.9, 0.3, 0.7, 0.05])
+    for q in (q_flat, 0.9, 1.0 / 3.0):
+        expected = np.where(diff > 0, 1.0 - np.asarray(q), -np.asarray(q))
+        weights = pinball_weights(diff, q)
+        assert weights.dtype == np.float64 and weights.shape == diff.shape
+        assert weights.tobytes() == expected.tobytes()
 
 
 def train_by_id(models, data, anchor, rngs):
@@ -645,7 +675,7 @@ print(statistics.median(faults[3:]))
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="the fault counts follow glibc malloc's trim and mmap thresholds",
 )
-@pytest.mark.parametrize("arch, n, width", [("mlp", 32, 32), ("lstm", 8, 16)])
+@pytest.mark.parametrize("arch, n, width", [("mlp", 32, 32), ("mlp", 8, 32), ("lstm", 8, 16)])
 def test_training_step_takes_no_page_faults_once_warm(arch, n, width):
     # each step's temporaries sit in one block large enough to raise
     # glibc's trim threshold above the step's working set, so the heap

@@ -15,7 +15,14 @@ when the results agree.  The script then times the two sides in
 alternation, swapping which goes first on every pair, and prints the
 median of the per-pair ratios B/A (B is this checkout, A is REF; above 1
 means slower), their quartiles, how many pairs B won and a two-sided
-sign-test p-value.
+sign-test p-value.  Several targets may be named after ``--target``.
+
+    python tools/ab_time.py REF --target mlp_step local_train --record TAG
+
+``--record TAG`` also writes the results to ``BENCH_<TAG>.json`` at the
+repository root, with the machine (``nproc``, the Python and numpy
+versions, the BLAS thread settings) and both sides' commits; it refuses
+to overwrite a file, before anything is timed.
 
 Separate benchmark processes of the same code can differ by more than
 10%, because the CPU's speed drifts; alternating call by call inside one
@@ -28,7 +35,8 @@ from __future__ import annotations
 import os
 
 # one BLAS thread, as the benchmark pins it; set before numpy loads
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_ENV:
     os.environ.setdefault(_var, "1")
 
 import argparse
@@ -37,7 +45,11 @@ import dataclasses
 import gc
 import hashlib
 import importlib.util
+import json
 import math
+import platform
+import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -52,6 +64,7 @@ if str(ROOT) not in sys.path:
 
 from perfbench.workloads import DEV_SEED, build_configs  # noqa: E402
 from tools.compare_artifacts import export_src  # noqa: E402
+
 
 def load_package(src: Path, name: str):
     """The ``fedgame`` package under ``src``, imported as ``name``; modules
@@ -245,7 +258,8 @@ def ab_time(src_a: Path, src_b: Path, target: str, pairs: int = 40,
     Raises RuntimeError, having timed nothing, if the two return
     different bytes.  Each of ``pairs`` (at least 2) times ``repeat``
     calls a side, the first side alternating between pairs; ``ratio_*``
-    summarize B/A per pair.
+    summarize B/A per pair, and ``a_s_per_call`` and ``b_s_per_call``
+    are each side's median seconds a call.
     """
     if pairs < 2:
         raise ValueError(f"pairs must be at least 2 for quartiles, got {pairs}")
@@ -258,7 +272,7 @@ def ab_time(src_a: Path, src_b: Path, target: str, pairs: int = 40,
             calls.append(build(load_package(src, f"_ab_{side}_fedgame"), Path(tmp) / side))
         if digest(calls[0]()) != digest(calls[1]()):
             raise RuntimeError(f"{target}: the two trees return different bytes; nothing timed")
-        ratios = []
+        samples = []
         for k in range(pairs):
             gc.collect()
             gc.disable()
@@ -268,27 +282,79 @@ def ab_time(src_a: Path, src_b: Path, target: str, pairs: int = 40,
                 times[second] = _seconds(calls[second], repeat)
             finally:
                 gc.enable()
-            ratios.append(times[1] / times[0])
+            samples.append((times[0], times[1]))
+    ratios = [b / a for a, b in samples]
     wins, losses = sum(r < 1 for r in ratios), sum(r > 1 for r in ratios)
     q1, _, q3 = quantiles(ratios, n=4)
     return {"target": target, "pairs": pairs, "repeat": repeat, "same_output": True,
+            "a_s_per_call": median(a for a, _ in samples) / repeat,
+            "b_s_per_call": median(b for _, b in samples) / repeat,
             "ratio_median": median(ratios), "ratio_q1": q1, "ratio_q3": q3,
             "b_wins": wins, "sign_p": sign_test(wins, losses)}
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
+                          text=True).stdout.rstrip("\n")
+
+
+def bench_path(directory: Path, tag: str) -> Path:
+    """``directory/BENCH_<tag>.json``; a ValueError for a tag that is not a
+    plain name and a FileExistsError for a file that is already there."""
+    if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", tag):
+        raise ValueError(f"record tag must be letters, digits, '.', '_' or '-', got {tag!r}")
+    path = Path(directory) / f"BENCH_{tag}.json"
+    if path.exists():
+        raise FileExistsError(f"{path} exists; records are never overwritten")
+    return path
+
+
+def bench_record(results: list[dict], a_sha: str, b_sha: str, b_src_changes: list[str]) -> dict:
+    """What ``BENCH_*.json`` holds: each target's result, the machine and
+    both sides' trees.  B is commit ``b_sha`` plus ``b_src_changes``,
+    the ``git status --porcelain`` lines of its ``src`` (none when B is
+    exactly that commit)."""
+    return {
+        "tool": "tools/ab_time.py", "a_sha": a_sha, "b_sha": b_sha,
+        "b_src_changes": b_src_changes, "nproc": os.cpu_count(),
+        "python": platform.python_version(), "numpy": np.__version__,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_ENV},
+        "targets": {out["target"]: out for out in results},
+    }
+
+
+def write_record(path: Path, record: dict) -> None:
+    with open(path, "x", encoding="utf-8") as f:
+        json.dump(record, f, indent=2)
+        f.write("\n")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git commit, tag or branch to time against (side A)")
-    parser.add_argument("--target", required=True, choices=sorted(TARGETS))
+    parser.add_argument("--target", required=True, nargs="+", choices=sorted(TARGETS))
+    parser.add_argument("--record", metavar="TAG",
+                        help="also write the results to BENCH_<TAG>.json at the repo root")
     args = parser.parse_args(argv)
+    path = bench_path(ROOT, args.record) if args.record else None
+    results = []
     with tempfile.TemporaryDirectory(prefix="ab-time-ref-") as tmp:
         ref = export_src(ROOT, args.ref, Path(tmp) / "ref")
-        out = ab_time(ref, ROOT / "src", args.target)
-    print(f"{out['target']}: B/A median {out['ratio_median']:.4f} "
-          f"(quartiles {out['ratio_q1']:.4f}-{out['ratio_q3']:.4f}), "
-          f"B faster on {out['b_wins']} of {out['pairs']} pairs, "
-          f"sign-test p = {out['sign_p']:.3g}; "
-          f"{out['repeat']} call(s) a side per pair, outputs byte-identical")
+        for target in args.target:
+            out = ab_time(ref, ROOT / "src", target)
+            print(f"{out['target']}: B/A median {out['ratio_median']:.4f} "
+                  f"(quartiles {out['ratio_q1']:.4f}-{out['ratio_q3']:.4f}), "
+                  f"B faster on {out['b_wins']} of {out['pairs']} pairs, "
+                  f"sign-test p = {out['sign_p']:.3g}; "
+                  f"{out['repeat']} call(s) a side per pair, outputs byte-identical",
+                  flush=True)
+            results.append(out)
+    if path:
+        changes = _git("status", "--porcelain", "--", "src").splitlines()
+        write_record(path, bench_record(results, _git("rev-parse", "--verify",
+                                                      f"{args.ref}^{{commit}}"),
+                                        _git("rev-parse", "HEAD"), changes))
+        print(f"wrote {path}")
     return 0
 
 
