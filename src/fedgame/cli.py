@@ -137,23 +137,6 @@ def cmd_run(config: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> int:
-    """Same seeds per method; one comparison row per aggregator kind."""
-    rows = []
-    for kind in config.baselines:
-        result = run_experiment(config, kind)
-        report = result.eval_report
-        rows.append([kind, repr(report.macro_qs), repr(report.macro_mil),
-                     repr(report.macro_icp)])
-        print(f"{kind:18s} qs={report.macro_qs:.6f} "
-              f"mil={report.macro_mil:.6f} icp={report.macro_icp:.6f}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "ablation.csv", ["method", "qs", "mil", "icp"], rows)
-    _json_dump(config_to_dict(config), out_dir / "config.json")
-    print(f"wrote {out_dir / 'ablation.csv'}")
-    return 0
-
-
 def comm_summary(config: ExperimentConfig) -> dict:
     """Closed-form per-round traffic for the configured model.
 
@@ -209,7 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "run": "run one experiment and write round and evaluation reports",
-        "ablate": "run every configured baseline on the same seeds",
         "comm": "print per-round communication cost for the configured model",
         "synth": "emit the configured synthetic dataset as CSV",
     }
@@ -257,8 +239,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return cmd_run(config, out_dir)
-        if args.command == "ablate":
-            return cmd_ablate(config, out_dir)
         if args.command == "comm":
             return cmd_comm(config)
         return cmd_synth(config, out_dir)

@@ -342,7 +342,6 @@ class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
     test_frac: float = 0.2
     master_seed: int = 0
     output_dir: str = "out"
-    baselines: tuple[str, ...] = ("game", "mean", "single_attention", "fedavg", "local_only")
     published_total_params: int | None = None
     published_head_params: int | None = None
 
@@ -372,15 +371,6 @@ class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
             # a layerless MLP is all output head and leaves no shared body;
             # ForecasterConfig rejects a layerless LSTM itself
             problems.append("hidden_sizes must not be empty")
-        if "baselines" not in bad:
-            if not self.baselines:
-                problems.append("baselines must not be empty")
-            unknown = [b for b in self.baselines if b not in AGGREGATOR_KINDS]
-            if unknown:
-                problems.append(f"baselines contains unknown kinds {unknown}")
-            repeated = [b for b in dict.fromkeys(self.baselines) if self.baselines.count(b) > 1]
-            if repeated:
-                problems.append(f"baselines repeats kinds {repeated}")
         published = tuple(k for k in ("published_total_params", "published_head_params")
                           if getattr(self, k) is not None)
         small = too_small(self, published, 1, bad)
@@ -423,19 +413,22 @@ class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
     def forecaster_config(self, kind: str | None = None) -> ForecasterConfig:
         """Client settings; consensus-only kinds drop the proximal pull."""
         cfg = self._sub_config(ForecasterConfig)
-        if (kind or self.aggregator_kind) in ("fedavg", "local_only"):
+        if self.hyper_params(kind).aggregator_kind in ("fedavg", "local_only"):
             cfg = replace(cfg, prox_mu=0.0)
         return cfg
 
     def aggregator_config(self, kind: str | None = None) -> AggregatorConfig:
         """Server settings; the single-attention baseline degenerates."""
         cfg = self._sub_config(AggregatorConfig)
-        if (kind or self.aggregator_kind) == "single_attention":
+        if self.hyper_params(kind).aggregator_kind == "single_attention":
             cfg = replace(cfg, num_experts=1, top_k=1, noise_enabled=False)
         return cfg
 
     def hyper_params(self, kind: str | None = None) -> HyperParams:
-        return self._sub_config(HyperParams, aggregator_kind=kind or self.aggregator_kind)
+        """Protocol settings; ``kind``, unless None, replaces the configured
+        kind and is checked like it."""
+        return self._sub_config(
+            HyperParams, aggregator_kind=self.aggregator_kind if kind is None else kind)
 
     def splits(self) -> tuple[float, float, float]:
         return (self.train_frac, self.val_frac, self.test_frac)
@@ -476,10 +469,10 @@ def run_experiment(config: ExperimentConfig, aggregator_kind: str | None = None)
     """Run the full protocol once and evaluate the personalized models.
 
     ``aggregator_kind`` overrides the configured kind but reuses every
-    seed stream, which is what makes ablation rows comparable.
+    seed stream, which is what makes sweep cells comparable.
     """
-    kind = aggregator_kind or config.aggregator_kind
-    hyper = config.hyper_params(kind)
+    hyper = config.hyper_params(aggregator_kind)
+    kind = hyper.aggregator_kind
     fcfg = config.forecaster_config(kind)
 
     shards = load_shards(config)

@@ -643,6 +643,22 @@ def test_run_experiment_wraps_failures_with_round_context(monkeypatch):
         run_experiment(config, "fedavg")
 
 
+def test_two_clients_game_equals_mean():
+    # each client's one peer takes all its attention, as under mean
+    config = ExperimentConfig(**{**SMALL, "n_clients": 2})
+    game, mean = (run_experiment(config, kind).eval_report for kind in ("game", "mean"))
+    assert game.macro_qs == mean.macro_qs
+    assert game.macro_mil == mean.macro_mil
+
+
+def test_an_empty_kind_is_a_config_error_not_the_configured_kind():
+    config = ExperimentConfig(**{**SMALL, "aggregator_kind": "fedavg"})
+    for build in (run_experiment, ExperimentConfig.hyper_params,
+                  ExperimentConfig.forecaster_config, ExperimentConfig.aggregator_config):
+        with pytest.raises(ConfigError, match="aggregator_kind must be one of"):
+            build(config, "")
+
+
 def test_effective_forecaster_config_per_kind():
     config = ExperimentConfig(prox_mu=0.3)
     assert config.forecaster_config("game").prox_mu == 0.3

@@ -190,7 +190,9 @@ def experiment(workload: str):
 
 
 # each target's builder, and its calls per timed sample: about 50 ms of
-# work on 2 CPUs, as shorter samples spread too widely to compare
+# work on 2 CPUs, as shorter samples spread too widely to compare.  An
+# LSTM step's 20-call samples read A/A quartiles as wide as 0.92-1.09,
+# so it takes 80 calls
 TARGETS = {
     "train_step": (train_step, 20),
     "aggregate_game": (aggregate_game, 150),
@@ -198,7 +200,7 @@ TARGETS = {
     "evaluate": (evaluate, 50),
     "setup": (setup, 20),
     "mlp_step": (grad_step("clustered_mlp"), 250),
-    "lstm_step": (grad_step("lstm_fedavg"), 20),
+    "lstm_step": (grad_step("lstm_fedavg"), 80),
     **{name: (experiment(name), 1) for name in ("clustered_mlp", "wide_server", "lstm_fedavg")},
 }
 
@@ -298,12 +300,12 @@ def _git(*args: str) -> str:
                           text=True).stdout.rstrip("\n")
 
 
-def bench_path(directory: Path, tag: str) -> Path:
-    """``directory/BENCH_<tag>.json``; a ValueError for a tag that is not a
-    plain name and a FileExistsError for a file that is already there."""
+def bench_path(directory: Path, tag: str, prefix: str = "BENCH") -> Path:
+    """``directory/<prefix>_<tag>.json``; a ValueError for a tag that is not
+    a plain name and a FileExistsError for a file that is already there."""
     if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", tag):
         raise ValueError(f"record tag must be letters, digits, '.', '_' or '-', got {tag!r}")
-    path = Path(directory) / f"BENCH_{tag}.json"
+    path = Path(directory) / f"{prefix}_{tag}.json"
     if path.exists():
         raise FileExistsError(f"{path} exists; records are never overwritten")
     return path
@@ -324,9 +326,11 @@ def bench_record(results: list[dict], a_sha: str, b_sha: str, b_src_changes: lis
 
 
 def write_record(path: Path, record: dict) -> None:
+    """``record`` as strict JSON in a new file ``path``: a record holding a
+    NaN or an infinity raises ValueError and writes nothing."""
+    text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     with open(path, "x", encoding="utf-8") as f:
-        json.dump(record, f, indent=2)
-        f.write("\n")
+        f.write(text)
 
 
 def main(argv=None) -> int:
@@ -336,7 +340,7 @@ def main(argv=None) -> int:
     parser.add_argument("--record", metavar="TAG",
                         help="also write the results to BENCH_<TAG>.json at the repo root")
     args = parser.parse_args(argv)
-    path = bench_path(ROOT, args.record) if args.record else None
+    path = bench_path(ROOT, args.record) if args.record is not None else None
     results = []
     with tempfile.TemporaryDirectory(prefix="ab-time-ref-") as tmp:
         ref = export_src(ROOT, args.ref, Path(tmp) / "ref")
