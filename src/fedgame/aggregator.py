@@ -25,14 +25,11 @@ neighbor and cancels in the softmax over neighbors; the client's own
 embedding, an expert bias and the shared encoder bias are such terms.
 
 The logit matrix ``mix @ scores.T`` has rank at most K, the number of
-experts: every client's logits over its neighbors mix the same K expert
-rankings.  With ``top_k: 1`` a client follows one of K neighbor
-rankings; with one expert every client ranks its neighbors alike, the
-"static attention" of Brody, Alon and Yahav ("How Attentive are Graph
-Attention Networks?", ICLR 2022).  With ``top_k: 1``, as in every
-``single_attention`` run, the mix is a softmax over one kept logit,
-constant 1: the gate blocks get an exactly zero gradient and keep their
-registration draw.
+experts: one expert ranks every client's neighbors alike, the "static
+attention" of Brody et al. (ICLR 2022), and ``top_k: 1`` gives the
+gates an exactly zero gradient; no built-in kind forces either.  The
+yardstick for the learned graph, ``single_attention``, is the
+parameter-free cosine attention of FedAMP and pFedGraph.
 
 A batch is a list of N client ids and the (N, h) matrix of their head
 deltas; row i of every input and output belongs to ``ids[i]``.
@@ -61,6 +58,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Norms below this are treated as zero when computing cosine similarity.
 NORM_TOLERANCE = 1e-12
+COSINE_TEMPERATURE = 0.1
 
 
 @dataclass(frozen=True)
@@ -402,11 +400,15 @@ def aggregate_game(state: AggregatorState, ids, deltas) -> Aggregation:
     )
 
 
-def aggregate_single_attention(state: AggregatorState, ids, deltas) -> Aggregation:
-    """Single shared attention score per pair: one expert, trivial gate."""
-    if state.config.num_experts != 1 or state.config.top_k != 1:
-        raise ConfigError("single-attention baseline needs num_experts = 1 and top_k = 1")
-    return aggregate_game(state, ids, deltas)
+def aggregate_single_attention(state: AggregatorState, ids, deltas) -> tuple[np.ndarray, ...]:
+    """Personalized deltas and attention, rows as ``ids``: the blend with
+    ``w_self`` of a softmax over j != i of cos(delta_i, delta_j) / COSINE_TEMPERATURE."""
+    deltas, order, back = _content_order(deltas, ids, state.head_dim)
+    deltas = deltas[order]
+    norms = np.sqrt(np.sum(deltas * deltas, axis=1, keepdims=True))
+    unit = np.where(norms >= NORM_TOLERANCE, deltas / np.maximum(norms, NORM_TOLERANCE), 0.0)
+    attention = _attention(unit @ unit.T, COSINE_TEMPERATURE)
+    return _blend(deltas, attention, state.config.w_self)[back], attention[np.ix_(back, back)]
 
 
 def uniform_attention(n: int) -> np.ndarray:

@@ -3,11 +3,11 @@
 One round has three phases.  (a) Every participating client fine-tunes
 its private model on local data under the proximal objective and
 uploads the parameter difference against the current consensus model.
-(b) The server averages the differences into the consensus model,
-takes one meta-loss training step on the aggregator, and computes each
-client's personalized head update from noise-free attention.  (c) Each
-client adds its personalized head update; the fine-tune that completes
-the update happens at the start of the next round.
+(b) The server averages the differences into the consensus model and
+computes each client's personalized head update from noise-free
+attention, under ``game`` after one meta-loss step on the aggregator.
+(c) Each client adds its personalized head update; the fine-tune that
+completes the update happens at the start of the next round.
 
 The server side of a round works on one matrix with a row per
 participant, in sorted-id order: the differences, their mean, the head
@@ -235,9 +235,9 @@ def run_round(
     """One federated round; returns fresh state, never mutating the input.
 
     ``train_data`` maps client id to its training windows.  For the
-    personalized kinds ``aggregator`` must be provided; its parameters
-    advance by one meta-loss step inside the round, and only when the
-    round succeeds.
+    personalized kinds ``aggregator`` must be provided; under ``game``
+    its parameters advance by one meta-loss step inside the round, and
+    only when the round succeeds.
     """
     started = time.perf_counter()
     kind = hyper.aggregator_kind
@@ -252,7 +252,7 @@ def run_round(
     new_state = RoundState(r, state.global_model, dict(state.client_models), seed)
     # the meta step rebinds arrays and never writes them, so it runs on a
     # shallow copy until the round can no longer fail
-    server = replace(aggregator) if kind in ("game", "single_attention") else aggregator
+    server = replace(aggregator) if kind == "game" else aggregator
     spec = new_state.global_model.spec
     participants = _select_participants(new_state, hyper)
 
@@ -274,12 +274,13 @@ def run_round(
     meta = 0.0
     gate_mixes: dict[str, tuple[float, ...]] = {}
     attention = np.zeros((len(participants), len(participants)))
-    if kind in ("game", "single_attention"):
+    if kind == "game":
         if len(participants) >= 2:
             meta = train_step(server, participants, heads, round_stream(seed, "gate_noise", r))
-        aggregate = aggregate_game if kind == "game" else aggregate_single_attention
-        personalized, attention, mix, _ = aggregate(server, participants, heads)
+        personalized, attention, mix, _ = aggregate_game(server, participants, heads)
         gate_mixes = {cid: tuple(row) for cid, row in zip(participants, mix.tolist())}
+    elif kind == "single_attention":
+        personalized, attention = aggregate_single_attention(aggregator, participants, heads)
     elif kind == "mean":
         personalized = aggregate_mean(heads, aggregator.config.w_self)
         attention = uniform_attention(len(participants))
@@ -417,12 +418,9 @@ class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
             cfg = replace(cfg, prox_mu=0.0)
         return cfg
 
-    def aggregator_config(self, kind: str | None = None) -> AggregatorConfig:
-        """Server settings; the single-attention baseline degenerates."""
-        cfg = self._sub_config(AggregatorConfig)
-        if self.hyper_params(kind).aggregator_kind == "single_attention":
-            cfg = replace(cfg, num_experts=1, top_k=1, noise_enabled=False)
-        return cfg
+    def aggregator_config(self) -> AggregatorConfig:
+        """Server settings, the same for every kind."""
+        return self._sub_config(AggregatorConfig)
 
     def hyper_params(self, kind: str | None = None) -> HyperParams:
         """Protocol settings; ``kind``, unless None, replaces the configured
@@ -496,7 +494,7 @@ def run_experiment(config: ExperimentConfig, aggregator_kind: str | None = None)
     if kind in PERSONALIZED_KINDS:
         rng = seed_stream(config.master_seed, "aggregator")
         head = head_length(state.global_model.spec)
-        aggregator = init_aggregator(config.aggregator_config(kind), head, rng)
+        aggregator = init_aggregator(config.aggregator_config(), head, rng)
         register_client(aggregator, list(train_data), rng)
 
     reports = []

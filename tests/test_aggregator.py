@@ -19,6 +19,7 @@ from fedgame.aggregator import (
     register_client,
     top_k_mask,
     train_step,
+    uniform_attention,
     _backward,
     _batch,
     _encode,
@@ -655,31 +656,67 @@ def test_train_step_requires_two_clients():
         train_step(state, ["a"], np.ones((1, 6)), rng)
 
 
-def test_game_single_attention_equivalence():
-    state = make_state(
-        clients=("a", "b", "c"), seed=34, num_experts=1, top_k=1, noise_enabled=False
+def test_single_attention_is_cosine_attention_read_from_no_parameter():
+    # c is -a, and d is b at twice the length
+    deltas = np.array([[1.0, 0.1, 0.0], [0.9, 0.0, 0.2], [-1.0, -0.1, 0.0], [1.8, 0.0, 0.4]])
+    state = make_state(head_dim=3, clients=(), seed=38)
+    pers, att = aggregate_single_attention(state, list("abcd"), deltas)
+    unit = deltas / np.linalg.norm(deltas, axis=1, keepdims=True)
+    logits = np.where(np.eye(4, dtype=bool), -np.inf, unit @ unit.T / 0.1)
+    expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(att, expected, rtol=1e-12, atol=0)
+    w = state.config.w_self
+    np.testing.assert_allclose(pers, w * deltas + (1 - w) * expected @ deltas, rtol=1e-12)
+    assert att[1].argmax() == 3 and att[2, 0] == np.delete(att[2], 2).min()
+    # other parameters, experts and gates, and no registration give the same bits
+    other = make_state(head_dim=3, clients=("x",), seed=39, num_experts=1, top_k=1)
+    for a, b in zip((pers, att), aggregate_single_attention(other, list("abcd"), deltas)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_single_attention_relabeling_and_row_order_change_no_bit():
+    rng = np.random.default_rng(41)
+    deltas = rng.normal(size=(5, 6))
+    deltas[3] = deltas[1]
+    state = make_state(clients=())
+    pers, att = aggregate_single_attention(state, list("abcde"), deltas)
+    perm = [4, 2, 0, 3, 1]
+    names = ["v", "w", "x", "y", "z"]
+    pers2, att2 = aggregate_single_attention(state, [names[i] for i in perm], deltas[perm])
+    np.testing.assert_array_equal(pers2, pers[perm])
+    np.testing.assert_array_equal(att2, att[np.ix_(perm, perm)])
+
+
+def test_single_attention_of_identical_deltas_equals_mean():
+    state = make_state(clients=())
+    deltas = np.tile(np.random.default_rng(42).normal(size=6), (4, 1))
+    pers, att = aggregate_single_attention(state, list("abcd"), deltas)
+    np.testing.assert_array_equal(pers, aggregate_mean(deltas, state.config.w_self))
+    np.testing.assert_array_equal(att, uniform_attention(4))
+
+
+def test_single_attention_zero_delta_and_scale():
+    state = make_state(clients=())
+    deltas = np.random.default_rng(43).normal(size=(4, 6))
+    deltas[2] = 0.0
+    pers, att = aggregate_single_attention(state, list("abcd"), deltas)
+    assert np.isfinite(pers).all() and np.isfinite(att).all()
+    # a zero delta has cosine 0 with every other: uniform weights on its row
+    np.testing.assert_array_equal(att[2], [1 / 3, 1 / 3, 0.0, 1 / 3])
+    np.testing.assert_allclose(att.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    scaled = deltas.copy()
+    scaled[1] *= 2.0
+    np.testing.assert_allclose(
+        aggregate_single_attention(state, list("abcd"), scaled)[1], att, rtol=1e-15, atol=1e-16
     )
-    deltas = random_deltas(state, ("a", "b", "c"), seed=35)
-    game = aggregate_game(state, ["a", "b", "c"], deltas)
-    single = aggregate_single_attention(state, ["a", "b", "c"], deltas)
-    np.testing.assert_array_equal(game.personalized, single.personalized)
-    np.testing.assert_array_equal(game.attention, single.attention)
-
-    wide = make_state(clients=("a", "b"), seed=36)
-    with pytest.raises(ConfigError):
-        aggregate_single_attention(wide, ["a", "b"], random_deltas(wide, ("a", "b"), seed=37))
 
 
-def test_zero_expert_single_attention_equals_mean():
-    state = make_state(
-        clients=("a", "b", "c", "d"), seed=38, num_experts=1, top_k=1,
-        noise_enabled=False,
-    )
-    state.experts_w[...] = 0.0
-    deltas = random_deltas(state, ("a", "b", "c", "d"), seed=39)
-    pers = aggregate_single_attention(state, list("abcd"), deltas).personalized
-    base = aggregate_mean(deltas, state.config.w_self)
-    np.testing.assert_allclose(pers, base, rtol=0, atol=1e-12)
+def test_single_attention_lone_client_keeps_its_delta():
+    state = make_state(clients=())
+    delta = np.array([[0.5, -1.0, 2.0, 0.0, 1.0, 3.0]])
+    pers, att = aggregate_single_attention(state, ["a"], delta)
+    np.testing.assert_array_equal(pers, delta)
+    np.testing.assert_array_equal(att, np.zeros((1, 1)))
 
 
 def test_aggregate_mean_cases():

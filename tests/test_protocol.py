@@ -398,11 +398,7 @@ def test_first_round_consensus_is_identical_across_personalized_kinds():
     results = {}
     for kind in ("game", "mean", "single_attention"):
         state, data = build_setup(3, seed=8)
-        if kind == "single_attention":
-            agg = fresh_aggregator(state, seed=8, num_experts=1,
-                                   noise_enabled=False)
-        else:
-            agg = fresh_aggregator(state, seed=8)
+        agg = fresh_aggregator(state, seed=8)
         hyper = HyperParams(rounds=1, aggregator_kind=kind)
         new_state, _ = run_round(state, hyper, agg, data)
         results[kind] = new_state.global_model.values
@@ -654,7 +650,7 @@ def test_two_clients_game_equals_mean():
 def test_an_empty_kind_is_a_config_error_not_the_configured_kind():
     config = ExperimentConfig(**{**SMALL, "aggregator_kind": "fedavg"})
     for build in (run_experiment, ExperimentConfig.hyper_params,
-                  ExperimentConfig.forecaster_config, ExperimentConfig.aggregator_config):
+                  ExperimentConfig.forecaster_config):
         with pytest.raises(ConfigError, match="aggregator_kind must be one of"):
             build(config, "")
 
@@ -665,5 +661,17 @@ def test_effective_forecaster_config_per_kind():
     assert config.forecaster_config("fedprox_only").prox_mu == 0.3
     assert config.forecaster_config("fedavg").prox_mu == 0.0
     assert config.forecaster_config("local_only").prox_mu == 0.0
-    single = config.aggregator_config("single_attention")
-    assert single.num_experts == 1 and single.top_k == 1 and not single.noise_enabled
+
+
+def test_single_attention_finds_the_clusters_without_a_meta_step():
+    """The cosine yardstick puts nearly all its last-round attention on
+    same-cluster peers, where a uniform mixer puts 2/5, and its
+    aggregator takes no meta step."""
+    for seed in range(3):
+        config = ExperimentConfig(n_clients=6, n_clusters=2, series_length=160, history_len=6,
+                                  hidden_sizes=(8,), embed_dim=4, rounds=5, gamma=0.1,
+                                  master_seed=seed)
+        result = run_experiment(config, "single_attention")
+        last = attention_diagnostics(result.reports, result.cluster_labels)[-1]
+        assert last["intra_cluster_mass"] >= 0.9
+        assert result.aggregator.adam_t == 0

@@ -115,7 +115,7 @@ def _server(fg, workdir: Path):
     config, ids, _, state = _wide_server(fg, workdir)
     rng = np.random.default_rng(0)
     head = fg.params.head_length(state.global_model.spec)
-    server = fg.aggregator.init_aggregator(config.aggregator_config("game"), head, rng)
+    server = fg.aggregator.init_aggregator(config.aggregator_config(), head, rng)
     fg.aggregator.register_client(server, ids, rng)
     return server, ids, rng.normal(scale=0.05, size=(len(ids), head))
 
