@@ -18,7 +18,7 @@ config = ExperimentConfig(
     history_len=12, horizon=2, hidden_sizes=(32,),
     local_lr=0.005, prox_mu=0.2,
     embed_dim=16, num_experts=4, top_k=2, server_lr=0.02,
-    noise_enabled=False, rounds=30, gamma=0.1, master_seed=0,
+    rounds=30, gamma=0.1, master_seed=0,
 )
 
 print(f"{'method':18s} {'QS':>8s} {'MIL':>8s} {'ICP':>8s}")

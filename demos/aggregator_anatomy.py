@@ -21,8 +21,8 @@ from fedgame import (
 from fedgame.aggregator import expert_scores
 
 rng = np.random.default_rng(3)
-cfg = AggregatorConfig(embed_dim=6, num_experts=4, top_k=2, noise_enabled=False)
-# The state holds no generator: init, registration and training draw from the one given.
+cfg = AggregatorConfig(embed_dim=6, num_experts=4, top_k=2)
+# The state holds no generator: init and registration draw from the one given.
 server_rng = np.random.default_rng(42)
 state = init_aggregator(cfg, head_dim=10, rng=server_rng)
 
@@ -70,7 +70,7 @@ for cid, pers, delta in zip(ids, out.personalized, deltas):
 # Training aligns personalized deltas with the clients' raw deltas.
 print("\nmeta-loss over 40 training steps:")
 for step in range(40):
-    loss = train_step(state, ids, deltas, server_rng)
+    loss = train_step(state, ids, deltas)
     if step % 10 == 0:
         print(f"  step {step:2d}: {loss:.6f}")
 print(f"  final  : {mean_meta_loss(state, ids, deltas):.6f}")

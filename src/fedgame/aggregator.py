@@ -2,8 +2,8 @@
 
 The server never sees raw data, only each client's output-head delta.
 A shared affine encoder embeds every delta; shared scoring experts rate
-each neighbor's embedding; a per-client noisy top-k gate mixes the
-expert scores into one relevance logit per neighbor; a
+each neighbor's embedding; a per-client top-k gate mixes the expert
+scores into one relevance logit per neighbor; a
 temperature-scaled softmax over neighbors turns logits into attention
 weights; and the personalized update blends the client's own delta with
 the attention-weighted neighbor deltas.
@@ -35,10 +35,10 @@ A batch is a list of N client ids and the (N, h) matrix of their head
 deltas; row i of every input and output belongs to ``ids[i]``.
 Relabeling or reordering clients permutes every output bit for bit.
 Each batch runs in a canonical order set by content: rows sorted by the
-raw bytes of their head delta and gate block, ties by id.  The forward,
-the backward and the noise draws follow it, so a relabeling changes no
-input of any numeric operation and plain ``@`` and sums, BLAS included,
-give the same bits.  Clients whose keys tie have identical inputs.
+raw bytes of their head delta and gate block, ties by id.  The forward
+and the backward follow it, so a relabeling changes no input of any
+numeric operation and plain ``@`` and sums, BLAS included, give the
+same bits.  Clients whose keys tie have identical inputs.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class AggregatorConfig:
     alpha: float = 0.5
     beta: float = 0.5
     server_lr: float = 1e-3
-    noise_enabled: bool = True
+    # vestigial: only false is accepted
+    noise_enabled: bool = False
 
     def __post_init__(self) -> None:
         problems, bad = typed_fields(self)
@@ -87,12 +88,14 @@ class AggregatorConfig:
             )
         if "w_self" not in bad and not 0.0 <= self.w_self <= 1.0:
             problems.append(f"w_self must lie in [0, 1], got {self.w_self}")
+        if "noise_enabled" not in bad and self.noise_enabled:
+            problems.append("noise_enabled must be false: the noisy gate was removed")
         if problems:
             raise ConfigError(*problems)
 
 
 class Aggregation(NamedTuple):
-    """Noise-free output of one batch; row i belongs to ``ids[i]``.
+    """Output of one batch; row i belongs to ``ids[i]``.
 
     ``attention[i, j]`` is client i's weight on client j (zero diagonal,
     all zero for a lone client); ``mix`` is each client's expert mix,
@@ -112,13 +115,13 @@ class AggregatorState:
 
     ``params`` is one flat vector: ``encoder_w`` (head_dim, embed_dim),
     ``encoder_b`` (embed_dim), ``experts_w`` (num_experts, embed_dim), then
-    one (2, embed_dim, num_experts) gate block per registered client in
-    registration order, its gate weight then its noise projection; ``rows``
-    maps each client id to its block.  The four named arrays are properties
-    without setters that return views of ``params``, so a write through one
-    writes ``params``.  Expert k scores a neighbor embedding e_j as
-    ``experts_w[k] . e_j``.  ``adam_m`` and ``adam_v`` are Adam's moments,
-    shaped like ``params``; ``adam_t`` counts the steps taken.
+    one (embed_dim, num_experts) gate weight per registered client in
+    registration order; ``rows`` maps each client id to its block.  The
+    four named arrays are properties without setters that return views of
+    ``params``, so a write through one writes ``params``.  Expert k scores
+    a neighbor embedding e_j as ``experts_w[k] . e_j``.  ``adam_m`` and
+    ``adam_v`` are Adam's moments, shaped like ``params``; ``adam_t``
+    counts the steps taken.
     """
 
     config: AggregatorConfig
@@ -155,10 +158,10 @@ def _shared_size(state: AggregatorState) -> int:
 
 
 def _gate_blocks(state: AggregatorState, flat: np.ndarray) -> np.ndarray:
-    """The (C, 2, embed_dim, num_experts) gate blocks of ``flat``, laid
-    out as ``state.params``, as a view."""
+    """The (C, embed_dim, num_experts) gate blocks of ``flat``, laid out
+    as ``state.params``, as a view."""
     cfg = state.config
-    return flat[_shared_size(state) :].reshape(-1, 2, cfg.embed_dim, cfg.num_experts)
+    return flat[_shared_size(state) :].reshape(-1, cfg.embed_dim, cfg.num_experts)
 
 
 def init_aggregator(
@@ -187,8 +190,7 @@ def register_client(state: AggregatorState, client_ids, rng: np.random.Generator
     new = sorted(set(client_ids) - state.rows.keys())
     cfg = state.config
     s = 1.0 / math.sqrt(cfg.embed_dim)
-    # per client, the gate weight's draws, then the noise projection's
-    gates = rng.uniform(-s, s, size=len(new) * 2 * cfg.embed_dim * cfg.num_experts)
+    gates = rng.uniform(-s, s, size=len(new) * cfg.embed_dim * cfg.num_experts)
     state.rows = {**state.rows, **{c: len(state.rows) + k for k, c in enumerate(new)}}
     state.params = np.concatenate([state.params, gates])
     zeros = np.zeros(gates.size)
@@ -223,20 +225,6 @@ def _encode(state: AggregatorState, deltas: np.ndarray) -> tuple[np.ndarray, np.
 def expert_scores(state: AggregatorState, embeddings: np.ndarray) -> np.ndarray:
     """Every expert's score of every (bias-free) neighbor embedding, N x K."""
     return np.atleast_2d(embeddings) @ state.experts_w.T
-
-
-def _gate_logits(embeddings, gate_w, gate_noise, noise):
-    """Gate logits and the noise-scale pre-activation (None without noise).
-
-    Row r reads its own gate; ``noise`` draws add ``noise`` times
-    softplus of a learned projection of the embedding.
-    """
-    rows = embeddings[:, np.newaxis, :]
-    clean = (rows @ gate_w)[:, 0]
-    if noise is None:
-        return clean, None
-    pre = (rows @ gate_noise)[:, 0]
-    return clean + noise * np.logaddexp(0.0, pre), pre
 
 
 def top_k_mask(logits: np.ndarray, k: int) -> np.ndarray:
@@ -283,11 +271,8 @@ class _Forward:
     rows: list[int]
     deltas: np.ndarray
     gate_w: np.ndarray
-    gate_noise: np.ndarray
     linear: np.ndarray
     embeddings: np.ndarray
-    noise: np.ndarray | None
-    noise_pre: np.ndarray | None
     logits: np.ndarray
     mix: np.ndarray
     scores: np.ndarray
@@ -312,26 +297,24 @@ def _forward(
     state: AggregatorState,
     rows: list[int],
     deltas: np.ndarray,
-    noise: np.ndarray | None = None,
     kept: np.ndarray | None = None,
 ) -> _Forward:
     """Embeddings, gates, attention and personalized deltas of all clients.
 
-    ``noise`` (N x K draws) turns on the noisy gate; ``kept`` pins the
-    top-k selection instead of taking it from the logits.
+    ``kept`` pins the top-k selection instead of taking it from the logits.
     """
-    cfg, gates = state.config, state.gates
-    gate_w, gate_noise = gates[rows, 0], gates[rows, 1]
+    cfg, gate_w = state.config, state.gates[rows]
     linear, emb = _encode(state, deltas)
-    logits, noise_pre = _gate_logits(emb, gate_w, gate_noise, noise)
+    # row r reads its own gate
+    logits = (emb[:, np.newaxis, :] @ gate_w)[:, 0]
     if kept is None:
         kept = top_k_mask(logits, cfg.top_k)
     mix = _masked_softmax(logits, kept)
     scores = expert_scores(state, linear)
     attention = _attention(mix @ scores.T, cfg.temperature)
     return _Forward(
-        rows, deltas, gate_w, gate_noise, linear, emb, noise, noise_pre, logits, mix,
-        scores, attention, _blend(deltas, attention, cfg.w_self),
+        rows, deltas, gate_w, linear, emb, logits, mix, scores, attention,
+        _blend(deltas, attention, cfg.w_self),
     )
 
 
@@ -363,7 +346,7 @@ def _backward(state: AggregatorState, fw: _Forward, d_pers: np.ndarray) -> np.nd
     then each gate block in registration order, zero for clients outside
     the batch.
 
-    Top-k selection, noise draws and head deltas are constants.
+    Top-k selection and head deltas are constants.
     """
     cfg = state.config
     # a lone client has an all-zero attention row, so nothing flows back
@@ -374,25 +357,17 @@ def _backward(state: AggregatorState, fw: _Forward, d_pers: np.ndarray) -> np.nd
     d_scores = d_s.T @ fw.mix
     d_logits = fw.mix * (d_mix - np.sum(fw.mix * d_mix, axis=1, keepdims=True))
 
-    emb = fw.embeddings[:, :, np.newaxis]
     d_emb = (fw.gate_w @ d_logits[:, :, np.newaxis])[:, :, 0]
-    d_gates = np.zeros((len(d_pers), 2) + fw.gate_w.shape[1:])
-    np.multiply(emb, d_logits[:, np.newaxis], out=d_gates[:, 0])
-    if fw.noise is not None:
-        # d softplus(x) / dx = sigmoid(x) = exp(x - softplus(x))
-        d_pre = d_logits * fw.noise * np.exp(fw.noise_pre - np.logaddexp(0.0, fw.noise_pre))
-        d_emb += (fw.gate_noise @ d_pre[:, :, np.newaxis])[:, :, 0]
-        np.multiply(emb, d_pre[:, np.newaxis], out=d_gates[:, 1])
     d_encoder_w = fw.deltas.T @ (d_scores @ state.experts_w + d_emb)
     grad = np.concatenate([d_encoder_w.reshape(-1), d_emb.sum(axis=0),
                            (d_scores.T @ fw.linear).reshape(-1), np.zeros(state.gates.size)])
-    _gate_blocks(state, grad)[fw.rows] = d_gates
+    _gate_blocks(state, grad)[fw.rows] = fw.embeddings[:, :, np.newaxis] * d_logits[:, np.newaxis]
     return grad
 
 
 def aggregate_game(state: AggregatorState, ids, deltas) -> Aggregation:
-    """Noise-free personalized deltas, attention and gates of clients
-    ``ids`` with head deltas ``deltas`` (N, h)."""
+    """Personalized deltas, attention and gates of clients ``ids`` with
+    head deltas ``deltas`` (N, h)."""
     rows, canonical, _, back = _batch(state, ids, deltas)
     fw = _forward(state, rows, canonical)
     return Aggregation(
@@ -423,34 +398,22 @@ def aggregate_mean(deltas, w_self: float) -> np.ndarray:
     return _blend(deltas[order], uniform_attention(len(deltas)), w_self)[back]
 
 
-def _pinned_forward(state, ids, deltas, masks, noise) -> _Forward:
-    """Forward pass with ``masks`` and ``noise`` rows in the order of ``ids``."""
+def _pinned_forward(state, ids, deltas, masks) -> _Forward:
+    """Forward pass with ``masks`` rows in the order of ``ids``."""
     rows, canonical, order, _ = _batch(state, ids, deltas)
-    noise, masks = (None if a is None else np.asarray(a)[order] for a in (noise, masks))
-    return _forward(state, rows, canonical, noise, masks)
+    return _forward(state, rows, canonical, None if masks is None else np.asarray(masks)[order])
 
 
-def mean_meta_loss(
-    state: AggregatorState,
-    ids,
-    deltas,
-    masks: np.ndarray | None = None,
-    noise: np.ndarray | None = None,
-) -> float:
-    """Mean meta-loss; ``masks`` pins top-k selection, ``noise`` (N x K)
-    fixes the gate noise draws (none by default)."""
-    return _mean_loss(state, _pinned_forward(state, ids, deltas, masks, noise))[0]
+def mean_meta_loss(state: AggregatorState, ids, deltas, masks: np.ndarray | None = None) -> float:
+    """Mean meta-loss; ``masks`` pins top-k selection."""
+    return _mean_loss(state, _pinned_forward(state, ids, deltas, masks))[0]
 
 
 def meta_gradient(
-    state: AggregatorState,
-    ids,
-    deltas,
-    masks: np.ndarray | None = None,
-    noise: np.ndarray | None = None,
+    state: AggregatorState, ids, deltas, masks: np.ndarray | None = None
 ) -> np.ndarray:
     """Gradient of :func:`mean_meta_loss`, shaped like ``state.params``."""
-    fw = _pinned_forward(state, ids, deltas, masks, noise)
+    fw = _pinned_forward(state, ids, deltas, masks)
     return _backward(state, fw, _mean_loss(state, fw)[1])
 
 
@@ -463,13 +426,10 @@ def _adam(cfg: AggregatorConfig, t: int, grad, params, m, v):
     return params - cfg.server_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
-def train_step(state: AggregatorState, ids, deltas, rng: np.random.Generator) -> float:
+def train_step(state: AggregatorState, ids, deltas) -> float:
     """One lazy Adam step on the mean meta-loss of clients ``ids`` with
-    head deltas ``deltas`` (N, h); returns the pre-step loss.
-
-    Exploration noise (when enabled) perturbs the gate logits for both
-    expert selection and the surviving softmax; the noise, one N x K
-    draw from ``rng``, and the top-k mask are constants within the step.
+    head deltas ``deltas`` (N, h); returns the pre-step loss.  The top-k
+    mask is a constant within the step.
 
     The shared entries and the gate blocks of the batch's clients step,
     with the bias correction of the global step count; the gates and
@@ -482,11 +442,7 @@ def train_step(state: AggregatorState, ids, deltas, rng: np.random.Generator) ->
         raise UsageError("train_step needs at least two clients")
     cfg = state.config
     rows, canonical, _, back = _batch(state, ids, deltas)
-    noise = None
-    if cfg.noise_enabled:
-        # the one draw of gate noise: row r goes to canonical client r
-        noise = rng.standard_normal((len(rows), cfg.num_experts))
-    fw = _forward(state, rows, canonical, noise)
+    fw = _forward(state, rows, canonical)
     loss, d_pers = _mean_loss(state, fw)
     grad = _backward(state, fw, d_pers)
     if not np.isfinite(grad).all():

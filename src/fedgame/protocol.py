@@ -4,8 +4,8 @@ One round has three phases.  (a) Every participating client fine-tunes
 its private model on local data under the proximal objective and
 uploads the parameter difference against the current consensus model.
 (b) The server averages the differences into the consensus model and
-computes each client's personalized head update from noise-free
-attention, under ``game`` after one meta-loss step on the aggregator.
+computes each client's personalized head update from attention,
+under ``game`` after one meta-loss step on the aggregator.
 (c) Each client adds its personalized head update; the fine-tune that
 completes the update happens at the start of the next round.
 
@@ -25,10 +25,10 @@ that raises leaves it and the caller's aggregator untouched.  The meta
 step runs on a shallow copy of the aggregator and rebinds arrays
 instead of writing them; a round that succeeds commits it by rebinding
 the caller's aggregator to the copy's arrays.  No state holds a
-generator: batch orders (``client:<id>``), participation (``server``)
-and gate noise (``gate_noise``) come from :func:`round_stream`, a pure
-function of (master seed, role, round), so neither scheduling order
-nor participation history changes what a client draws.
+generator: batch orders (``client:<id>``) and participation
+(``server``) come from :func:`round_stream`, a pure function of
+(master seed, role, round), so neither scheduling order nor
+participation history changes what a client draws.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def run_round(
     attention = np.zeros((len(participants), len(participants)))
     if kind == "game":
         if len(participants) >= 2:
-            meta = train_step(server, participants, heads, round_stream(seed, "gate_noise", r))
+            meta = train_step(server, participants, heads)
         personalized, attention, mix, _ = aggregate_game(server, participants, heads)
         gate_mixes = {cid: tuple(row) for cid, row in zip(participants, mix.tolist())}
     elif kind == "single_attention":

@@ -193,15 +193,14 @@ def test_client_and_server_gradients_match_finite_differences():
     assert_gradients_close(analytic, numeric)
 
     for num_experts, top_k in ((4, 2), (1, 1)):
-        agg_cfg = AggregatorConfig(embed_dim=6, num_experts=num_experts, top_k=top_k,
-                                   noise_enabled=False)
+        agg_cfg = AggregatorConfig(embed_dim=6, num_experts=num_experts, top_k=top_k)
         agg_rng = np.random.default_rng(33)
         state = init_aggregator(agg_cfg, 8, agg_rng)
         ids = ["a", "b", "c"]
         register_client(state, ids, agg_rng)
         delta_rng = np.random.default_rng(34)
         deltas = delta_rng.normal(size=(len(ids), 8))
-        # the clean logits that made the selection, rows in the order of ids
+        # the logits that made the selection, rows in the order of ids
         masks = top_k_mask(aggregate_game(state, ids, deltas).logits, top_k)
 
         def meta_objective(flat):
@@ -236,7 +235,6 @@ def test_attention_invariants_hold_across_random_states():
             top_k=int(rng.integers(1, num_experts + 1)),
             temperature=float(rng.choice([0.5, 1.0, 2.0])),
             w_self=float(rng.uniform(0.0, 1.0)),
-            noise_enabled=False,
         )
         head_dim = int(rng.integers(1, 6))
         n_clients = int(rng.integers(2, 6))
@@ -362,13 +360,12 @@ DESCENT_IDS = ["a", "b", "c", "d"]
 
 
 def descent_state(seed, lr):
-    cfg = AggregatorConfig(embed_dim=6, num_experts=4, top_k=2, server_lr=lr,
-                           noise_enabled=False)
+    cfg = AggregatorConfig(embed_dim=6, num_experts=4, top_k=2, server_lr=lr)
     rng = np.random.default_rng(seed + 500)
     state = init_aggregator(cfg, 10, rng)
     register_client(state, DESCENT_IDS, rng)
     deltas = np.random.default_rng(seed).normal(size=(4, 10))
-    return state, deltas, rng
+    return state, deltas
 
 
 def test_meta_loss_descends_on_fixed_batches():
@@ -377,22 +374,22 @@ def test_meta_loss_descends_on_fixed_batches():
     identical deltas give loss < 1e-10 and gradient norm < 1e-8."""
     net_ok = 0
     for seed in range(20):
-        state, deltas, rng = descent_state(seed, lr=1e-3)
-        first = train_step(state, DESCENT_IDS, deltas, rng)
+        state, deltas = descent_state(seed, lr=1e-3)
+        first = train_step(state, DESCENT_IDS, deltas)
         for _ in range(49):
-            train_step(state, DESCENT_IDS, deltas, rng)
+            train_step(state, DESCENT_IDS, deltas)
         net_ok += mean_meta_loss(state, DESCENT_IDS, deltas) <= first
     assert net_ok >= 19
 
     monotone_ok = 0
     for seed in range(20):
-        state, deltas, rng = descent_state(seed, lr=3e-5)
-        losses = [train_step(state, DESCENT_IDS, deltas, rng) for _ in range(50)]
+        state, deltas = descent_state(seed, lr=3e-5)
+        losses = [train_step(state, DESCENT_IDS, deltas) for _ in range(50)]
         losses.append(mean_meta_loss(state, DESCENT_IDS, deltas))
         monotone_ok += bool(np.all(np.diff(losses) <= 0))
     assert monotone_ok >= 19
 
-    state, _, _ = descent_state(0, lr=1e-3)
+    state, _ = descent_state(0, lr=1e-3)
     same = np.random.default_rng(77).normal(size=10)
     identical = np.tile(same, (4, 1))
     assert mean_meta_loss(state, DESCENT_IDS, identical) < 1e-10

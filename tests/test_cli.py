@@ -95,14 +95,16 @@ def test_every_field_round_trips_through_json():
         "hidden_sizes": (7, 5), "arch": "lstm", "local_lr": 0.01, "local_epochs": 2,
         "prox_mu": 0.5, "batch_size": 16, "embed_dim": 8, "num_experts": 3, "top_k": 1,
         "temperature": 0.5, "w_self": 0.25, "alpha": 1.5, "beta": 2.0, "server_lr": 0.01,
-        "noise_enabled": False, "rounds": 4, "eta": 0.5, "gamma": 0.75,
+        "rounds": 4, "eta": 0.5, "gamma": 0.75,
         "aggregator_kind": "mean", "participation": 0.5, "master_seed": 11,
         "output_dir": "elsewhere",
         "published_total_params": 1000, "published_head_params": 10,
     }
     config = ExperimentConfig(**values)
+    # noise_enabled is vestigial: its default is its only accepted value
     for field in fields(ExperimentConfig):
-        assert getattr(config, field.name) != field.default, field.name
+        if field.name != "noise_enabled":
+            assert getattr(config, field.name) != field.default, field.name
     text = json.dumps(config_to_dict(config))
     again, errors = config_from_dict(json.loads(text))
     assert errors == []
@@ -450,6 +452,16 @@ def test_invalid_config_exits_two_listing_everything(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "3 error(s)" in err
     assert "rounds" in err and "arch" in err and "bogus" in err
+
+
+def test_noise_enabled_true_exits_two_before_training(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        **SMALL, "noise_enabled": True, "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err and "noise_enabled must be false" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_descending_quantiles_are_a_config_error(tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 
 from fedgame.aggregator import (
     AggregatorConfig, aggregate_mean, init_aggregator, register_client,
-    train_step,
 )
 from fedgame.cli import config_from_dict, config_to_dict
 from fedgame.data import WindowedDataset
@@ -78,29 +77,51 @@ def test_round_streams_are_pure_and_separated():
     np.testing.assert_array_equal(round_stream(5, "client:a", 0).standard_normal(64),
                                   seed_stream(5, "client:a").standard_normal(64))
     others = [round_stream(5, "client:a", r) for r in (0, 2, 4)]
-    others += [round_stream(5, role, 3) for role in ("client:b", "server", "gate_noise")]
+    others += [round_stream(5, role, 3) for role in ("client:b", "server")]
     others.append(round_stream(6, "client:a", 3))
     for other in others:
         assert not np.array_equal(other.standard_normal(64), drawn)
 
 
-def test_round_zero_gate_noise_is_no_set_up_stream(monkeypatch):
+def round_streams_of_a_game_run(monkeypatch, **changes):
+    """Run SMALL under ``game`` with ``changes``; every (role, round,
+    copy of the fresh generator) that a round asked round_stream for."""
     given = []
 
-    def spy(state, ids, deltas, rng):
-        given.append(copy.deepcopy(rng))
-        return train_step(state, ids, deltas, rng)
+    def spy(master_seed, role, round_index):
+        rng = round_stream(master_seed, role, round_index)
+        given.append((role, round_index, copy.deepcopy(rng)))
+        return rng
 
-    monkeypatch.setattr("fedgame.protocol.train_step", spy)
-    config = ExperimentConfig(**{**SMALL, "rounds": 1, "noise_enabled": True})
+    monkeypatch.setattr("fedgame.protocol.round_stream", spy)
+    config = ExperimentConfig(**{**SMALL, **changes})
     run_experiment(config, "game")
-    (noise,) = given
-    draws = noise.standard_normal(64)
-    # "aggregator" drew the encoder and the gates at set-up; noise must not replay it
-    roles = ["init", "data", "aggregator", "server"]
-    roles += [f"client:{cid}" for cid in ("client00", "client01", "client02")]
-    for role in roles:
-        assert not np.array_equal(draws, seed_stream(config.master_seed, role).standard_normal(64))
+    return config, given
+
+
+def test_game_round_draws_only_from_server_and_client_streams(monkeypatch):
+    config, given = round_streams_of_a_game_run(monkeypatch, rounds=3, participation=0.5)
+    clients = [f"client{k:02d}" for k in range(config.n_clients)]
+    roles = {role for role, _, _ in given}
+    assert "server" in roles and roles <= {"server", *(f"client:{cid}" for cid in clients)}
+    # one participation draw a round, then one batch-order stream per participant
+    participants = config.hyper_params().participant_count(config.n_clients)
+    for r in range(config.rounds):
+        drawn = [role for role, at, _ in given if at == r]
+        assert drawn[0] == "server" and len(drawn) == 1 + participants, r
+
+
+def test_round_zero_of_a_round_role_is_no_set_up_stream(monkeypatch):
+    config, given = round_streams_of_a_game_run(monkeypatch, rounds=1, participation=0.5)
+    # "aggregator" drew the encoder and the gates at set-up; no round may replay it
+    set_up = [seed_stream(config.master_seed, role).standard_normal(64)
+              for role in ("init", "data", "aggregator")]
+    assert {role for role, _, _ in given} >= {"server"} and len(given) == 3
+    for role, r, rng in given:
+        assert r == 0
+        draws = rng.standard_normal(64)
+        for other in set_up:
+            assert not np.array_equal(draws, other), role
 
 
 def generators_copied(obj):
@@ -112,7 +133,7 @@ def generators_copied(obj):
 
 def test_no_state_holds_a_generator():
     state, data = build_setup(4)
-    agg = fresh_aggregator(state, noise_enabled=True)
+    agg = fresh_aggregator(state)
     hyper = HyperParams(rounds=1, aggregator_kind="game", participation=0.5)
     for _ in range(2):
         state, _ = run_round(state, hyper, agg, data)
@@ -265,6 +286,15 @@ def test_default_experiment_builds_each_sub_config_with_its_own_defaults():
     assert config.aggregator_config() == AggregatorConfig()
     assert config.hyper_params() == HyperParams(rounds=10)
     assert type(config.forecaster_config()) is ForecasterConfig
+
+
+def test_an_experiment_with_the_noisy_gate_is_a_config_error():
+    # the vestigial key reaches AggregatorConfig; false, the default, is its only value
+    assert ExperimentConfig().noise_enabled is False
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(noise_enabled=True, horizon=0)
+    assert info.value.problems == ["horizon must be >= 1, got 0",
+                                   "noise_enabled must be false: the noisy gate was removed"]
 
 
 def test_an_ill_typed_kind_is_named_once_with_the_other_problems():
@@ -487,7 +517,7 @@ def aggregator_arrays(agg):
 
 def test_successful_game_round_rebinds_the_aggregator_without_writing_it():
     state, data = build_setup(4)
-    agg = fresh_aggregator(state, noise_enabled=True)
+    agg = fresh_aggregator(state)
     hyper = HyperParams(rounds=1, aggregator_kind="game")
     state, _ = run_round(state, hyper, agg, data)  # creates the Adam slots
     held = aggregator_arrays(agg)

@@ -16,8 +16,8 @@ file matches.  ``config.json`` holds the run's own directory (in
 the two sides, so each side's directory reads as a placeholder there.
 A run that fails ends the script with its error.
 
-The matrix covers all six aggregator kinds, noisy gates, half
-participation, one participant a round, a two-layer LSTM, the CSV ingest path, stations of
+The matrix covers all six aggregator kinds, half participation, one
+participant a round, a two-layer LSTM, the CSV ingest path, stations of
 uneven length and whole numbers given for float fields; the
 byte-identical rerun test in ``tests/test_cli.py`` runs the same matrix.
 """
@@ -37,32 +37,32 @@ from pathlib import Path
 ARTIFACTS = ("rounds.jsonl", "eval.json", "eval.csv", "attention.csv")
 COMPARED = (*ARTIFACTS, "config.json")
 BASE = {"series_length": 160, "embed_dim": 4, "rounds": 2}
-# The game rows: CSV ingest, a two-layer LSTM, a two-layer MLP, and noisy
-# gates where half the clients sit out each round, which draws from all
-# three per-round roles (batch order, participation, gate noise) and
-# steps only the batch's gate blocks.  Then one row per other kind, and
+# The game rows: CSV ingest, a two-layer LSTM, a two-layer MLP, and half
+# the clients sitting out each round, which draws from both per-round
+# roles (batch order, participation) and steps only the batch's gate
+# blocks.  Then one row per other kind, and
 # one whose float fields are given as JSON integers, which the config
 # stores, and config.json writes, as floats.  The uneven row's stations
 # have different lengths (``station_lengths``, written as CSV here, not
 # synthesized), so local training and evaluation each run several stacks.
 # The lone row has one participant a round: the attention and the blend
 # take their lone-client rules, no meta step runs, and attention.csv holds
-# only its header; its top_k = num_experts leaves no gate logit masked.
+# only its header; its top_k = num_experts masks no gate logit, so each
+# logged gate mix is a softmax over every expert.
 MATRIX = {
     "csv": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4]},
     "lstm": {"n_clients": 3, "n_clusters": 1, "arch": "lstm", "hidden_sizes": [4, 3]},
     "mlp": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [8, 5],
             "aggregator_kind": "game"},
     "lazy_adam": {"n_clients": 6, "n_clusters": 2, "hidden_sizes": [8], "rounds": 3,
-                  "aggregator_kind": "game", "participation": 0.5, "noise_enabled": True},
+                  "aggregator_kind": "game", "participation": 0.5},
     **{kind: {"n_clients": 4, "n_clusters": 2, "hidden_sizes": [4], "aggregator_kind": kind}
        for kind in ("mean", "single_attention", "fedavg", "fedprox_only", "local_only")},
     "whole_floats": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4], "eta": 1,
                      "gamma": 1, "temperature": 2, "alpha": 1, "participation": 1},
     "uneven": {"hidden_sizes": [4], "station_lengths": [160, 148, 160, 136]},
     "lone": {"n_clients": 3, "n_clusters": 1, "hidden_sizes": [4], "rounds": 3,
-             "aggregator_kind": "game", "participation": 0.34, "num_experts": 4, "top_k": 4,
-             "noise_enabled": True},
+             "aggregator_kind": "game", "participation": 0.34, "num_experts": 4, "top_k": 4},
 }
 
 
