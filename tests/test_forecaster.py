@@ -7,6 +7,8 @@ import pickle
 import platform
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +360,43 @@ def test_forward_on_a_batch_agrees_with_single_windows():
     for i in range(4):
         single = forecast(model, windows[i : i + 1])[0]
         np.testing.assert_allclose(batched[i], single, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "lstm"])
+def test_predict_bits_do_not_depend_on_where_its_chunks_cut(arch):
+    # predict cuts the windows at multiples of batch_size: one call, the
+    # same windows in one chunk, and the same windows predicted as the
+    # first 5 and the rest (which moves every later cut) give the same bits
+    cfg = small_config(arch=arch, hidden_sizes=(4, 3), batch_size=8)
+    n, ids = 2 * cfg.batch_size + 5, ["a", "b"]
+    rng = np.random.default_rng(40)
+    values = rng.normal(scale=0.5, size=(2, total_params(build_spec(cfg))))
+    batch = rng.normal(size=(2, n, cfg.history_len))
+    chunked = predict(cfg, ids, values, batch)
+    assert chunked.shape == (2, n, cfg.output_dim)
+    whole = predict(replace(cfg, batch_size=n), ids, values, batch)
+    cut = np.concatenate([predict(cfg, ids, values, batch[:, :5]),
+                          predict(cfg, ids, values, batch[:, 5:])], axis=1)
+    assert chunked.tobytes() == whole.tobytes() == cut.tobytes()
+
+
+def test_predict_memory_does_not_grow_with_the_window_count():
+    # the forward's cache block is per chunk of batch_size windows, so
+    # four times the windows add only their inputs' and predictions' bytes
+    cfg = small_config(arch="lstm", history_len=12, hidden_sizes=(16,), batch_size=32)
+    rng = np.random.default_rng(41)
+    values = rng.normal(scale=0.5, size=(8, total_params(build_spec(cfg))))
+
+    def peak(n):
+        batch = rng.normal(size=(8, n, cfg.history_len))
+        tracemalloc.start()
+        try:
+            predict(cfg, [str(k) for k in range(8)], values, batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * cfg.batch_size) <= 1.25 * peak(cfg.batch_size)
 
 
 def test_zero_weights_mlp_outputs_bias():
