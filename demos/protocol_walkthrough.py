@@ -34,7 +34,7 @@ for shard in shards:
 
 cfg = ForecasterConfig(history_len=12, horizon=2, quantiles=(0.1, 0.5, 0.9),
                        hidden_sizes=(16,), local_lr=0.01)
-windows = {s.client_id: make_windows(s, cfg.history_len, cfg.horizon, (0.7, 0.1, 0.2))
+windows = {s.client_id: make_windows(s, cfg.history_len, cfg.horizon, train_frac=0.7)
            for s in shards}
 train = {cid: w["train"] for cid, w in windows.items()}
 print(f"\ntraining windows per client: {[len(d) for d in train.values()]}")

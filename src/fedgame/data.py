@@ -30,8 +30,6 @@ from .errors import ConfigError, FormatError, StructuralError
 
 CSV_COLUMNS = ("timestamp", "station_id", "demand_kwh")
 STD_FLOOR = 1e-8
-DEFAULT_SPLITS = (0.7, 0.1, 0.2)
-SPLIT_NAMES = ("train", "val", "test")
 # Rows parsed per column pass.  A chunk's rows and columns are held only
 # while it is parsed; 256 rows keep them small, for ~5% more time than 1024.
 CHUNK_ROWS = 256
@@ -280,29 +278,27 @@ def make_windows(
     shard: SeriesShard,
     history_len: int,
     horizon: int,
-    splits: tuple[float, float, float] = DEFAULT_SPLITS,
+    train_frac: float,
 ) -> dict[str, WindowedDataset]:
-    """Chronological train/val/test windowing with train-only z-scoring.
+    """Chronological train/test windowing with train-only z-scoring.
 
-    Splits cut the series by index, windows never straddle a boundary,
-    and the z-score stats come from the train segment alone (std floored
-    at 1e-8 so constant series normalize to zeros).  The series is
-    normalized once and viewed as all its stride-1 windows; each split
-    copies out the rows of the windows that lie inside it.  A segment
-    too short for a single window yields an empty dataset, without a
-    warning: ``run_experiment`` reads only ``train`` and ``test`` and
-    rejects an empty one with a ``ConfigError`` that names the clients.
+    The first ``floor(train_frac * n)`` points of the series are the
+    train segment and the rest the test segment.  Windows never straddle
+    the boundary, and the z-score stats come from the train segment
+    alone (std floored at 1e-8 so constant series normalize to zeros).
+    The series is normalized once and viewed as all its stride-1
+    windows; each split copies out the rows of the windows that lie
+    inside it.  A segment too short for a single window yields an empty
+    dataset, without a warning: ``run_experiment`` rejects an empty one
+    with a ``ConfigError`` that names the clients.
     """
     if history_len < 1 or horizon < 1:
         raise ConfigError("history_len and horizon must be >= 1")
-    if len(splits) != len(SPLIT_NAMES) or any(f < 0 for f in splits):
-        raise ConfigError("splits must be three non-negative fractions")
-    if abs(sum(splits) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {sum(splits)}")
+    if not 0.0 <= train_frac <= 1.0:
+        raise ConfigError(f"train_frac must lie in [0, 1], got {train_frac}")
 
     n, width = shard.values.size, history_len + horizon
-    n_train = int(math.floor(splits[0] * n))
-    n_val = int(math.floor(splits[1] * n))
+    n_train = int(math.floor(train_frac * n))
     mean, std = 0.0, 1.0
     if n_train:
         # np.mean's and np.std's arithmetic, bit for bit, minus their call overhead
@@ -316,8 +312,7 @@ def make_windows(
     step = normalized.strides[0]
     windows = np.ndarray((max(n - width + 1, 0), width), buffer=normalized, strides=(step, step))
     out = {}
-    for name, start, stop in zip(SPLIT_NAMES, (0, n_train, n_train + n_val),
-                                 (n_train, n_train + n_val, n)):
+    for name, start, stop in (("train", 0, n_train), ("test", n_train, n)):
         rows = windows[start : max(stop - width + 1, start)]
         out[name] = WindowedDataset(inputs=rows[:, :history_len].copy(),
                                     targets=rows[:, history_len:].copy(), mean=mean, std=std)

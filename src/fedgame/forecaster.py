@@ -69,13 +69,9 @@ once, each step slices its mini-batch from them, and the gradient
 (``task_loss_and_gradient(..., out=)``), the proximal pull and the
 update go into buffers allocated once per stack, before any step's
 cache block.  The layer views of the parameters and of the gradient
-buffer are built once per stack too.
-
-Prediction runs the same ``_forward``, whose cache block it never reads.
-:func:`predict` therefore runs it over chunks of at most ``batch_size``
-windows, so scoring a test set of any size holds no more cache than one
-training step, and there is no second, cache-free forward to keep in
-step with the first.
+buffer are built once per stack too.  :func:`predict` runs the same
+``_forward`` over chunks of at most ``batch_size`` windows, so scoring a
+test set of any size holds no more cache than a training step.
 """
 
 from __future__ import annotations
@@ -478,12 +474,10 @@ def predict(
 ) -> np.ndarray:
     """Predictions (N, B, output_dim) of a stack of N clients: row k of
     ``values`` (N, P) on row k of ``batch`` (N, B, history_len), with the
-    bits of a stack of that client alone.  A non-finite forecast raises
-    :class:`NumericError` naming its clients, ``ids[k]`` for row k.
-
-    The windows run through ``_forward`` in chunks of at most
-    ``cfg.batch_size``, so scoring never holds a cache block larger than
-    a training step's, however many windows a test set has."""
+    bits of a stack of that client alone, from ``_forward`` over chunks of
+    ``cfg.batch_size`` windows (see the module docstring).  A non-finite
+    forecast raises :class:`NumericError` naming its clients, ``ids[k]``
+    for row k."""
     w, step = _blocks(build_spec(cfg), values), cfg.batch_size
     pred = np.concatenate([_forward(cfg, w, batch[:, i : i + step])[0]
                            for i in range(0, max(batch.shape[1], 1), step)], axis=1)

@@ -109,11 +109,11 @@ def mil(lower: np.ndarray, upper: np.ndarray) -> float:
 
 def _score_stack(ids: list[str], models: dict, test_data: dict) -> list[ClientScore]:
     """Scores of clients ``ids``, which share a config and a test-set size,
-    from one stacked ``predict``, which runs the forward in chunks of
-    ``batch_size`` windows so scoring holds no more cache than a
-    training step.  Each quantity is one mean over the last
-    axis of contiguous rows, a row per client (and level): the bits of
-    ``np.mean`` of the client's own array, as if it were scored alone."""
+    from one stacked ``predict``, whose forward runs per ``batch_size``
+    windows to hold no more cache than a training step.  Each quantity is
+    one mean over the last axis of contiguous rows, a row per client (and
+    level): the bits of ``np.mean`` of the client's own array, as if it
+    were scored alone."""
     cfg = models[ids[0]].config
     sets = [test_data[c] for c in ids]
     checked = [checked_batch(cfg, d.inputs, d.targets) for d in sets]

@@ -320,8 +320,9 @@ class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
     """Flat bundle of every knob an experiment needs: the forecaster,
     aggregator and protocol fields it inherits, plus its own.
 
-    ``csv_path = None`` selects the synthetic generator.  The split
-    fractions apply per client series, chronologically.
+    ``csv_path = None`` selects the synthetic generator.  Each client's
+    series splits chronologically: its first ``train_frac`` trains, and
+    the rest is the test segment the final evaluation scores.
 
     Construction checks and normalizes every value by its annotation,
     then this class checks its own and cross-field rules and builds the
@@ -339,8 +340,6 @@ class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
     series_length: int = 400
     noise_sd: float = 0.1
     train_frac: float = 0.7
-    val_frac: float = 0.1
-    test_frac: float = 0.2
     master_seed: int = 0
     output_dir: str = "out"
     published_total_params: int | None = None
@@ -354,12 +353,8 @@ class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
             problems.append("csv_path must not be empty; null selects the synthetic generator")
         if "output_dir" not in bad and self.output_dir == "":
             problems.append("output_dir must not be empty")
-        if bad.isdisjoint(("train_frac", "val_frac", "test_frac")):
-            fracs = self.splits()
-            if any(f < 0 for f in fracs):
-                problems.append("train_frac, val_frac, test_frac must be >= 0")
-            elif not abs(sum(fracs) - 1.0) <= 1e-9:
-                problems.append(f"train_frac, val_frac, test_frac must sum to 1, got {sum(fracs)}")
+        if "train_frac" not in bad and not 0.0 < self.train_frac < 1.0:
+            problems.append(f"train_frac must lie in (0, 1), got {self.train_frac}")
         # the synthetic generator's rule: a CSV fleet takes its clients from its stations
         if (bad.isdisjoint(("n_clusters", "n_clients", "csv_path")) and self.csv_path is None
                 and self.n_clusters > self.n_clients):
@@ -428,9 +423,6 @@ class ExperimentConfig(HyperParams, AggregatorConfig, ForecasterConfig):
         return self._sub_config(
             HyperParams, aggregator_kind=self.aggregator_kind if kind is None else kind)
 
-    def splits(self) -> tuple[float, float, float]:
-        return (self.train_frac, self.val_frac, self.test_frac)
-
 
 @dataclass
 class RunResult:
@@ -477,7 +469,7 @@ def run_experiment(config: ExperimentConfig, aggregator_kind: str | None = None)
     labels = None
     if all(s.cluster_label is not None for s in shards):
         labels = {s.client_id: int(s.cluster_label) for s in shards}
-    windows = {s.client_id: make_windows(s, fcfg.history_len, fcfg.horizon, config.splits())
+    windows = {s.client_id: make_windows(s, fcfg.history_len, fcfg.horizon, config.train_frac)
                for s in shards}
     short = sorted(cid for cid, w in windows.items() if not (len(w["train"]) and len(w["test"])))
     if short:

@@ -50,7 +50,7 @@ def client_windows(cfg, n_clients, n_clusters, length, noise_sd, master_seed):
     shards = synth_generate(n_clients, n_clusters, length, noise_sd,
                             seed_stream(master_seed, "data"))
     return {
-        s.client_id: make_windows(s, cfg.history_len, cfg.horizon, (0.7, 0.1, 0.2))
+        s.client_id: make_windows(s, cfg.history_len, cfg.horizon, ExperimentConfig.train_frac)
         for s in shards
     }
 

@@ -67,11 +67,11 @@ def test_all_errors_reported_at_once():
         "arch": "gru",
         "top_k": 9,
         "num_experts": 2,
-        "train_frac": 0.9,
+        "train_frac": 1.5,
     })
     text = "\n".join(errors)
     assert len(errors) == 4
-    assert "rounds" in text and "arch" in text and "sum to 1" in text
+    assert "rounds" in text and "arch" in text and "train_frac must lie in (0, 1)" in text
     assert "top_k" in text and "num_experts" in text
 
 
@@ -90,7 +90,7 @@ def test_type_errors_name_the_key():
 def test_every_field_round_trips_through_json():
     values = {
         "csv_path": "data.csv", "n_clients": 5, "n_clusters": 3, "series_length": 300,
-        "noise_sd": 0.3, "train_frac": 0.6, "val_frac": 0.15, "test_frac": 0.25,
+        "noise_sd": 0.3, "train_frac": 0.6,
         "history_len": 8, "horizon": 3, "quantiles": (0.05, 0.5, 0.95),
         "hidden_sizes": (7, 5), "arch": "lstm", "local_lr": 0.01, "local_epochs": 2,
         "prox_mu": 0.5, "batch_size": 16, "embed_dim": 8, "num_experts": 3, "top_k": 1,
@@ -123,7 +123,8 @@ def test_library_config_reports_every_problem_at_construction():
 def test_nan_values_are_config_errors():
     _, errors = config_from_dict(json.loads('{"local_lr": NaN, "train_frac": NaN}'))
     assert len(errors) == 2
-    assert any("local_lr" in e for e in errors) and any("sum to 1" in e for e in errors)
+    assert any("local_lr" in e for e in errors) and any(
+        "train_frac must lie in (0, 1), got nan" in e for e in errors)
 
 
 def test_duplicate_keys_are_reported_with_the_other_problems(tmp_path, capsys):
@@ -461,6 +462,16 @@ def test_noise_enabled_true_exits_two_before_training(tmp_path, capsys):
     assert main(["run", path]) == 2
     err = capsys.readouterr().err
     assert "1 error(s)" in err and "noise_enabled must be false" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("val_frac", 0.1), ("test_frac", 0.2)])
+def test_a_second_split_fraction_exits_two_before_training(tmp_path, capsys, key, value):
+    # the test split is everything after train_frac: no other fraction exists
+    path = write_config(tmp_path, {**SMALL, key: value, "output_dir": str(tmp_path / "out")})
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "1 error(s)" in err and f"unknown key {key!r}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -511,7 +511,8 @@ def test_load_csv_drops_a_utf8_byte_order_mark(tmp_path):
 
 def test_make_windows_hand_enumeration():
     shard = SeriesShard("a", np.arange(1.0, 11.0))
-    splits = make_windows(shard, 3, 2, (1.0, 0.0, 0.0))
+    splits = make_windows(shard, 3, 2, 1.0)
+    assert list(splits) == ["train", "test"]
     train = splits["train"]
     assert len(train) == 6
     np.testing.assert_allclose(denormalize(train.inputs[0], train.mean, train.std), [1.0, 2.0, 3.0],
@@ -520,7 +521,7 @@ def test_make_windows_hand_enumeration():
                                atol=1e-12)
     np.testing.assert_allclose(denormalize(train.inputs[5], train.mean, train.std), [6.0, 7.0, 8.0],
                                atol=1e-12)
-    assert len(splits["val"]) == 0 and len(splits["test"]) == 0
+    assert len(splits["test"]) == 0
 
 
 def brute_force_windows(segment, h, p, mean, std):
@@ -539,16 +540,15 @@ def brute_force_windows(segment, h, p, mean, std):
 @pytest.mark.parametrize("length", [4, 5, 8, 31, 50, 480])
 def test_make_windows_matches_brute_force_oracle(length):
     # with h + p = 5: 4 points are shorter than one window and 5 points are
-    # exactly one, yet no split holds a whole window in either; 8 points give
-    # the 5-point train split exactly one window and leave val and test
-    # empty, 31 points leave the 3-point val split empty, and 50 points give
-    # the 5-point val split one window
+    # exactly one, yet neither split holds a whole window; 8 points give
+    # the 5-point train split exactly one window and leave the 3-point test
+    # split empty, and 31 points give the 10-point test split six
     values = np.random.default_rng(length).normal(size=length) * 3.0 + 1.0
     h, p = 3, 2
-    splits = make_windows(SeriesShard("a", values), h, p, (0.7, 0.1, 0.2))
-    n_train, n_val = int(np.floor(0.7 * length)), int(np.floor(0.1 * length))
-    segments = {"train": values[:n_train], "val": values[n_train:n_train + n_val],
-                "test": values[n_train + n_val:]}
+    splits = make_windows(SeriesShard("a", values), h, p, 0.7)
+    n_train = int(np.floor(0.7 * length))
+    segments = {"train": values[:n_train], "test": values[n_train:]}
+    assert list(splits) == list(segments)
     # the stats are numpy's mean and population std of the train segment, bit for bit
     train = segments["train"]
     assert (splits["train"].mean, splits["train"].std) == (float(train.mean()), float(train.std()))
@@ -563,25 +563,24 @@ def test_make_windows_matches_brute_force_oracle(length):
         assert data.inputs.flags.c_contiguous and data.inputs.flags.owndata
         assert data.targets.flags.c_contiguous and data.targets.flags.owndata
         sizes[name] = len(data)
-    empty = {"train": 0, "val": 0, "test": 0}
-    expected = {4: empty, 5: empty, 8: {"train": 1, "val": 0, "test": 0},
-                31: {"train": 17, "val": 0, "test": 3}, 50: {"train": 31, "val": 1, "test": 6},
-                480: {"train": 332, "val": 44, "test": 92}}
+    empty = {"train": 0, "test": 0}
+    expected = {4: empty, 5: empty, 8: {"train": 1, "test": 0},
+                31: {"train": 17, "test": 6}, 50: {"train": 31, "test": 11},
+                480: {"train": 332, "test": 140}}
     assert sizes == expected[length]
     if length <= 8:
-        assert splits["val"].inputs.shape == (0, h) and splits["val"].targets.shape == (0, p)
+        assert splits["test"].inputs.shape == (0, h) and splits["test"].targets.shape == (0, p)
 
 
 def test_windows_never_leak_future_values():
     shard = SeriesShard("a", np.arange(40.0))
-    splits = make_windows(shard, 3, 1, (0.7, 0.1, 0.2))
-    train, val, test = splits["train"], splits["val"], splits["test"]
+    splits = make_windows(shard, 3, 1, 0.7)
+    train, test = splits["train"], splits["test"]
     max_train = denormalize(train.inputs, train.mean, train.std).max()
     max_train_target = denormalize(train.targets, train.mean, train.std).max()
-    min_val = denormalize(val.inputs, val.mean, val.std).min()
     min_test = denormalize(test.inputs, test.mean, test.std).min()
-    assert max(max_train, max_train_target) < min_val < min_test
-    for dataset in (train, val, test):
+    assert max(max_train, max_train_target) < min_test
+    for dataset in (train, test):
         raw_in = denormalize(dataset.inputs, dataset.mean, dataset.std)
         raw_tg = denormalize(dataset.targets, dataset.mean, dataset.std)
         for window, target in zip(raw_in, raw_tg):
@@ -589,29 +588,37 @@ def test_windows_never_leak_future_values():
 
 
 def test_split_sizes_are_chronological_floors():
-    shard = SeriesShard("a", np.arange(20.0))
-    splits = make_windows(shard, 3, 2, (0.7, 0.1, 0.2))
-    assert len(splits["train"]) == 14 - 3 - 2 + 1
-    assert len(splits["val"]) == 0
-    assert len(splits["test"]) == 0
+    # floor(0.7 * 23) = 16 train points; the test split is the other 7
+    shard = SeriesShard("a", np.arange(23.0))
+    splits = make_windows(shard, 3, 2, 0.7)
+    train, test = splits["train"], splits["test"]
+    assert len(train) == 16 - 3 - 2 + 1
+    assert len(test) == 7 - 3 - 2 + 1
+    np.testing.assert_allclose(denormalize(train.targets[-1], train.mean, train.std),
+                               [14.0, 15.0], atol=1e-12)
+    np.testing.assert_allclose(denormalize(test.inputs[0], test.mean, test.std),
+                               [16.0, 17.0, 18.0], atol=1e-12)
+    np.testing.assert_allclose(denormalize(test.targets[-1], test.mean, test.std),
+                               [21.0, 22.0], atol=1e-12)
 
 
 def test_short_split_returns_empty_without_warning():
     shard = SeriesShard("a", np.arange(20.0))
-    splits = make_windows(shard, 3, 2, (0.7, 0.1, 0.2))
-    assert [len(splits[name]) for name in ("train", "val", "test")] == [10, 0, 0]
+    # a 3-point test split is 2 points shorter than one window
+    splits = make_windows(shard, 3, 2, 0.85)
+    assert [len(splits[name]) for name in ("train", "test")] == [13, 0]
     assert splits["test"].inputs.shape == (0, 3) and splits["test"].targets.shape == (0, 2)
     # a 2-point train split ends 3 points before its first window would
-    splits = make_windows(shard, 3, 2, (0.1, 0.0, 0.9))
-    assert [len(splits[name]) for name in ("train", "val", "test")] == [0, 0, 14]
+    splits = make_windows(shard, 3, 2, 0.1)
+    assert [len(splits[name]) for name in ("train", "test")] == [0, 14]
     # a 3-point series is 2 points shorter than one window
-    splits = make_windows(SeriesShard("b", np.arange(3.0)), 3, 2, (1.0, 0.0, 0.0))
-    assert [len(splits[name]) for name in ("train", "val", "test")] == [0, 0, 0]
+    splits = make_windows(SeriesShard("b", np.arange(3.0)), 3, 2, 1.0)
+    assert [len(splits[name]) for name in ("train", "test")] == [0, 0]
 
 
 def test_constant_series_normalizes_to_zero():
     shard = SeriesShard("a", np.full(12, 7.0))
-    splits = make_windows(shard, 3, 1, (1.0, 0.0, 0.0))
+    splits = make_windows(shard, 3, 1, 1.0)
     train = splits["train"]
     np.testing.assert_array_equal(train.inputs, np.zeros_like(train.inputs))
     np.testing.assert_allclose(denormalize(train.inputs, train.mean, train.std), 7.0, atol=1e-12)
@@ -619,17 +626,19 @@ def test_constant_series_normalizes_to_zero():
 
 def test_normalization_round_trip():
     shard = SeriesShard("a", np.random.default_rng(3).normal(5.0, 2.0, size=60))
-    train = make_windows(shard, 4, 2, (1.0, 0.0, 0.0))["train"]
+    train = make_windows(shard, 4, 2, 1.0)["train"]
     raw = np.array([shard.values[i : i + 4] for i in range(len(train))])
     np.testing.assert_allclose(denormalize(train.inputs, train.mean, train.std), raw, atol=1e-12)
 
 
 def test_make_windows_validates_fractions():
     shard = SeriesShard("a", np.arange(30.0))
-    with pytest.raises(ConfigError):
-        make_windows(shard, 3, 1, (0.5, 0.2, 0.2))
-    with pytest.raises(ConfigError):
-        make_windows(shard, 3, 1, (1.2, -0.1, -0.1))
+    for train_frac in (1.2, -0.1, math.nan):
+        with pytest.raises(ConfigError, match=r"^train_frac must lie in \[0, 1\], got "):
+            make_windows(shard, 3, 1, train_frac)
+    # the ends are one empty split or the other
+    assert [len(d) for d in make_windows(shard, 3, 1, 0.0).values()] == [0, 27]
+    assert [len(d) for d in make_windows(shard, 3, 1, 1.0).values()] == [27, 0]
 
 
 def test_synth_same_seed_same_output():

@@ -297,6 +297,14 @@ def test_an_experiment_with_the_noisy_gate_is_a_config_error():
                                    "noise_enabled must be false: the noisy gate was removed"]
 
 
+@pytest.mark.parametrize("train_frac", [0.0, 1.0, -0.5])
+def test_train_frac_must_leave_a_train_and_a_test_segment(train_frac):
+    # the test segment is everything after train_frac, so neither may be empty
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(train_frac=train_frac)
+    assert info.value.problems == [f"train_frac must lie in (0, 1), got {train_frac}"]
+
+
 def test_an_ill_typed_kind_is_named_once_with_the_other_problems():
     kind = np.array(["game", "mean"])
     with pytest.raises(ConfigError) as info:

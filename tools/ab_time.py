@@ -88,7 +88,7 @@ def _fleet(fg, config):
     stream = fg.protocol.seed_stream(config.master_seed, "data")
     shards = fg.data.synth_generate(config.n_clients, config.n_clusters, config.series_length,
                                     config.noise_sd, stream)
-    return shards, [fg.data.make_windows(s, fcfg.history_len, fcfg.horizon, config.splits())
+    return shards, [fg.data.make_windows(s, fcfg.history_len, fcfg.horizon, config.train_frac)
                     for s in shards]
 
 
